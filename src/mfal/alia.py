@@ -12,7 +12,8 @@ import itertools
 from fractions import Fraction
 
 from . import liealg, modforms
-from .liealg import ChevalleyStructure, GradedTriple
+from .liealg import ChevalleyStructure, GradedTriple, killing_matrix
+from .linalg import Matrix, rank, rref
 from .qseries import QSeries
 from .quasimodular import QuasiMatrix, QuasiPoly
 
@@ -52,6 +53,9 @@ class JPoly:
 
     def is_zero(self):
         return not self.coeffs
+
+    def __bool__(self):
+        return bool(self.coeffs)
 
     def degree(self):
         return len(self.coeffs) - 1
@@ -321,18 +325,23 @@ class AliaTable:
     def bracket_records(self):
         """Flat listing for the CLI: one record per nonzero bracket.
 
-        Root-root pairs are oriented higher root first, so the A1 record
-        reads [a_1, a_-1] = +j(j-1728) h1.
+        Each record is (x, y, target, eps, w4, w6) for the bracket
+        [x, y] = eps j^w4 (j-1728)^w6 target.  Root-root pairs are oriented
+        higher root first, so the A1 record reads [a_1, a_-1] = +j(j-1728) h1.
         """
         records = []
         for (i, j), acc in sorted(self._table.items()):
-            flip = self.basis[i][0] == "A" and self.basis[j][0] == "A"
+            (kx, vx), (ky, vy) = self.basis[i], self.basis[j]
+            flip = kx == "A" and ky == "A"
             x, y = (j, i) if flip else (i, j)
             sign = -1 if flip else 1
+            w4 = self.cocycles.w4[(vx, vy)] if flip else 0
+            w6 = self.cocycles.w6[(vx, vy)] if flip else 0
             for k, poly in sorted(acc.items()):
+                # j^w4 (j-1728)^w6 is monic, so eps is the leading coefficient
                 records.append(
                     (self.basis_name(x), self.basis_name(y), self.basis_name(k),
-                     poly * sign)
+                     poly.coeffs[-1] * sign, w4, w6)
                 )
         return records
 
@@ -382,7 +391,8 @@ class SpecializedAlgebra:
                 v = self.bracket_vectors(current[a], current[b])
                 if v:
                     brackets.append(v)
-            basis = _row_reduce(brackets, self.dim)
+            reduced = rref(_dense(brackets, self.dim))[0]
+            basis = [{i: c for i, c in enumerate(row) if c} for row in reduced]
             dims.append(len(basis))
             if not basis or len(basis) == dims[-2]:
                 break
@@ -394,59 +404,12 @@ class SpecializedAlgebra:
         return 0 in dims[: within_steps + 1]
 
     def killing_determinant(self) -> Fraction:
-        ads = []
-        for i in range(self.dim):
-            mat = [[Fraction(0)] * self.dim for _ in range(self.dim)]
-            for j in range(self.dim):
-                img = self.bracket_vectors({i: Fraction(1)}, {j: Fraction(1)})
-                for k, c in img.items():
-                    mat[k][j] = c
-            ads.append(mat)
-        km = [
-            [
-                sum(ads[a][i][k] * ads[b][k][i] for i in range(self.dim) for k in range(self.dim))
-                for b in range(self.dim)
-            ]
-            for a in range(self.dim)
-        ]
-        return _determinant(km)
+        return Matrix(killing_matrix(self.bracket_vectors, self.dim)).det()
 
 
-def _row_reduce(vectors, dim):
-    """Independent spanning subset (as coefficient dicts) over Q."""
-    rows = []
-    basis = []
-    for vec in vectors:
-        row = [vec.get(i, Fraction(0)) for i in range(dim)]
-        for pivot_row in rows:
-            lead = next((i for i, x in enumerate(pivot_row) if x), None)
-            if lead is not None and row[lead]:
-                factor = row[lead] / pivot_row[lead]
-                row = [x - factor * y for x, y in zip(row, pivot_row)]
-        if any(row):
-            rows.append(row)
-            basis.append({i: c for i, c in enumerate(row) if c})
-    return basis
-
-
-def _determinant(mat):
-    n = len(mat)
-    a = [row[:] for row in mat]
-    det = Fraction(1)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            a[col], a[pivot] = a[pivot], a[col]
-            det = -det
-        det *= a[col][col]
-        inv = Fraction(1) / a[col][col]
-        for r in range(col + 1, n):
-            if a[r][col]:
-                factor = a[r][col] * inv
-                a[r] = [x - factor * y for x, y in zip(a[r], a[col])]
-    return det
+def _dense(vectors, dim):
+    """Rows of coefficients from index -> coefficient dicts."""
+    return [[v.get(i, Fraction(0)) for i in range(dim)] for v in vectors]
 
 
 def alia_table(type_label: str, orbit: str) -> AliaTable:
@@ -611,7 +574,7 @@ def _levi_from_triple(triple: liealg.GradedTriple):
         v = st.bracket({a: Fraction(1)}, {b: Fraction(1)})
         if v:
             brackets.append(v)
-    levi = len(_row_reduce(brackets, st.dim))
+    levi = rank(_dense(brackets, st.dim))
     centre = len(g0) - levi
     radical = centre
     negatives = {}

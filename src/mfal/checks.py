@@ -13,6 +13,7 @@ import time
 from fractions import Fraction
 
 from . import alia, liealg, loopext, modforms, vvmf
+from .linalg import Matrix
 from .qseries import QSeries
 from .quasimodular import QuasiPoly
 
@@ -234,22 +235,13 @@ def check_grading_additivity(order):
 def check_symrep_relations(order):
     for n in range(0, 9):
         rep = liealg.sym_rep(n)
-        dim = rep.dim
-
-        def mul(a, b):
-            return [
-                [sum(a[i][k] * b[k][j] for k in range(dim)) for j in range(dim)]
-                for i in range(dim)
-            ]
-
-        ef = mul(rep.e, rep.f)
-        fe = mul(rep.f, rep.e)
-        if [[ef[i][j] - fe[i][j] for j in range(dim)] for i in range(dim)] != rep.h:
+        e, f = Matrix(rep.e), Matrix(rep.f)
+        if e.commutator(f) != Matrix(rep.h):
             return False, f"[E,F] != H at n={n}"
-        p = rep.e
+        p = e
         for _ in range(n):
-            p = mul(p, rep.e)
-        if any(any(row) for row in p):
+            p = p * e
+        if not p.is_zero():
             return False, f"E not nilpotent of index {n+1}"
     return True, "commutation and nilpotency for n <= 8"
 

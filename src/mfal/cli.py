@@ -29,6 +29,21 @@ def _default_order() -> int:
     return 64
 
 
+def _int_at_least(low: int):
+    """argparse type: an int no smaller than ``low``."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from exc
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+
+    return parse
+
+
 def _parse_tau(text: str) -> complex:
     try:
         return complex(text.replace("i", "j"))
@@ -66,26 +81,14 @@ def cmd_alia(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     records = []
-    for x, y, target, poly in table.bracket_records():
-        coeffs = poly.coeffs
-        w6 = 0
-        w4 = 0
-        eps = 0
-        # factor c * j^w4 (j-1728)^w6 back out of the polynomial
-        probe = poly
-        for cand_w4 in (0, 1):
-            for cand_w6 in (0, 1):
-                base = alia.JPoly.j_power_form(cand_w4, cand_w6)
-                for c in (coeffs[-1], -coeffs[-1]):
-                    if (base * c - probe).is_zero():
-                        eps, w4, w6 = c, cand_w4, cand_w6
+    for x, y, target, eps, w4, w6 in table.bracket_records():
         records.append(
             {
                 "x": x,
                 "y": y,
                 "target": target,
                 "coeff": {
-                    "eps": int(eps) if Fraction(eps).denominator == 1 else str(eps),
+                    "eps": int(eps) if eps.denominator == 1 else str(eps),
                     "w4": w4,
                     "w6": w6,
                 },
@@ -201,7 +204,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact modular forms, quasimodular matrices and their Lie algebras",
     )
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--order", type=int, default=_default_order(),
+    common.add_argument("--order", type=_int_at_least(1), default=_default_order(),
                         help="working truncation order (default 64 or MFAL_ORDER)")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -220,7 +223,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("hilbert", parents=[common],
                        help="weight dimensions of the Sym^n module")
-    p.add_argument("n", type=int)
+    p.add_argument("n", type=_int_at_least(0))
     p.add_argument("group")
     p.add_argument("kmax", type=int)
     p.add_argument("--format", choices=("text", "json"), default="text")

@@ -13,6 +13,7 @@ import itertools
 from fractions import Fraction
 from math import comb
 
+from .linalg import solve
 from .quasimodular import QuasiMatrix, QuasiPoly
 
 
@@ -211,9 +212,6 @@ class ChevalleyStructure:
                         del out[k]
         return out
 
-    def structure_constant(self, alpha, beta) -> int:
-        return self.eps.get((alpha, beta), 0)
-
     def jacobi_ok(self) -> bool:
         for i, j, k in itertools.combinations(range(self.dim), 3):
             x, y, z = ({i: Fraction(1)}, {j: Fraction(1)}, {k: Fraction(1)})
@@ -233,34 +231,11 @@ class ChevalleyStructure:
                 return False
         return True
 
-    def ad_matrix(self, x: dict):
-        cols = []
-        for j in range(self.dim):
-            img = self.bracket(x, {j: Fraction(1)})
-            cols.append(img)
-        mat = [[Fraction(0)] * self.dim for _ in range(self.dim)]
-        for j, img in enumerate(cols):
-            for i, c in img.items():
-                mat[i][j] = c
-        return mat
-
     def killing(self):
         """Matrix of tr(ad x ad y) over the Chevalley basis."""
-        if self._killing is not None:
-            return self._killing
-        ads = [self.ad_matrix({i: Fraction(1)}) for i in range(self.dim)]
-        n = self.dim
-        km = [[Fraction(0)] * n for _ in range(n)]
-        for a in range(n):
-            for b in range(a, n):
-                t = Fraction(0)
-                for i in range(n):
-                    for k in range(n):
-                        if ads[a][i][k] and ads[b][k][i]:
-                            t += ads[a][i][k] * ads[b][k][i]
-                km[a][b] = km[b][a] = t
-        self._killing = km
-        return km
+        if self._killing is None:
+            self._killing = killing_matrix(self.bracket, self.dim)
+        return self._killing
 
     def killing_form(self, x: dict, y: dict) -> Fraction:
         km = self.killing()
@@ -270,6 +245,27 @@ class ChevalleyStructure:
                 if km[i][j]:
                     total += a * b * km[i][j]
         return total
+
+
+def killing_matrix(bracket, dim: int):
+    """tr(ad x_a ad x_b) over a basis x_0..x_(dim-1).
+
+    ``bracket`` takes and returns vectors as index -> coefficient dicts.
+    """
+    one = Fraction(1)
+    # ad[a][k] is [x_a, x_k]; its coefficient at i is the (i, k) entry of ad x_a
+    ad = [[bracket({a: one}, {k: one}) for k in range(dim)] for a in range(dim)]
+    km = [[Fraction(0)] * dim for _ in range(dim)]
+    for a in range(dim):
+        for b in range(a, dim):
+            t = Fraction(0)
+            for k, img in enumerate(ad[a]):
+                for i, c in img.items():
+                    d = ad[b][i].get(k)
+                    if d:
+                        t += c * d
+            km[a][b] = km[b][a] = t
+    return km
 
 
 def _sign_classes(rs: RootSystem):
@@ -466,9 +462,9 @@ class GradedTriple:
         # alpha_i(H_j) = cartan[i][j]
         mat = [[Fraction(rs.cartan[i][j]) for j in range(n)] for i in range(n)]
         rhs = [Fraction(l) for l in self.labels]
-        sol = _solve_linear(mat, rhs)
+        sol = solve(mat, rhs)
         if sol is None:
-            raise NoRationalTriple("Cartan system for H is singular")
+            raise NoRationalTriple("Cartan system for H is inconsistent")
         return tuple(sol)
 
     def grade_roots(self, k: int):
@@ -503,7 +499,7 @@ class GradedTriple:
         rows = sorted({i for img in cols for i in img} | set(self.h_vector))
         mat = [[cols[j].get(i, Fraction(0)) for j in range(len(down))] for i in rows]
         rhs = [self.h_vector.get(i, Fraction(0)) for i in rows]
-        sol = _solve_linear_rect(mat, rhs)
+        sol = solve(mat, rhs)
         if sol is None:
             return None
         f_vec = {
@@ -546,56 +542,6 @@ def _small_coefficient_vectors(n: int):
         yield values
     for values in itertools.product((1, 2, 3, 5, 7), repeat=n):
         yield values
-
-
-def _solve_linear(mat, rhs):
-    """Square solve over Q; None when singular."""
-    n = len(mat)
-    a = [row[:] + [r] for row, r in zip(mat, rhs)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if pivot is None:
-            return None
-        a[col], a[pivot] = a[pivot], a[col]
-        inv = Fraction(1) / a[col][col]
-        a[col] = [x * inv for x in a[col]]
-        for r in range(n):
-            if r != col and a[r][col]:
-                factor = a[r][col]
-                a[r] = [x - factor * y for x, y in zip(a[r], a[col])]
-    return [a[i][n] for i in range(n)]
-
-
-def _solve_linear_rect(mat, rhs):
-    """Any solution of a rectangular consistent system over Q, else None."""
-    if not mat:
-        return []
-    rows, cols = len(mat), len(mat[0])
-    a = [mat[i][:] + [rhs[i]] for i in range(rows)]
-    pivots = []
-    r = 0
-    for c in range(cols):
-        pivot = next((i for i in range(r, rows) if a[i][c] != 0), None)
-        if pivot is None:
-            continue
-        a[r], a[pivot] = a[pivot], a[r]
-        inv = Fraction(1) / a[r][c]
-        a[r] = [x * inv for x in a[r]]
-        for i in range(rows):
-            if i != r and a[i][c]:
-                factor = a[i][c]
-                a[i] = [x - factor * y for x, y in zip(a[i], a[r])]
-        pivots.append(c)
-        r += 1
-        if r == rows:
-            break
-    for i in range(r, rows):
-        if a[i][cols] != 0:
-            return None
-    sol = [Fraction(0)] * cols
-    for i, c in enumerate(pivots):
-        sol[c] = a[i][cols]
-    return sol
 
 
 # ----------------------------------------------------------------------
@@ -642,10 +588,6 @@ def sym_power_matrix(n: int, entries):
     scaled monomial basis.  Works for Fraction and QuasiPoly entries alike.
     """
     (a, b), (c, d) = entries
-
-    def as_ring(x):
-        return x
-
     rows = [[None] * (n + 1) for _ in range(n + 1)]
     for j in range(n + 1):
         # image of basis vector j: binom(n,j) (a x + c y)^(n-j) (b x + d y)^j

@@ -1,0 +1,202 @@
+"""Exact dense linear algebra over the package's coefficient rings.
+
+Entries may be ``Fraction``, ``QuasiPoly``, ``CycloNumber`` or ``JPoly``, or
+any type with the same minimal protocol:
+
+* ``+``, ``-`` and ``*`` between entries, and with the integers 0 and 1
+  (``x * 0`` is the zero of x's ring, ``x * 0 + 1`` its one);
+* a truth value that is false exactly for zero;
+* ``1 / x`` for nonzero x, needed only by the field routines ``rref``,
+  ``rank`` and ``solve``.
+
+Determinants and adjugates use Berkowitz's algorithm (S. J. Berkowitz,
+Inf. Process. Lett. 18, 1984): O(n^4) ring operations and no division,
+which matters because Q[tau, P, Q, R, s, 1/s] has no exact division.
+"""
+
+from __future__ import annotations
+
+
+def _dot(xs, ys, zero):
+    """sum x*y over the pairs where both factors are nonzero."""
+    acc = None
+    for x, y in zip(xs, ys):
+        if x and y:
+            acc = x * y if acc is None else acc + x * y
+    return zero if acc is None else acc
+
+
+def _det(c):
+    """det A = (-1)^n cn from the characteristic coefficients of A."""
+    return c[-1] if len(c) % 2 == 0 else -c[-1]
+
+
+class Matrix:
+    """Dense matrix over a commutative ring; operations return the same class."""
+
+    __slots__ = ("rows",)
+
+    def __init__(self, rows):
+        self.rows = [list(row) for row in rows]
+
+    @classmethod
+    def identity(cls, n: int, one=1) -> "Matrix":
+        zero = one * 0
+        return cls([[one if i == j else zero for j in range(n)] for i in range(n)])
+
+    @property
+    def size(self) -> int:
+        return len(self.rows)
+
+    def __getitem__(self, ij):
+        i, j = ij
+        return self.rows[i][j]
+
+    def __eq__(self, other):
+        return isinstance(other, Matrix) and self.rows == other.rows
+
+    __hash__ = None
+
+    def __add__(self, other):
+        return type(self)(
+            [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(self.rows, other.rows)]
+        )
+
+    def __sub__(self, other):
+        return type(self)(
+            [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(self.rows, other.rows)]
+        )
+
+    def __neg__(self):
+        return type(self)([[-a for a in row] for row in self.rows])
+
+    def scale(self, c) -> "Matrix":
+        return type(self)([[c * a for a in row] for row in self.rows])
+
+    def __mul__(self, other):
+        if not isinstance(other, Matrix):
+            return self.scale(other)
+        zero = self.rows[0][0] * 0
+        cols = list(zip(*other.rows))
+        return type(self)([[_dot(row, col, zero) for col in cols] for row in self.rows])
+
+    def __rmul__(self, other):
+        return self.scale(other)
+
+    def commutator(self, other) -> "Matrix":
+        return self * other - other * self
+
+    def trace(self):
+        return sum((self.rows[i][i] for i in range(1, self.size)), self.rows[0][0])
+
+    def kron(self, other) -> "Matrix":
+        return type(self)(
+            [[a * b for a in ra for b in rb] for ra in self.rows for rb in other.rows]
+        )
+
+    def is_zero(self) -> bool:
+        return not any(any(row) for row in self.rows)
+
+    def map(self, fn) -> "Matrix":
+        return type(self)([[fn(e) for e in row] for row in self.rows])
+
+    def charpoly(self) -> list:
+        """[c1, ..., cn] with det(x I - A) = x^n + c1 x^(n-1) + ... + cn.
+
+        Berkowitz: if A_k is the leading k x k block of A, with column C and
+        row R beside it and corner a, the coefficient vector of A_(k+1) is
+        the lower-triangular Toeplitz matrix with first column
+        (1, -a, -R C, -R A_k C, ..., -R A_k^(k-1) C) applied to that of A_k.
+        The leading coefficient 1 is kept implicit.
+        """
+        a = self.rows
+        zero = a[0][0] * 0
+        coeffs = []
+        for k in range(len(a)):
+            block = [row[:k] for row in a[:k]]
+            row = a[k][:k]
+            v = [a[i][k] for i in range(k)]
+            t = [-a[k][k]]  # t[m] is the Toeplitz entry t_(m+1)
+            for m in range(k):
+                if m:
+                    v = [_dot(b, v, zero) for b in block]
+                t.append(-_dot(row, v, zero))
+            new = []
+            for j in range(1, k + 2):
+                # c'_j = t_j + c_j + sum_(1 <= i < j) t_(j-i) c_i
+                acc = t[j - 1] + _dot(coeffs[: j - 1], reversed(t[: j - 1]), zero)
+                new.append(acc + coeffs[j - 1] if j <= k else acc)
+            coeffs = new
+        return coeffs
+
+    def det(self):
+        return _det(self.charpoly())
+
+    def det_adjugate(self):
+        """(det A, adj A) from one characteristic polynomial.
+
+        Cayley-Hamilton gives A B = -cn I for
+        B = A^(n-1) + c1 A^(n-2) + ... + c(n-1) I, so adj A = (-1)^(n+1) B.
+        """
+        c = self.charpoly()
+        n = len(c)
+        b = type(self).identity(n, self.rows[0][0] * 0 + 1)
+        for m in range(n - 1):
+            b = self * b if m else type(self)(self.rows)
+            for i in range(n):
+                b.rows[i][i] = b.rows[i][i] + c[m]
+        return _det(c), (-b if n % 2 == 0 else b)
+
+    def adjugate(self) -> "Matrix":
+        return self.det_adjugate()[1]
+
+
+# ----------------------------------------------------------------------
+# Gauss-Jordan elimination over a field
+# ----------------------------------------------------------------------
+
+def rref(rows):
+    """Reduced row echelon form: (nonzero reduced rows, pivot columns).
+
+    Each column's pivot is the first row at or below the current one with a
+    nonzero entry.  The reduced form is unique, so it does not depend on
+    that choice.
+    """
+    a = [list(row) for row in rows]
+    pivots = []
+    ncols = len(a[0]) if a else 0
+    r = 0
+    for c in range(ncols):
+        if r == len(a):
+            break
+        p = next((i for i in range(r, len(a)) if a[i][c]), None)
+        if p is None:
+            continue
+        a[r], a[p] = a[p], a[r]
+        inv = 1 / a[r][c]
+        pivot_row = a[r] = [x * inv for x in a[r]]
+        for i, row in enumerate(a):
+            f = row[c]
+            if i != r and f:
+                a[i] = [x - f * y if y else x for x, y in zip(row, pivot_row)]
+        pivots.append(c)
+        r += 1
+    return a[:r], pivots
+
+
+def rank(rows) -> int:
+    return len(rref(rows)[1])
+
+
+def solve(mat, rhs):
+    """One solution x of mat x = rhs over a field, free variables 0; None if
+    the system is inconsistent."""
+    ncols = len(mat[0]) if mat else 0
+    reduced, pivots = rref([row + [b] for row, b in zip(mat, rhs)])
+    if pivots and pivots[-1] == ncols:
+        return None
+    zero = rhs[0] * 0 if rhs else 0
+    sol = [zero] * ncols
+    for row, c in zip(reduced, pivots):
+        sol[c] = row[-1]
+    return sol

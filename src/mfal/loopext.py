@@ -12,6 +12,7 @@ from fractions import Fraction
 
 from . import liealg
 from .alia import AliaTable, JPoly
+from .linalg import Matrix, rank
 
 
 class PoleAtEvaluationPoint(ValueError):
@@ -85,7 +86,10 @@ class CycloNumber:
         self.coeffs = coeffs
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.coeffs)
+
+    def __bool__(self) -> bool:
+        return any(self.coeffs)
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -499,28 +503,7 @@ def cocycle_rank(structure, samples, points) -> int:
     rows = []
     for (x, f), (y, g) in samples:
         rows.append([loop_cocycle(structure, x, f, y, g, p) for p in points])
-    return _field_matrix_rank(rows)
-
-
-def _field_matrix_rank(rows) -> int:
-    rows = [list(r) for r in rows]
-    rank = 0
-    cols = len(rows[0]) if rows else 0
-    r = 0
-    for c in range(cols):
-        pivot = next((i for i in range(r, len(rows)) if not rows[i][c].is_zero()), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = rows[r][c].inverse()
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and not rows[i][c].is_zero():
-                factor = rows[i][c]
-                rows[i] = [x - factor * y for x, y in zip(rows[i], rows[r])]
-        r += 1
-        rank += 1
-    return rank
+    return rank(rows)
 
 
 # ----------------------------------------------------------------------
@@ -538,10 +521,6 @@ class LaurentMatrix:
             [{k: Fraction(v) for k, v in e.items() if v} for e in row]
             for row in entries
         ]
-
-    @classmethod
-    def build(cls, table):
-        return cls(table)
 
     def __add__(self, other):
         return LaurentMatrix(
@@ -677,15 +656,6 @@ def onsager_hef_check() -> bool:
     )
 
 
-def onsager_roan(bound: int = 10) -> dict:
-    """Certified bundle: the loop realization and its Hauptmodul bracket."""
-    return {
-        "relations": onsager_relations_check(bound),
-        "hauptmodul_bracket": onsager_hef_check(),
-        "bound": bound,
-    }
-
-
 def dolan_grady_check() -> bool:
     """Dolan-Grady relations for the Onsager generators inside the A1 table.
 
@@ -728,77 +698,6 @@ def dolan_grady_check() -> bool:
 # evaluation representations
 # ----------------------------------------------------------------------
 
-class FieldMatrix:
-    """Dense matrix over a CycloField."""
-
-    __slots__ = ("field", "rows")
-
-    def __init__(self, field, rows):
-        self.field = field
-        self.rows = rows
-
-    @classmethod
-    def from_rational(cls, field, rational_rows):
-        return cls(
-            field, [[field.rational(c) for c in row] for row in rational_rows]
-        )
-
-    @classmethod
-    def identity(cls, field, n):
-        return cls(
-            field,
-            [[field.one if i == j else field.zero for j in range(n)] for i in range(n)],
-        )
-
-    @property
-    def size(self):
-        return len(self.rows)
-
-    def __add__(self, other):
-        return FieldMatrix(
-            self.field,
-            [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(self.rows, other.rows)],
-        )
-
-    def __sub__(self, other):
-        return FieldMatrix(
-            self.field,
-            [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(self.rows, other.rows)],
-        )
-
-    def __mul__(self, other):
-        n = self.size
-        m = len(other.rows[0])
-        inner = len(other.rows)
-        out = []
-        for i in range(n):
-            row = []
-            for j in range(m):
-                acc = self.field.zero
-                for k in range(inner):
-                    if not self.rows[i][k].is_zero() and not other.rows[k][j].is_zero():
-                        acc = acc + self.rows[i][k] * other.rows[k][j]
-                row.append(acc)
-            out.append(row)
-        return FieldMatrix(self.field, out)
-
-    def scale(self, c: CycloNumber):
-        return FieldMatrix(self.field, [[c * x for x in row] for row in self.rows])
-
-    def kron(self, other):
-        out = []
-        for ra in self.rows:
-            for rb in other.rows:
-                out.append([a * b for a in ra for b in rb])
-        return FieldMatrix(self.field, out)
-
-    def commutator(self, other):
-        return self * other - other * self
-
-    def is_zero(self):
-        return all(x.is_zero() for row in self.rows for x in row)
-
-
 SL2_BRACKET = {
     # structure constants of <h, e, f> with [h,e]=2e, [h,f]=-2f, [e,f]=h
     ("h", "e"): (("e", 2),),
@@ -837,7 +736,7 @@ class EvaluationRep:
         self.reps = [liealg.sym_rep(n) for n in rep_sizes]
         self.dims = [r.dim for r in self.reps]
 
-    def _psi(self, i: int, x: dict) -> FieldMatrix:
+    def _psi(self, i: int, x: dict) -> Matrix:
         rep = self.reps[i]
         n = rep.dim
         acc = [[Fraction(0)] * n for _ in range(n)]
@@ -848,16 +747,16 @@ class EvaluationRep:
                 for s in range(n):
                     if m[r][s]:
                         acc[r][s] += c * m[r][s]
-        return FieldMatrix.from_rational(self.field, acc)
+        return Matrix([[self.field.rational(c) for c in row] for row in acc])
 
-    def _slot(self, i: int, mat: FieldMatrix) -> FieldMatrix:
+    def _slot(self, i: int, mat: Matrix) -> Matrix:
         out = None
         for k, d in enumerate(self.dims):
-            factor = mat if k == i else FieldMatrix.identity(self.field, d)
+            factor = mat if k == i else Matrix.identity(d, self.field.one)
             out = factor if out is None else out.kron(factor)
         return out
 
-    def evaluate(self, x: dict, f: RatFunc) -> FieldMatrix:
+    def evaluate(self, x: dict, f: RatFunc) -> Matrix:
         total = None
         for i, a in enumerate(self.points):
             value = f.evaluate(a)  # raises PoleAtEvaluationPoint at poles

@@ -11,6 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from . import liealg
+from .linalg import Matrix
 from .quasimodular import NumericContext, QuasiMatrix, QuasiPoly
 
 
@@ -75,14 +76,13 @@ def check_gamma_equivariance(n: int, gamma, tau: complex, order=64) -> float:
     ctx_image = NumericContext(image_tau, order)
     m_here = op.matrix.substitute_numeric(ctx_here)
     m_image = op.matrix.substitute_numeric(ctx_image)
-    rho_g = rho_matrix(n, gamma)
+    target = (Matrix(rho_matrix(n, gamma)) * Matrix(m_here)).rows
     dim = n + 1
     residual = 0.0
     for i in range(dim):
         for j in range(dim):
             corrected = m_image[i][j] * (c * tau + d) ** (-op.weights[j])
-            target = sum(float(rho_g[i][k]) * m_here[k][j] for k in range(dim))
-            residual = max(residual, abs(corrected - target))
+            residual = max(residual, abs(corrected - target[i][j]))
     return residual
 
 

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from mfal.cli import main
 
 
@@ -153,3 +155,18 @@ def test_order_env_override(capsys, monkeypatch):
     code, out, _ = run(capsys, "expand", "Delta", "--order", "4")
     assert code == 0
     assert "O(q^4)" in out
+
+
+def test_expand_rejects_nonpositive_order(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["expand", "j", "--order", "-5"])
+    assert exc.value.code == 2
+    assert "--order: must be >= 1" in capsys.readouterr().err
+
+
+def test_hilbert_rejects_negative_n(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["hilbert", "-3", "Gamma1", "10"])
+    assert exc.value.code == 2
+    err = capsys.readouterr()
+    assert "argument n: must be >= 0" in err.err and "weight" not in err.out
