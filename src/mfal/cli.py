@@ -19,16 +19,6 @@ from .modforms import UnknownForm
 from .qseries import NeedsCyclotomic, NotConvergent
 
 
-def _default_order() -> int:
-    env = os.environ.get("MFAL_ORDER")
-    if env:
-        try:
-            return int(env)
-        except ValueError:
-            pass
-    return 64
-
-
 def _int_at_least(low: int):
     """argparse type: an int no smaller than ``low``."""
 
@@ -204,7 +194,10 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact modular forms, quasimodular matrices and their Lie algebras",
     )
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--order", type=_int_at_least(1), default=_default_order(),
+    # a string default goes through ``type`` when --order is absent, so a bad
+    # MFAL_ORDER is a usage error like a bad --order
+    common.add_argument("--order", type=_int_at_least(1),
+                        default=os.environ.get("MFAL_ORDER") or "64",
                         help="working truncation order (default 64 or MFAL_ORDER)")
     sub = parser.add_subparsers(dest="command", required=True)
 

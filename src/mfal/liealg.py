@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from math import comb
+from math import comb, factorial
 
 from .linalg import solve
 from .quasimodular import QuasiMatrix, QuasiPoly
@@ -585,7 +585,7 @@ def sym_power_matrix(n: int, entries):
     """Functorial Sym^n of a 2x2 matrix over any commutative ring.
 
     ``entries`` is ((a, b), (c, d)); returns the (n+1)x(n+1) matrix in the
-    scaled monomial basis.  Works for Fraction and QuasiPoly entries alike.
+    scaled monomial basis.  Works for any ring of the ``mfal.linalg`` protocol.
     """
     (a, b), (c, d) = entries
     rows = [[None] * (n + 1) for _ in range(n + 1)]
@@ -605,30 +605,16 @@ def sym_power_matrix(n: int, entries):
                     contributions[i] = term
         for i in range(n + 1):
             rows[i][j] = contributions.get(i)
-    zero = _ring_zero_like(a)
+    zero = a * 0
     return [[zero if x is None else x for x in row] for row in rows]
 
 
 def _ring_product(powers, coeff: Fraction):
-    acc = None
+    acc = powers[0][0] * 0 + 1
     for base, e in powers:
-        if e == 0:
-            continue
-        factor = base
-        for _ in range(e - 1):
-            factor = factor * base
-        acc = factor if acc is None else acc * factor
-    if acc is None:
-        return _ring_one_like(powers[0][0]) * coeff if isinstance(powers[0][0], QuasiPoly) else Fraction(coeff)
+        for _ in range(e):
+            acc = acc * base
     return acc * coeff
-
-
-def _ring_one_like(x):
-    return QuasiPoly.const(1) if isinstance(x, QuasiPoly) else Fraction(1)
-
-
-def _ring_zero_like(x):
-    return QuasiPoly() if isinstance(x, QuasiPoly) else Fraction(0)
 
 
 def exp_nilpotent(matrix: QuasiMatrix, scalar: QuasiPoly) -> QuasiMatrix:
@@ -642,14 +628,7 @@ def exp_nilpotent(matrix: QuasiMatrix, scalar: QuasiPoly) -> QuasiMatrix:
         scalar_power = scalar_power * scalar
         if power.is_zero():
             return result
-        result = result + power.scale(scalar_power * Fraction(1, _factorial(k)))
+        result = result + power.scale(scalar_power * Fraction(1, factorial(k)))
     if not (power * matrix).is_zero():
         raise NotNilpotent("matrix is not nilpotent of index <= size")
     return result
-
-
-def _factorial(k: int) -> int:
-    out = 1
-    for i in range(2, k + 1):
-        out *= i
-    return out

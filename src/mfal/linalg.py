@@ -17,7 +17,7 @@ which matters because Q[tau, P, Q, R, s, 1/s] has no exact division.
 from __future__ import annotations
 
 
-def _dot(xs, ys, zero):
+def dot(xs, ys, zero):
     """sum x*y over the pairs where both factors are nonzero."""
     acc = None
     for x, y in zip(xs, ys):
@@ -78,7 +78,7 @@ class Matrix:
             return self.scale(other)
         zero = self.rows[0][0] * 0
         cols = list(zip(*other.rows))
-        return type(self)([[_dot(row, col, zero) for col in cols] for row in self.rows])
+        return type(self)([[dot(row, col, zero) for col in cols] for row in self.rows])
 
     def __rmul__(self, other):
         return self.scale(other)
@@ -119,12 +119,12 @@ class Matrix:
             t = [-a[k][k]]  # t[m] is the Toeplitz entry t_(m+1)
             for m in range(k):
                 if m:
-                    v = [_dot(b, v, zero) for b in block]
-                t.append(-_dot(row, v, zero))
+                    v = [dot(b, v, zero) for b in block]
+                t.append(-dot(row, v, zero))
             new = []
             for j in range(1, k + 2):
                 # c'_j = t_j + c_j + sum_(1 <= i < j) t_(j-i) c_i
-                acc = t[j - 1] + _dot(coeffs[: j - 1], reversed(t[: j - 1]), zero)
+                acc = t[j - 1] + dot(coeffs[: j - 1], reversed(t[: j - 1]), zero)
                 new.append(acc + coeffs[j - 1] if j <= k else acc)
             coeffs = new
         return coeffs

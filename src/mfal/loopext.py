@@ -1,18 +1,19 @@
 """Polyhedral loop algebras: residue cocycles, Onsager realization,
 evaluation representations.
 
-Pole sets live in cyclotomic fields Q(zeta_n), n in {1, 3, 4, 5}, so every
-residue is computed exactly by polynomial arithmetic modulo the cyclotomic
-polynomial.
+Pole sets live in cyclotomic fields Q(zeta_n), n in {1, 3, 4, 5}, and every
+rational function is kept as its partial fractions over that field, so a
+residue is read off exactly as one coefficient.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import comb
 
 from . import liealg
 from .alia import AliaTable, JPoly
-from .linalg import Matrix, rank
+from .linalg import Matrix, dot, rank, solve
 
 
 class PoleAtEvaluationPoint(ValueError):
@@ -121,7 +122,8 @@ class CycloNumber:
         return (-self) + self._coerce(other)
 
     def __mul__(self, other):
-        other = self._coerce(other)
+        if isinstance(other, (int, Fraction)):
+            return CycloNumber(self.field, tuple(a * other for a in self.coeffs))
         a, b = self.coeffs, other.coeffs
         prod = [Fraction(0)] * (len(a) + len(b) - 1)
         for i, x in enumerate(a):
@@ -134,19 +136,14 @@ class CycloNumber:
     __rmul__ = __mul__
 
     def inverse(self) -> "CycloNumber":
+        """Solve x y = 1 in coordinates: column j of x's multiplication
+        matrix holds the coordinates of x zeta^j."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero field element")
-        # extended Euclid in Q[x] against the cyclotomic modulus
-        r0 = list(self.field.modulus)
-        r1 = list(self.coeffs)
-        s0, s1 = [Fraction(0)], [Fraction(1)]
-        while any(c != 0 for c in r1):
-            q, r = _poly_divmod(r0, r1)
-            r0, r1 = r1, r
-            s0, s1 = s1, _poly_sub(s0, _poly_mul(q, s1))
-        # r0 is the gcd, a nonzero constant for an irreducible modulus
-        lead = next(c for c in reversed(r0) if c != 0)
-        return self.field.element([c / lead for c in s0])
+        field = self.field
+        cols = [field.element([0] * j + list(self.coeffs)).coeffs for j in range(field.degree)]
+        y = solve([list(row) for row in zip(*cols)], list(field.one.coeffs))
+        return CycloNumber(field, tuple(y))
 
     def __truediv__(self, other):
         return self * self._coerce(other).inverse()
@@ -182,211 +179,206 @@ class CycloNumber:
         return " + ".join(parts) if parts else "0"
 
 
-def _poly_trim(p):
-    while p and p[-1] == 0:
-        p.pop()
-    return p
-
-
-def _poly_sub(a, b):
-    n = max(len(a), len(b))
-    return _poly_trim(
-        [
-            (a[i] if i < len(a) else Fraction(0)) - (b[i] if i < len(b) else Fraction(0))
-            for i in range(n)
-        ]
-    )
-
-
-def _poly_mul(a, b):
-    if not a or not b:
-        return []
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return _poly_trim(out)
-
-
-def _poly_divmod(a, b):
-    a = list(a)
-    b = _poly_trim(list(b))
-    q = [Fraction(0)] * max(0, len(a) - len(b) + 1)
-    while len(_poly_trim(a)) >= len(b):
-        a = _poly_trim(a)
-        shift = len(a) - len(b)
-        factor = a[-1] / b[-1]
-        q[shift] = factor
-        for i, c in enumerate(b):
-            a[shift + i] -= factor * c
-    return _poly_trim(q), _poly_trim(a)
-
-
 # ----------------------------------------------------------------------
-# rational functions over a cyclotomic field
+# rational functions over a cyclotomic field, in partial fractions
 # ----------------------------------------------------------------------
+
+def _num(field: CycloField, x) -> CycloNumber:
+    return x if isinstance(x, CycloNumber) else field.rational(x)
+
 
 class RatFunc:
-    """num(t)/den(t) over a CycloField, with a declared admissible pole set.
+    """A rational function over a CycloField as its partial fractions.
 
-    Instances are built from the pole set, so the denominator's roots are
-    inside it by construction.
+    f = P(t) + sum_a sum_k c_(a,k) (t - a)^(-k).  ``poly`` lists P's
+    coefficients, lowest degree first; ``parts`` maps the ``coeffs`` tuple
+    of each pole a to ``(a, [c_(a,1), c_(a,2), ...])``.  Lists carry no
+    trailing zeros and no part is empty, so the form is unique: a residue
+    is a lookup and ``is_zero`` is exact.
     """
 
-    def __init__(self, field: CycloField, num, den=None, poles=()):
+    __slots__ = ("field", "poly", "parts")
+
+    def __init__(self, field: CycloField, poly, parts=None):
+        # the lists passed in are trimmed in place and never changed afterwards
         self.field = field
-        self.num = [c if isinstance(c, CycloNumber) else field.rational(c) for c in num]
-        if den is None:
-            den = [field.one]
-        self.den = [c if isinstance(c, CycloNumber) else field.rational(c) for c in den]
-        self.poles = tuple(poles)
-        self._normalize()
-
-    def _normalize(self):
-        self.num = _cpoly_trim(self.num)
-        self.den = _cpoly_trim(self.den)
-        if not self.den:
-            raise ZeroDivisionError("zero denominator")
-        lead = self.den[-1]
-        if not (lead == 1):
-            inv = lead.inverse()
-            self.num = [c * inv for c in self.num]
-            self.den = [c * inv for c in self.den]
+        self.poly = _cpoly_trim(poly)
+        self.parts = {}
+        for key, (a, cs) in (parts or {}).items():
+            if _cpoly_trim(cs):
+                self.parts[key] = (a, cs)
 
     @classmethod
-    def polynomial(cls, field, coeffs, poles=()):
-        return cls(field, coeffs, None, poles)
+    def polynomial(cls, field, coeffs):
+        return cls(field, [_num(field, c) for c in coeffs])
 
     @classmethod
-    def t_power(cls, field, k: int, poles=()):
+    def t_power(cls, field, k: int):
         if k >= 0:
-            return cls(field, [field.zero] * k + [field.one], None, poles)
-        den = [field.zero] * (-k) + [field.one]
-        return cls(field, [field.one], den, poles)
+            return cls(field, [field.zero] * k + [field.one])
+        return cls.pole_factor(field, field.zero, -k)
 
     @classmethod
-    def pole_factor(cls, field, a, power: int = 1, poles=()):
-        """(t - a)^(-power)."""
-        den = [field.one]
-        lin = [-a if isinstance(a, CycloNumber) else field.rational(-a), field.one]
-        for _ in range(power):
-            den = _cpoly_mul(den, lin)
-        return cls(field, [field.one], den, poles)
+    def pole_factor(cls, field, a, power: int = 1):
+        """(t - a)^(-power) for power >= 1."""
+        if power < 1:
+            raise ValueError(f"pole order must be at least 1, got {power}")
+        a = _num(field, a)
+        return cls(field, [], {a.coeffs: (a, [field.zero] * (power - 1) + [field.one])})
 
     def __add__(self, other):
-        num = _cpoly_add(
-            _cpoly_mul(self.num, other.den), _cpoly_mul(other.num, self.den)
-        )
-        return RatFunc(
-            self.field, num, _cpoly_mul(self.den, other.den),
-            tuple(dict.fromkeys(self.poles + other.poles)),
-        )
+        parts = dict(self.parts)
+        for key, (a, cs) in other.parts.items():
+            _merge(parts, key, a, cs)
+        return RatFunc(self.field, _cpoly_add(self.poly, other.poly), parts)
 
     def __neg__(self):
-        return RatFunc(self.field, [-c for c in self.num], self.den, self.poles)
+        return self * -1
 
     def __sub__(self, other):
         return self + (-other)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = RatFunc(self.field, [self.field.rational(other)])
-        return RatFunc(
-            self.field,
-            _cpoly_mul(self.num, other.num),
-            _cpoly_mul(self.den, other.den),
-            tuple(dict.fromkeys(self.poles + other.poles)),
-        )
+        if not isinstance(other, RatFunc):
+            return RatFunc(
+                self.field, [c * other for c in self.poly],
+                {k: (a, [c * other for c in cs]) for k, (a, cs) in self.parts.items()},
+            )
+        zero = self.field.zero
+        poly = _cpoly_mul(self.poly, other.poly, zero)
+        parts = {}
+        for f, g in ((self, other), (other, self)):
+            for key, (a, cs) in f.parts.items():
+                quotient, principal = _times_poly(a, cs, g.poly, zero)
+                poly = _cpoly_add(poly, quotient)
+                _merge(parts, key, a, principal)
+        for ka, (a, cs) in self.parts.items():
+            for kb, (b, ds) in other.parts.items():
+                if ka == kb:
+                    _merge(parts, ka, a, _convolve(cs, ds, zero))
+                    continue
+                # 1/e, 1/e^2, ... once per pair of points, e = a - b
+                inv = (a - b).inverse()
+                pows = [self.field.one]
+                for _ in range(len(cs) + len(ds) - 1):
+                    pows.append(pows[-1] * inv)
+                neg = [p if n % 2 == 0 else -p for n, p in enumerate(pows)]
+                _merge(parts, ka, a, _principal(cs, _taylor(ds, pows, len(cs), zero), zero))
+                _merge(parts, kb, b, _principal(ds, _taylor(cs, neg, len(ds), zero), zero))
+        return RatFunc(self.field, poly, parts)
 
     __rmul__ = __mul__
 
     def derivative(self) -> "RatFunc":
-        n_p = _cpoly_derive(self.num)
-        d_p = _cpoly_derive(self.den)
-        num = _cpoly_sub(_cpoly_mul(n_p, self.den), _cpoly_mul(self.num, d_p))
-        return RatFunc(self.field, num, _cpoly_mul(self.den, self.den), self.poles)
+        zero = self.field.zero
+        return RatFunc(
+            self.field,
+            [c * i for i, c in enumerate(self.poly)][1:],
+            {
+                key: (a, [zero] + [c * -k for k, c in enumerate(cs, 1)])
+                for key, (a, cs) in self.parts.items()
+            },
+        )
 
     def evaluate(self, point) -> CycloNumber:
-        if isinstance(point, (int, Fraction)):
-            point = self.field.rational(point)
-        den_val = _cpoly_eval(self.den, point)
-        if den_val.is_zero():
-            raise PoleAtEvaluationPoint("denominator vanishes at the point")
-        return _cpoly_eval(self.num, point) * den_val.inverse()
+        point = _num(self.field, point)
+        if point.coeffs in self.parts:
+            raise PoleAtEvaluationPoint("f has a pole at the point")
+        zero = self.field.zero
+        acc = _cpoly_eval(self.poly, point, zero)
+        for a, cs in self.parts.values():
+            acc = acc + _cpoly_eval([zero] + cs, (point - a).inverse(), zero)
+        return acc
 
     def is_zero(self) -> bool:
-        return not self.num
+        return not self.poly and not self.parts
 
 
 def _cpoly_trim(p):
-    p = list(p)
-    while p and p[-1].is_zero():
+    while p and not p[-1]:
         p.pop()
     return p
 
 
 def _cpoly_add(a, b):
-    out = []
-    for i in range(max(len(a), len(b))):
-        x = a[i] if i < len(a) else None
-        y = b[i] if i < len(b) else None
-        if x is None:
-            out.append(y)
-        elif y is None:
-            out.append(x)
-        else:
-            out.append(x + y)
-    return _cpoly_trim(out)
+    if len(a) < len(b):
+        a, b = b, a
+    return [x + y for x, y in zip(a, b)] + a[len(b):]
 
 
-def _cpoly_sub(a, b):
-    return _cpoly_add(a, [-c for c in b])
-
-
-def _cpoly_mul(a, b):
-    if not a or not b:
-        return []
-    field = (a[0] if a else b[0]).field
-    out = [field.zero for _ in range(len(a) + len(b) - 1)]
+def _cpoly_mul(a, b, zero):
+    out = [zero] * (len(a) + len(b) - 1) if a and b else []
     for i, x in enumerate(a):
-        if x.is_zero():
-            continue
-        for j, y in enumerate(b):
-            if not y.is_zero():
-                out[i + j] = out[i + j] + x * y
-    return _cpoly_trim(out)
+        if x:
+            for j, y in enumerate(b):
+                if y:
+                    out[i + j] = out[i + j] + x * y
+    return out
 
 
-def _cpoly_derive(p):
-    return _cpoly_trim([c * i for i, c in enumerate(p)][1:])
-
-
-def _cpoly_eval(p, point):
-    field = point.field
-    acc = field.zero
+def _cpoly_eval(p, point, zero):
+    acc = zero
     for c in reversed(p):
         acc = acc * point + c
     return acc
 
 
-def _cpoly_shift(p, a):
-    """Coefficients of p(u + a) in u, by Horner-style synthetic division."""
-    field = a.field
-    coeffs = list(p)
-    out = []
-    for _ in range(len(p)):
-        # divide coeffs by (x - a): remainder is p evaluated pieces
-        rem = field.zero
-        new = []
-        for c in reversed(coeffs):
-            rem = rem * a + c
-            new.append(rem)
-        new.reverse()
-        out.append(new[0])
-        coeffs = new[1:]
-        if not coeffs:
+def _merge(parts, key, a, cs):
+    """Add the principal part cs at a into parts."""
+    if key in parts:
+        cs = _cpoly_add(parts[key][1], cs)
+    parts[key] = (a, cs)
+
+
+def _principal(cs, taylor, zero):
+    """Principal part at a of (sum_k c_k u^-k) * (sum_m taylor_m u^m), u = t - a:
+    the coefficient of u^-j is sum_(k >= j) c_k taylor_(k-j)."""
+    return [dot(cs[j:], taylor, zero) for j in range(len(cs))]
+
+
+def _times_poly(a, cs, p, zero):
+    """(sum_k c_k (t - a)^-k) * p(t) as (polynomial part, principal part at a).
+
+    Dividing p by (t - a) k times with Horner's rule gives p = r_0 + r_1 (t - a)
+    + ... + r_(k-1) (t - a)^(k-1) + (t - a)^k q_k, so c_k (t - a)^-k p
+    contributes c_k q_k to the polynomial part and the remainders to the
+    principal part.
+    """
+    poly, remainders, q = [], [], p
+    for c in cs:
+        if not q:
             break
-    return _cpoly_trim(out) or [field.zero]
+        acc, q = zero, list(q)
+        for i in range(len(q) - 1, -1, -1):
+            acc = q[i] = acc * a + q[i]
+        remainders.append(q.pop(0))
+        if c:
+            poly = _cpoly_add(poly, [c * x for x in q])
+    return poly, _principal(cs, remainders, zero)
+
+
+def _taylor(ds, pows, count, zero):
+    """First count Taylor coefficients in u of sum_k d_k (u + e)^-k, given
+    pows[n] = e^-n: (u + e)^-k = sum_m (-1)^m C(k+m-1, m) e^(-k-m) u^m."""
+    out = []
+    for m in range(count):
+        acc = zero
+        for k, d in enumerate(ds, 1):
+            if d:
+                acc = acc + d * pows[k + m] * ((-1) ** m * comb(k + m - 1, m))
+        out.append(acc)
+    return out
+
+
+def _convolve(cs, ds, zero):
+    """(sum_j c_j u^-j)(sum_k d_k u^-k), both principal parts at one point."""
+    out = [zero] * (len(cs) + len(ds))
+    for j, c in enumerate(cs, 1):
+        if c:
+            for k, d in enumerate(ds, 1):
+                if d:
+                    out[j + k - 1] = out[j + k - 1] + c * d
+    return out
 
 
 # ----------------------------------------------------------------------
@@ -394,32 +386,9 @@ def _cpoly_shift(p, a):
 # ----------------------------------------------------------------------
 
 def residue(f: RatFunc, point) -> CycloNumber:
-    """Residue of f at a finite point: coefficient of 1/(t-a)."""
-    field = f.field
-    if isinstance(point, (int, Fraction)):
-        point = field.rational(point)
-    den_local = _cpoly_shift(f.den, point)
-    m = 0
-    while m < len(den_local) and den_local[m].is_zero():
-        m += 1
-    if m == 0:
-        return field.zero  # not a pole
-    num_local = _cpoly_shift(f.num, point)
-    unit = den_local[m:]
-    # power series inverse of the unit part up to degree m-1
-    inv = [unit[0].inverse()]
-    for k in range(1, m):
-        acc = field.zero
-        for i in range(1, k + 1):
-            if i < len(unit):
-                acc = acc + unit[i] * inv[k - i]
-        inv.append(-(inv[0] * acc) if not acc.is_zero() else field.zero)
-    # residue = coefficient of u^{m-1} in num_local * inv
-    res = field.zero
-    for i in range(m):
-        if i < len(num_local) and m - 1 - i < len(inv):
-            res = res + num_local[i] * inv[m - 1 - i]
-    return res
+    """Residue of f at a finite point: the coefficient c_(a,1) of 1/(t - a)."""
+    part = f.parts.get(_num(f.field, point).coeffs)
+    return part[1][0] if part else f.field.zero
 
 
 def residue_at_infinity(f: RatFunc, finite_points) -> CycloNumber:
@@ -759,7 +728,7 @@ class EvaluationRep:
     def evaluate(self, x: dict, f: RatFunc) -> Matrix:
         total = None
         for i, a in enumerate(self.points):
-            value = f.evaluate(a)  # raises PoleAtEvaluationPoint at poles
+            value = f.evaluate(a)  # raises PoleAtEvaluationPoint at a pole
             term = self._slot(i, self._psi(i, x).scale(value))
             total = term if total is None else total + term
         return total

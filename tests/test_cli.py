@@ -170,3 +170,12 @@ def test_hilbert_rejects_negative_n(capsys):
     assert exc.value.code == 2
     err = capsys.readouterr()
     assert "argument n: must be >= 0" in err.err and "weight" not in err.out
+
+
+@pytest.mark.parametrize("value", ["-5", "junk"])
+def test_bad_order_env_exits_2(capsys, monkeypatch, value):
+    monkeypatch.setenv("MFAL_ORDER", value)
+    with pytest.raises(SystemExit) as exc:
+        main(["expand", "j"])
+    assert exc.value.code == 2
+    assert "--order" in capsys.readouterr().err

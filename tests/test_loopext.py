@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 
@@ -268,3 +269,77 @@ def test_evaluation_at_pole_rejected():
     ev = EvaluationRep(field, [i], [1])
     with pytest.raises(PoleAtEvaluationPoint):
         ev.evaluate({"h": Fraction(1)}, RatFunc.pole_factor(field, i, 1))
+
+
+def test_removable_singularity_evaluates():
+    # (t - i)^-1 (t - i) = 1: no principal part is left at i
+    f4 = CycloField(4)
+    i = f4.zeta
+    f = RatFunc.pole_factor(f4, i, 1) * RatFunc.polynomial(f4, [-i, 1])
+    assert f.evaluate(i) == 1
+
+
+def test_sums_keep_the_true_pole_order():
+    f4 = CycloField(4)
+    i = f4.zeta
+    h = RatFunc.pole_factor(f4, i, 1)
+    g = RatFunc.pole_factor(f4, i, 2)
+    total = (h + g) + (g + h)
+    assert list(total.parts) == [i.coeffs]
+    assert total.parts[i.coeffs][1] == [f4.rational(2), f4.rational(2)]
+    assert not total.poly
+
+
+POLYHEDRAL = ("dihedral", "tetrahedral", "octahedral", "icosahedral")
+
+
+def corpus_lines(seed=31, per_preset=10):
+    """Residues at every preset point and values at two other points of
+    seeded sums, differences, products and derivatives of pole factors and
+    polynomials."""
+    rng = random.Random(seed)
+    lines = []
+    for preset in POLYHEDRAL:
+        field, points = loopext.pole_preset(preset)
+        at = (field.rational(Fraction(7, 3)), field.zeta + 3)
+
+        def atom():
+            if rng.random() < 0.3:
+                return RatFunc.polynomial(
+                    field, [rng.randint(-3, 3) for _ in range(rng.randint(1, 3))]
+                )
+            c = Fraction(rng.choice((-1, 1)) * rng.randint(1, 5), rng.randint(1, 4))
+            return RatFunc.pole_factor(field, rng.choice(points), rng.randint(1, 3)) * c
+
+        for k in range(per_preset):
+            f = atom()
+            for _ in range(3):
+                op = rng.randrange(4)
+                if op == 0:
+                    f = f + atom()
+                elif op == 1:
+                    f = f * atom()
+                elif op == 2:
+                    f = f - atom()
+                else:
+                    f = f.derivative()
+            for j, a in enumerate(points):
+                lines.append(f"{preset} {k} res {j} {loopext.residue(f, a)!r}")
+            for j, a in enumerate(at):
+                lines.append(f"{preset} {k} eval {j} {f.evaluate(a)!r}")
+    return lines
+
+
+def test_seeded_corpus_matches_the_numerator_denominator_form():
+    # values recorded with the earlier num/den representation of RatFunc
+    lines = corpus_lines()
+    assert len(lines) == 290
+    assert lines[:5] == [
+        "dihedral 0 res 0 0",
+        "dihedral 0 res 1 -1/2",
+        "dihedral 0 eval 0 -3/8",
+        "dihedral 0 eval 1 -1/6",
+        "dihedral 1 res 0 -3/2",
+    ]
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == "e89c5f95846abaf8467837207ca20730265de8ca6b395166323ca91b333d8ff8"
