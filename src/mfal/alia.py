@@ -420,20 +420,6 @@ def alia_table(type_label: str, orbit: str) -> AliaTable:
 # the q-series oracle for the cocycle exponents
 # ----------------------------------------------------------------------
 
-class _FkCache:
-    def __init__(self, order):
-        self.order = Fraction(order)
-        self._cache = {}
-
-    def __call__(self, k: int) -> QSeries:
-        if k not in self._cache:
-            if k == 0:
-                self._cache[k] = QSeries.constant(1, trunc=self.order)
-            else:
-                self._cache[k] = modforms.duke_jenkins(k, self.order)[3]
-        return self._cache[k]
-
-
 def scalar_oracle(type_label: str, orbit: str, order=64) -> bool:
     """Certify F_{-k(a)} F_{-k(b)} = j^w4 (j-1728)^w6 F_{-k(a)-k(b)} exactly.
 
@@ -442,26 +428,20 @@ def scalar_oracle(type_label: str, orbit: str, order=64) -> bool:
     """
     table = AliaTable(type_label, orbit)
     grading = table.triple.grading
-    # generous working order: the two sides have poles up to Delta^-4
-    work = Fraction(order)
-    fk = _FkCache(work)
-    pad = work + 10
-    j_series = modforms.j_invariant(pad).series
-    rhs_cache: dict = {}
-    checked = set()
+    exponents = {}
     for (alpha, beta), w4 in table.cocycles.w4.items():
-        w6 = table.cocycles.w6[(alpha, beta)]
-        ka, kb = grading[alpha], grading[beta]
-        key = (min(ka, kb), max(ka, kb))
-        if key in checked:
-            continue
-        checked.add(key)
-        lhs = fk(-ka) * fk(-kb)
-        rkey = (w4, w6, ka + kb)
-        if rkey not in rhs_cache:
-            jpoly = JPoly.j_power_form(w4, w6).as_series(j_series)
-            rhs_cache[rkey] = jpoly * fk(-ka - kb)
-        if not lhs.agrees(rhs_cache[rkey]):
+        key = tuple(sorted((grading[alpha], grading[beta])))
+        exponents.setdefault(key, (w4, table.cocycles.w6[(alpha, beta)]))
+    # j^w4 (j-1728)^w6 multiplies w4 + w6 copies of j, of valuation -1
+    degree = max((w4 + w6 for w4, w6 in exponents.values()), default=0)
+    j_series = modforms.named_form("j", modforms.depth(order, (-1, degree))).series
+
+    def fk(k):
+        return modforms.named_form(f"F_k:{k}", order).series
+
+    for (ka, kb), (w4, w6) in exponents.items():
+        rhs = JPoly.j_power_form(w4, w6).as_series(j_series) * fk(-ka - kb)
+        if not (fk(-ka) * fk(-kb)).agrees(rhs):
             return False
     return True
 
@@ -594,7 +574,7 @@ def weight_zero_iso_check(order=24) -> dict:
     q-series inverse is materialised (local invertibility at the cusp).
     Nonvanishing on the upper half-plane itself is quoted, not certified.
     """
-    t3 = modforms.theta(3, order).series
+    t3 = modforms.named_form("theta3", order).series
     forms = {
         "Gamma(2)": ("theta3^4", t3**4, "C[lambda, lambda^-1, (lambda-1)^-1]"),
         "Gamma(3)": (
@@ -609,7 +589,7 @@ def weight_zero_iso_check(order=24) -> dict:
         ),
         "Gamma(5)": (
             "eta(5t)^15 klein(1/5;5t)^5 / eta(t)^3",
-            modforms.gamma5_form_f(order).series,
+            modforms.named_form("f_gamma5", order).series,
             "C[icosahedral 12-punctured sphere ring]",
         ),
     }

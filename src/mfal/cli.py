@@ -194,10 +194,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact modular forms, quasimodular matrices and their Lie algebras",
     )
     common = argparse.ArgumentParser(add_help=False)
-    # a string default goes through ``type`` when --order is absent, so a bad
-    # MFAL_ORDER is a usage error like a bad --order
     common.add_argument("--order", type=_int_at_least(1),
-                        default=os.environ.get("MFAL_ORDER") or "64",
                         help="working truncation order (default 64 or MFAL_ORDER)")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -243,6 +240,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if "order" in vars(args) and args.order is None:
+        try:
+            args.order = _int_at_least(1)(os.environ.get("MFAL_ORDER") or "64")
+        except argparse.ArgumentTypeError as exc:
+            parser.error(f"MFAL_ORDER (the default of --order): {exc}")
     return args.fn(args)
 
 

@@ -41,11 +41,12 @@ class CycloField:
         self.n = n
         self.modulus = _CYCLOTOMIC[n]
         self.degree = len(self.modulus) - 1
+        self.zero = self.element([])
+        self.one = self.element([1])
 
     def element(self, coeffs) -> "CycloNumber":
-        cs = [Fraction(c) for c in coeffs]
-        cs = self._reduce(cs)
-        return CycloNumber(self, tuple(cs))
+        cs = [c if isinstance(c, Fraction) else Fraction(c) for c in coeffs]
+        return CycloNumber(self, tuple(self._reduce(cs)))
 
     def _reduce(self, cs):
         mod = self.modulus
@@ -57,14 +58,6 @@ class CycloField:
                     cs[len(cs) - deg + i] -= top * mod[i]
         cs += [Fraction(0)] * (deg - len(cs))
         return cs
-
-    @property
-    def zero(self):
-        return self.element([])
-
-    @property
-    def one(self):
-        return self.element([1])
 
     @property
     def zeta(self):
@@ -131,7 +124,7 @@ class CycloNumber:
                 for j, y in enumerate(b):
                     if y:
                         prod[i + j] += x * y
-        return self.field.element(prod)
+        return CycloNumber(self.field, tuple(self.field._reduce(prod)))
 
     __rmul__ = __mul__
 
@@ -392,10 +385,17 @@ def residue(f: RatFunc, point) -> CycloNumber:
 
 
 def residue_at_infinity(f: RatFunc, finite_points) -> CycloNumber:
-    """-(sum of finite residues); the total residue over P^1 vanishes."""
+    """-(sum of finite residues); the total residue over P^1 vanishes.
+
+    Raises ValueError when f has a pole outside ``finite_points``.
+    """
+    given = {_num(f.field, a).coeffs for a in finite_points}
+    for key, (a, _) in f.parts.items():
+        if key not in given:
+            raise ValueError(f"f has a pole at {a!r}, outside the given points")
     total = f.field.zero
-    for a in finite_points:
-        total = total + residue(f, a)
+    for _, cs in f.parts.values():
+        total = total + cs[0]
     return -total
 
 

@@ -71,6 +71,24 @@ def sigma(n: int, m: int) -> int:
     return total
 
 
+def depth(order, *powers) -> Fraction:
+    """How deep to build f_1, f_2, ... so prod f_i**e_i is valid below `order`.
+
+    `powers` are the pairs (valuation v_i, exponent e_i).  QSeries truncates
+    a product at min(Ta + vb, Tb + va) and an inverse at T - 2v, so each
+    factor of negative valuation costs |v| of depth and each inverse 2v.
+    f**e multiplies e copies of f (of f.inverse() for e < 0) onto the
+    constant 1.
+    """
+    loss = Fraction(0)
+    for v, e in powers:
+        if e < 0:
+            loss += (2 - e) * v
+        elif v < 0:
+            loss -= e * v
+    return Fraction(order) + loss
+
+
 # ----------------------------------------------------------------------
 # level one
 # ----------------------------------------------------------------------
@@ -106,43 +124,44 @@ def dedekind_eta(order=DEFAULT_ORDER) -> NamedForm:
 
 def eta_quotient(spec, order=DEFAULT_ORDER) -> QSeries:
     """Product of eta(m*tau)^r over (m, r) pairs, m positive rational."""
-    # a little headroom so inverse factors still cover [v, order)
-    base = dedekind_eta(Fraction(order) + 2).series
-    result = QSeries.constant(1, trunc=Fraction(order) + 2)
+    spec = [(Fraction(m), r) for m, r in spec]
+    # eta(m tau) has valuation m/24 and is valid below m times eta's depth
+    deep = depth(order, *((m / 24, r) for m, r in spec)) / min(1, *(m for m, _ in spec))
+    eta = named_form("eta", deep).series
+    result = QSeries.constant(1, trunc=deep)
     for m, r in spec:
-        factor = base.rescale_tau(m)
-        result = result * factor**r
-    return result.truncate(min(result.trunc, Fraction(order)))
+        result = result * eta.rescale_tau(m) ** r
+    return result.truncate(order)
 
 
 def discriminant(order=DEFAULT_ORDER, route: str = "eisenstein") -> NamedForm:
     """Delta via (E4^3 - E6^2)/1728 or via the eta product; both agree."""
     if route == "eisenstein":
-        e4 = eisenstein(4, order + 1).series
-        e6 = eisenstein(6, order + 1).series
+        e4 = named_form("E4", order).series
+        e6 = named_form("E6", order).series
         series = ((e4**3) - (e6**2)).scale(Fraction(1, 1728)).truncate(order)
     elif route == "eta":
-        series = (dedekind_eta(order).series ** 24).truncate(order)
+        series = (named_form("eta", order).series ** 24).truncate(order)
     else:
         raise ValueError(f"unknown route {route!r}")
     return NamedForm("Delta", 12, "Gamma(1)", series)
 
 
+def level_one_monomial(ell: int, n4: int, n6: int, order=DEFAULT_ORDER) -> QSeries:
+    """Delta^ell E4^n4 E6^n6 from the stored factors, valid below `order`."""
+    deep = depth(order, (1, ell))
+    series = named_form("E4", deep).series ** n4 * named_form("E6", deep).series ** n6
+    if ell:
+        series = series * named_form("Delta", deep).series ** ell
+    return series.truncate(order)
+
+
 def j_invariant(order=DEFAULT_ORDER) -> NamedForm:
-    # work a little deeper so that j itself is valid below `order`
-    pad = ceil(order) + 3
-    e4 = eisenstein(4, pad).series
-    delta = discriminant(pad).series
-    series = (e4**3 / delta).truncate(order)
-    return NamedForm("j", 0, "Gamma(1)", series)
+    return NamedForm("j", 0, "Gamma(1)", level_one_monomial(-1, 3, 0, order))
 
 
 def j_minus_1728(order=DEFAULT_ORDER) -> NamedForm:
-    pad = ceil(order) + 3
-    e6 = eisenstein(6, pad).series
-    delta = discriminant(pad).series
-    series = (e6**2 / delta).truncate(order)
-    return NamedForm("j-1728", 0, "Gamma(1)", series)
+    return NamedForm("j-1728", 0, "Gamma(1)", level_one_monomial(-1, 0, 2, order))
 
 
 def duke_jenkins(k: int, order=DEFAULT_ORDER):
@@ -155,28 +174,19 @@ def duke_jenkins(k: int, order=DEFAULT_ORDER):
         raise OddWeight("weakly holomorphic forms of odd level-one weight vanish")
     table = {0: (0, 0), 4: (1, 0), 6: (0, 1), 8: (2, 0), 10: (1, 1), 2: (2, 1)}
     n4, n6 = table[k % 12]
-    s = 4 * n4 + 6 * n6
-    ell = (k - s) // 12
-    pad = ceil(order) + max(0, -ell) * 2 + 3
-    e4 = eisenstein(4, pad).series
-    e6 = eisenstein(6, pad).series
-    series = e4**n4 * e6**n6
-    if ell:
-        series = series * discriminant(pad).series ** ell
-    return ell, n4, n6, series.truncate(order)
+    ell = (k - 4 * n4 - 6 * n6) // 12
+    return ell, n4, n6, level_one_monomial(ell, n4, n6, order)
 
 
 def serre_derivative(k: int, f: QSeries) -> QSeries:
     """D_k f = q df/dq - (k/12) E_2 f, raising weight k to k + 2."""
-    e2 = eisenstein(2, f.trunc).series
+    e2 = named_form("E2", f.trunc).series
     return f.q_derive() - e2 * f.scale(Fraction(k, 12))
 
 
 def ramanujan_check(order=DEFAULT_ORDER) -> bool:
     """D_1 E2 = -E4/12, D_4 E4 = -E6/3, D_6 E6 = -E4^2/2, exactly."""
-    e2 = eisenstein(2, order).series
-    e4 = eisenstein(4, order).series
-    e6 = eisenstein(6, order).series
+    e2, e4, e6 = (named_form(f"E{k}", order).series for k in (2, 4, 6))
     return (
         serre_derivative(1, e2).agrees(e4.scale(Fraction(-1, 12)))
         and serre_derivative(4, e4).agrees(e6.scale(Fraction(-1, 3)))
@@ -185,32 +195,24 @@ def ramanujan_check(order=DEFAULT_ORDER) -> bool:
 
 
 def eisenstein_power_identities(order=DEFAULT_ORDER) -> bool:
-    """E8 = E4^2, E10 = E4 E6, E14 = E4^2 E6."""
-    e4 = eisenstein(4, order).series
-    e6 = eisenstein(6, order).series
+    """E8 = E4^2, E10 = E4 E6, E14 = E4^2 E6; the left sides are sigma-sums."""
+    e4 = named_form("E4", order).series
+    e6 = named_form("E6", order).series
     return (
-        eisenstein(8, order).series.agrees(e4**2)
-        and eisenstein(10, order).series.agrees(e4 * e6)
-        and eisenstein(14, order).series.agrees(e4**2 * e6)
+        named_form("E8", order).series.agrees(e4**2)
+        and named_form("E10", order).series.agrees(e4 * e6)
+        and named_form("E14", order).series.agrees(e4**2 * e6)
     )
 
 
 def delta_derivation(f: QSeries) -> QSeries:
     """delta(f) = (E4 E6 / Delta) * q df/dq, a derivation of weight-zero forms."""
-    pad = f.trunc + 2
-    e4 = eisenstein(4, pad).series
-    e6 = eisenstein(6, pad).series
-    delta = discriminant(pad).series
-    return (e4 * e6 / delta) * f.q_derive()
+    return level_one_monomial(-1, 1, 1, f.trunc) * f.q_derive()
 
 
 def delta_derivation_prefactor(order=DEFAULT_ORDER) -> QSeries:
     """q*E4*E6/Delta, the d/dq prefactor of the derivation; starts at 1."""
-    pad = ceil(order) + 3
-    e4 = eisenstein(4, pad).series
-    e6 = eisenstein(6, pad).series
-    delta = discriminant(pad).series
-    return ((e4 * e6 / delta).shift_exponents(1)).truncate(order)
+    return level_one_monomial(-1, 1, 1, Fraction(order) - 1).shift_exponents(1)
 
 
 # ----------------------------------------------------------------------
@@ -245,7 +247,7 @@ def gamma2_generators(order=DEFAULT_ORDER):
     vanish at single cusps, and are checked against the lattice sums.
     """
     wide = 2 * Fraction(order)  # F2 must be known twice as deep to halve tau
-    e2 = eisenstein(2, wide).series
+    e2 = named_form("E2", wide).series
     f2 = e2.rescale_tau(2).truncate(wide).scale(2) - e2
     h2 = f2.rescale_tau(Fraction(1, 2))
     f2 = f2.truncate(order)
@@ -253,7 +255,7 @@ def gamma2_generators(order=DEFAULT_ORDER):
     t3 = f2.scale(Fraction(2, 3)) + h2.scale(Fraction(1, 3))
     t4 = f2.scale(Fraction(4, 3)) + h2.scale(Fraction(-1, 3))
     for combo, i in ((t2, 2), (t3, 3), (t4, 4)):
-        if not combo.agrees(theta(i, order).series ** 4):
+        if not combo.agrees(named_form(f"theta{i}", order).series ** 4):
             raise AssertionError(f"theta{i}^4 combination failed")
     return (
         NamedForm("F2", 2, "Gamma(2)", f2),
@@ -265,17 +267,16 @@ def gamma2_generators(order=DEFAULT_ORDER):
 
 
 def lambda_invariant(order=DEFAULT_ORDER) -> NamedForm:
-    pad = ceil(order) + 2
-    t2 = theta(2, pad).series
-    t3 = theta(3, pad).series
+    t2 = named_form("theta2", order).series
+    t3 = named_form("theta3", order).series
     series = (t2**4 / t3**4).truncate(order)
     return NamedForm("lambda", 0, "Gamma(2)", series)
 
 
 def j_from_lambda_check(order=DEFAULT_ORDER) -> bool:
     """j * lambda^2 (lambda-1)^2 = 256 (lambda^2 - lambda + 1)^3 exactly."""
-    lam = lambda_invariant(order).series
-    j = j_invariant(order).series
+    lam = named_form("lambda", order).series
+    j = named_form("j", order).series
     lhs = j * (lam**2) * ((lam - 1) ** 2)
     rhs = ((lam**2 - lam + 1) ** 3).scale(256)
     return lhs.agrees(rhs)
@@ -283,7 +284,7 @@ def j_from_lambda_check(order=DEFAULT_ORDER) -> bool:
 
 def lambda_shift_check(order=DEFAULT_ORDER) -> bool:
     """lambda(tau+1) = lambda/(lambda-1), via the exact half-integral shift."""
-    lam = lambda_invariant(order).series
+    lam = named_form("lambda", order).series
     return lam.shift_tau().agrees(lam / (lam - 1))
 
 
@@ -316,10 +317,10 @@ def gamma3_generators(order=DEFAULT_ORDER):
 
 def rel3_check(order=DEFAULT_ORDER) -> bool:
     """E4 = u^4 + 8 u v^3 and E6 = u^6 - 20 u^3 v^3 - 8 v^6 for u, v = phi1, phi2."""
-    u = gamma3_generators(order)[0].series
-    v = gamma3_generators(order)[1].series
-    e4 = eisenstein(4, order).series
-    e6 = eisenstein(6, order).series
+    u = named_form("phi1", order).series
+    v = named_form("phi2", order).series
+    e4 = named_form("E4", order).series
+    e6 = named_form("E6", order).series
     ok4 = e4.agrees(u**4 + (u * v**3).scale(8))
     ok6 = e6.agrees(u**6 - (u**3 * v**3).scale(20) - (v**6).scale(8))
     return ok4 and ok6
@@ -333,7 +334,7 @@ def ferapontov_ode_check(order=DEFAULT_ORDER) -> bool:
     """
     if order < 20:
         raise ValueError("order too small to distinguish the ODE terms")
-    g = gamma3_generators(order)[0].series
+    g = named_form("phi1", order).series
     g1 = g.q_derive()
     g2 = g1.q_derive()
     g3 = g2.q_derive()
@@ -350,7 +351,7 @@ def ferapontov_ode_check(order=DEFAULT_ORDER) -> bool:
 
 def ferapontov_ode_terms(order=DEFAULT_ORDER):
     """The five individual ODE terms, for nonvanishing sanity checks."""
-    g = gamma3_generators(order)[0].series
+    g = named_form("phi1", order).series
     g1 = g.q_derive()
     g2 = g1.q_derive()
     g3 = g2.q_derive()
@@ -373,28 +374,21 @@ def mu_gamma4(order=DEFAULT_ORDER) -> NamedForm:
 
     Uses squared theta3 throughout; the cusp at infinity then lands at 1.
     """
-    pad = ceil(order) + 2
-    t2 = theta(2, pad).series
-    t3 = theta(3, pad).series
-    t4 = theta(4, pad).series
+    t2, t3, t4 = (named_form(f"theta{i}", order).series for i in (2, 3, 4))
     series = (t4**2 / (t2**2 + t3**2)).truncate(order)
     return NamedForm("mu", 0, "Gamma(4)", series)
 
 
 def theta_product_delta_check(order=DEFAULT_ORDER) -> bool:
     """theta2^8 theta3^8 theta4^8 = 256 * Delta."""
-    t2 = theta(2, order).series
-    t3 = theta(3, order).series
-    t4 = theta(4, order).series
+    t2, t3, t4 = (named_form(f"theta{i}", order).series for i in (2, 3, 4))
     prod = t2**8 * t3**8 * t4**8
-    return prod.agrees(discriminant(order).series.scale(256))
+    return prod.agrees(named_form("Delta", order).series.scale(256))
 
 
 def jacobi_identity_check(order=DEFAULT_ORDER) -> bool:
     """theta2^4 + theta4^4 = theta3^4."""
-    t2 = theta(2, order).series
-    t3 = theta(3, order).series
-    t4 = theta(4, order).series
+    t2, t3, t4 = (named_form(f"theta{i}", order).series for i in (2, 3, 4))
     return (t2**4 + t4**4).agrees(t3**4)
 
 
@@ -407,9 +401,7 @@ def theta_transformation_residual(tau: complex, order=DEFAULT_ORDER) -> float:
     """
     import cmath
 
-    t2 = theta(2, order).series
-    t3 = theta(3, order).series
-    t4 = theta(4, order).series
+    t2, t3, t4 = (named_form(f"theta{i}", order).series for i in (2, 3, 4))
     zeta8 = cmath.exp(2j * cmath.pi / 8)
     vals = {i: s.eval_numeric(tau) for i, s in ((2, t2), (3, t3), (4, t4))}
     shifted = {i: s.eval_numeric(tau + 1) for i, s in ((2, t2), (3, t3), (4, t4))}
@@ -462,9 +454,10 @@ def gamma5_form_f(order=DEFAULT_ORDER) -> NamedForm:
     factors are individually nonvanishing on the upper half-plane, which is
     a statement about the product formula, not about this expansion.
     """
-    pad = ceil(order) + 4
-    eta = dedekind_eta(pad).series
-    k5 = klein_form(Fraction(1, 5), 5, pad).series
+    # valuations: eta(5 tau) 5/24, the Klein form -2/5, eta 1/24
+    deep = depth(order, (Fraction(5, 24), 15), (Fraction(-2, 5), 5), (Fraction(1, 24), -3))
+    eta = named_form("eta", deep).series
+    k5 = klein_form(Fraction(1, 5), 5, deep).series
     series = eta.rescale_tau(5) ** 15 * k5**5 * eta**-3
     return NamedForm("f_gamma5", 1, "Gamma(5)", series.truncate(order))
 
@@ -473,56 +466,67 @@ def gamma5_form_f(order=DEFAULT_ORDER) -> NamedForm:
 # registry
 # ----------------------------------------------------------------------
 
-_REGISTRY_LOCK = threading.Lock()
-_REGISTRY_CACHE: dict = {}
+_BUILDERS = {
+    "E2": lambda order: eisenstein(2, order),
+    "E4": lambda order: eisenstein(4, order),
+    "E6": lambda order: eisenstein(6, order),
+    "E8": lambda order: eisenstein(8, order),
+    "E10": lambda order: eisenstein(10, order),
+    "E14": lambda order: eisenstein(14, order),
+    "Delta": lambda order: discriminant(order),
+    "j": lambda order: j_invariant(order),
+    "j-1728": lambda order: j_minus_1728(order),
+    "eta": lambda order: dedekind_eta(order),
+    "theta2": lambda order: theta(2, order),
+    "theta3": lambda order: theta(3, order),
+    "theta4": lambda order: theta(4, order),
+    "lambda": lambda order: lambda_invariant(order),
+    "mu": lambda order: mu_gamma4(order),
+    "phi1": lambda order: gamma3_generators(order)[0],
+    "phi2": lambda order: gamma3_generators(order)[1],
+    "F2": lambda order: gamma2_generators(order)[0],
+    "H2": lambda order: gamma2_generators(order)[1],
+    "f_gamma5": lambda order: gamma5_form_f(order),
+}
+
+REGISTERED_NAMES = tuple(_BUILDERS)
+
+_STORE_LOCK = threading.RLock()
+#: name -> (order it was built at, {order: NamedForm}): the deepest build
+#: and the cuts handed out from it
+_STORE: dict = {}
 
 
-def _build(name: str, order):
+def _build(name: str, order) -> NamedForm:
     if name.startswith("F_k:"):
         k = int(name.split(":", 1)[1])
-        _, _, _, series = duke_jenkins(k, order)
-        return NamedForm(name, k, "Gamma(1)", series)
-    builders = {
-        "E2": lambda: eisenstein(2, order),
-        "E4": lambda: eisenstein(4, order),
-        "E6": lambda: eisenstein(6, order),
-        "E8": lambda: eisenstein(8, order),
-        "E10": lambda: eisenstein(10, order),
-        "E14": lambda: eisenstein(14, order),
-        "Delta": lambda: discriminant(order),
-        "j": lambda: j_invariant(order),
-        "j-1728": lambda: j_minus_1728(order),
-        "eta": lambda: dedekind_eta(order),
-        "theta2": lambda: theta(2, order),
-        "theta3": lambda: theta(3, order),
-        "theta4": lambda: theta(4, order),
-        "lambda": lambda: lambda_invariant(order),
-        "mu": lambda: mu_gamma4(order),
-        "phi1": lambda: gamma3_generators(order)[0],
-        "phi2": lambda: gamma3_generators(order)[1],
-        "F2": lambda: gamma2_generators(order)[0],
-        "H2": lambda: gamma2_generators(order)[1],
-        "f_gamma5": lambda: gamma5_form_f(order),
-    }
-    if name not in builders:
+        return NamedForm(name, k, "Gamma(1)", duke_jenkins(k, order)[3])
+    if name not in _BUILDERS:
         raise UnknownForm(name)
-    return builders[name]()
+    return _BUILDERS[name](order)
 
 
 def named_form(name: str, order=DEFAULT_ORDER) -> NamedForm:
-    """Registry lookup with a cache that is safe for concurrent readers."""
-    key = (name, Fraction(order))
-    cached = _REGISTRY_CACHE.get(key)
-    if cached is not None:
-        return cached
-    form = _build(name, order)
-    with _REGISTRY_LOCK:
-        _REGISTRY_CACHE[key] = form
-    return form
+    """The form `name` (a registered name or F_k:k) valid below `order`.
 
-
-REGISTERED_NAMES = (
-    "E2", "E4", "E6", "E8", "E10", "E14", "Delta", "j", "j-1728", "eta",
-    "theta2", "theta3", "theta4", "lambda", "mu", "phi1", "phi2", "F2", "H2",
-    "f_gamma5",
-)
+    This is the one store of forms.  Each name keeps its deepest build; a
+    request at or below that depth is a truncation of it, so a form is
+    rebuilt only to go deeper, and the same request returns the same object.
+    The series are shared: nothing may mutate them.
+    """
+    order = Fraction(order)
+    entry = _STORE.get(name)
+    if entry is not None and order in entry[1]:
+        return entry[1][order]
+    with _STORE_LOCK:
+        built, cuts = _STORE.get(name, (None, None))
+        if built is None or built < order:
+            form = _build(name, order)
+            _STORE[name] = (order, {order: form})
+            return form
+        if order not in cuts:
+            deepest = cuts[built]
+            # keep the builder's own margin past the order (eta's is 1/24)
+            series = deepest.series.truncate(order + deepest.series.trunc - built)
+            cuts[order] = NamedForm(name, deepest.weight, deepest.group, series)
+        return cuts[order]

@@ -197,9 +197,7 @@ class QuasiPoly:
         The result maps tau-degree to a QSeries.  Any s-dependence has no
         exact q-expansion and raises.
         """
-        e2 = modforms.eisenstein(2, order).series
-        e4 = modforms.eisenstein(4, order).series
-        e6 = modforms.eisenstein(6, order).series
+        e2, e4, e6 = (modforms.named_form(f"E{k}", order).series for k in (2, 4, 6))
         out: dict[int, QSeries] = {}
         for (t, p, q, r, s), c in self.terms.items():
             if s != 0:
@@ -263,9 +261,9 @@ class NumericContext:
     def __init__(self, tau: complex, order=64):
         self.tau = tau
         self.order = order
-        self.e2 = modforms.eisenstein(2, order).series.eval_numeric(tau)
-        self.e4 = modforms.eisenstein(4, order).series.eval_numeric(tau)
-        self.e6 = modforms.eisenstein(6, order).series.eval_numeric(tau)
+        self.e2, self.e4, self.e6 = (
+            modforms.named_form(f"E{k}", order).series.eval_numeric(tau) for k in (2, 4, 6)
+        )
         self.s = 1 / (2j * cmath.pi)
 
 

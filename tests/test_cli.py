@@ -179,3 +179,11 @@ def test_bad_order_env_exits_2(capsys, monkeypatch, value):
         main(["expand", "j"])
     assert exc.value.code == 2
     assert "--order" in capsys.readouterr().err
+
+
+def test_bad_order_env_names_the_variable(capsys, monkeypatch):
+    monkeypatch.setenv("MFAL_ORDER", "junk")
+    with pytest.raises(SystemExit) as exc:
+        main(["expand", "j"])
+    assert exc.value.code == 2
+    assert "MFAL_ORDER" in capsys.readouterr().err

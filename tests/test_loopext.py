@@ -343,3 +343,21 @@ def test_seeded_corpus_matches_the_numerator_denominator_form():
     ]
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     assert digest == "e89c5f95846abaf8467837207ca20730265de8ca6b395166323ca91b333d8ff8"
+
+
+def test_residue_at_infinity_sums_every_pole():
+    f1 = CycloField(1)
+    f = RatFunc.pole_factor(f1, 1, 1)
+    # 1/(t - 1) has residue 1 at 1, so -1 at infinity
+    assert loopext.residue_at_infinity(f, (f1.zero, f1.one)) == f1.rational(-1)
+    with pytest.raises(ValueError):
+        loopext.residue_at_infinity(f, (f1.zero,))
+
+
+def test_cyclo_field_constants_built_once():
+    f4 = CycloField(4)
+    assert f4.zero is f4.zero and f4.one is f4.one
+    assert f4.zero.coeffs == (0, 0) and f4.one.coeffs == (1, 0)
+    product = f4.zeta * f4.zeta
+    assert product == -1
+    assert all(type(c) is Fraction for c in product.coeffs)
