@@ -8,6 +8,7 @@ are deterministic: sampling uses fixed seeds.
 
 from __future__ import annotations
 
+import cmath
 import random
 import time
 from fractions import Fraction
@@ -158,8 +159,6 @@ def check_numeric_s_equivariance(order):
             err = abs(f.eval_numeric(-1 / tau) - tau**k * f.eval_numeric(tau))
             worst = max(worst, err)
         e2 = modforms.named_form("E2", order).series
-        import cmath
-
         err = abs(
             e2.eval_numeric(-1 / tau)
             - (tau**2 * e2.eval_numeric(tau) + 12 * tau / (2j * cmath.pi))

@@ -135,8 +135,13 @@ def cmd_eval(args) -> int:
         print(f"{form.name}({tau}) = {value}")
         return 0
     if args.check == "S":
-        image = series.eval_numeric(-1 / tau)
         k = form.weight
+        if form.group != "Gamma(1)" or k.denominator != 1:
+            print(f"error: no S law known for {form.name} (weight {k}, {form.group}): "
+                  "f(-1/tau) = tau^k f(tau) is applied only to integer weight on Gamma(1)",
+                  file=sys.stderr)
+            return 2
+        image = series.eval_numeric(-1 / tau)
         expected = tau ** float(k) * value
         if form.name == "E2":
             expected += 12 * tau / (2j * cmath.pi)

@@ -1,4 +1,5 @@
-"""Root systems, Chevalley bases and sl2 machinery for types A1, A2, B2, G2.
+"""Structure-constant tables, and root systems, Chevalley bases and sl2
+machinery for types A1, A2, B2, G2.
 
 Roots are integer coordinate tuples in the simple-root basis; the bilinear
 form is the Gram matrix of the simple roots.  Structure constant magnitudes
@@ -141,7 +142,84 @@ def _add(a, b):
     return tuple(x + y for x, y in zip(a, b))
 
 
-class ChevalleyStructure:
+class BracketTable:
+    """Antisymmetric structure constants over any ring of the linalg protocol.
+
+    ``table`` maps each index pair (i, j) with i < j to the nonzero
+    coefficients {k: c} of [x_i, x_j]; absent pairs commute.  Coefficients
+    need ``+``, ``-``, ``*`` (also with the integer 1) and a truth value that
+    is false exactly for zero, so brackets drop zero coefficients and two
+    vectors are equal exactly when their dicts are.
+    """
+
+    def __init__(self, dim: int, table: dict):
+        self.dim = dim
+        self._table = table
+        self._killing = None
+
+    def bracket_indices(self, i: int, j: int) -> dict:
+        if i == j:
+            return {}
+        if i < j:
+            return self._table.get((i, j), {})
+        flipped = self._table.get((j, i), {})
+        return {k: -c for k, c in flipped.items()}
+
+    def bracket(self, x: dict, y: dict) -> dict:
+        """Bracket of two vectors given as basis-index -> coefficient maps."""
+        out: dict = {}
+        for i, a in x.items():
+            for j, b in y.items():
+                ab = a * b
+                if not ab:
+                    continue
+                for k, c in self.bracket_indices(i, j).items():
+                    _add_term(out, k, ab * c)
+        return out
+
+    def jacobi_ok(self) -> bool:
+        """[[x,y],z] + [[y,z],x] + [[z,x],y] = 0 on every basis triple."""
+        for i, j, k in itertools.combinations(range(self.dim), 3):
+            x, y, z = {i: 1}, {j: 1}, {k: 1}
+            acc: dict = {}
+            for term in (
+                self.bracket(self.bracket(x, y), z),
+                self.bracket(self.bracket(y, z), x),
+                self.bracket(self.bracket(z, x), y),
+            ):
+                for idx, c in term.items():
+                    _add_term(acc, idx, c)
+            if acc:
+                return False
+        return True
+
+    def killing(self):
+        """Matrix of tr(ad x ad y) over the basis, for a table over Q."""
+        if self._killing is None:
+            self._killing = killing_matrix(self.bracket, self.dim)
+        return self._killing
+
+    def killing_form(self, x: dict, y: dict) -> Fraction:
+        km = self.killing()
+        total = Fraction(0)
+        for i, a in x.items():
+            for j, b in y.items():
+                if km[i][j]:
+                    total += a * b * km[i][j]
+        return total
+
+
+def _add_term(out: dict, k, v) -> None:
+    """out[k] += v, dropping the entry when the sum is zero."""
+    if k in out:
+        v = out[k] + v
+    if v:
+        out[k] = v
+    else:
+        out.pop(k, None)
+
+
+class ChevalleyStructure(BracketTable):
     """Basis {H_i} + {A_alpha} with integral structure constants.
 
     Brackets:
@@ -158,9 +236,7 @@ class ChevalleyStructure:
             ("A", r) for r in self.rs.roots
         ]
         self.index = {b: i for i, b in enumerate(self.basis)}
-        self.dim = len(self.basis)
-        self._table = self._build_table()
-        self._killing = None
+        super().__init__(len(self.basis), self._build_table())
 
     def _build_table(self):
         table = {}
@@ -190,61 +266,6 @@ class ChevalleyStructure:
                 if acc:
                     table[(i, j)] = acc
         return table
-
-    def bracket_indices(self, i: int, j: int) -> dict:
-        if i == j:
-            return {}
-        if i < j:
-            return self._table.get((i, j), {})
-        flipped = self._table.get((j, i), {})
-        return {k: -c for k, c in flipped.items()}
-
-    def bracket(self, x: dict, y: dict) -> dict:
-        """Bracket of two vectors given as basis-index -> coefficient maps."""
-        out: dict[int, Fraction] = {}
-        for i, a in x.items():
-            for j, b in y.items():
-                for k, c in self.bracket_indices(i, j).items():
-                    v = out.get(k, Fraction(0)) + a * b * c
-                    if v:
-                        out[k] = v
-                    else:
-                        del out[k]
-        return out
-
-    def jacobi_ok(self) -> bool:
-        for i, j, k in itertools.combinations(range(self.dim), 3):
-            x, y, z = ({i: Fraction(1)}, {j: Fraction(1)}, {k: Fraction(1)})
-            acc: dict[int, Fraction] = {}
-            for term in (
-                self.bracket(self.bracket(x, y), z),
-                self.bracket(self.bracket(y, z), x),
-                self.bracket(self.bracket(z, x), y),
-            ):
-                for idx, c in term.items():
-                    v = acc.get(idx, Fraction(0)) + c
-                    if v:
-                        acc[idx] = v
-                    else:
-                        del acc[idx]
-            if acc:
-                return False
-        return True
-
-    def killing(self):
-        """Matrix of tr(ad x ad y) over the Chevalley basis."""
-        if self._killing is None:
-            self._killing = killing_matrix(self.bracket, self.dim)
-        return self._killing
-
-    def killing_form(self, x: dict, y: dict) -> Fraction:
-        km = self.killing()
-        total = Fraction(0)
-        for i, a in x.items():
-            for j, b in y.items():
-                if km[i][j]:
-                    total += a * b * km[i][j]
-        return total
 
 
 def killing_matrix(bracket, dim: int):

@@ -652,43 +652,29 @@ def dolan_grady_check() -> bool:
     def scaled(vec, c):
         return {k: p * c for k, p in vec.items()}
 
-    def equal(u, v):
-        keys = set(u) | set(v)
-        return all((u.get(k, JPoly()) - v.get(k, JPoly())).is_zero() for k in keys)
-
     lhs1 = nested(b1, b0, 3)
     rhs1 = scaled(table.bracket(b1, b0), 4)
     lhs2 = nested(b0, b1, 3)
     rhs2 = scaled(table.bracket(b0, b1), 4)
-    return equal(lhs1, rhs1) and equal(lhs2, rhs2)
+    return lhs1 == rhs1 and lhs2 == rhs2
 
 
 # ----------------------------------------------------------------------
 # evaluation representations
 # ----------------------------------------------------------------------
 
-SL2_BRACKET = {
-    # structure constants of <h, e, f> with [h,e]=2e, [h,f]=-2f, [e,f]=h
-    ("h", "e"): (("e", 2),),
-    ("e", "h"): (("e", -2),),
-    ("h", "f"): (("f", -2),),
-    ("f", "h"): (("f", 2),),
-    ("e", "f"): (("h", 1),),
-    ("f", "e"): (("h", -1),),
-}
-
-
 def sl2_bracket(x: dict, y: dict) -> dict:
-    out: dict = {}
-    for a, ca in x.items():
-        for b, cb in y.items():
-            for target, c in SL2_BRACKET.get((a, b), ()):
-                v = out.get(target, Fraction(0)) + ca * cb * c
-                if v:
-                    out[target] = v
-                else:
-                    del out[target]
-    return out
+    """[x, y] for vectors over the names h, e, f of the standard sl2 triple.
+
+    sl2 is A1: its Chevalley basis H, A_(1), A_(-1) is h, e, f.
+    """
+    a1 = liealg.chevalley("A1")
+    index = {"h": a1.index[("H", 0)], "e": a1.index[("A", (1,))],
+             "f": a1.index[("A", (-1,))]}
+    name = {i: n for n, i in index.items()}
+    out = a1.bracket({index[n]: c for n, c in x.items()},
+                     {index[n]: c for n, c in y.items()})
+    return {name[k]: c for k, c in out.items()}
 
 
 class EvaluationRep:

@@ -8,6 +8,7 @@ serves the whole package.
 
 from __future__ import annotations
 
+import cmath
 import threading
 from fractions import Fraction
 from math import ceil, comb, isqrt
@@ -334,23 +335,12 @@ def ferapontov_ode_check(order=DEFAULT_ORDER) -> bool:
     """
     if order < 20:
         raise ValueError("order too small to distinguish the ODE terms")
-    g = named_form("phi1", order).series
-    g1 = g.q_derive()
-    g2 = g1.q_derive()
-    g3 = g2.q_derive()
-    g4 = g3.q_derive()
-    expr = (
-        g4 * (g**2 * g2 - (g * g1**2).scale(2))
-        - (g1**2 * g2**2).scale(9)
-        + (g * g1 * g2 * g3).scale(2)
-        + (g1**3 * g3).scale(8)
-        - g**2 * g3**2
-    )
-    return expr.is_zero()
+    first, *rest = ferapontov_ode_terms(order)
+    return sum(rest, first).is_zero()
 
 
 def ferapontov_ode_terms(order=DEFAULT_ORDER):
-    """The five individual ODE terms, for nonvanishing sanity checks."""
+    """The five terms of the ODE, whose sum ``ferapontov_ode_check`` tests."""
     g = named_form("phi1", order).series
     g1 = g.q_derive()
     g2 = g1.q_derive()
@@ -399,8 +389,6 @@ def theta_transformation_residual(tau: complex, order=DEFAULT_ORDER) -> float:
     S: theta(-1/tau) = zeta8^-1 tau^(1/2) (theta4, theta3, theta2)(tau).
     Eighth roots of unity keep these outside the exact shift machinery.
     """
-    import cmath
-
     t2, t3, t4 = (named_form(f"theta{i}", order).series for i in (2, 3, 4))
     zeta8 = cmath.exp(2j * cmath.pi / 8)
     vals = {i: s.eval_numeric(tau) for i, s in ((2, t2), (3, t3), (4, t4))}

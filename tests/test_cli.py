@@ -187,3 +187,21 @@ def test_bad_order_env_names_the_variable(capsys, monkeypatch):
         main(["expand", "j"])
     assert exc.value.code == 2
     assert "MFAL_ORDER" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("form", ["eta", "theta3"])
+def test_eval_s_check_refuses_forms_without_the_level_one_law(capsys, form):
+    # eta and theta3 carry multipliers; f(-1/tau) = tau^k f(tau) is not their law
+    code, out, err = run(capsys, "eval", form, "--tau", "1i", "--check", "S",
+                         "--order", "32")
+    assert code == 2
+    assert form in err and "no S law" in err
+    assert "residual" not in out
+
+
+@pytest.mark.parametrize("form", ["E4", "E2", "j", "Delta", "F_k:-2"])
+def test_eval_s_check_integer_weight_level_one(capsys, form):
+    code, out, _ = run(capsys, "eval", form, "--tau", "0.3+1.1i", "--check", "S",
+                       "--order", "48")
+    assert code == 0
+    assert "|f(-1/tau)" in out
