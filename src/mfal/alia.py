@@ -14,6 +14,7 @@ from fractions import Fraction
 from . import liealg, modforms
 from .liealg import BracketTable, ChevalleyStructure, GradedTriple
 from .linalg import Matrix, rank, rref
+from .poly import add, horner, mul, power
 from .qseries import QSeries
 from .quasimodular import QuasiMatrix, QuasiPoly
 
@@ -44,12 +45,8 @@ class JPoly:
     @classmethod
     def j_power_form(cls, w4: int, w6: int):
         """j^w4 (j - 1728)^w6."""
-        out = cls((1,))
-        for _ in range(w4):
-            out = out * cls((0, 1))
-        for _ in range(w6):
-            out = out * cls((-1728, 1))
-        return out
+        one = cls((1,))
+        return power(cls((0, 1)), w4, one) * power(cls((-1728, 1)), w6, one)
 
     def is_zero(self):
         return not self.coeffs
@@ -70,14 +67,7 @@ class JPoly:
     def __add__(self, other):
         if isinstance(other, (int, Fraction)):
             other = JPoly((other,))
-        n = max(len(self.coeffs), len(other.coeffs))
-        return JPoly(
-            [
-                (self.coeffs[i] if i < len(self.coeffs) else 0)
-                + (other.coeffs[i] if i < len(other.coeffs) else 0)
-                for i in range(n)
-            ]
-        )
+        return JPoly(add(self.coeffs, other.coeffs))
 
     def __neg__(self):
         return JPoly([-c for c in self.coeffs])
@@ -90,31 +80,21 @@ class JPoly:
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return JPoly([c * other for c in self.coeffs])
-        if not self.coeffs or not other.coeffs:
-            return JPoly()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            for k, b in enumerate(other.coeffs):
-                out[i + k] += a * b
-        return JPoly(out)
+        return JPoly(mul(self.coeffs, other.coeffs, Fraction(0)))
 
     __rmul__ = __mul__
 
     def __call__(self, value):
-        value = Fraction(value)
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * value + c
-        return acc
+        return horner(self.coeffs, Fraction(value), Fraction(0))
 
     def as_series(self, j_series: QSeries) -> QSeries:
         acc = QSeries.zero(trunc=j_series.trunc)
-        power = QSeries.constant(1, trunc=j_series.trunc)
+        j_pow = QSeries.constant(1, trunc=j_series.trunc)
         for i, c in enumerate(self.coeffs):
             if i:
-                power = power * j_series
+                j_pow = j_pow * j_series
             if c:
-                acc = acc + power.scale(c)
+                acc = acc + j_pow.scale(c)
         return acc
 
     def pretty(self):

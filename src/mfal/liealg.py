@@ -15,6 +15,7 @@ from fractions import Fraction
 from math import comb, factorial
 
 from .linalg import solve
+from .poly import add_term
 from .quasimodular import QuasiMatrix, QuasiPoly
 
 
@@ -174,7 +175,7 @@ class BracketTable:
                 if not ab:
                     continue
                 for k, c in self.bracket_indices(i, j).items():
-                    _add_term(out, k, ab * c)
+                    add_term(out, k, ab * c)
         return out
 
     def jacobi_ok(self) -> bool:
@@ -188,35 +189,25 @@ class BracketTable:
                 self.bracket(self.bracket(z, x), y),
             ):
                 for idx, c in term.items():
-                    _add_term(acc, idx, c)
+                    add_term(acc, idx, c)
             if acc:
                 return False
         return True
 
     def killing(self):
-        """Matrix of tr(ad x ad y) over the basis, for a table over Q."""
+        """Matrix of tr(ad x ad y) over the basis, entries in the table's ring."""
         if self._killing is None:
             self._killing = killing_matrix(self.bracket, self.dim)
         return self._killing
 
-    def killing_form(self, x: dict, y: dict) -> Fraction:
+    def killing_form(self, x: dict, y: dict):
         km = self.killing()
-        total = Fraction(0)
+        total = km[0][0] * 0
         for i, a in x.items():
             for j, b in y.items():
                 if km[i][j]:
-                    total += a * b * km[i][j]
+                    total = total + a * b * km[i][j]
         return total
-
-
-def _add_term(out: dict, k, v) -> None:
-    """out[k] += v, dropping the entry when the sum is zero."""
-    if k in out:
-        v = out[k] + v
-    if v:
-        out[k] = v
-    else:
-        out.pop(k, None)
 
 
 class ChevalleyStructure(BracketTable):
@@ -272,19 +263,21 @@ def killing_matrix(bracket, dim: int):
     """tr(ad x_a ad x_b) over a basis x_0..x_(dim-1).
 
     ``bracket`` takes and returns vectors as index -> coefficient dicts.
+    Every sum starts from the zero of the coefficients' ring (Q when the
+    brackets are all zero), so the entries lie in that ring.
     """
-    one = Fraction(1)
     # ad[a][k] is [x_a, x_k]; its coefficient at i is the (i, k) entry of ad x_a
-    ad = [[bracket({a: one}, {k: one}) for k in range(dim)] for a in range(dim)]
-    km = [[Fraction(0)] * dim for _ in range(dim)]
+    ad = [[bracket({a: 1}, {k: 1}) for k in range(dim)] for a in range(dim)]
+    zero = next((c * 0 for row in ad for img in row for c in img.values()), Fraction(0))
+    km = [[zero] * dim for _ in range(dim)]
     for a in range(dim):
         for b in range(a, dim):
-            t = Fraction(0)
+            t = zero
             for k, img in enumerate(ad[a]):
                 for i, c in img.items():
                     d = ad[b][i].get(k)
                     if d:
-                        t += c * d
+                        t = t + c * d
             km[a][b] = km[b][a] = t
     return km
 

@@ -12,6 +12,7 @@ any type with the same minimal protocol:
 Determinants and adjugates use Berkowitz's algorithm (S. J. Berkowitz,
 Inf. Process. Lett. 18, 1984): O(n^4) ring operations and no division,
 which matters because Q[tau, P, Q, R, s, 1/s] has no exact division.
+Polynomials over the same rings use the one kernel ``mfal.poly``.
 """
 
 from __future__ import annotations

@@ -14,6 +14,7 @@ from math import comb
 from . import liealg
 from .alia import AliaTable, JPoly
 from .linalg import Matrix, dot, rank, solve
+from .poly import add, horner, mul, power, sparse_add, sparse_mul, trim
 
 
 class PoleAtEvaluationPoint(ValueError):
@@ -117,13 +118,7 @@ class CycloNumber:
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return CycloNumber(self.field, tuple(a * other for a in self.coeffs))
-        a, b = self.coeffs, other.coeffs
-        prod = [Fraction(0)] * (len(a) + len(b) - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    if y:
-                        prod[i + j] += x * y
+        prod = mul(self.coeffs, other.coeffs, Fraction(0))
         return CycloNumber(self.field, tuple(self.field._reduce(prod)))
 
     __rmul__ = __mul__
@@ -147,15 +142,7 @@ class CycloNumber:
     def __pow__(self, n: int):
         if n < 0:
             return self.inverse() ** (-n)
-        out = self.field.one
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            n >>= 1
-            if n:
-                base = base * base
-        return out
+        return power(self, n, self.field.one)
 
     def __repr__(self):
         names = {1: "1", 3: "w", 4: "i", 5: "z"}
@@ -195,10 +182,10 @@ class RatFunc:
     def __init__(self, field: CycloField, poly, parts=None):
         # the lists passed in are trimmed in place and never changed afterwards
         self.field = field
-        self.poly = _cpoly_trim(poly)
+        self.poly = trim(poly)
         self.parts = {}
         for key, (a, cs) in (parts or {}).items():
-            if _cpoly_trim(cs):
+            if trim(cs):
                 self.parts[key] = (a, cs)
 
     @classmethod
@@ -223,7 +210,7 @@ class RatFunc:
         parts = dict(self.parts)
         for key, (a, cs) in other.parts.items():
             _merge(parts, key, a, cs)
-        return RatFunc(self.field, _cpoly_add(self.poly, other.poly), parts)
+        return RatFunc(self.field, add(self.poly, other.poly), parts)
 
     def __neg__(self):
         return self * -1
@@ -238,17 +225,18 @@ class RatFunc:
                 {k: (a, [c * other for c in cs]) for k, (a, cs) in self.parts.items()},
             )
         zero = self.field.zero
-        poly = _cpoly_mul(self.poly, other.poly, zero)
+        poly = mul(self.poly, other.poly, zero)
         parts = {}
         for f, g in ((self, other), (other, self)):
             for key, (a, cs) in f.parts.items():
                 quotient, principal = _times_poly(a, cs, g.poly, zero)
-                poly = _cpoly_add(poly, quotient)
+                poly = add(poly, quotient)
                 _merge(parts, key, a, principal)
         for ka, (a, cs) in self.parts.items():
             for kb, (b, ds) in other.parts.items():
                 if ka == kb:
-                    _merge(parts, ka, a, _convolve(cs, ds, zero))
+                    # (sum_j c_j u^-j)(sum_k d_k u^-k), u = t - a
+                    _merge(parts, ka, a, [zero] + mul(cs, ds, zero))
                     continue
                 # 1/e, 1/e^2, ... once per pair of points, e = a - b
                 inv = (a - b).inverse()
@@ -278,48 +266,19 @@ class RatFunc:
         if point.coeffs in self.parts:
             raise PoleAtEvaluationPoint("f has a pole at the point")
         zero = self.field.zero
-        acc = _cpoly_eval(self.poly, point, zero)
+        acc = horner(self.poly, point, zero)
         for a, cs in self.parts.values():
-            acc = acc + _cpoly_eval([zero] + cs, (point - a).inverse(), zero)
+            acc = acc + horner([zero] + cs, (point - a).inverse(), zero)
         return acc
 
     def is_zero(self) -> bool:
         return not self.poly and not self.parts
 
 
-def _cpoly_trim(p):
-    while p and not p[-1]:
-        p.pop()
-    return p
-
-
-def _cpoly_add(a, b):
-    if len(a) < len(b):
-        a, b = b, a
-    return [x + y for x, y in zip(a, b)] + a[len(b):]
-
-
-def _cpoly_mul(a, b, zero):
-    out = [zero] * (len(a) + len(b) - 1) if a and b else []
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                if y:
-                    out[i + j] = out[i + j] + x * y
-    return out
-
-
-def _cpoly_eval(p, point, zero):
-    acc = zero
-    for c in reversed(p):
-        acc = acc * point + c
-    return acc
-
-
 def _merge(parts, key, a, cs):
     """Add the principal part cs at a into parts."""
     if key in parts:
-        cs = _cpoly_add(parts[key][1], cs)
+        cs = add(parts[key][1], cs)
     parts[key] = (a, cs)
 
 
@@ -346,7 +305,7 @@ def _times_poly(a, cs, p, zero):
             acc = q[i] = acc * a + q[i]
         remainders.append(q.pop(0))
         if c:
-            poly = _cpoly_add(poly, [c * x for x in q])
+            poly = add(poly, [c * x for x in q])
     return poly, _principal(cs, remainders, zero)
 
 
@@ -360,17 +319,6 @@ def _taylor(ds, pows, count, zero):
             if d:
                 acc = acc + d * pows[k + m] * ((-1) ** m * comb(k + m - 1, m))
         out.append(acc)
-    return out
-
-
-def _convolve(cs, ds, zero):
-    """(sum_j c_j u^-j)(sum_k d_k u^-k), both principal parts at one point."""
-    out = [zero] * (len(cs) + len(ds))
-    for j, c in enumerate(cs, 1):
-        if c:
-            for k, d in enumerate(ds, 1):
-                if d:
-                    out[j + k - 1] = out[j + k - 1] + c * d
     return out
 
 
@@ -494,7 +442,7 @@ class LaurentMatrix:
     def __add__(self, other):
         return LaurentMatrix(
             [
-                [_laurent_add(a, b) for a, b in zip(ra, rb)]
+                [sparse_add(a, b) for a, b in zip(ra, rb)]
                 for ra, rb in zip(self.entries, other.entries)
             ]
         )
@@ -509,9 +457,7 @@ class LaurentMatrix:
         )
 
     def mul_laurent(self, poly: dict):
-        return LaurentMatrix(
-            [[_laurent_mul(e, poly) for e in row] for row in self.entries]
-        )
+        return LaurentMatrix([[sparse_mul(e, poly) for e in row] for row in self.entries])
 
     def __mul__(self, other):
         out = []
@@ -520,9 +466,7 @@ class LaurentMatrix:
             for j in range(2):
                 acc: dict = {}
                 for k in range(2):
-                    acc = _laurent_add(
-                        acc, _laurent_mul(self.entries[i][k], other.entries[k][j])
-                    )
+                    acc = sparse_add(acc, sparse_mul(self.entries[i][k], other.entries[k][j]))
                 row.append(acc)
             out.append(row)
         return LaurentMatrix(out)
@@ -537,30 +481,6 @@ class LaurentMatrix:
         return isinstance(other, LaurentMatrix) and self.entries == other.entries
 
     __hash__ = None
-
-
-def _laurent_add(a: dict, b: dict) -> dict:
-    out = dict(a)
-    for k, v in b.items():
-        s = out.get(k, Fraction(0)) + v
-        if s:
-            out[k] = s
-        else:
-            out.pop(k, None)
-    return out
-
-
-def _laurent_mul(a: dict, b: dict) -> dict:
-    out: dict = {}
-    for ka, va in a.items():
-        for kb, vb in b.items():
-            k = ka + kb
-            s = out.get(k, Fraction(0)) + va * vb
-            if s:
-                out[k] = s
-            else:
-                del out[k]
-    return out
 
 
 def onsager_A(k: int) -> LaurentMatrix:
@@ -617,7 +537,7 @@ def onsager_hef_check() -> bool:
     jhat = {2: Fraction(1, 4), 0: Fraction(1, 2), -2: Fraction(1, 4)}
     jhat_minus_1 = dict(jhat)
     jhat_minus_1[0] = jhat_minus_1[0] - 1
-    rhs = h.mul_laurent(_laurent_mul(jhat, jhat_minus_1))
+    rhs = h.mul_laurent(sparse_mul(jhat, jhat_minus_1))
     return (
         (h.commutator(e) - e.scale(2)).is_zero()
         and (h.commutator(f) + f.scale(2)).is_zero()

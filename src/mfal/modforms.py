@@ -78,8 +78,9 @@ def depth(order, *powers) -> Fraction:
     `powers` are the pairs (valuation v_i, exponent e_i).  QSeries truncates
     a product at min(Ta + vb, Tb + va) and an inverse at T - 2v, so each
     factor of negative valuation costs |v| of depth and each inverse 2v.
-    f**e multiplies e copies of f (of f.inverse() for e < 0) onto the
-    constant 1.
+    The rule charges as if f**e multiplied e copies of f (of f.inverse()
+    for e < 0) onto the constant 1, one factor more than ``QSeries.__pow__``
+    multiplies, so it is a safe over-estimate by |v| for such powers.
     """
     loss = Fraction(0)
     for v, e in powers:

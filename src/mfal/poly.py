@@ -1,0 +1,96 @@
+"""One polynomial kernel over any ring of the ``mfal.linalg`` protocol.
+
+Two shapes share it:
+
+* dense: a list (or tuple) of coefficients, lowest degree first, used by
+  ``JPoly``, ``CycloNumber`` and ``RatFunc``; ``trim`` drops trailing zeros;
+* sparse: a dict exponent -> nonzero coefficient, used by ``QuasiPoly``
+  (5-tuple exponents), the Onsager Laurent matrices (int exponents) and
+  bracket vectors; sums drop every entry that cancels.
+
+``power`` is the one repeated-squaring loop of the package.
+"""
+
+from __future__ import annotations
+
+import operator
+
+
+def trim(p):
+    """Drop p's trailing zeros in place; returns p."""
+    while p and not p[-1]:
+        p.pop()
+    return p
+
+
+def add(a, b):
+    """Dense a + b, not trimmed."""
+    if len(a) < len(b):
+        a, b = b, a
+    out = [x + y for x, y in zip(a, b)]
+    out.extend(a[len(b):])
+    return out
+
+
+def mul(a, b, zero):
+    """Dense a * b, skipping zero coefficients; [] when a factor is empty."""
+    out = [zero] * (len(a) + len(b) - 1) if a and b else []
+    for i, x in enumerate(a):
+        if x:
+            for k, y in enumerate(b):
+                if y:
+                    out[i + k] = out[i + k] + x * y
+    return out
+
+
+def horner(p, x, zero):
+    """The dense polynomial p evaluated at x."""
+    acc = zero
+    for c in reversed(p):
+        acc = acc * x + c
+    return acc
+
+
+def add_term(out: dict, k, v) -> None:
+    """out[k] += v, dropping the entry when the sum is zero."""
+    if k in out:
+        v = out[k] + v
+    if v:
+        out[k] = v
+    else:
+        out.pop(k, None)
+
+
+def sparse_add(a: dict, b: dict) -> dict:
+    """Sparse a + b."""
+    out = dict(a)
+    for k, v in b.items():
+        add_term(out, k, v)
+    return out
+
+
+def sparse_mul(a: dict, b: dict, combine=operator.add) -> dict:
+    """Sparse a * b; ``combine`` adds two exponents (int + by default)."""
+    out: dict = {}
+    for ka, va in a.items():
+        for kb, vb in b.items():
+            add_term(out, combine(ka, kb), va * vb)
+    return out
+
+
+def power(x, n: int, one):
+    """x**n for n >= 0 by repeated squaring; ``one`` is returned for n == 0.
+
+    The product starts from x itself, never from ``one``, so a factor that
+    carries its own precision (a truncated QSeries) loses none to the seed.
+    """
+    if n < 0:
+        raise ValueError(f"negative power {n}")
+    result = None
+    while n:
+        if n & 1:
+            result = x if result is None else result * x
+        n >>= 1
+        if n:
+            x = x * x
+    return one if result is None else result

@@ -15,6 +15,8 @@ from fractions import Fraction
 from math import ceil, gcd, lcm
 from typing import Iterable
 
+from .poly import power
+
 
 class DivisionByZeroSeries(ZeroDivisionError):
     """Division by a series with no terms below its truncation."""
@@ -282,15 +284,7 @@ class QSeries:
             raise TypeError("only integer powers of a QSeries are defined")
         if n < 0:
             return self.inverse() ** (-n)
-        result = QSeries(1, {0: Fraction(1)}, self.trunc)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return result
+        return power(self, n, QSeries(1, {0: Fraction(1)}, self.trunc))
 
     # ------------------------------------------------------------------
     # substitutions and calculus

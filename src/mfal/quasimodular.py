@@ -10,15 +10,21 @@ power of s, keeping the coefficient field Q.
 from __future__ import annotations
 
 import cmath
+import operator
 from fractions import Fraction
 from math import comb
 
 from . import modforms
 from .linalg import Matrix
+from .poly import add_term, power, sparse_add, sparse_mul
 from .qseries import QSeries
 
 VARS = ("tau", "P", "Q", "R", "s")
 _TAU, _P, _Q, _R, _S = range(5)
+
+
+def _add_exponents(a, b):
+    return tuple(map(operator.add, a, b))
 
 
 class NotInvertible(ValueError):
@@ -76,14 +82,7 @@ class QuasiPoly:
     def __add__(self, other):
         if isinstance(other, (int, Fraction)):
             other = QuasiPoly.const(other)
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            v = out.get(k, Fraction(0)) + c
-            if v:
-                out[k] = v
-            else:
-                out.pop(k, None)
-        return QuasiPoly(out)
+        return QuasiPoly(sparse_add(self.terms, other.terms))
 
     __radd__ = __add__
 
@@ -101,16 +100,7 @@ class QuasiPoly:
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
-        out = {}
-        for ka, ca in self.terms.items():
-            for kb, cb in other.terms.items():
-                k = tuple(a + b for a, b in zip(ka, kb))
-                v = out.get(k, Fraction(0)) + ca * cb
-                if v:
-                    out[k] = v
-                else:
-                    del out[k]
-        return QuasiPoly(out)
+        return QuasiPoly(sparse_mul(self.terms, other.terms, _add_exponents))
 
     def __rmul__(self, other):
         return self.scale(other)
@@ -124,15 +114,7 @@ class QuasiPoly:
     def __pow__(self, n: int):
         if n < 0:
             raise ValueError("general QuasiPoly inverses are not defined")
-        result = QuasiPoly.const(1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return result
+        return power(self, n, QuasiPoly.const(1))
 
     # ------------------------------------------------------------------
     # derivations and substitutions
@@ -170,12 +152,7 @@ class QuasiPoly:
         out = {}
         for (t, p, q, r, s), c in self.terms.items():
             for i in range(t + 1):
-                k = (i, p, q, r, s)
-                v = out.get(k, Fraction(0)) + c * comb(t, i)
-                if v:
-                    out[k] = v
-                else:
-                    del out[k]
+                add_term(out, (i, p, q, r, s), c * comb(t, i))
         return QuasiPoly(out)
 
     def substitute_numeric(self, ctx: "NumericContext") -> complex:

@@ -4,6 +4,7 @@ import pytest
 
 from mfal import alia
 from mfal.alia import JPoly, OddGrading
+from mfal.linalg import Matrix
 from mfal.qseries import QSeries
 
 
@@ -334,3 +335,26 @@ def test_jpoly_arithmetic():
     assert p(Fraction(3)) == 3
     series = JPoly.j_power_form(1, 0).as_series(QSeries.from_terms([(-1, 1), (0, 744)], trunc=20))
     assert series.coefficient(-1) == 1
+
+
+# det K(j) = c j^a (j - 1728)^b for the Killing matrix of each table over Q[j]
+KILLING_DISCRIMINANTS = {
+    ("A1", "principal"): (-128, 2, 2),
+    ("A2", "principal"): (-5038848, 6, 4),
+    ("B2", "principal"): (3869835264, 6, 6),
+    ("B2", "subregular"): (3869835264, 6, 6),
+    ("G2", "principal"): (9618527719784448, 10, 8),
+    ("G2", "subregular"): (9618527719784448, 10, 8),
+}
+
+
+@pytest.mark.parametrize("key", sorted(KILLING_DISCRIMINANTS), ids="-".join)
+def test_killing_determinant_over_qj(key):
+    c, a, b = KILLING_DISCRIMINANTS[key]
+    table = alia.alia_table(*key)
+    killing = table.killing()
+    assert all(isinstance(x, JPoly) for row in killing for x in row)
+    det = Matrix(killing).det()
+    assert det == JPoly.j_power_form(a, b) * c
+    for j in (0, 5, 1728):
+        assert det(j) == table.specialize(j).killing_determinant()

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from mfal.modforms import named_form
 from mfal.qseries import (
     DivisionByZeroSeries,
     NeedsCyclotomic,
@@ -187,3 +188,13 @@ def test_eval_numeric_multiplicative():
     lhs = (a * b).eval_numeric(1j)
     rhs = a.eval_numeric(1j) * b.eval_numeric(1j)
     assert abs(lhs - rhs) < 1e-10
+
+
+def test_pow_keeps_the_product_depth():
+    delta = named_form("Delta", 20).series
+    assert (delta**-1).trunc == delta.inverse().trunc == 18
+    j = named_form("j", 20).series
+    assert (j**2).trunc == (j * j).trunc
+    assert (j**3).trunc == (j * j * j).trunc
+    one = j**0
+    assert one.trunc == j.trunc and one.terms == {0: 1}
