@@ -88,11 +88,12 @@ class JPoly:
         return horner(self.coeffs, Fraction(value), Fraction(0))
 
     def as_series(self, j_series: QSeries) -> QSeries:
+        # the powers start from j itself, so j^i keeps the depth of j * ... * j
         acc = QSeries.zero(trunc=j_series.trunc)
         j_pow = QSeries.constant(1, trunc=j_series.trunc)
         for i, c in enumerate(self.coeffs):
             if i:
-                j_pow = j_pow * j_series
+                j_pow = j_series if i == 1 else j_pow * j_series
             if c:
                 acc = acc + j_pow.scale(c)
         return acc

@@ -8,7 +8,9 @@ Two shapes share it:
   (5-tuple exponents), the Onsager Laurent matrices (int exponents) and
   bracket vectors; sums drop every entry that cancels.
 
-``power`` is the one repeated-squaring loop of the package.
+``power`` is the one repeated-squaring loop of the package, and
+``kronecker_mul`` the one product of dense integer lists (the q-series
+kernel).
 """
 
 from __future__ import annotations
@@ -94,3 +96,39 @@ def power(x, n: int, one):
         if n:
             x = x * x
     return one if result is None else result
+
+
+def kronecker_mul(a, b, n: int):
+    """The first n coefficients of the product of the int lists a and b.
+
+    Kronecker substitution: each list is packed into one int, one slot of
+    w bits per coefficient, the two ints are multiplied once and the
+    product is cut back into slots.  A slot holds its coefficient plus
+    2**(w-1), so no slot borrows from its neighbour; w fits
+    n * max|a| * max|b| plus that sign bit, the largest coefficient the
+    first n slots can hold.
+    """
+    if n <= 0:
+        return []
+    a, b = a[:n], b[:n]
+    top = max(map(abs, a), default=0) * max(map(abs, b), default=0)
+    if not top:
+        return [0] * n
+    width = (top * min(n, len(a), len(b))).bit_length() // 8 + 1
+    half = 1 << (8 * width - 1)
+
+    def pack(cs):
+        digits = b"".join((c + half).to_bytes(width, "little") for c in cs)
+        return int.from_bytes(digits, "little") - _bias(width, len(cs))
+
+    product = (pack(a) * pack(b) + _bias(width, n)) & ((1 << (8 * width * n)) - 1)
+    digits = product.to_bytes(width * n, "little")
+    return [
+        int.from_bytes(digits[i:i + width], "little") - half
+        for i in range(0, width * n, width)
+    ]
+
+
+def _bias(width: int, n: int) -> int:
+    """2**(8*width - 1) in each of n slots of 8*width bits."""
+    return int.from_bytes((b"\0" * (width - 1) + b"\x80") * n, "little")

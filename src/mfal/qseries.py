@@ -6,6 +6,12 @@ bound: all exponents strictly below ``trunc`` are represented exactly,
 anything at or above it is unknown.  All modular forms in this package are
 stored in the nome q = exp(2*pi*i*tau); forms naturally written in
 exp(pi*i*tau) appear here with half-integral exponents.
+
+Products and inverses are computed over the integers: both operands are
+laid out as dense int lists on their common support lattice, over one
+denominator, and ``mfal.poly.kronecker_mul`` is the one product kernel
+(``inverse`` runs Newton's iteration on it).  The stored coefficients stay
+``Fraction`` values.
 """
 
 from __future__ import annotations
@@ -15,7 +21,7 @@ from fractions import Fraction
 from math import ceil, gcd, lcm
 from typing import Iterable
 
-from .poly import power
+from .poly import kronecker_mul, power
 
 
 class DivisionByZeroSeries(ZeroDivisionError):
@@ -50,6 +56,34 @@ def _to_frac(x) -> Fraction:
     if isinstance(x, str):
         return Fraction(x)
     raise TypeError(f"expected exact rational, got {type(x).__name__}")
+
+
+def _dense(terms: dict, v: int, step: int, n: int):
+    """The coefficients at v, v + step, ... below slot n as (ints, den)."""
+    slots = {(k - v) // step: c for k, c in terms.items() if k - v < step * n}
+    # star-args from lists, not generators: CPython 3.11 keeps the tuple built
+    # from each generator alive on its free list (seen with tracemalloc)
+    den = lcm(*[c.denominator for c in slots.values()])
+    ints = [0] * (max(slots) + 1 if slots else 0)
+    for i, c in slots.items():
+        ints[i] = c.numerator * (den // c.denominator)
+    return ints, den
+
+
+def _monic_inverse(v: list, n: int) -> list:
+    """The first n coefficients of 1/v for an int list v with v[0] == 1.
+
+    Newton iteration w <- w - w*(v*w - 1), doubling the correct prefix of
+    w with two products; every coefficient stays an int.
+    """
+    w, m = [1], 1
+    while m < n:
+        m2 = min(2 * m, n)
+        # v*w - 1 vanishes below slot m
+        err = kronecker_mul(v[:m2], w, m2)[m:]
+        w += [-c for c in kronecker_mul(w, err, m2 - m)]
+        m = m2
+    return w
 
 
 class QSeries:
@@ -180,7 +214,7 @@ class QSeries:
             other = QSeries.constant(other, trunc=self.trunc)
         d, a, b = self._aligned(other)
         trunc = min(self.trunc, other.trunc)
-        bound = trunc * d
+        bound = ceil(trunc * d)
         out = dict(a)
         for k, c in b.items():
             s = out.get(k, Fraction(0)) + c
@@ -218,19 +252,18 @@ class QSeries:
         # product exponents above min(Ta + vb, Tb + va) are contaminated by
         # the unknown tails, so that is the honest truncation
         trunc = min(self.trunc + other.valuation, other.trunc + self.valuation)
-        bound = trunc * d
-        out = {}
-        b_items = sorted(b.items())
-        for ka, ca in sorted(a.items()):
-            for kb, cb in b_items:
-                k = ka + kb
-                if k >= bound:
-                    break
-                s = out.get(k, Fraction(0)) + ca * cb
-                if s:
-                    out[k] = s
-                else:
-                    del out[k]
+        if not a or not b:
+            return QSeries(1, {}, trunc)
+        va, vb = min(a), min(b)
+        # one slot per point of the support lattice, below the truncation
+        step = gcd(*[k - va for k in a], *[k - vb for k in b]) or 1
+        n = -((va + vb - ceil(trunc * d)) // step)
+        (da, ea), (db, eb) = _dense(a, va, step, n), _dense(b, vb, step, n)
+        den = ea * eb
+        out = {
+            va + vb + step * i: Fraction(r, den)
+            for i, r in enumerate(kronecker_mul(da, db, n)) if r
+        }
         return QSeries(d, out, trunc)._reduced()
 
     def __rmul__(self, other):
@@ -250,25 +283,22 @@ class QSeries:
         """Multiplicative inverse; needs an invertible leading term."""
         if not self.terms:
             raise DivisionByZeroSeries("series has no terms below its truncation")
-        d = self.denom
-        v = min(self.terms)
-        lead = self.terms[v]
-        # strip q^v, normalise leading coefficient to 1, then invert 1 + u;
-        # the unit part is valid on scaled slots [0, trunc*d - v)
-        n = ceil(self.trunc * d - v)
-        unit = {k - v: c / lead for k, c in self.terms.items()}
-        inv = {0: Fraction(1)}
-        for slot in range(1, n):
-            acc = Fraction(0)
-            for k, c in unit.items():
-                if 0 < k <= slot:
-                    r = inv.get(slot - k)
-                    if r is not None:
-                        acc += c * r
-            if acc:
-                inv[slot] = -acc
-        trunc = Fraction(self.trunc) - 2 * Fraction(v, d)
-        out = {k - v: c / lead for k, c in inv.items() if Fraction(k - v, d) < trunc}
+        d, v = self.denom, min(self.terms)
+        step = gcd(*[k - v for k in self.terms]) or 1
+        # q^-v over the unit part, which is valid on [0, trunc*d - v)
+        n = -((v - ceil(self.trunc * d)) // step)
+        unit, den = _dense(self.terms, v, step, n)
+        # unit(x) = u0 * V(x / u0) with V integer and monic, so
+        # 1/unit(x) = sum_i W_i x^i / u0^(i+1) for the integer W = 1/V
+        powers = [1]
+        for _ in range(n):
+            powers.append(powers[-1] * unit[0])
+        monic = [c * powers[k - 1] if k else 1 for k, c in enumerate(unit)]
+        out = {
+            step * i - v: Fraction(w * den, powers[i + 1])
+            for i, w in enumerate(_monic_inverse(monic, n)) if w
+        }
+        trunc = self.trunc - 2 * Fraction(v, d)
         return QSeries(d, out, trunc)._reduced()
 
     def __truediv__(self, other):
@@ -344,7 +374,7 @@ class QSeries:
         trunc = _to_frac(trunc)
         if trunc > self.trunc:
             raise TruncationError("cannot extend a truncated series")
-        bound = trunc * self.denom
+        bound = ceil(trunc * self.denom)
         return QSeries(
             self.denom, {k: c for k, c in self.terms.items() if k < bound}, trunc
         )._reduced()
@@ -364,7 +394,7 @@ class QSeries:
                 f"shared range [{low}, {trunc}) spans less than {min_span}"
             )
         d, a, b = self._aligned(other)
-        bound = trunc * d
+        bound = ceil(trunc * d)
         for k, c in a.items():
             if k < bound and b.get(k) != c:
                 return False
