@@ -120,14 +120,10 @@ class JPoly:
 # cocycles from the weight-residue table
 # ----------------------------------------------------------------------
 
-#: (n4, n6) of the weight-k generator Delta^l E4^n4 E6^n6, keyed by k mod 12.
-RESIDUE_TABLE = {0: (0, 0), 4: (1, 0), 6: (0, 1), 8: (2, 0), 10: (1, 1), 2: (2, 1)}
-
-
 def residue_exponents(k: int):
     if k % 2:
         raise OddGrading(f"weight {k} is odd")
-    return RESIDUE_TABLE[k % 12]
+    return modforms.RESIDUE_TABLE[k % 12]
 
 
 class CocyclePair:
@@ -192,10 +188,6 @@ class CocyclePair:
         return check(self.w4) and check(self.w6)
 
 
-def cocycles(triple: GradedTriple) -> CocyclePair:
-    return CocyclePair(triple)
-
-
 # ----------------------------------------------------------------------
 # the bracket table over Q[j]
 # ----------------------------------------------------------------------
@@ -208,7 +200,7 @@ class AliaTable(BracketTable):
         self.orbit = orbit
         self.triple = liealg.graded_triple(type_label, orbit)
         self.structure: ChevalleyStructure = self.triple.structure
-        self.cocycles = cocycles(self.triple)
+        self.cocycles = CocyclePair(self.triple)
         self.basis = list(self.structure.basis)
         self.index = self.structure.index
         super().__init__(self.structure.dim, self._build())

@@ -2,10 +2,9 @@
 machinery for types A1, A2, B2, G2.
 
 Roots are integer coordinate tuples in the simple-root basis; the bilinear
-form is the Gram matrix of the simple roots.  Structure constant magnitudes
-come from root strings; signs are fixed by choosing +1 on extraspecial pairs
-and propagating through the Jacobi identity, which pins every remaining sign
-uniquely.
+form is the Gram matrix of the simple roots.  Structure constants come from
+Carter's recursion: +(p + 1) on extraspecial pairs, and every other
+constant follows from those in closed form.
 """
 
 from __future__ import annotations
@@ -222,7 +221,7 @@ class ChevalleyStructure(BracketTable):
 
     def __init__(self, root_system: RootSystem):
         self.rs = root_system
-        self.eps = _solve_signs(root_system)
+        self.eps = _carter_constants(root_system)
         self.basis = [("H", i) for i in range(self.rs.rank)] + [
             ("A", r) for r in self.rs.roots
         ]
@@ -282,158 +281,70 @@ def killing_matrix(bracket, dim: int):
     return km
 
 
-def _sign_classes(rs: RootSystem):
-    """Group the bracket pairs into orbits sharing a single free sign.
+def _carter_constants(rs: RootSystem):
+    """eps(a, b) for every root pair with a + b a root, by Carter's recursion.
 
-    eps(b,a) = -eps(a,b) and eps(-a,-b) = -eps(a,b), so each orbit of the
-    generated four-group carries one sign choice; relative signs within the
-    orbit are fixed.
+    R. W. Carter, Simple Groups of Lie Type (Wiley 1972), 4.1-4.2.  A pair
+    (a, b) of positive roots with a before b in ``rs.positive`` and a + b a
+    root is special; of the special pairs of one sum xi, the one with the
+    earliest a is extraspecial, and it gets +(p + 1).  Relation (iv) on
+    zeta + eta - a - b = 0, (zeta, eta) extraspecial, gives every other
+    special pair (a, b) of xi from pairs of lower height.  N(b, a) = -N(a, b),
+    N(-a, -b) = -N(a, b) and the rotation rule (ii) reduce any pair to a
+    special one.  Every constant must be an integer of magnitude p + 1
+    (Carter (iii)); that is checked.
     """
-    seen = {}
-    classes = []
-    for alpha in rs.roots:
-        for beta in rs.roots:
-            if beta == _neg(alpha) or _add(alpha, beta) not in rs.root_set:
-                continue
-            if (alpha, beta) in seen:
-                continue
-            orbit = {
-                (alpha, beta): 1,
-                (beta, alpha): -1,
-                (_neg(alpha), _neg(beta)): -1,
-                (_neg(beta), _neg(alpha)): 1,
-            }
-            cid = len(classes)
-            classes.append(orbit)
-            for pair, rel in orbit.items():
-                seen[pair] = (cid, rel)
-    return classes, seen
+    norm = {r: rs.inner(r, r) for r in rs.roots}
+    positive = set(rs.positive)
+    special: dict = {}
 
-
-def _extraspecial_pins(rs: RootSystem, seen):
-    """Pin the sign class of the extraspecial pair of each composite root."""
-    pos = rs.positive
-    order = {r: i for i, r in enumerate(pos)}
-    pins = {}
-    for gamma in pos:
-        best = None
-        for alpha in pos:
-            beta = tuple(g - a for g, a in zip(gamma, alpha))
-            if beta in order and order[alpha] < order[beta]:
-                if best is None or order[alpha] < order[best[0]]:
-                    best = (alpha, beta)
-        if best is not None:
-            cid, rel = seen[best]
-            pins[cid] = rel  # eps(best) = +magnitude
-    return pins
-
-
-def _solve_signs(rs: RootSystem):
-    """Determine eps(a, b) for all bracket pairs.
-
-    Backtracking over the free orbit signs, checking each Jacobi triple as
-    soon as all the orbits it touches are decided.  The extraspecial pins
-    make the solution unique; the search is a convenience, not a gamble.
-    """
-    classes, seen = _sign_classes(rs)
-    pins = _extraspecial_pins(rs, seen)
-    magnitude = {}
-    for alpha, beta in seen:
-        magnitude[(alpha, beta)] = rs.string_down(alpha, beta) + 1
-
-    triples = []
-    for a, b, c in itertools.combinations(rs.roots, 3):
-        touched = set()
-        for x, y, z in ((a, b, c), (b, c, a), (c, a, b)):
-            if y == _neg(x):
-                continue
-            s = _add(x, y)
-            if s not in rs.root_set:
-                continue
-            touched.add(seen[(x, y)][0])
-            if z != _neg(s) and _add(s, z) in rs.root_set:
-                touched.add(seen[(s, z)][0])
-        triples.append(((a, b, c), frozenset(touched)))
-
-    n_classes = len(classes)
-    assignment: list[int | None] = [None] * n_classes
-    for cid, rel in pins.items():
-        assignment[cid] = rel
-
-    def eps_of(pair):
-        info = seen.get(pair)
-        if info is None:
+    def n(a, b):
+        c = _add(a, b)
+        if c not in norm:
             return 0
-        cid, rel = info
-        sign = assignment[cid]
-        return sign * rel * magnitude[pair]
+        if (a, b) in special:
+            return special[(a, b)]
+        if (b, a) in special:
+            return -special[(b, a)]
+        t = _neg(c)
+        if (a in positive) + (b in positive) + (t in positive) < 2:
+            return -n(_neg(a), _neg(b))
+        # rotation (ii) on a + b + t = 0: N(a,b)/(t,t) = N(b,t)/(a,a) = N(t,a)/(b,b)
+        if b in positive:
+            return n(b, t) * Fraction(norm[t], norm[a])
+        return n(t, a) * Fraction(norm[t], norm[b])
 
-    def jacobi_holds(triple) -> bool:
-        a, b, c = triple
-        # accumulate [[x,y],z] over cyclic permutations as a sparse vector
-        acc: dict = {}
+    def term(r, s, t, u):
+        """N(r, s) N(t, u) / (r + s, r + s), a term of relation (iv)."""
+        c = _add(r, s)
+        return n(r, s) * n(t, u) / norm[c] if c in norm else 0
 
-        def add_vec(target, coeff):
-            if coeff:
-                acc[target] = acc.get(target, 0) + coeff
-                if acc[target] == 0:
-                    del acc[target]
+    for xi in rs.positive:
+        pairs = [
+            (a, b) for i, a in enumerate(rs.positive)
+            for b in rs.positive[i + 1:] if _add(a, b) == xi
+        ]
+        if not pairs:
+            continue
+        (zeta, eta), others = pairs[0], pairs[1:]
+        special[(zeta, eta)] = Fraction(rs.string_down(zeta, eta) + 1)
+        for a, b in others:
+            # (iv) with r, s, t, u = a, b, -zeta, -eta; its first term is
+            # -N(a, b) N(zeta, eta) / (xi, xi)
+            mz, me = _neg(zeta), _neg(eta)
+            special[(a, b)] = (term(b, mz, a, me) + term(mz, a, b, me)) * (
+                norm[xi] / special[(zeta, eta)]
+            )
 
-        for x, y, z in ((a, b, c), (b, c, a), (c, a, b)):
-            if y == _neg(x):
-                # [H_{x^vee}, A_z] = <z, x^vee> A_z
-                add_vec(("A", z), rs.pairing(z, x))
-                continue
-            s = _add(x, y)
-            if s not in rs.root_set:
-                continue
-            e1 = eps_of((x, y))
-            if z == _neg(s):
-                for idx, cc in enumerate(rs.coroot_coefficients(s)):
-                    add_vec(("H", idx), e1 * cc)
-            else:
-                t = _add(s, z)
-                if t in rs.root_set:
-                    add_vec(("A", t), e1 * eps_of((s, z)))
-        return not acc
-
-    undecided = [cid for cid in range(n_classes) if assignment[cid] is None]
-    # triples become checkable once their last undecided class is assigned
-    waiting: dict[int, list] = {cid: [] for cid in undecided}
-    ready = []
-    for triple, touched in triples:
-        open_ids = [cid for cid in touched if assignment[cid] is None]
-        if open_ids:
-            waiting[max(open_ids, key=undecided.index)].append((triple, touched))
-        else:
-            ready.append(triple)
-
-    for triple in ready:
-        if not jacobi_holds(triple):
-            raise AssertionError("pinned signs already violate Jacobi")
-
-    def dfs(pos: int) -> bool:
-        if pos == len(undecided):
-            return True
-        cid = undecided[pos]
-        for sign in (1, -1):
-            assignment[cid] = sign
-            ok = True
-            for triple, touched in waiting[cid]:
-                if any(assignment[c] is None for c in touched):
-                    continue
-                if not jacobi_holds(triple):
-                    ok = False
-                    break
-            if ok and dfs(pos + 1):
-                return True
-        assignment[cid] = None
-        return False
-
-    if not dfs(0):
-        raise AssertionError("no Jacobi-consistent sign assignment exists")
-
-    return {pair: eps_of(pair) for pair in seen}
+    eps = {}
+    for a in rs.roots:
+        for b in rs.roots:
+            if _add(a, b) in norm:
+                v = n(a, b)
+                if v.denominator != 1 or abs(v) != rs.string_down(a, b) + 1:
+                    raise AssertionError(f"N{(a, b)} = {v} breaks Carter (iii)")
+                eps[(a, b)] = int(v)
+    return eps
 
 
 _CHEVALLEY_CACHE: dict[str, ChevalleyStructure] = {}
@@ -448,13 +359,13 @@ def chevalley(type_label: str) -> ChevalleyStructure:
 class GradedTriple:
     """Grading from Dynkin labels plus a rational standard triple."""
 
-    def __init__(self, type_label: str, labels, require_even=True, materialize=True):
+    def __init__(self, type_label: str, labels, materialize=True):
         labels = tuple(labels)
         self.structure = chevalley(type_label)
         rs = self.structure.rs
         if len(labels) != rs.rank:
             raise ValueError("one label per simple root")
-        if require_even and any(l % 2 for l in labels):
+        if any(l % 2 for l in labels):
             raise OddLabel(f"labels {labels} are not all even")
         self.labels = labels
         self.grading = {r: sum(n * l for n, l in zip(r, labels)) for r in rs.roots}

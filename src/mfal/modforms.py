@@ -76,18 +76,20 @@ def depth(order, *powers) -> Fraction:
     """How deep to build f_1, f_2, ... so prod f_i**e_i is valid below `order`.
 
     `powers` are the pairs (valuation v_i, exponent e_i).  QSeries truncates
-    a product at min(Ta + vb, Tb + va) and an inverse at T - 2v, so each
-    factor of negative valuation costs |v| of depth and each inverse 2v.
-    The rule charges as if f**e multiplied e copies of f (of f.inverse()
-    for e < 0) onto the constant 1, one factor more than ``QSeries.__pow__``
-    multiplies, so it is a safe over-estimate by |v| for such powers.
+    a product at min(Ta + vb, Tb + va) and an inverse at T - 2v, and
+    ``QSeries.__pow__`` multiplies |e| - 1 factors onto f (onto f.inverse()
+    for e < 0).  So f**e with e < 0 loses (1 - e) v, which also covers
+    multiplying it onto other factors.  For e > 0 and v < 0 it loses
+    (e - 1)|v| alone, and e|v| once multiplied onto another factor.  The
+    charges add; the sum is exact for one power, alone or times factors of
+    valuation 0.
     """
     loss = Fraction(0)
     for v, e in powers:
         if e < 0:
-            loss += (2 - e) * v
+            loss += (1 - e) * v
         elif v < 0:
-            loss -= e * v
+            loss -= (e - (len(powers) == 1)) * v
     return Fraction(order) + loss
 
 
@@ -166,6 +168,10 @@ def j_minus_1728(order=DEFAULT_ORDER) -> NamedForm:
     return NamedForm("j-1728", 0, "Gamma(1)", level_one_monomial(-1, 0, 2, order))
 
 
+#: (n4, n6) of the weight-k generator Delta^l E4^n4 E6^n6, keyed by k mod 12.
+RESIDUE_TABLE = {0: (0, 0), 4: (1, 0), 6: (0, 1), 8: (2, 0), 10: (1, 1), 2: (2, 1)}
+
+
 def duke_jenkins(k: int, order=DEFAULT_ORDER):
     """Generator F_k = Delta^l E4^n4 E6^n6 of the weight-k module over C[j].
 
@@ -174,8 +180,7 @@ def duke_jenkins(k: int, order=DEFAULT_ORDER):
     """
     if k % 2:
         raise OddWeight("weakly holomorphic forms of odd level-one weight vanish")
-    table = {0: (0, 0), 4: (1, 0), 6: (0, 1), 8: (2, 0), 10: (1, 1), 2: (2, 1)}
-    n4, n6 = table[k % 12]
+    n4, n6 = RESIDUE_TABLE[k % 12]
     ell = (k - 4 * n4 - 6 * n6) // 12
     return ell, n4, n6, level_one_monomial(ell, n4, n6, order)
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -205,3 +206,23 @@ def test_eval_s_check_integer_weight_level_one(capsys, form):
                        "--order", "48")
     assert code == 0
     assert "|f(-1/tau)" in out
+
+
+# sha256 of the text output of `mfal alia TYPE ORBIT`, recorded before the
+# Chevalley signs came from Carter's recursion
+ALIA_TEXT_DIGESTS = {
+    ("A1", "principal"): "963c753960d8e32ec0fcc920015b28495690d52978ad5cebf9a3e6e98ffb4d4d",
+    ("A2", "principal"): "0a97a2d4483d9dc06ef87f663f0ab5c32bf40966b06b76881b15dcf727f5ff92",
+    ("B2", "principal"): "f62cb102e4f24c880cf8acb6f7337f6b752f54c0c022b0f8aa975989d7edc6b7",
+    ("B2", "subregular"): "b839c009872642e7772c482632cfeaad3dadf6a6b42ef20268060ecb5470710c",
+    ("G2", "principal"): "093688c84803f475d80de1b885150bef668ef1c2c382a32038ba7897b2092994",
+    ("G2", "subregular"): "50edd209459ab77b15a2bc3f060c8016ebb2a5eb1d27645148349aca32113d1f",
+}
+
+
+@pytest.mark.parametrize("type_label, orbit", sorted(ALIA_TEXT_DIGESTS))
+def test_alia_text_digest(capsys, type_label, orbit):
+    code, out, _ = run(capsys, "alia", type_label, orbit)
+    assert code == 0
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == ALIA_TEXT_DIGESTS[(type_label, orbit)]

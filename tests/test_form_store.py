@@ -125,12 +125,33 @@ def test_level_one_quotients_are_monomials():
 
 
 def test_depth_rule():
-    # Delta^-2 E4: invert Delta (valuation 1, costs 2), then two factors of valuation -1
-    assert mf.depth(32, (1, -2), (0, 1)) == 36
+    # Delta^-2 E4: invert Delta (valuation 1, costs 2), then one more factor of valuation -1
+    assert mf.depth(32, (1, -2), (0, 1)) == 35
     assert mf.depth(32, (1, 3)) == 32
-    assert mf.depth(10, (Fraction(-2, 5), 5)) == 12
+    assert mf.depth(10, (Fraction(-2, 5), 5)) == Fraction(58, 5)
     series = mf.named_form("E4", 36).series * mf.named_form("Delta", 36).series ** -2
     assert series.trunc >= 32
+
+
+@pytest.mark.parametrize("ell, n4, n6", [(-1, 3, 0), (-1, 0, 2), (-2, 2, 1), (-2, 0, 0)])
+def test_level_one_monomial_depth_is_exact(empty_store, ell, n4, n6):
+    # the product level_one_monomial builds, before its final truncation
+    order = 32
+    deep = mf.depth(order, (1, ell))
+    series = mf.named_form("E4", deep).series ** n4 * mf.named_form("E6", deep).series ** n6
+    series = series * mf.named_form("Delta", deep).series ** ell
+    assert series.trunc == order
+
+
+def test_depth_of_a_negative_valuation_power_times_another_factor(empty_store):
+    # j^2 alone loses one unit; multiplied onto E4 it costs E4 its valuation 2
+    assert mf.depth(32, (-1, 2)) == 33
+    assert mf.depth(32, (0, 1), (-1, 2)) == 34
+    j = mf.named_form("j", 33).series
+    assert (j**2).trunc == 32
+    deep = mf.depth(32, (0, 1), (-1, 2))
+    series = mf.named_form("E4", deep).series * mf.named_form("j", deep).series ** 2
+    assert series.trunc == 32
 
 
 def test_two_routes_do_not_share_store_entries(empty_store):

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 from fractions import Fraction
@@ -224,3 +225,52 @@ def test_sym_power_multiplicativity():
         for i in range(dim)
     ]
     assert prod == sab
+
+
+# sha256 of repr(sorted(chevalley(t).eps.items())), recorded from the
+# backtracking sign search that Carter's recursion replaced
+EPS_DIGESTS = {
+    "A1": "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945",
+    "A2": "4636e3e332daf03512e965d8ce278ac458e2eecd6681e23577b643faaa34bdae",
+    "B2": "30f967bceb31e1ec90517346a600caa0441a0447c73dd7ef47139a0d798f7917",
+    "G2": "d231d26f30fcd0a091a2f7abea2cd0688e0fa3c2676ccafb5f979970b3a98c3d",
+}
+
+
+@pytest.mark.parametrize("t", sorted(EPS_DIGESTS))
+def test_chevalley_eps_digest(t):
+    items = sorted(liealg.chevalley(t).eps.items())
+    assert hashlib.sha256(repr(items).encode()).hexdigest() == EPS_DIGESTS[t]
+
+
+@pytest.mark.parametrize("t", ["A1", "A2", "B2", "G2"])
+def test_chevalley_eps_carter_relations(t):
+    st = liealg.chevalley(t)
+    rs = st.rs
+    pairs = [
+        (a, b) for a in rs.roots for b in rs.roots
+        if any(x + y for x, y in zip(a, b))
+        and tuple(x + y for x, y in zip(a, b)) in rs.root_set
+    ]
+    assert sorted(st.eps) == sorted(pairs)
+    for a, b in pairs:
+        # Carter (iii): |N(a, b)| = p + 1, p the length of the b-string below a
+        assert abs(st.eps[(a, b)]) == rs.string_down(a, b) + 1
+        # Carter (ii): a + b + c = 0 gives N(a, b)/(c, c) = N(b, c)/(a, a)
+        c = tuple(-x - y for x, y in zip(a, b))
+        assert Fraction(st.eps[(a, b)], rs.inner(c, c)) == Fraction(
+            st.eps[(b, c)], rs.inner(a, a)
+        )
+
+
+def test_chevalley_extraspecial_pairs_are_positive():
+    for t in ("A2", "B2", "G2"):
+        st = liealg.chevalley(t)
+        pos = st.rs.positive
+        for xi in pos:
+            split = [
+                (a, tuple(x - y for x, y in zip(xi, a))) for a in pos
+                if tuple(x - y for x, y in zip(xi, a)) in pos[pos.index(a) + 1:]
+            ]
+            if split:
+                assert st.eps[split[0]] > 0, (t, xi)
