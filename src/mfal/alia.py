@@ -14,7 +14,7 @@ from fractions import Fraction
 from . import liealg, modforms
 from .liealg import BracketTable, ChevalleyStructure, GradedTriple
 from .linalg import Matrix, rank, rref
-from .poly import add, horner, mul, power
+from .poly import Ring, add, horner, mul
 from .qseries import QSeries
 from .quasimodular import QuasiMatrix, QuasiPoly
 
@@ -27,7 +27,7 @@ class OddGrading(ValueError):
 # univariate polynomials in j over Q
 # ----------------------------------------------------------------------
 
-class JPoly:
+class JPoly(Ring):
     """Dense polynomial in j with Fraction coefficients."""
 
     __slots__ = ("coeffs",)
@@ -45,11 +45,7 @@ class JPoly:
     @classmethod
     def j_power_form(cls, w4: int, w6: int):
         """j^w4 (j - 1728)^w6."""
-        one = cls((1,))
-        return power(cls((0, 1)), w4, one) * power(cls((-1728, 1)), w6, one)
-
-    def is_zero(self):
-        return not self.coeffs
+        return cls((0, 1)) ** w4 * cls((-1728, 1)) ** w6
 
     def __bool__(self):
         return bool(self.coeffs)
@@ -62,27 +58,15 @@ class JPoly:
             other = JPoly((other,))
         return isinstance(other, JPoly) and self.coeffs == other.coeffs
 
-    __hash__ = None
-
     def __add__(self, other):
         if isinstance(other, (int, Fraction)):
             other = JPoly((other,))
         return JPoly(add(self.coeffs, other.coeffs))
 
-    def __neg__(self):
-        return JPoly([-c for c in self.coeffs])
-
-    def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = JPoly((other,))
-        return self + (-other)
-
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return JPoly([c * other for c in self.coeffs])
         return JPoly(mul(self.coeffs, other.coeffs, Fraction(0)))
-
-    __rmul__ = __mul__
 
     def __call__(self, value):
         return horner(self.coeffs, Fraction(value), Fraction(0))

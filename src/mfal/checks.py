@@ -437,13 +437,20 @@ def check_barrel_contraction(order):
 
 
 def check_specialization(order):
-    table = alia.alia_table("A1", "principal")
-    if table.specialize(5).killing_determinant() == 0:
-        return False, "Killing degenerate at j=5"
-    for j_val in (0, 1728):
-        if table.specialize(j_val).killing_determinant() != 0:
-            return False, f"Killing nondegenerate at j={j_val}"
-    return True, "Killing form degeneracy exactly at the orbifold fibers"
+    """det K(j) = c j^a (j-1728)^b, c != 0, with (a, b) the sum of the
+    cocycle exponents (w4, w6)(alpha, -alpha) over the roots: every fiber is
+    nondegenerate exactly when j is not 0 or 1728."""
+    found = []
+    for key in ORBITS:
+        table = alia.alia_table(*key)
+        cp = table.cocycles
+        pairs = [(r, tuple(-x for x in r)) for r in table.structure.rs.roots]
+        a, b = sum(cp.w4[p] for p in pairs), sum(cp.w6[p] for p in pairs)
+        det = Matrix(table.killing()).det()
+        if not det or det != alia.JPoly.j_power_form(a, b) * det.coeffs[-1]:
+            return False, f"det K(j) for {key} is {det.pretty()}, not c j^{a} (j-1728)^{b}"
+        found.append(f"{key[0]} {key[1]} ({a}, {b})")
+    return True, "det K(j) = c j^a (j-1728)^b over Q[j], (a, b) = " + ", ".join(found)
 
 
 def check_levi(order):

@@ -521,9 +521,7 @@ def sym_power_matrix(n: int, entries):
             for v in range(j + 1):
                 i = u + v
                 coeff = Fraction(comb(n, j) * comb(n - j, u) * comb(j, v), comb(n, i))
-                term = _ring_product(
-                    [(a, n - j - u), (c, u), (b, j - v), (d, v)], coeff
-                )
+                term = a ** (n - j - u) * c ** u * b ** (j - v) * d ** v * coeff
                 if i in contributions:
                     contributions[i] = contributions[i] + term
                 else:
@@ -532,14 +530,6 @@ def sym_power_matrix(n: int, entries):
             rows[i][j] = contributions.get(i)
     zero = a * 0
     return [[zero if x is None else x for x in row] for row in rows]
-
-
-def _ring_product(powers, coeff: Fraction):
-    acc = powers[0][0] * 0 + 1
-    for base, e in powers:
-        for _ in range(e):
-            acc = acc * base
-    return acc * coeff
 
 
 def exp_nilpotent(matrix: QuasiMatrix, scalar: QuasiPoly) -> QuasiMatrix:

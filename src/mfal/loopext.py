@@ -14,7 +14,7 @@ from math import comb
 from . import liealg
 from .alia import AliaTable, JPoly
 from .linalg import Matrix, dot, rank, solve
-from .poly import add, horner, mul, power, sparse_add, sparse_mul, trim
+from .poly import Ring, add, horner, mul, sparse_add, sparse_mul, trim
 
 
 class PoleAtEvaluationPoint(ValueError):
@@ -73,15 +73,12 @@ class CycloField:
         return f"CycloField(zeta_{self.n})"
 
 
-class CycloNumber:
+class CycloNumber(Ring):
     __slots__ = ("field", "coeffs")
 
     def __init__(self, field: CycloField, coeffs):
         self.field = field
         self.coeffs = coeffs
-
-    def is_zero(self) -> bool:
-        return not any(self.coeffs)
 
     def __bool__(self) -> bool:
         return any(self.coeffs)
@@ -91,29 +88,12 @@ class CycloNumber:
             other = self.field.rational(other)
         return isinstance(other, CycloNumber) and self.coeffs == other.coeffs
 
-    __hash__ = None
-
-    def _coerce(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.field.rational(other)
-        return other
-
     def __add__(self, other):
-        other = self._coerce(other)
+        if isinstance(other, (int, Fraction)):
+            other = self.field.rational(other)
         return CycloNumber(
             self.field, tuple(a + b for a, b in zip(self.coeffs, other.coeffs))
         )
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return CycloNumber(self.field, tuple(-a for a in self.coeffs))
-
-    def __sub__(self, other):
-        return self + (-self._coerce(other))
-
-    def __rsub__(self, other):
-        return (-self) + self._coerce(other)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -121,28 +101,15 @@ class CycloNumber:
         prod = mul(self.coeffs, other.coeffs, Fraction(0))
         return CycloNumber(self.field, tuple(self.field._reduce(prod)))
 
-    __rmul__ = __mul__
-
     def inverse(self) -> "CycloNumber":
         """Solve x y = 1 in coordinates: column j of x's multiplication
         matrix holds the coordinates of x zeta^j."""
-        if self.is_zero():
+        if not self:
             raise ZeroDivisionError("inverse of zero field element")
         field = self.field
         cols = [field.element([0] * j + list(self.coeffs)).coeffs for j in range(field.degree)]
         y = solve([list(row) for row in zip(*cols)], list(field.one.coeffs))
         return CycloNumber(field, tuple(y))
-
-    def __truediv__(self, other):
-        return self * self._coerce(other).inverse()
-
-    def __rtruediv__(self, other):
-        return self._coerce(other) * self.inverse()
-
-    def __pow__(self, n: int):
-        if n < 0:
-            return self.inverse() ** (-n)
-        return power(self, n, self.field.one)
 
     def __repr__(self):
         names = {1: "1", 3: "w", 4: "i", 5: "z"}
@@ -167,7 +134,7 @@ def _num(field: CycloField, x) -> CycloNumber:
     return x if isinstance(x, CycloNumber) else field.rational(x)
 
 
-class RatFunc:
+class RatFunc(Ring):
     """A rational function over a CycloField as its partial fractions.
 
     f = P(t) + sum_a sum_k c_(a,k) (t - a)^(-k).  ``poly`` lists P's
@@ -206,17 +173,17 @@ class RatFunc:
         a = _num(field, a)
         return cls(field, [], {a.coeffs: (a, [field.zero] * (power - 1) + [field.one])})
 
+    def __bool__(self) -> bool:
+        return bool(self.poly or self.parts)
+
     def __add__(self, other):
+        if not isinstance(other, RatFunc):
+            # a constant: an int, a Fraction or a CycloNumber
+            other = RatFunc(self.field, [_num(self.field, other)])
         parts = dict(self.parts)
         for key, (a, cs) in other.parts.items():
             _merge(parts, key, a, cs)
         return RatFunc(self.field, add(self.poly, other.poly), parts)
-
-    def __neg__(self):
-        return self * -1
-
-    def __sub__(self, other):
-        return self + (-other)
 
     def __mul__(self, other):
         if not isinstance(other, RatFunc):
@@ -248,8 +215,6 @@ class RatFunc:
                 _merge(parts, kb, b, _principal(ds, _taylor(cs, neg, len(ds), zero), zero))
         return RatFunc(self.field, poly, parts)
 
-    __rmul__ = __mul__
-
     def derivative(self) -> "RatFunc":
         zero = self.field.zero
         return RatFunc(
@@ -270,9 +235,6 @@ class RatFunc:
         for a, cs in self.parts.values():
             acc = acc + horner([zero] + cs, (point - a).inverse(), zero)
         return acc
-
-    def is_zero(self) -> bool:
-        return not self.poly and not self.parts
 
 
 def _merge(parts, key, a, cs):
@@ -427,70 +389,44 @@ def cocycle_rank(structure, samples, points) -> int:
 # Onsager algebra via Roan's fixed-point realization
 # ----------------------------------------------------------------------
 
-class LaurentMatrix:
-    """2x2 matrix of Laurent polynomials in z over Q."""
+class Laurent(Ring):
+    """A Laurent polynomial in z over Q: exponent -> nonzero coefficient."""
 
-    __slots__ = ("entries",)
+    __slots__ = ("terms",)
 
-    def __init__(self, entries):
-        # entries: 2x2 nested lists of dict[int, Fraction]
-        self.entries = [
-            [{k: Fraction(v) for k, v in e.items() if v} for e in row]
-            for row in entries
-        ]
+    def __init__(self, terms: dict):
+        self.terms = terms
 
-    def __add__(self, other):
-        return LaurentMatrix(
-            [
-                [sparse_add(a, b) for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.entries, other.entries)
-            ]
-        )
-
-    def __sub__(self, other):
-        return self + other.scale(-1)
-
-    def scale(self, c):
-        c = Fraction(c)
-        return LaurentMatrix(
-            [[{k: c * v for k, v in e.items()} for e in row] for row in self.entries]
-        )
-
-    def mul_laurent(self, poly: dict):
-        return LaurentMatrix([[sparse_mul(e, poly) for e in row] for row in self.entries])
-
-    def __mul__(self, other):
-        out = []
-        for i in range(2):
-            row = []
-            for j in range(2):
-                acc: dict = {}
-                for k in range(2):
-                    acc = sparse_add(acc, sparse_mul(self.entries[i][k], other.entries[k][j]))
-                row.append(acc)
-            out.append(row)
-        return LaurentMatrix(out)
-
-    def commutator(self, other):
-        return self * other - other * self
-
-    def is_zero(self):
-        return all(not e for row in self.entries for e in row)
+    def __bool__(self) -> bool:
+        return bool(self.terms)
 
     def __eq__(self, other):
-        return isinstance(other, LaurentMatrix) and self.entries == other.entries
+        return isinstance(other, Laurent) and self.terms == other.terms
 
-    __hash__ = None
+    def __add__(self, other):
+        if not isinstance(other, Laurent):
+            other = Laurent({0: other} if other else {})
+        return Laurent(sparse_add(self.terms, other.terms))
+
+    def __mul__(self, other):
+        if not isinstance(other, Laurent):
+            return Laurent({k: v * other for k, v in self.terms.items()} if other else {})
+        return Laurent(sparse_mul(self.terms, other.terms))
 
 
-def onsager_A(k: int) -> LaurentMatrix:
-    return LaurentMatrix([[{}, {k: 1}], [{-k: 1}, {}]])
+def _laurent_matrix(rows) -> Matrix:
+    """A 2x2 Matrix over Laurent from rows of {exponent: coefficient}."""
+    return Matrix([[Laurent(e) for e in row] for row in rows])
 
 
-def onsager_G(m: int) -> LaurentMatrix:
+def onsager_A(k: int) -> Matrix:
+    return _laurent_matrix([[{}, {k: 1}], [{-k: 1}, {}]])
+
+
+def onsager_G(m: int) -> Matrix:
     if m == 0:
-        return LaurentMatrix([[{}, {}], [{}, {}]])
-    return LaurentMatrix([[{m: 1, -m: -1}, {}], [{}, {m: -1, -m: 1}]])
+        return _laurent_matrix([[{}, {}], [{}, {}]])
+    return _laurent_matrix([[{m: 1, -m: -1}, {}], [{}, {m: -1, -m: 1}]])
 
 
 def onsager_relations_check(bound: int = 10) -> bool:
@@ -518,7 +454,7 @@ def onsager_relations_check(bound: int = 10) -> bool:
             elif d < 0:
                 rhs = onsager_G(-d).scale(-1)
             else:
-                rhs = LaurentMatrix([[{}, {}], [{}, {}]])
+                rhs = onsager_G(0)
             if not (lhs - rhs).is_zero():
                 return False
     return True
@@ -530,14 +466,12 @@ def onsager_hef_check() -> bool:
     The e, f prefactor is (z^2 - z^{-2})/8: with jhat = (z^2 + 2 + z^-2)/4
     this is the normalization that closes the bracket on jhat(jhat-1)h.
     """
-    c = {2: Fraction(1, 8), -2: Fraction(-1, 8)}
-    e = LaurentMatrix([[{0: 1}, {0: -1}], [{0: 1}, {0: -1}]]).mul_laurent(c)
-    f = LaurentMatrix([[{0: 1}, {0: 1}], [{0: -1}, {0: -1}]]).mul_laurent(c)
-    h = LaurentMatrix([[{}, {0: 1}], [{0: 1}, {}]])
-    jhat = {2: Fraction(1, 4), 0: Fraction(1, 2), -2: Fraction(1, 4)}
-    jhat_minus_1 = dict(jhat)
-    jhat_minus_1[0] = jhat_minus_1[0] - 1
-    rhs = h.mul_laurent(sparse_mul(jhat, jhat_minus_1))
+    c = Laurent({2: Fraction(1, 8), -2: Fraction(-1, 8)})
+    e = Matrix([[1, -1], [1, -1]]).scale(c)
+    f = Matrix([[1, 1], [-1, -1]]).scale(c)
+    h = Matrix([[0, 1], [1, 0]]).scale(Laurent({0: 1}))
+    jhat = Laurent({2: Fraction(1, 4), 0: Fraction(1, 2), -2: Fraction(1, 4)})
+    rhs = h.scale(jhat * (jhat - 1))
     return (
         (h.commutator(e) - e.scale(2)).is_zero()
         and (h.commutator(f) + f.scale(2)).is_zero()

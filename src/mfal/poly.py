@@ -5,17 +5,19 @@ Two shapes share it:
 * dense: a list (or tuple) of coefficients, lowest degree first, used by
   ``JPoly``, ``CycloNumber`` and ``RatFunc``; ``trim`` drops trailing zeros;
 * sparse: a dict exponent -> nonzero coefficient, used by ``QuasiPoly``
-  (5-tuple exponents), the Onsager Laurent matrices (int exponents) and
-  bracket vectors; sums drop every entry that cancels.
+  (5-tuple exponents), ``loopext.Laurent`` (int exponents) and bracket
+  vectors; sums drop every entry that cancels.
 
 ``power`` is the one repeated-squaring loop of the package, and
 ``kronecker_mul`` the one product of dense integer lists (the q-series
-kernel).
+kernel).  ``Ring`` writes the protocol's derived operations once for every
+coefficient ring of the package.
 """
 
 from __future__ import annotations
 
 import operator
+from fractions import Fraction
 
 
 def trim(p):
@@ -96,6 +98,54 @@ def power(x, n: int, one):
         if n:
             x = x * x
     return one if result is None else result
+
+
+class Ring:
+    """The ``mfal.linalg`` protocol from ``+``, ``*`` and a truth value.
+
+    A subclass defines ``__add__`` and ``__mul__`` (both also with an int or
+    a ``Fraction``, which ``*`` treats as a scalar and ``+`` as a constant)
+    and ``__bool__``, false exactly at zero; a ring with inverses adds
+    ``inverse``.  Everything else is derived here: ``-x`` is ``x * -1``, the
+    one is ``x * 0 + 1``, and a scalar divisor c multiplies by ``1/c``.
+    """
+
+    __slots__ = ()
+    __hash__ = None
+
+    def __radd__(self, other):
+        return self + other
+
+    def __rmul__(self, other):
+        return self * other
+
+    def __neg__(self):
+        return self * -1
+
+    def __sub__(self, other):
+        return self + -other
+
+    def __rsub__(self, other):
+        return -self + other
+
+    def is_zero(self) -> bool:
+        return not self
+
+    def __truediv__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return self * (1 / Fraction(other))
+        return self * other.inverse()
+
+    def __rtruediv__(self, other):
+        return self.inverse() * other
+
+    def __pow__(self, n: int):
+        if n < 0:
+            return self.inverse() ** -n
+        return power(self, n, None) if n else self * 0 + 1
+
+    def inverse(self):
+        raise ValueError(f"{type(self).__name__} has no general inverse")
 
 
 def kronecker_mul(a, b, n: int):

@@ -16,8 +16,8 @@ from math import comb
 
 from . import modforms
 from .linalg import Matrix
-from .poly import add_term, power, sparse_add, sparse_mul
-from .qseries import QSeries
+from .poly import Ring, add_term, sparse_add, sparse_mul
+from .qseries import QSeries, _to_frac
 
 VARS = ("tau", "P", "Q", "R", "s")
 _TAU, _P, _Q, _R, _S = range(5)
@@ -31,15 +31,7 @@ class NotInvertible(ValueError):
     """Matrix inverse requested but the determinant is not a unit."""
 
 
-def _to_frac(x):
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    raise TypeError(f"expected rational scalar, got {type(x).__name__}")
-
-
-class QuasiPoly:
+class QuasiPoly(Ring):
     """Polynomial in tau, P, Q, R and the invertible constant s."""
 
     __slots__ = ("terms",)
@@ -66,9 +58,6 @@ class QuasiPoly:
             raise ValueError("only s may carry a negative exponent")
         return cls({} if c == 0 else {(t, p, q, r, s): c})
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def __bool__(self) -> bool:
         return bool(self.terms)
 
@@ -77,44 +66,21 @@ class QuasiPoly:
             other = QuasiPoly.const(other)
         return isinstance(other, QuasiPoly) and self.terms == other.terms
 
-    __hash__ = None
-
     def __add__(self, other):
         if isinstance(other, (int, Fraction)):
             other = QuasiPoly.const(other)
         return QuasiPoly(sparse_add(self.terms, other.terms))
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return QuasiPoly({k: -c for k, c in self.terms.items()})
-
-    def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = QuasiPoly.const(other)
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         return QuasiPoly(sparse_mul(self.terms, other.terms, _add_exponents))
 
-    def __rmul__(self, other):
-        return self.scale(other)
-
     def scale(self, c) -> "QuasiPoly":
         c = _to_frac(c)
         if c == 0:
             return QuasiPoly()
         return QuasiPoly({k: c * v for k, v in self.terms.items()})
-
-    def __pow__(self, n: int):
-        if n < 0:
-            raise ValueError("general QuasiPoly inverses are not defined")
-        return power(self, n, QuasiPoly.const(1))
 
     # ------------------------------------------------------------------
     # derivations and substitutions

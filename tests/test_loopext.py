@@ -188,12 +188,12 @@ def test_onsager_generators_are_involution_fixed():
     def theta0(mat):
         swapped = [
             [
-                {-k: v for k, v in mat.entries[1 - i][1 - j].items()}
+                loopext.Laurent({-k: v for k, v in mat[1 - i, 1 - j].terms.items()})
                 for j in (0, 1)
             ]
             for i in (0, 1)
         ]
-        return loopext.LaurentMatrix(swapped)
+        return type(mat)(swapped)
 
     for k in range(-4, 5):
         m = loopext.onsager_A(k)

@@ -1,0 +1,254 @@
+"""The ring protocol of ``mfal.poly.Ring``, property-tested on every ring.
+
+Each coefficient ring defines only ``+``, ``*`` and a truth value; the
+derived operations (negation, subtraction, reflected operators, division
+by a scalar or an element, powers and ``is_zero``) come from ``Ring``.
+These tests check the identities that tie the derived operations back to
+``+`` and ``*`` on QSeries, QuasiPoly, JPoly, CycloNumber over all four
+fields, RatFunc and Laurent.  hypothesis is a test-only dependency.
+"""
+
+import importlib
+import pkgutil
+from fractions import Fraction
+from functools import reduce
+from operator import mul
+
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+import mfal
+from mfal.alia import JPoly
+from mfal.loopext import CycloField, CycloNumber, Laurent, RatFunc, pole_preset
+from mfal.poly import Ring
+from mfal.qseries import QSeries
+from mfal.quasimodular import QuasiPoly
+
+fractions = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
+nonzero_rationals = st.builds(
+    Fraction, st.integers(-6, 6).filter(bool), st.integers(1, 4)
+)
+
+
+@st.composite
+def qseries(draw):
+    d = draw(st.sampled_from((1, 2, 3)))
+    trunc = draw(st.integers(4, 10))
+    terms = draw(st.lists(
+        st.tuples(st.integers(-2 * d, (trunc - 1) * d).map(lambda k: Fraction(k, d)),
+                  fractions),
+        max_size=4,
+    ))
+    return QSeries.from_terms(terms, trunc=trunc)
+
+
+quasipolys = st.dictionaries(
+    st.tuples(*[st.integers(0, 2)] * 4, st.integers(-1, 1)),
+    fractions.filter(bool),
+    max_size=3,
+).map(QuasiPoly)
+
+jpolys = st.lists(fractions, max_size=4).map(JPoly)
+
+laurents = st.dictionaries(
+    st.integers(-4, 4), fractions.filter(bool), max_size=4
+).map(Laurent)
+
+
+def cyclo_numbers(field):
+    return st.lists(fractions, min_size=field.degree, max_size=field.degree).map(
+        field.element
+    )
+
+
+def ratfuncs(preset):
+    """A polynomial of degree < 3 or c (t - a)^-k at a preset point, or a
+    sum or product of two of them."""
+    field, points = pole_preset(preset)
+    poly = st.lists(cyclo_numbers(field), min_size=1, max_size=3).map(
+        lambda cs: RatFunc.polynomial(field, cs)
+    )
+    pole = st.builds(
+        lambda a, k, c: RatFunc.pole_factor(field, a, k) * c,
+        st.sampled_from(points), st.integers(1, 2), cyclo_numbers(field),
+    )
+    atom = poly | pole
+    return atom | st.builds(lambda f, g: f + g, atom, atom) | st.builds(
+        lambda f, g: f * g, atom, atom
+    )
+
+
+# each ring draws its elements from one fixed field or pole set per example
+RINGS = {
+    "QSeries": st.just(qseries()),
+    "QuasiPoly": st.just(quasipolys),
+    "JPoly": st.just(jpolys),
+    **{f"CycloNumber{n}": st.just(cyclo_numbers(CycloField(n))) for n in (1, 3, 4, 5)},
+    "RatFunc": st.sampled_from(("dihedral", "tetrahedral", "octahedral")).map(ratfuncs),
+    "Laurent": st.just(laurents),
+}
+
+examples = settings(max_examples=30, deadline=None)
+
+
+def key(x):
+    """A value that is == exactly when the two ring elements are equal."""
+    if isinstance(x, QSeries):
+        return x.items(), x.trunc
+    if isinstance(x, RatFunc):
+        return x.poly, x.parts
+    return x
+
+
+def draw_pair(data, name):
+    elements = data.draw(RINGS[name])
+    return data.draw(elements), data.draw(elements)
+
+
+@pytest.mark.parametrize("name", RINGS)
+@examples
+@given(data=st.data(), c=st.integers(-5, 5))
+def test_subtraction_and_negation_are_adding_minus_one_times(name, data, c):
+    a, b = draw_pair(data, name)
+    assert key(a - b) == key(a + b * -1)
+    assert key(-a) == key(a * -1)
+    assert key(c - a) == key(a * -1 + c)
+    assert key(a - c) == key(a + -c)
+    assert key(c + a) == key(a + c)
+    assert key(c * a) == key(a * c)
+
+
+@pytest.mark.parametrize("name", RINGS)
+@settings(max_examples=15, deadline=None)
+@given(data=st.data(), n=st.integers(0, 5))
+def test_power_is_the_repeated_product(name, data, n):
+    a, b = draw_pair(data, name)
+    expected = reduce(mul, [a] * n) if n else a * 0 + 1
+    assert key(a ** n) == key(expected)
+    one = a ** 0
+    assert one and not (one - 1) and not (one * b - b)
+
+
+@pytest.mark.parametrize("name", RINGS)
+@examples
+@given(data=st.data(), c=nonzero_rationals)
+def test_division_by_a_rational_multiplies_by_its_inverse(name, data, c):
+    a, _ = draw_pair(data, name)
+    assert key(a / c) == key(a * (Fraction(1) / c))
+    assert key(a / c.numerator) == key(a * Fraction(1, c.numerator))
+
+
+@pytest.mark.parametrize("name", RINGS)
+@examples
+@given(data=st.data())
+def test_truth_value_is_false_exactly_at_zero(name, data):
+    a, b = draw_pair(data, name)
+    zero = a * 0
+    assert not zero and zero.is_zero()
+    assert not (a - a)
+    assert bool(a) == (key(a) != key(zero))
+    assert a.is_zero() == (not a)
+    assert bool(a + b) == (key(a + b) != key((a + b) * 0))
+
+
+def test_zero_series_is_false():
+    assert not QSeries.zero(8)
+    assert QSeries.zero(8).is_zero()
+    assert QSeries.constant(1, 8)
+
+
+@pytest.mark.parametrize("n", (1, 3, 4, 5))
+@examples
+@given(data=st.data(), c=st.integers(-5, 5), k=st.integers(1, 4))
+def test_field_division_and_negative_powers(n, data, c, k):
+    field = CycloField(n)
+    a = data.draw(cyclo_numbers(field))
+    assume(a)
+    assert (c / a) * a == c
+    assert key(c / a) == key(a.inverse() * c)
+    assert a ** -k * a ** k == field.one
+    b = data.draw(cyclo_numbers(field))
+    assert (b / a) * a == b
+
+
+@examples
+@given(a=qseries(), c=st.integers(-5, 5), k=st.integers(1, 3))
+def test_series_division_and_negative_powers(a, c, k):
+    assume(a)
+    inv = a.inverse()
+    assert key(c / a) == key(inv * c)
+    assert key(a ** -k) == key(reduce(mul, [inv] * k))
+    assert key(a / a) == key(a * inv)
+
+
+def test_rings_without_inverses_raise_value_error():
+    with pytest.raises(ValueError):
+        QuasiPoly.var("tau") ** -1
+    with pytest.raises(ValueError):
+        QuasiPoly.const(2).inverse()
+    with pytest.raises(ValueError):
+        JPoly((0, 1)).inverse()
+    with pytest.raises(ValueError):
+        JPoly((0, 1)) / JPoly((1, 1))
+    with pytest.raises(ValueError):
+        Laurent({1: 1}) ** -2
+
+
+@pytest.mark.parametrize("preset", ("dihedral", "octahedral", "icosahedral"))
+@examples
+@given(data=st.data())
+def test_ratfunc_plus_and_minus_a_constant(preset, data):
+    field, points = pole_preset(preset)
+    f = data.draw(ratfuncs(preset))
+    p = data.draw(cyclo_numbers(field))
+    assume(all(p != a for a in points))
+    c = data.draw(cyclo_numbers(field))
+    q = data.draw(fractions)
+    for const in (1, q, c):
+        assert (f + const).evaluate(p) == f.evaluate(p) + const
+        assert (f - const).evaluate(p) == f.evaluate(p) - const
+    for const in (1, q):
+        assert (const - f).evaluate(p) == const - f.evaluate(p)
+
+
+# ----------------------------------------------------------------------
+# the derived operations are written once
+# ----------------------------------------------------------------------
+
+DERIVED = (
+    "__radd__", "__rmul__", "__neg__", "__sub__", "__rsub__", "is_zero",
+    "__truediv__", "__rtruediv__", "__pow__",
+)
+
+
+def _ring_classes():
+    for info in pkgutil.iter_modules(mfal.__path__):
+        importlib.import_module(f"mfal.{info.name}")
+    found, todo = [], [Ring]
+    while todo:
+        cls = todo.pop()
+        for sub in cls.__subclasses__():
+            if sub.__module__.startswith("mfal."):
+                found.append(sub)
+                todo.append(sub)
+    return found
+
+
+def test_no_ring_redefines_a_derived_operation():
+    classes = _ring_classes()
+    assert {QSeries, QuasiPoly, JPoly, CycloNumber, RatFunc, Laurent} <= set(classes)
+    for cls in classes:
+        assert "__slots__" in vars(cls), cls
+        for name in DERIVED:
+            if cls is QSeries and name == "__pow__":
+                # rebound in the class body for the benchmark's tracer
+                assert vars(cls)[name] is Ring.__pow__
+                continue
+            assert name not in vars(cls), f"{cls.__name__}.{name}"
+
+
+def test_ring_elements_have_no_instance_dict():
+    for x in (QSeries.zero(4), QuasiPoly(), JPoly(), CycloField(3).one,
+              RatFunc(CycloField(1), []), Laurent({})):
+        assert not hasattr(x, "__dict__"), type(x)
