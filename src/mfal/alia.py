@@ -140,9 +140,6 @@ class CocyclePair:
                 self.w4[(alpha, beta)] = w4
                 self.w6[(alpha, beta)] = w6
 
-    def pairs(self):
-        return sorted(self.w4)
-
     def is_symmetric(self) -> bool:
         return all(
             self.w4[(a, b)] == self.w4.get((b, a)) and self.w6[(a, b)] == self.w6.get((b, a))
@@ -478,7 +475,7 @@ def weight_zero_iso_check(order=24) -> dict:
     report = {}
     for group, (name, series, ring) in forms.items():
         lead_exp = series.valuation
-        lead_coeff = series.terms[min(series.terms)]
+        lead_coeff = series.coefficient(series.valuation)
         inverse = series.inverse()
         report[group] = {
             "form": name,

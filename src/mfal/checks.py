@@ -124,7 +124,7 @@ def check_duke_jenkins_table(order):
             return False, f"residue pair wrong at k={k}"
         if 12 * ell + 4 * n4 + 6 * n6 != k:
             return False, f"weight bookkeeping wrong at k={k}"
-        if series.valuation != ell or series.terms[min(series.terms)] != 1:
+        if series.valuation != ell or series.coefficient(series.valuation) != 1:
             return False, f"leading term wrong at k={k}"
     return True, "residue map verified for even k in [-24, 24]"
 
@@ -362,7 +362,7 @@ def check_klein(order):
     if (k**5).valuation != -2:
         return False, "fifth power valuation"
     f = modforms.named_form("f_gamma5", order).series
-    if f.valuation != 1 or f.terms[min(f.terms)] != 1:
+    if f.valuation != 1 or f.coefficient(f.valuation) != 1:
         return False, "Gamma(5) form f leading term wrong"
     return True, "Klein form exponents and the Gamma(5) weight-1 form"
 

@@ -91,6 +91,8 @@ class CycloNumber(Ring):
     def __add__(self, other):
         if isinstance(other, (int, Fraction)):
             other = self.field.rational(other)
+        elif not isinstance(other, CycloNumber):
+            return NotImplemented
         return CycloNumber(
             self.field, tuple(a + b for a, b in zip(self.coeffs, other.coeffs))
         )
@@ -98,6 +100,8 @@ class CycloNumber(Ring):
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return CycloNumber(self.field, tuple(a * other for a in self.coeffs))
+        if not isinstance(other, CycloNumber):
+            return NotImplemented
         prod = mul(self.coeffs, other.coeffs, Fraction(0))
         return CycloNumber(self.field, tuple(self.field._reduce(prod)))
 

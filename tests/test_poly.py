@@ -188,7 +188,7 @@ def _parts(s):
 @examples
 @given(series(), exponent)
 def test_power_of_qseries_keeps_the_product_truncation(x, n):
-    one = QSeries(1, {0: Fraction(1)}, x.trunc)
+    one = QSeries.constant(1, x.trunc)
     expected = _parts(nfold(x, n, one))
     assert _parts(power(x, n, one)) == expected
     assert _parts(x**n) == expected

@@ -208,8 +208,9 @@ def test_ratfunc_plus_and_minus_a_constant(preset, data):
     for const in (1, q, c):
         assert (f + const).evaluate(p) == f.evaluate(p) + const
         assert (f - const).evaluate(p) == f.evaluate(p) - const
-    for const in (1, q):
+    for const in (1, q, c):
         assert (const - f).evaluate(p) == const - f.evaluate(p)
+    assert (c * f).evaluate(p) == c * f.evaluate(p)
 
 
 # ----------------------------------------------------------------------

@@ -9,7 +9,7 @@ hypothesis is a test-only dependency.
 """
 
 from fractions import Fraction
-from math import ceil
+from math import ceil, lcm
 
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -25,8 +25,15 @@ examples = settings(max_examples=80, deadline=None)
 # oracles
 # ----------------------------------------------------------------------
 
+def aligned(x: QSeries, y: QSeries):
+    d = lcm(x.denom, y.denom)
+    a = {k * (d // x.denom): c for k, c in x.terms.items()}
+    b = {k * (d // y.denom): c for k, c in y.terms.items()}
+    return d, a, b
+
+
 def schoolbook_mul(x: QSeries, y: QSeries) -> QSeries:
-    d, a, b = x._aligned(y)
+    d, a, b = aligned(x, y)
     trunc = min(x.trunc + y.valuation, y.trunc + x.valuation)
     bound = trunc * d
     out = {}
@@ -41,7 +48,7 @@ def schoolbook_mul(x: QSeries, y: QSeries) -> QSeries:
                 out[k] = s
             else:
                 del out[k]
-    return QSeries(d, out, trunc)._reduced()
+    return QSeries.from_terms([(Fraction(k, d), c) for k, c in out.items()], trunc)
 
 
 def recurrence_inverse(x: QSeries) -> QSeries:
@@ -62,7 +69,7 @@ def recurrence_inverse(x: QSeries) -> QSeries:
             inv[slot] = -acc
     trunc = Fraction(x.trunc) - 2 * Fraction(v, d)
     out = {k - v: c / lead for k, c in inv.items() if Fraction(k - v, d) < trunc}
-    return QSeries(d, out, trunc)._reduced()
+    return QSeries.from_terms([(Fraction(k, d), c) for k, c in out.items()], trunc)
 
 
 def identical(x: QSeries, y: QSeries) -> bool:
