@@ -3,6 +3,10 @@
 Exit codes: 0 success, 1 failed verification, 2 usage error.  The default
 working order is 64; override with --order or the MFAL_ORDER environment
 variable.
+
+Each subcommand imports the modules it runs, so ``import mfal.cli`` loads no
+other mfal module and ``mfal expand`` loads only modforms, qseries and poly:
+a fresh process pays to compile nothing it does not run.
 """
 
 from __future__ import annotations
@@ -13,10 +17,6 @@ import json
 import os
 import sys
 from fractions import Fraction
-
-from . import alia, checks, modforms, vvmf
-from .modforms import UnknownForm
-from .qseries import NeedsCyclotomic, NotConvergent
 
 
 def _int_at_least(low: int):
@@ -42,9 +42,11 @@ def _parse_tau(text: str) -> complex:
 
 
 def cmd_expand(args) -> int:
+    from . import modforms
+
     try:
         form = modforms.named_form(args.form, args.order)
-    except UnknownForm:
+    except modforms.UnknownForm:
         print(f"unknown form {args.form!r}; known: {', '.join(modforms.REGISTERED_NAMES)}",
               file=sys.stderr)
         return 2
@@ -65,6 +67,8 @@ def cmd_expand(args) -> int:
 
 
 def cmd_alia(args) -> int:
+    from . import alia
+
     try:
         table = alia.alia_table(args.type, args.orbit)
     except (ValueError, KeyError) as exc:
@@ -103,6 +107,8 @@ def cmd_alia(args) -> int:
 
 
 def cmd_hilbert(args) -> int:
+    from . import vvmf
+
     group = {"Gamma1": "Gamma(1)", "Gamma(1)": "Gamma(1)",
              "Gamma2": "Gamma(2)", "Gamma(2)": "Gamma(2)"}.get(args.group)
     if group is None:
@@ -119,9 +125,12 @@ def cmd_hilbert(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    from . import modforms
+    from .qseries import NeedsCyclotomic, NotConvergent
+
     try:
         form = modforms.named_form(args.form, args.order)
-    except UnknownForm:
+    except modforms.UnknownForm:
         print(f"unknown form {args.form!r}", file=sys.stderr)
         return 2
     tau = args.tau
@@ -164,6 +173,8 @@ def cmd_eval(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from . import checks
+
     suite = args.suite_flag or args.suite or "all"
     args.suite = suite
     try:

@@ -11,7 +11,9 @@ from __future__ import annotations
 import cmath
 import threading
 from fractions import Fraction
+from functools import reduce
 from math import ceil, comb, isqrt
+from operator import mul
 
 from .qseries import DEFAULT_ORDER, QSeries
 
@@ -73,24 +75,25 @@ def sigma(n: int, m: int) -> int:
 
 
 def depth(order, *powers) -> Fraction:
-    """How deep to build f_1, f_2, ... so prod f_i**e_i is valid below `order`.
+    """How deep to build f_1, f_2, ... so prod f_i(m_i tau)**e_i is valid below `order`.
 
-    `powers` are the pairs (valuation v_i, exponent e_i).  QSeries truncates
-    a product at min(Ta + vb, Tb + va) and an inverse at T - 2v, and
-    ``QSeries.__pow__`` multiplies |e| - 1 factors onto f (onto f.inverse()
-    for e < 0).  So f**e with e < 0 loses (1 - e) v, which also covers
-    multiplying it onto other factors.  For e > 0 and v < 0 it loses
-    (e - 1)|v| alone, and e|v| once multiplied onto another factor.  The
-    charges add; the sum is exact for one power, alone or times factors of
-    valuation 0.
+    `powers` are the triples (valuation v_i, exponent e_i, rescale m_i), or
+    pairs (v_i, e_i) for m_i = 1, one for every factor, valuation 0 ones
+    too.  f_i built at depth D is valid below D, so f_i(m_i tau) has
+    valuation m_i v_i and relative precision m_i (D - v_i).  QSeries keeps
+    the relative precision (trunc minus valuation) through ``*``,
+    ``inverse`` and ``**``, so the product, of valuation
+    V = sum e_i m_i v_i, is valid below V + min m_i (D - v_i) over e_i != 0.
+    The least D reaching `order` is the largest (order - V) / m_i + v_i,
+    which is order - V + max v_i when nothing is rescaled.  A product that
+    vanishes below `order` (V >= order) still gets one unit of relative
+    precision, so every factor keeps its leading term.
     """
-    loss = Fraction(0)
-    for v, e in powers:
-        if e < 0:
-            loss += (1 - e) * v
-        elif v < 0:
-            loss -= (e - (len(powers) == 1)) * v
-    return Fraction(order) + loss
+    powers = [(Fraction(v), e, Fraction(m[0] if m else 1)) for v, e, *m in powers if e]
+    if not powers:
+        return Fraction(order)
+    rest = max(Fraction(order) - sum(e * m * v for v, e, m in powers), Fraction(1))
+    return max(rest / m + v for v, _, m in powers)
 
 
 # ----------------------------------------------------------------------
@@ -128,14 +131,10 @@ def dedekind_eta(order=DEFAULT_ORDER) -> NamedForm:
 
 def eta_quotient(spec, order=DEFAULT_ORDER) -> QSeries:
     """Product of eta(m*tau)^r over (m, r) pairs, m positive rational."""
-    spec = [(Fraction(m), r) for m, r in spec]
-    # eta(m tau) has valuation m/24 and is valid below m times eta's depth
-    deep = depth(order, *((m / 24, r) for m, r in spec)) / min(1, *(m for m, _ in spec))
+    # eta built at depth D is valid below D + 1/24: it meets depth's rule for D + 1/24
+    deep = depth(order, *((Fraction(1, 24), r, m) for m, r in spec)) - Fraction(1, 24)
     eta = named_form("eta", deep).series
-    result = QSeries.constant(1, trunc=deep)
-    for m, r in spec:
-        result = result * eta.rescale_tau(m) ** r
-    return result.truncate(order)
+    return reduce(mul, [eta.rescale_tau(m) ** r for m, r in spec]).truncate(order)
 
 
 def discriminant(order=DEFAULT_ORDER, route: str = "eisenstein") -> NamedForm:
@@ -153,7 +152,7 @@ def discriminant(order=DEFAULT_ORDER, route: str = "eisenstein") -> NamedForm:
 
 def level_one_monomial(ell: int, n4: int, n6: int, order=DEFAULT_ORDER) -> QSeries:
     """Delta^ell E4^n4 E6^n6 from the stored factors, valid below `order`."""
-    deep = depth(order, (1, ell))
+    deep = depth(order, (0, n4), (0, n6), (1, ell))
     series = named_form("E4", deep).series ** n4 * named_form("E6", deep).series ** n6
     if ell:
         series = series * named_form("Delta", deep).series ** ell
@@ -448,9 +447,10 @@ def gamma5_form_f(order=DEFAULT_ORDER) -> NamedForm:
     factors are individually nonvanishing on the upper half-plane, which is
     a statement about the product formula, not about this expansion.
     """
-    # valuations: eta(5 tau) 5/24, the Klein form -2/5, eta 1/24
-    deep = depth(order, (Fraction(5, 24), 15), (Fraction(-2, 5), 5), (Fraction(1, 24), -3))
-    eta = named_form("eta", deep).series
+    # valuations: eta 1/24 (eta(5 tau) 5/24), the Klein form -2/5; eta built
+    # at depth D is valid below D + 1/24: it meets depth's rule for D + 1/24
+    deep = depth(order, (Fraction(1, 24), 15, 5), (Fraction(-2, 5), 5), (Fraction(1, 24), -3))
+    eta = named_form("eta", deep - Fraction(1, 24)).series
     k5 = klein_form(Fraction(1, 5), 5, deep).series
     series = eta.rescale_tau(5) ** 15 * k5**5 * eta**-3
     return NamedForm("f_gamma5", 1, "Gamma(5)", series.truncate(order))

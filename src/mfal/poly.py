@@ -10,14 +10,26 @@ Two shapes share it:
 
 ``power`` is the one repeated-squaring loop of the package, and
 ``kronecker_mul`` the one product of dense integer lists (the q-series
-kernel).  ``Ring`` writes the protocol's derived operations once for every
-coefficient ring of the package.
+kernel), packed in base 2**w for CPython's Karatsuba or, once the operands
+are big, in base 10**w for libmpdec's number-theoretic transform.  ``Ring``
+writes the protocol's derived operations once for every coefficient ring of
+the package.
 """
 
 from __future__ import annotations
 
+import decimal
 import operator
+import sys
 from fractions import Fraction
+
+#: Bits in the smaller packed operand above which ``kronecker_mul`` packs in
+#: decimal: libmpdec multiplies big numbers in quasi-linear time, where
+#: CPython's ints use Karatsuba (README, "Big products", has the timings).
+DECIMAL_BITS = 1 << 17
+
+#: Exact integer arithmetic in decimal: no product of ints is ever rounded.
+_EXACT = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN)
 
 
 def trim(p):
@@ -156,7 +168,9 @@ def kronecker_mul(a, b, n: int):
     product is cut back into slots.  A slot holds its coefficient plus
     2**(w-1), so no slot borrows from its neighbour; w fits
     n * max|a| * max|b| plus that sign bit, the largest coefficient the
-    first n slots can hold.
+    first n slots can hold.  When the smaller packed operand has more than
+    ``DECIMAL_BITS`` bits the same product is taken in base 10**w
+    (``_decimal_mul``).
     """
     if n <= 0:
         return []
@@ -164,7 +178,18 @@ def kronecker_mul(a, b, n: int):
     top = max(map(abs, a), default=0) * max(map(abs, b), default=0)
     if not top:
         return [0] * n
-    width = (top * min(n, len(a), len(b))).bit_length() // 8 + 1
+    short = min(len(a), len(b))
+    bound = top * short
+    width = bound.bit_length() // 8 + 1
+    if 8 * width * short > DECIMAL_BITS:
+        # 10**(places - 1) > 2**bits > bound, as 0.30103 > log10(2)
+        places = bound.bit_length() * 30103 // 100000 + 2
+        # slots are written and read with str() and int(), which refuse
+        # more digits than the interpreter's limit (0, or before Python
+        # 3.10.7, none)
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        if not limit or places <= limit:
+            return _decimal_mul(a, b, n, places)
     half = 1 << (8 * width - 1)
 
     def pack(cs):
@@ -182,3 +207,30 @@ def kronecker_mul(a, b, n: int):
 def _bias(width: int, n: int) -> int:
     """2**(8*width - 1) in each of n slots of 8*width bits."""
     return int.from_bytes((b"\0" * (width - 1) + b"\x80") * n, "little")
+
+
+def _decimal_mul(a, b, n: int, w: int):
+    """``kronecker_mul`` of nonempty lists a, b (at most n long) in base 10**w.
+
+    With h = 10**w / 2, the largest |coefficient| of a, b and of the product
+    a*b is below h.  A list packs as its slots' digits, slot i holding
+    c_i + h in [0, 10**w), minus h in every slot: the exact number
+    sum c_i 10**(w*i).  The product P = sum p_k 10**(w*k) has len(a) +
+    len(b) - 1 slots, each |p_k| < h, so P plus h in each of
+    s = max(n, len(a) + len(b) - 1) slots is sum (p_k + h) 10**(w*k), every
+    term in [0, 10**w): no slot borrows from its neighbour, the sum is not
+    negative, and its last w*n digits are the first n slots plus h.  This
+    is the binary argument in base 10, with the bias laid over every slot
+    of the product instead of a wrap below 10**(w*n).
+    """
+    half = 5 * 10 ** (w - 1)
+    fill = "5" + "0" * (w - 1)
+
+    def pack(cs):
+        text = "".join([f"{c + half:0{w}d}" for c in reversed(cs)])
+        return _EXACT.subtract(decimal.Decimal(text), decimal.Decimal(fill * len(cs)))
+
+    slots = max(n, len(a) + len(b) - 1)
+    product = _EXACT.add(_EXACT.multiply(pack(a), pack(b)), decimal.Decimal(fill * slots))
+    text = str(product)[-w * n:].rjust(w * n, "0")
+    return [int(text[i - w:i]) - half for i in range(w * n, 0, -w)]

@@ -105,16 +105,22 @@ def _series(denom: int, val: int, step: int, nums: list, den: int, trunc) -> "QS
 def _monic_inverse(v: list, n: int) -> list:
     """The first n coefficients of 1/v for an int list v with v[0] == 1.
 
-    Newton iteration w <- w - w*(v*w - 1), doubling the correct prefix of
-    w with two products; every coefficient stays an int.
+    Newton iteration w <- w - w*(v*w - 1) takes a correct prefix of m
+    coefficients to one of up to 2m with two products; every coefficient
+    stays an int.  The precisions are laid out from the top, n, ceil(n/2),
+    ..., 1, so no step is a full-size product made for a few coefficients
+    (Brent and Zimmermann, Modern Computer Arithmetic, 4.2).
     """
-    w, m = [1], 1
-    while m < n:
-        m2 = min(2 * m, n)
+    ladder = []
+    while n > 1:
+        ladder.append(n)
+        n = (n + 1) // 2
+    w = [1]
+    for m2 in reversed(ladder):
+        m = len(w)
         # v*w - 1 vanishes below slot m
         err = kronecker_mul(v[:m2], w, m2)[m:]
         w += [-c for c in kronecker_mul(w, err, m2 - m)]
-        m = m2
     return w
 
 

@@ -1,5 +1,8 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -226,3 +229,37 @@ def test_alia_text_digest(capsys, type_label, orbit):
     assert code == 0
     digest = hashlib.sha256(out.encode()).hexdigest()
     assert digest == ALIA_TEXT_DIGESTS[(type_label, orbit)]
+
+
+# sha256 of `mfal expand j --order 1024 --format json`, recorded before
+# kronecker_mul had a decimal path; this order takes it (see README)
+EXPAND_J_1024_JSON = "4c767708ab8f03d563b822ebdc56aaf70522dbe81a0c83691099917e07e7f1ad"
+
+
+def test_expand_j_1024_json_digest(capsys):
+    code, out, _ = run(capsys, "expand", "j", "--order", "1024", "--format", "json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == EXPAND_J_1024_JSON
+
+
+def mfal_modules_after(argv=None) -> list:
+    """The mfal modules a fresh interpreter holds after ``import mfal.cli``
+    and, unless argv is None, ``mfal.cli.main(argv)``."""
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = "import sys, mfal.cli; "
+    if argv is not None:
+        code += f"mfal.cli.main({argv!r}); "
+    code += "print(*sorted(m for m in sys.modules if m.split('.')[0] == 'mfal'))"
+    out = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
+                         capture_output=True, text=True, check=True)
+    return out.stdout.splitlines()[-1].split()
+
+
+def test_each_subcommand_imports_only_its_own_modules():
+    assert mfal_modules_after() == ["mfal", "mfal.cli"]
+    expand = mfal_modules_after(["expand", "j", "--order", "8"])
+    assert expand == ["mfal", "mfal.cli", "mfal.modforms", "mfal.poly", "mfal.qseries"]
+    alia = mfal_modules_after(["alia", "A1", "principal"])
+    assert "mfal.alia" in alia
+    assert not {"mfal.checks", "mfal.loopext", "mfal.vvmf"} & set(alia)

@@ -125,19 +125,53 @@ def test_level_one_quotients_are_monomials():
 
 
 def test_depth_rule():
-    # Delta^-2 E4: invert Delta (valuation 1, costs 2), then one more factor of valuation -1
+    # Delta^-2 E4: valuation -2, and Delta's relative precision is its depth less 1
     assert mf.depth(32, (1, -2), (0, 1)) == 35
-    assert mf.depth(32, (1, 3)) == 32
+    # Delta^3: valuation 3, so Delta built at 30 (relative precision 29) reaches 32
+    assert mf.depth(32, (1, 3)) == 30
+    assert (mf.named_form("Delta", 30).series ** 3).trunc == 32
     assert mf.depth(10, (Fraction(-2, 5), 5)) == Fraction(58, 5)
     series = mf.named_form("E4", 36).series * mf.named_form("Delta", 36).series ** -2
     assert series.trunc >= 32
+    # no factor, or only zero exponents: the order itself
+    assert mf.depth(32) == mf.depth(32, (1, 0)) == 32
+    # a product that vanishes below the order keeps one unit past its valuation
+    assert mf.depth(2, (1, 3)) == 2
+    assert mf.duke_jenkins(36, 2)[3].trunc == 2
 
 
-@pytest.mark.parametrize("ell, n4, n6", [(-1, 3, 0), (-1, 0, 2), (-2, 2, 1), (-2, 0, 0)])
+def test_depth_of_rescaled_factors():
+    # eta(4 tau)^4 eta(2 tau)^-2: valuation 1/2, eta(2 tau) has relative precision 2 D
+    deep = mf.depth(32, (Fraction(1, 24), 4, 4), (Fraction(1, 24), -2, 2))
+    assert deep == Fraction(63, 4) + Fraction(1, 24)
+    eta = mf.named_form("eta", Fraction(63, 4)).series
+    assert (eta.rescale_tau(4) ** 4 * eta.rescale_tau(2) ** -2).trunc == 32
+
+
+@pytest.mark.parametrize("spec", [[(4, 4), (2, -2)], [(3, 3), (1, -1)], [(1, 2), (2, -4)]])
+def test_eta_quotient_depth_is_exact(empty_store, spec):
+    # eta is built at the least depth whose product still reaches the order
+    order = 32
+    assert mf.eta_quotient(spec, order).trunc == order
+    eta = mf.named_form("eta", mf._STORE["eta"][0]).series
+    (m1, r1), (m2, r2) = spec
+    assert (eta.rescale_tau(m1) ** r1 * eta.rescale_tau(m2) ** r2).trunc == order
+
+
+def test_gamma5_form_depth_is_exact(empty_store):
+    # eta(5 tau)^15 k^5 eta^-3 has valuation 1, and eta's relative precision is its depth
+    f = mf.gamma5_form_f(32)
+    assert mf._STORE["eta"][0] == 31
+    assert f.series.trunc == 32
+
+
+@pytest.mark.parametrize(
+    "ell, n4, n6", [(-1, 3, 0), (-1, 0, 2), (-2, 2, 1), (-2, 0, 0), (2, 1, 1), (3, 0, 0)]
+)
 def test_level_one_monomial_depth_is_exact(empty_store, ell, n4, n6):
     # the product level_one_monomial builds, before its final truncation
     order = 32
-    deep = mf.depth(order, (1, ell))
+    deep = mf.depth(order, (0, n4), (0, n6), (1, ell))
     series = mf.named_form("E4", deep).series ** n4 * mf.named_form("E6", deep).series ** n6
     series = series * mf.named_form("Delta", deep).series ** ell
     assert series.trunc == order

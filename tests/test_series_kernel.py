@@ -1,6 +1,8 @@
 """Property tests of the integer series kernel: ``QSeries.__mul__`` and
-``QSeries.inverse`` against the schoolbook ``Fraction`` algorithms, and
-``poly.kronecker_mul`` against ``poly.mul``.
+``QSeries.inverse`` against the schoolbook ``Fraction`` algorithms,
+``poly.kronecker_mul`` (both its binary and its decimal packing) against
+``poly.mul``, and the Newton ladder ``_monic_inverse`` against the
+``Fraction`` recurrence.
 
 The schoolbook product and the slot-by-slot inverse recurrence below are
 the package's former algorithms, kept here only as oracles.  Results must
@@ -8,15 +10,19 @@ match them exactly: same lattice denominator, same terms, same truncation.
 hypothesis is a test-only dependency.
 """
 
+import random
 from fractions import Fraction
 from math import ceil, lcm
+from unittest import mock
 
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from mfal import poly
 from mfal.alia import JPoly
 from mfal.poly import kronecker_mul, mul
-from mfal.qseries import QSeries
+from mfal.qseries import QSeries, _monic_inverse
 
 examples = settings(max_examples=80, deadline=None)
 
@@ -219,6 +225,72 @@ def test_kronecker_mul_slot_width_at_the_bound():
                     assert kronecker_mul(a, b, n) == padded(a, b, n)
     assert kronecker_mul([], [1, 2], 3) == [0, 0, 0]
     assert kronecker_mul([1, 2], [3], 0) == []
+
+
+# every product through the decimal packing, as big operands take it
+decimal_path = mock.patch.object(poly, "DECIMAL_BITS", 0)
+# past sys.get_int_max_str_digits() (4300 by default) in decimal
+huge = st.integers(-(10 ** 4400), 10 ** 4400)
+
+
+@settings(max_examples=200, deadline=None)
+@given(int_lists, int_lists, st.integers(0, 30))
+def test_decimal_path_matches_mul(a, b, n):
+    with decimal_path:
+        assert kronecker_mul(a, b, n) == padded(a, b, n)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.lists(st.one_of(small, huge), max_size=6), st.lists(st.one_of(small, huge), max_size=6),
+       st.integers(0, 12))
+def test_decimal_path_with_coefficients_past_the_str_limit(a, b, n):
+    with decimal_path:
+        assert kronecker_mul(a, b, n) == padded(a, b, n)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.one_of(small, large), min_size=1, max_size=8),
+       st.lists(st.one_of(small, large), min_size=1, max_size=8), st.integers(0, 6))
+def test_decimal_path_at_and_past_the_full_product(a, b, extra):
+    # n up to and past len(a) + len(b) - 1, where the top slots are empty
+    with decimal_path:
+        for n in (1, len(a) + len(b) - 1, len(a) + len(b) - 1 + extra):
+            assert kronecker_mul(a, b, n) == padded(a, b, n)
+
+
+def test_decimal_path_runs_unless_a_slot_passes_the_str_limit():
+    with decimal_path, mock.patch.object(poly, "_decimal_mul", wraps=poly._decimal_mul) as spy:
+        # the slot past n is negative, so is the product's part above slot n
+        assert kronecker_mul([5, 7], [3, -9], 2) == [15, -24]
+        assert spy.call_count == 1
+        # a zero factor returns before any packing
+        assert kronecker_mul([0], [4], 3) == [0, 0, 0]
+        assert kronecker_mul([-2], [3], 1) == [-6]
+        assert spy.call_count == 2
+        big = 10 ** 4400
+        assert kronecker_mul([big, -1], [-big, 2], 3) == [-big * big, 3 * big, -2]
+        assert spy.call_count == 2
+    assert poly.DECIMAL_BITS > 0
+
+
+def fraction_inverse(v, n):
+    """The first n coefficients of 1/v, slot by slot."""
+    out = []
+    for i in range(n):
+        acc = Fraction(int(i == 0))
+        for k in range(1, min(i, len(v) - 1) + 1):
+            acc -= v[k] * out[i - k]
+        out.append(acc / v[0])
+    return out
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 8, 9, 16, 17, 64, 65, 256, 257])
+def test_monic_inverse_matches_fraction_recurrence(n):
+    # every rung of the ladder n, ceil(n/2), ..., 1, odd ones included
+    rng = random.Random(n)
+    v = [1] + [rng.randint(-10 ** 6, 10 ** 6) for _ in range(rng.randint(0, n + 2))]
+    assert _monic_inverse(v, n) == fraction_inverse(v, n)
+    assert _monic_inverse([1, -1], n) == [1] * n
 
 
 # ----------------------------------------------------------------------
