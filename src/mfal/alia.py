@@ -412,19 +412,9 @@ def levi_dimensions(type_label: str, orbit: str):
     radical = dim z(g_0) + sum_{n>0} dim g_{-n} * dim M_n(Gamma(1));
     levi = dim of the derived subalgebra of g_0.
     """
-    return _levi_from_triple(liealg.graded_triple(type_label, orbit))
-
-
-def levi_dimensions_for_labels(type_label: str, labels):
-    """Same bookkeeping for an explicit label vector (e.g. the trivial one)."""
-    return _levi_from_triple(
-        liealg.GradedTriple(type_label, labels, materialize=False)
-    )
-
-
-def _levi_from_triple(triple: liealg.GradedTriple):
     from .vvmf import monomial_count
 
+    triple = liealg.graded_triple(type_label, orbit)
     st = triple.structure
     g0 = [st.index[("H", i)] for i in range(st.rs.rank)]
     g0 += [st.index[("A", r)] for r in st.rs.roots if triple.grading[r] == 0]

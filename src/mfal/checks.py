@@ -2,16 +2,21 @@
 
 Each check re-verifies one invariant of the package at the requested
 working order and returns (passed, detail).  Checks are grouped into the
-suites core / theta / gamma / alia / loop; `all` runs everything.  Results
-are deterministic: sampling uses fixed seeds.
+SUITES; `all` runs every suite.  Results are deterministic: sampling uses
+fixed seeds.
+
+The checks that are pure identities between exact q-series are rows of one
+table, IDENTITIES: each row names its identities and builds their two sides
+at the working order, and `check_identity` runs a row.  A row fails with the
+names of the identities whose sides disagree.
 """
 
 from __future__ import annotations
 
-import cmath
 import random
 import time
 from fractions import Fraction
+from functools import partial
 
 from . import alia, liealg, loopext, modforms, vvmf
 from .linalg import Matrix
@@ -102,20 +107,6 @@ def check_j_expansion(order):
     return True, "head coefficients exact"
 
 
-def check_delta_dual_route(order):
-    a = modforms.named_form("Delta", order).series  # the Eisenstein route
-    b = modforms.discriminant(order, "eta").series
-    return a.agrees(b), f"Eisenstein route = eta^24 route to order {order}"
-
-
-def check_ramanujan(order):
-    return modforms.ramanujan_check(order), "D1 E2, D4 E4, D6 E6 closed system"
-
-
-def check_eisenstein_powers(order):
-    return modforms.eisenstein_power_identities(order), "E8, E10, E14 as monomials"
-
-
 def check_duke_jenkins_table(order):
     expected = {0: (0, 0), 2: (2, 1), 4: (1, 0), 6: (0, 1), 8: (2, 0), 10: (1, 1)}
     for k in range(-24, 26, 2):
@@ -150,18 +141,11 @@ def check_delta_derivation(order):
 
 
 def check_numeric_s_equivariance(order):
-    worst = 0.0
-    for tau in (1j, 0.3 + 1.1j):
-        for k in (4, 6):
-            f = modforms.named_form(f"E{k}", order).series
-            err = abs(f.eval_numeric(-1 / tau) - tau**k * f.eval_numeric(tau))
-            worst = max(worst, err)
-        e2 = modforms.named_form("E2", order).series
-        err = abs(
-            e2.eval_numeric(-1 / tau)
-            - (tau**2 * e2.eval_numeric(tau) + 12 * tau / (2j * cmath.pi))
-        )
-        worst = max(worst, err)
+    worst = max(
+        modforms.s_law_residual(modforms.named_form(name, order), tau)
+        for tau in (1j, 0.3 + 1.1j)
+        for name in ("E4", "E6", "E2")
+    )
     return worst < 1e-8, f"max S-residual {worst:.2e} (E4, E6, E2 anomaly)"
 
 
@@ -179,18 +163,6 @@ def check_dtau_leibniz(order):
         if not (lhs - rhs).is_zero():
             return False, "d_tau violates Leibniz"
     return True, "derivation property on sampled products"
-
-
-def check_quasimodular_series_consistency(order):
-    p = QuasiPoly.var("P")
-    q = QuasiPoly.var("Q")
-    r = QuasiPoly.var("R")
-    for a in (p, q, r, p * q + r.scale(3), q * q - p * r):
-        lhs = a.d_tau().to_qseries(order)
-        rhs = a.to_qseries(order).q_derive()
-        if not lhs.agrees(rhs):
-            return False, "d_tau disagrees with q d/dq under expansion"
-    return True, "D and q d/dq agree through the expansion map"
 
 
 def check_sl2_bundle(order):
@@ -302,40 +274,12 @@ def check_hilbert(order):
 # theta / gamma suites
 # ----------------------------------------------------------------------
 
-def check_jacobi_identity(order):
-    return modforms.jacobi_identity_check(order), "theta2^4 + theta4^4 = theta3^4"
-
-
-def check_theta_delta(order):
-    return modforms.theta_product_delta_check(order), "theta products give 256 Delta"
-
-
-def check_gamma2_combinations(order):
-    try:
-        modforms.gamma2_generators(order)
-    except AssertionError as exc:
-        return False, str(exc)
-    return True, "F2/H2 combinations match the theta lattice sums"
-
-
-def check_lambda_j(order):
-    return modforms.j_from_lambda_check(order), "j lambda^2 (lambda-1)^2 = 256 (lambda^2-lambda+1)^3"
-
-
-def check_lambda_shift(order):
-    return modforms.lambda_shift_check(order), "lambda(tau+1) = lambda/(lambda-1)"
-
-
 def check_theta_transformations(order):
     worst = max(
         modforms.theta_transformation_residual(tau, order)
         for tau in (1j, 0.3 + 1.1j)
     )
     return worst < 1e-8, f"T and S laws on theta constants, residual {worst:.1e}"
-
-
-def check_rel3(order):
-    return modforms.rel3_check(order), "E4, E6 as polynomials in phi1, phi2"
 
 
 def check_ferapontov(order):
@@ -639,6 +583,128 @@ def check_evaluation_rep(order):
 
 
 # ----------------------------------------------------------------------
+# identity table: each row declares exact q-series identities once
+# ----------------------------------------------------------------------
+
+def _series(name, order):
+    return modforms.named_form(name, order).series
+
+
+def _delta_routes(order):
+    return {"Delta by E4, E6 = eta^24": (
+        _series("Delta", order), modforms.discriminant(order, "eta").series)}
+
+
+def _ramanujan(order):
+    e2, e4, e6 = (_series(f"E{k}", order) for k in (2, 4, 6))
+    return {
+        "D1 E2 = -E4/12": (modforms.serre_derivative(1, e2), e4.scale(Fraction(-1, 12))),
+        "D4 E4 = -E6/3": (modforms.serre_derivative(4, e4), e6.scale(Fraction(-1, 3))),
+        "D6 E6 = -E4^2/2": (modforms.serre_derivative(6, e6), (e4**2).scale(Fraction(-1, 2))),
+    }
+
+
+def _eisenstein_powers(order):
+    """The left sides are sigma-sums, the right sides products."""
+    e4, e6 = _series("E4", order), _series("E6", order)
+    return {
+        "E8 = E4^2": (_series("E8", order), e4**2),
+        "E10 = E4 E6": (_series("E10", order), e4 * e6),
+        "E14 = E4^2 E6": (_series("E14", order), e4**2 * e6),
+    }
+
+
+def _expansion_commutes_with_d(order):
+    p, q, r = (QuasiPoly.var(v) for v in "PQR")
+    polys = {"P": p, "Q": q, "R": r, "PQ + 3R": p * q + r.scale(3), "Q^2 - PR": q * q - p * r}
+    return {
+        f"D({name}) = q d/dq ({name})":
+            (a.d_tau().to_qseries(order), a.to_qseries(order).q_derive())
+        for name, a in polys.items()
+    }
+
+
+def _thetas(order):
+    return (_series(f"theta{i}", order) for i in (2, 3, 4))
+
+
+def _jacobi(order):
+    t2, t3, t4 = _thetas(order)
+    return {"theta2^4 + theta4^4 = theta3^4": (t2**4 + t4**4, t3**4)}
+
+
+def _theta_delta(order):
+    t2, t3, t4 = _thetas(order)
+    return {"theta2^8 theta3^8 theta4^8 = 256 Delta": (
+        t2**8 * t3**8 * t4**8, _series("Delta", order).scale(256))}
+
+
+def _gamma2_combinations(order):
+    """The theta fourth powers, which vanish at single cusps, from F2 and H2."""
+    f2, h2 = (form.series for form in modforms.gamma2_generators(order))
+    return {
+        "theta2^4 = (2 H2 - 2 F2)/3": (
+            f2.scale(Fraction(-2, 3)) + h2.scale(Fraction(2, 3)), _series("theta2", order) ** 4),
+        "theta3^4 = (2 F2 + H2)/3": (
+            f2.scale(Fraction(2, 3)) + h2.scale(Fraction(1, 3)), _series("theta3", order) ** 4),
+        "theta4^4 = (4 F2 - H2)/3": (
+            f2.scale(Fraction(4, 3)) + h2.scale(Fraction(-1, 3)), _series("theta4", order) ** 4),
+    }
+
+
+def _lambda_j(order):
+    lam, j = _series("lambda", order), _series("j", order)
+    return {"j lambda^2 (lambda-1)^2 = 256 (lambda^2-lambda+1)^3": (
+        j * (lam**2) * ((lam - 1) ** 2), ((lam**2 - lam + 1) ** 3).scale(256))}
+
+
+def _lambda_shift(order):
+    """The left side is the exact half-integral shift."""
+    lam = _series("lambda", order)
+    return {"lambda(tau+1) = lambda/(lambda-1)": (lam.shift_tau(), lam / (lam - 1))}
+
+
+def _rel3(order):
+    u, v, e4, e6 = (_series(name, order) for name in ("phi1", "phi2", "E4", "E6"))
+    return {
+        "E4 = u^4 + 8 u v^3": (e4, u**4 + (u * v**3).scale(8)),
+        "E6 = u^6 - 20 u^3 v^3 - 8 v^6": (e6, u**6 - (u**3 * v**3).scale(20) - (v**6).scale(8)),
+    }
+
+
+#: check id -> (detail of a pass, sides): sides(order) maps each identity of
+#: the row to its (lhs, rhs), which must agree on their shared range
+IDENTITIES = {
+    "modforms.delta_dual_route": (
+        "Eisenstein route = eta^24 route to order {order}", _delta_routes),
+    "modforms.ramanujan": ("D1 E2, D4 E4, D6 E6 closed system", _ramanujan),
+    "modforms.eisenstein_powers": ("E8, E10, E14 as monomials", _eisenstein_powers),
+    "quasimodular.series_consistency": (
+        "D and q d/dq agree through the expansion map", _expansion_commutes_with_d),
+    "theta.jacobi_identity": ("theta2^4 + theta4^4 = theta3^4", _jacobi),
+    "theta.delta_product": ("theta products give 256 Delta", _theta_delta),
+    "theta.gamma2_combinations": (
+        "F2/H2 combinations match the theta lattice sums", _gamma2_combinations),
+    "theta.lambda_j": ("j lambda^2 (lambda-1)^2 = 256 (lambda^2-lambda+1)^3", _lambda_j),
+    "theta.lambda_shift": ("lambda(tau+1) = lambda/(lambda-1)", _lambda_shift),
+    "gamma.rel3": ("E4, E6 as polynomials in phi1, phi2", _rel3),
+}
+
+
+def check_identity(check_id, order):
+    """Row `check_id` of IDENTITIES: passes when every identity in it agrees."""
+    detail, sides = IDENTITIES[check_id]
+    failed = [name for name, (lhs, rhs) in sides(order).items() if not lhs.agrees(rhs)]
+    if failed:
+        return False, "failed: " + "; ".join(failed)
+    return True, detail.format(order=order)
+
+
+def _identity(check_id):
+    return check_id, partial(check_identity, check_id)
+
+
+# ----------------------------------------------------------------------
 # suite registry
 # ----------------------------------------------------------------------
 
@@ -650,14 +716,14 @@ SUITES = {
         ("qseries.shift_homomorphism", check_qseries_shift_hom),
         ("qseries.eval_product", check_qseries_eval_product),
         ("modforms.j_expansion", check_j_expansion),
-        ("modforms.delta_dual_route", check_delta_dual_route),
-        ("modforms.ramanujan", check_ramanujan),
-        ("modforms.eisenstein_powers", check_eisenstein_powers),
+        _identity("modforms.delta_dual_route"),
+        _identity("modforms.ramanujan"),
+        _identity("modforms.eisenstein_powers"),
         ("modforms.duke_jenkins_table", check_duke_jenkins_table),
         ("modforms.delta_derivation", check_delta_derivation),
         ("modforms.numeric_s_equivariance", check_numeric_s_equivariance),
         ("quasimodular.d_tau_leibniz", check_dtau_leibniz),
-        ("quasimodular.series_consistency", check_quasimodular_series_consistency),
+        _identity("quasimodular.series_consistency"),
         ("quasimodular.sl2_bundle", check_sl2_bundle),
         ("liealg.jacobi", check_liealg_jacobi),
         ("liealg.grading_additivity", check_grading_additivity),
@@ -670,15 +736,15 @@ SUITES = {
         ("vvmf.hilbert", check_hilbert),
     ],
     "theta": [
-        ("theta.jacobi_identity", check_jacobi_identity),
-        ("theta.delta_product", check_theta_delta),
-        ("theta.gamma2_combinations", check_gamma2_combinations),
-        ("theta.lambda_j", check_lambda_j),
-        ("theta.lambda_shift", check_lambda_shift),
+        _identity("theta.jacobi_identity"),
+        _identity("theta.delta_product"),
+        _identity("theta.gamma2_combinations"),
+        _identity("theta.lambda_j"),
+        _identity("theta.lambda_shift"),
         ("theta.transformation_laws", check_theta_transformations),
     ],
     "gamma": [
-        ("gamma.rel3", check_rel3),
+        _identity("gamma.rel3"),
         ("gamma.ferapontov_ode", check_ferapontov),
         ("gamma.mu_hauptmodul", check_mu),
         ("gamma.klein_forms", check_klein),
@@ -708,10 +774,7 @@ SUITES = {
 
 def suite_checks(name: str):
     if name == "all":
-        out = []
-        for suite in ("core", "theta", "gamma", "alia", "loop"):
-            out.extend(SUITES[suite])
-        return out
+        return [entry for entries in SUITES.values() for entry in entries]
     if name not in SUITES:
         raise KeyError(name)
     return SUITES[name]

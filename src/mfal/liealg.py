@@ -359,7 +359,7 @@ def chevalley(type_label: str) -> ChevalleyStructure:
 class GradedTriple:
     """Grading from Dynkin labels plus a rational standard triple."""
 
-    def __init__(self, type_label: str, labels, materialize=True):
+    def __init__(self, type_label: str, labels):
         labels = tuple(labels)
         self.structure = chevalley(type_label)
         rs = self.structure.rs
@@ -377,7 +377,7 @@ class GradedTriple:
         }
         self.e_vector = None
         self.f_vector = None
-        if materialize and any(labels):
+        if any(labels):
             self._materialize()
 
     def _solve_h(self):
@@ -450,14 +450,6 @@ def graded_triple(type_label: str, orbit: str) -> GradedTriple:
     if key not in ORBIT_LABELS:
         raise ValueError(f"unknown orbit {type_label}:{orbit}")
     return GradedTriple(type_label, ORBIT_LABELS[key])
-
-
-def graded_triple_by_name(name: str) -> GradedTriple:
-    """Orbit addressed as a single string, e.g. "B2:subregular"."""
-    type_label, sep, orbit = name.partition(":")
-    if not sep:
-        raise ValueError(f"expected TYPE:ORBIT, got {name!r}")
-    return graded_triple(type_label, orbit)
 
 
 def _small_coefficient_vectors(n: int):

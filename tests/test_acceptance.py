@@ -122,19 +122,15 @@ def test_criterion_09_theta_suite():
     t4 = modforms.theta(4, ORDER).series
     jacobi = (t2**4 + t4**4).agrees(t3**4)
     delta = (t2**8 * t3**8 * t4**8).agrees(modforms.discriminant(ORDER).series.scale(256))
-    lam_j = modforms.j_from_lambda_check(ORDER)
-    lam_shift = modforms.lambda_shift_check(ORDER)
-    try:
-        modforms.gamma2_generators(ORDER)
-        combos = True
-    except AssertionError:
-        combos = False
+    lam_j = checks.check_identity("theta.lambda_j", ORDER)[0]
+    lam_shift = checks.check_identity("theta.lambda_shift", ORDER)[0]
+    combos = checks.check_identity("theta.gamma2_combinations", ORDER)[0]
     ok = jacobi and delta and lam_j and lam_shift and combos
     report(9, "theta and Hauptmodul identities", ok, f"(exact to order {ORDER})")
 
 
 def test_criterion_10_gamma3():
-    rel = modforms.rel3_check(ORDER)
+    rel = checks.check_identity("gamma.rel3", ORDER)[0]
     ode = modforms.ferapontov_ode_check(ORDER)
     report(10, "Gamma(3) relations and the integrable ODE", rel and ode,
            f"(exact to order {ORDER})")

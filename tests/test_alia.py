@@ -311,8 +311,6 @@ def test_levi_dimensions():
     assert alia.levi_dimensions("A1", "principal") == (1, 0)
     radical, levi = alia.levi_dimensions("B2", "subregular")
     assert levi >= 3
-    # trivial grading: the whole semisimple algebra is the Levi factor
-    assert alia.levi_dimensions_for_labels("A2", (0, 0)) == (0, 8)
 
 
 def test_weight_zero_iso_report():

@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+from mfal import checks
 from mfal.cli import main
 
 
@@ -141,6 +142,8 @@ def test_verify_deterministic(capsys):
 def test_verify_unknown_suite(capsys):
     code, _, err = run(capsys, "verify", "bogus")
     assert code == 2
+    assert err == "unknown suite 'bogus'; choose from core, theta, gamma, alia, loop, all\n"
+    assert err.strip().split("choose from ")[1].split(", ") == [*checks.SUITES, "all"]
 
 
 def test_verify_suite_flag_form(capsys):

@@ -127,15 +127,6 @@ def test_a1_adjoint_grading():
     assert sorted(gt.grading.values()) == [-2, 2]
 
 
-def test_orbit_string_addressing():
-    gt = liealg.graded_triple_by_name("B2:subregular")
-    assert gt.labels == (0, 2)
-    with pytest.raises(ValueError):
-        liealg.graded_triple_by_name("B2")
-    with pytest.raises(ValueError):
-        liealg.graded_triple_by_name("E8:principal")
-
-
 def test_sym_rep_defining():
     rep = liealg.sym_rep(1)
     assert rep.h == [[1, 0], [0, -1]]

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from mfal import modforms as mf
+from mfal import checks, modforms as mf
 from mfal.modforms import OddWeight, UnknownForm, Unsupported
 from mfal.qseries import QSeries
 
@@ -79,7 +79,7 @@ def test_theta_expansions():
 
 
 def test_jacobi_identity():
-    assert mf.jacobi_identity_check(ORDER)
+    assert checks.check_identity("theta.jacobi_identity", ORDER)[0]
 
 
 def test_theta2_shift_sign():
@@ -142,10 +142,14 @@ def test_gamma5_form():
 
 
 def test_gamma2_generators():
-    f2, h2, t2, t3, t4 = mf.gamma2_generators(ORDER)
+    f2, h2 = mf.gamma2_generators(ORDER)
     assert [f2.series.coefficient(n) for n in range(3)] == [1, 24, 24]
     assert [h2.series.coefficient(Fraction(n, 2)) for n in range(5)] == [1, 24, 24, 96, 24]
+    # the table row's F2/H2 combinations for theta2^4, theta3^4, theta4^4
+    sides = checks.IDENTITIES["theta.gamma2_combinations"][1](ORDER)
+    t2, t3, t4 = (combination for combination, _ in sides.values())
     assert (t2 + t4).agrees(t3)
+    assert checks.check_identity("theta.gamma2_combinations", ORDER)[0]
 
 
 def test_lambda_invariant():
@@ -155,15 +159,15 @@ def test_lambda_invariant():
                 (Fraction(5, 2), 11488), (3, -38400)]
     for e, c in expected:
         assert lam.coefficient(e) == c
-    assert mf.j_from_lambda_check(24)
-    assert mf.lambda_shift_check(24)
+    assert checks.check_identity("theta.lambda_j", 24)[0]
+    assert checks.check_identity("theta.lambda_shift", 24)[0]
 
 
 def test_mu_hauptmodul():
     mu = mf.mu_gamma4(24).series
     assert mu.coefficient(0) == 1
     assert mu.denom in (1, 2, 4)
-    assert mf.theta_product_delta_check(24)
+    assert checks.check_identity("theta.delta_product", 24)[0]
 
 
 def test_gamma3_generators():
@@ -179,7 +183,7 @@ def test_gamma3_generators():
     for n in range(16):
         assert phi1.series.coefficient(n) == hex_count(n)
     assert phi2.series.coefficient(Fraction(1, 3)) == 3
-    assert mf.rel3_check(24)
+    assert checks.check_identity("gamma.rel3", 24)[0]
 
 
 def test_ferapontov():
@@ -222,14 +226,14 @@ def test_duke_jenkins():
 def test_serre_derivative_and_ramanujan():
     zero = QSeries.zero(trunc=ORDER)
     assert mf.serre_derivative(7, zero).is_zero()
-    assert mf.ramanujan_check(ORDER)
+    assert checks.check_identity("modforms.ramanujan", ORDER)[0]
     # D_12 Delta = 0: the logarithmic derivative of the product is E2
     delta = mf.discriminant(ORDER).series
     assert mf.serre_derivative(12, delta).is_zero()
 
 
 def test_eisenstein_power_identities():
-    assert mf.eisenstein_power_identities(ORDER)
+    assert checks.check_identity("modforms.eisenstein_powers", ORDER)[0]
 
 
 def test_delta_derivation():
@@ -264,6 +268,19 @@ def test_numeric_modularity():
         e2 = mf.eisenstein(2, 64).series
         anomaly = 12 * tau / (2j * cmath.pi)
         assert abs(e2.eval_numeric(-1 / tau) - (tau**2 * e2.eval_numeric(tau) + anomaly)) < 1e-8
+
+
+def test_s_law_residual():
+    for tau in (1j, 0.3 + 1.1j):
+        for name in ("E2", "E4", "E6", "Delta", "j"):
+            assert mf.s_law_residual(mf.named_form(name, 64), tau) < 1e-6, name
+    # without E2's anomaly the law misses by |12 tau / (2 pi i)|
+    e2 = mf.named_form("E2", 64)
+    plain = mf.NamedForm("E2 without its name", 2, "Gamma(1)", e2.series)
+    assert abs(mf.s_law_residual(plain, 1j) - 6 / cmath.pi) < 1e-8
+    for name in ("theta2", "eta", "lambda"):
+        with pytest.raises(Unsupported, match="no S law"):
+            mf.s_law_residual(mf.named_form(name, 24), 1j)
 
 
 def test_theta_transformation_laws_numeric():
