@@ -3,7 +3,8 @@
 The cocycle exponents (w4, w6) that place j and (j-1728) factors in the
 brackets are computed from the weight-residue table, then independently
 certified against exact q-series identities between the weight-k module
-generators: that cross-check is the trust anchor of the whole package.
+generators (the ``alia.scalar_oracle`` row of ``mfal.checks``): that
+cross-check is the trust anchor of the whole package.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from fractions import Fraction
 
 from . import liealg, modforms
 from .liealg import BracketTable, ChevalleyStructure, GradedTriple
-from .linalg import Matrix, rank, rref
+from .linalg import rank, rref
 from .poly import Ring, add, horner, mul
 from .qseries import QSeries
 from .quasimodular import QuasiMatrix, QuasiPoly
@@ -282,9 +283,6 @@ class SpecializedAlgebra(BracketTable):
         dims = self.derived_series_lengths(max_steps=within_steps + 1)
         return 0 in dims[: within_steps + 1]
 
-    def killing_determinant(self) -> Fraction:
-        return Matrix(self.killing()).det()
-
 
 def _dense(vectors, dim):
     """Rows of coefficients from index -> coefficient dicts."""
@@ -296,41 +294,13 @@ def alia_table(type_label: str, orbit: str) -> AliaTable:
 
 
 # ----------------------------------------------------------------------
-# the q-series oracle for the cocycle exponents
-# ----------------------------------------------------------------------
-
-def scalar_oracle(type_label: str, orbit: str, order=64) -> bool:
-    """Certify F_{-k(a)} F_{-k(b)} = j^w4 (j-1728)^w6 F_{-k(a)-k(b)} exactly.
-
-    This is the modular-forms side of the bracket table: it never looks at
-    the residue arithmetic that produced w4, w6.
-    """
-    table = AliaTable(type_label, orbit)
-    grading = table.triple.grading
-    exponents = {}
-    for (alpha, beta), w4 in table.cocycles.w4.items():
-        key = tuple(sorted((grading[alpha], grading[beta])))
-        exponents.setdefault(key, (w4, table.cocycles.w6[(alpha, beta)]))
-    # j^w4 (j-1728)^w6 multiplies w4 + w6 copies of j, of valuation -1
-    degree = max((w4 + w6 for w4, w6 in exponents.values()), default=0)
-    j_series = modforms.named_form("j", modforms.depth(order, (-1, degree))).series
-
-    def fk(k):
-        return modforms.named_form(f"F_k:{k}", order).series
-
-    for (ka, kb), (w4, w6) in exponents.items():
-        rhs = JPoly.j_power_form(w4, w6).as_series(j_series) * fk(-ka - kb)
-        if not (fk(-ka) * fk(-kb)).agrees(rhs):
-            return False
-    return True
-
-
-# ----------------------------------------------------------------------
 # the explicit sl2 bundle
 # ----------------------------------------------------------------------
 
 class Sl2Bundle:
-    """The weight -2, 0, 2 matrix forms and their certified relations."""
+    """The weight -2, 0, 2 matrix forms and the triple (h, e, f) they span;
+    the ``quasimodular.sl2_bundle`` row of ``mfal.checks`` certifies their
+    relations."""
 
     def __init__(self):
         tau = QuasiPoly.var("tau")
@@ -347,59 +317,6 @@ class Sl2Bundle:
         self.e = self.a_minus2.scale(pi_sq * q_var * Fraction(1, 36)) + self.a_2.scale(
             pi_sq * Fraction(2)
         )
-
-    def triple_relations_ok(self) -> bool:
-        return (
-            (self.h.commutator(self.e) - self.e.scale(2)).is_zero()
-            and (self.h.commutator(self.f) + self.f.scale(2)).is_zero()
-            and (self.e.commutator(self.f) - self.h).is_zero()
-        )
-
-    def conjugation_ok(self) -> bool:
-        """Phi_1 conjugates the constant standard triple to (h, e, f)."""
-        from .vvmf import phi
-
-        m = phi(1).matrix
-        m_inv = m.inverse()
-        h0 = QuasiMatrix([[1, 0], [0, -1]])
-        e0 = QuasiMatrix([[0, 1], [0, 0]])
-        f0 = QuasiMatrix([[0, 0], [1, 0]])
-        return (
-            (m * h0 * m_inv - self.h).is_zero()
-            and (m * e0 * m_inv - self.e).is_zero()
-            and (m * f0 * m_inv - self.f).is_zero()
-        )
-
-    def ad_a0_matrix_ok(self) -> bool:
-        """Images of the weight basis under ad(a_0), rows of the display.
-
-        [a0, a_minus2] = s * (-2 a_minus2) and
-        [a0, a_2] = s * ((E4/18) a_minus2 + 2 a_2).
-        """
-        s = QuasiPoly.var("s")
-        q_var = QuasiPoly.var("Q")
-        lhs1 = self.a_0.commutator(self.a_minus2)
-        rhs1 = self.a_minus2.scale(s * Fraction(-2))
-        lhs2 = self.a_0.commutator(self.a_2)
-        rhs2 = self.a_minus2.scale(s * q_var * Fraction(1, 18)) + self.a_2.scale(
-            s * Fraction(2)
-        )
-        return (lhs1 - rhs1).is_zero() and (lhs2 - rhs2).is_zero()
-
-    def t_conjugation_ok(self) -> bool:
-        """a_minus2(tau + 1) = T a_minus2(tau) T^-1 exactly."""
-        t = QuasiMatrix([[1, 1], [0, 1]])
-        t_inv = QuasiMatrix([[1, -1], [0, 1]])
-        return (self.a_minus2.shift_tau() - t * self.a_minus2 * t_inv).is_zero()
-
-    def h_entry_ok(self) -> bool:
-        """h[1][0] = (1/3) i pi E2, i.e. P/(6s)."""
-        expected = QuasiPoly.monomial((0, 1, 0, 0, -1), Fraction(1, 6))
-        return self.h[1, 0] == expected
-
-
-def sl2_explicit() -> Sl2Bundle:
-    return Sl2Bundle()
 
 
 # ----------------------------------------------------------------------

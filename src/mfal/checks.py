@@ -5,10 +5,12 @@ working order and returns (passed, detail).  Checks are grouped into the
 SUITES; `all` runs every suite.  Results are deterministic: sampling uses
 fixed seeds.
 
-The checks that are pure identities between exact q-series are rows of one
-table, IDENTITIES: each row names its identities and builds their two sides
-at the working order, and `check_identity` runs a row.  A row fails with the
-names of the identities whose sides disagree.
+Every check that is a pure exact identity, over any of the package's rings,
+is a row of one table, IDENTITIES (kept in `mfal.identities`), run by
+`check_identity`; SUITES holds each row at its place.  The checks written
+out here sample random elements, compare numbers within a tolerance, read
+off properties (valuations, dimensions, a raised error) or guard their
+order.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from fractions import Fraction
 from functools import partial
 
 from . import alia, liealg, loopext, modforms, vvmf
+from .identities import IDENTITIES, check_identity
 from .linalg import Matrix
 from .qseries import QSeries
 from .quasimodular import QuasiPoly
@@ -93,20 +96,6 @@ def check_qseries_eval_product(order):
     return err < 1e-10, f"|eval(E4*E6) - eval(E4)eval(E6)| = {err:.2e} at tau=i"
 
 
-def check_j_expansion(order):
-    j = modforms.named_form("j", order).series
-    expected = {
-        Fraction(-1): 1,
-        Fraction(0): 744,
-        Fraction(1): 196884,
-        Fraction(2): 21493760,
-    }
-    for e, c in expected.items():
-        if j.coefficient(e) != c:
-            return False, f"j coefficient at {e} is {j.coefficient(e)}"
-    return True, "head coefficients exact"
-
-
 def check_duke_jenkins_table(order):
     expected = {0: (0, 0), 2: (2, 1), 4: (1, 0), 6: (0, 1), 8: (2, 0), 10: (1, 1)}
     for k in range(-24, 26, 2):
@@ -165,21 +154,6 @@ def check_dtau_leibniz(order):
     return True, "derivation property on sampled products"
 
 
-def check_sl2_bundle(order):
-    b = alia.sl2_explicit()
-    if not b.triple_relations_ok():
-        return False, "[h,e], [h,f], [e,f] failed"
-    if not b.conjugation_ok():
-        return False, "Phi_1 conjugation failed"
-    if not b.ad_a0_matrix_ok():
-        return False, "ad(a_0) matrix identities failed"
-    if not b.t_conjugation_ok():
-        return False, "a_{-2}(tau+1) conjugation failed"
-    if not b.h_entry_ok():
-        return False, "h entry (2,1) is not E2/(6s)"
-    return True, "standard triple, conjugation, ad(a_0), T-shift all exact"
-
-
 def check_liealg_jacobi(order):
     for t in ("A1", "A2", "B2", "G2"):
         if not liealg.chevalley(t).jacobi_ok():
@@ -202,20 +176,6 @@ def check_grading_additivity(order):
     return True, "k additive and (H, E, F) standard for all orbits"
 
 
-def check_symrep_relations(order):
-    for n in range(0, 9):
-        rep = liealg.sym_rep(n)
-        e, f = Matrix(rep.e), Matrix(rep.f)
-        if e.commutator(f) != Matrix(rep.h):
-            return False, f"[E,F] != H at n={n}"
-        p = e
-        for _ in range(n):
-            p = p * e
-        if not p.is_zero():
-            return False, f"E not nilpotent of index {n+1}"
-    return True, "commutation and nilpotency for n <= 8"
-
-
 def check_killing_associativity(order):
     rng = random.Random(707)
     for t in ("A2", "B2", "G2"):
@@ -231,32 +191,11 @@ def check_killing_associativity(order):
     return True, "invariance on sampled triples, three types"
 
 
-def check_phi_det(order):
-    for n in range(0, 7):
-        if not (vvmf.phi(n).determinant() == QuasiPoly.const(1)):
-            return False, f"det Phi_{n} != 1"
-    return True, "unimodular for n <= 6"
-
-
-def check_phi_functoriality(order):
-    for n in (2, 3, 4):
-        if not vvmf.phi_functoriality_check(n):
-            return False, f"Sym^{n} of Phi_1 differs from Phi_{n}"
-    return True, "Sym^n Phi_1 = Phi_n for n <= 4"
-
-
-def check_phi_T(order):
-    for n in (1, 2, 3, 4):
-        if not vvmf.check_T_equivariance(n):
-            return False, f"T-equivariance failed at n={n}"
-    return True, "exact polynomial identity for n <= 4"
-
-
 def check_phi_S(order):
     worst = 0.0
     for n in (1, 2, 3):
         for tau in (1j, 0.3 + 1.1j):
-            worst = max(worst, vvmf.check_S_equivariance(n, tau, order))
+            worst = max(worst, vvmf.check_gamma_equivariance(n, vvmf.S_GAMMA, tau, order))
     return worst < 1e-8, f"max S-residual {worst:.2e} for n <= 3"
 
 
@@ -356,13 +295,6 @@ def check_alia_jacobi(order):
     return True, "exact over Q[j], all orbits"
 
 
-def check_scalar_oracle(order):
-    for key in ORBITS:
-        if not alia.scalar_oracle(*key, order=order):
-            return False, f"series oracle failed for {key}"
-    return True, "two-route certification for all orbits"
-
-
 def check_barrel_contraction(order):
     table = alia.alia_table("A1", "principal")
     idx_e = table.index[("A", (1,))]
@@ -409,30 +341,6 @@ def check_levi(order):
 # ----------------------------------------------------------------------
 # loop suite
 # ----------------------------------------------------------------------
-
-def check_residue_calculus(order):
-    field = loopext.CycloField(4)
-    i = field.zeta
-    f = loopext.RatFunc.pole_factor(field, i, 1) * loopext.RatFunc.polynomial(field, [1, 2])
-    g = loopext.RatFunc.pole_factor(field, i, 2)
-    lhs = loopext.residue(f + g, i)
-    rhs = loopext.residue(f, i) + loopext.residue(g, i)
-    if not (lhs - rhs).is_zero():
-        return False, "residue not additive"
-    if not loopext.residue((f * g).derivative(), i).is_zero():
-        return False, "residue of an exact derivative"
-    return True, "linearity and res(f') = 0 at an exact pole"
-
-
-def check_total_residue(order):
-    field, points = loopext.pole_preset("octahedral")
-    f = loopext.RatFunc.polynomial(field, [1, 1])
-    for a in points:
-        f = f * loopext.RatFunc.pole_factor(field, a, 1)
-    total = loopext.residue_at_infinity(f, points)
-    # residue at infinity of O(t^{-4}) decay is zero
-    return total.is_zero(), "finite residues sum to zero for decaying f"
-
 
 def check_cocycle_properties(order):
     st = liealg.chevalley("A1")
@@ -484,46 +392,6 @@ def check_cocycle_properties(order):
     if loopext.cocycle_rank(st, pairs, points) != len(points):
         return False, "puncture cocycles not independent"
     return True, "bilinear, antisymmetric, 2-cocycle, independent (rank M-1)"
-
-
-def check_cocycle_monomials(order):
-    field = loopext.CycloField(1)
-    zero = field.zero
-    for t in ("A1", "A2"):
-        st = liealg.chevalley(t)
-        alpha = st.rs.positive[0]
-        neg = tuple(-a for a in alpha)
-        pairs = [
-            (st.index[("A", alpha)], st.index[("A", neg)]),  # K != 0
-            (st.index[("H", 0)], st.index[("H", 0)]),        # K != 0
-            (st.index[("A", alpha)], st.index[("A", alpha)]),  # K = 0
-        ]
-        for i, j in pairs:
-            x = {i: Fraction(1)}
-            y = {j: Fraction(1)}
-            k_val = st.killing_form(x, y)
-            for m in range(-6, 7):
-                for n in range(-6, 7):
-                    val = loopext.loop_cocycle(
-                        st, x, loopext.RatFunc.t_power(field, m),
-                        y, loopext.RatFunc.t_power(field, n), zero,
-                    )
-                    expect = field.rational(m * k_val) if m + n == 0 else zero
-                    if not (val == expect):
-                        return False, f"omega(x z^{m}, y z^{n}) wrong in {t}"
-    return True, "omega(x z^m, y z^n) = m K(x,y) delta for |m|,|n| <= 6, A1 and A2"
-
-
-def check_onsager(order):
-    if not loopext.onsager_relations_check(10):
-        return False, "defining relations failed"
-    if not loopext.onsager_hef_check():
-        return False, "[e,f] = jhat(jhat-1) h failed"
-    return True, "relations to index 10 and the Hauptmodul bracket"
-
-
-def check_dolan_grady(order):
-    return loopext.dolan_grady_check(), "nested bracket relations over Q[j]"
 
 
 def check_polyhedral_cocycles(order):
@@ -582,124 +450,6 @@ def check_evaluation_rep(order):
     return True, "bracket respected on samples; pole evaluation rejected"
 
 
-# ----------------------------------------------------------------------
-# identity table: each row declares exact q-series identities once
-# ----------------------------------------------------------------------
-
-def _series(name, order):
-    return modforms.named_form(name, order).series
-
-
-def _delta_routes(order):
-    return {"Delta by E4, E6 = eta^24": (
-        _series("Delta", order), modforms.discriminant(order, "eta").series)}
-
-
-def _ramanujan(order):
-    e2, e4, e6 = (_series(f"E{k}", order) for k in (2, 4, 6))
-    return {
-        "D1 E2 = -E4/12": (modforms.serre_derivative(1, e2), e4.scale(Fraction(-1, 12))),
-        "D4 E4 = -E6/3": (modforms.serre_derivative(4, e4), e6.scale(Fraction(-1, 3))),
-        "D6 E6 = -E4^2/2": (modforms.serre_derivative(6, e6), (e4**2).scale(Fraction(-1, 2))),
-    }
-
-
-def _eisenstein_powers(order):
-    """The left sides are sigma-sums, the right sides products."""
-    e4, e6 = _series("E4", order), _series("E6", order)
-    return {
-        "E8 = E4^2": (_series("E8", order), e4**2),
-        "E10 = E4 E6": (_series("E10", order), e4 * e6),
-        "E14 = E4^2 E6": (_series("E14", order), e4**2 * e6),
-    }
-
-
-def _expansion_commutes_with_d(order):
-    p, q, r = (QuasiPoly.var(v) for v in "PQR")
-    polys = {"P": p, "Q": q, "R": r, "PQ + 3R": p * q + r.scale(3), "Q^2 - PR": q * q - p * r}
-    return {
-        f"D({name}) = q d/dq ({name})":
-            (a.d_tau().to_qseries(order), a.to_qseries(order).q_derive())
-        for name, a in polys.items()
-    }
-
-
-def _thetas(order):
-    return (_series(f"theta{i}", order) for i in (2, 3, 4))
-
-
-def _jacobi(order):
-    t2, t3, t4 = _thetas(order)
-    return {"theta2^4 + theta4^4 = theta3^4": (t2**4 + t4**4, t3**4)}
-
-
-def _theta_delta(order):
-    t2, t3, t4 = _thetas(order)
-    return {"theta2^8 theta3^8 theta4^8 = 256 Delta": (
-        t2**8 * t3**8 * t4**8, _series("Delta", order).scale(256))}
-
-
-def _gamma2_combinations(order):
-    """The theta fourth powers, which vanish at single cusps, from F2 and H2."""
-    f2, h2 = (form.series for form in modforms.gamma2_generators(order))
-    return {
-        "theta2^4 = (2 H2 - 2 F2)/3": (
-            f2.scale(Fraction(-2, 3)) + h2.scale(Fraction(2, 3)), _series("theta2", order) ** 4),
-        "theta3^4 = (2 F2 + H2)/3": (
-            f2.scale(Fraction(2, 3)) + h2.scale(Fraction(1, 3)), _series("theta3", order) ** 4),
-        "theta4^4 = (4 F2 - H2)/3": (
-            f2.scale(Fraction(4, 3)) + h2.scale(Fraction(-1, 3)), _series("theta4", order) ** 4),
-    }
-
-
-def _lambda_j(order):
-    lam, j = _series("lambda", order), _series("j", order)
-    return {"j lambda^2 (lambda-1)^2 = 256 (lambda^2-lambda+1)^3": (
-        j * (lam**2) * ((lam - 1) ** 2), ((lam**2 - lam + 1) ** 3).scale(256))}
-
-
-def _lambda_shift(order):
-    """The left side is the exact half-integral shift."""
-    lam = _series("lambda", order)
-    return {"lambda(tau+1) = lambda/(lambda-1)": (lam.shift_tau(), lam / (lam - 1))}
-
-
-def _rel3(order):
-    u, v, e4, e6 = (_series(name, order) for name in ("phi1", "phi2", "E4", "E6"))
-    return {
-        "E4 = u^4 + 8 u v^3": (e4, u**4 + (u * v**3).scale(8)),
-        "E6 = u^6 - 20 u^3 v^3 - 8 v^6": (e6, u**6 - (u**3 * v**3).scale(20) - (v**6).scale(8)),
-    }
-
-
-#: check id -> (detail of a pass, sides): sides(order) maps each identity of
-#: the row to its (lhs, rhs), which must agree on their shared range
-IDENTITIES = {
-    "modforms.delta_dual_route": (
-        "Eisenstein route = eta^24 route to order {order}", _delta_routes),
-    "modforms.ramanujan": ("D1 E2, D4 E4, D6 E6 closed system", _ramanujan),
-    "modforms.eisenstein_powers": ("E8, E10, E14 as monomials", _eisenstein_powers),
-    "quasimodular.series_consistency": (
-        "D and q d/dq agree through the expansion map", _expansion_commutes_with_d),
-    "theta.jacobi_identity": ("theta2^4 + theta4^4 = theta3^4", _jacobi),
-    "theta.delta_product": ("theta products give 256 Delta", _theta_delta),
-    "theta.gamma2_combinations": (
-        "F2/H2 combinations match the theta lattice sums", _gamma2_combinations),
-    "theta.lambda_j": ("j lambda^2 (lambda-1)^2 = 256 (lambda^2-lambda+1)^3", _lambda_j),
-    "theta.lambda_shift": ("lambda(tau+1) = lambda/(lambda-1)", _lambda_shift),
-    "gamma.rel3": ("E4, E6 as polynomials in phi1, phi2", _rel3),
-}
-
-
-def check_identity(check_id, order):
-    """Row `check_id` of IDENTITIES: passes when every identity in it agrees."""
-    detail, sides = IDENTITIES[check_id]
-    failed = [name for name, (lhs, rhs) in sides(order).items() if not lhs.agrees(rhs)]
-    if failed:
-        return False, "failed: " + "; ".join(failed)
-    return True, detail.format(order=order)
-
-
 def _identity(check_id):
     return check_id, partial(check_identity, check_id)
 
@@ -715,7 +465,7 @@ SUITES = {
         ("qseries.leibniz", check_qseries_leibniz),
         ("qseries.shift_homomorphism", check_qseries_shift_hom),
         ("qseries.eval_product", check_qseries_eval_product),
-        ("modforms.j_expansion", check_j_expansion),
+        _identity("modforms.j_expansion"),
         _identity("modforms.delta_dual_route"),
         _identity("modforms.ramanujan"),
         _identity("modforms.eisenstein_powers"),
@@ -724,14 +474,14 @@ SUITES = {
         ("modforms.numeric_s_equivariance", check_numeric_s_equivariance),
         ("quasimodular.d_tau_leibniz", check_dtau_leibniz),
         _identity("quasimodular.series_consistency"),
-        ("quasimodular.sl2_bundle", check_sl2_bundle),
+        _identity("quasimodular.sl2_bundle"),
         ("liealg.jacobi", check_liealg_jacobi),
         ("liealg.grading_additivity", check_grading_additivity),
-        ("liealg.symrep", check_symrep_relations),
+        _identity("liealg.symrep"),
         ("liealg.killing_associativity", check_killing_associativity),
-        ("vvmf.phi_det", check_phi_det),
-        ("vvmf.phi_functoriality", check_phi_functoriality),
-        ("vvmf.phi_T_exact", check_phi_T),
+        _identity("vvmf.phi_det"),
+        _identity("vvmf.phi_functoriality"),
+        _identity("vvmf.phi_T_exact"),
         ("vvmf.phi_S_numeric", check_phi_S),
         ("vvmf.hilbert", check_hilbert),
     ],
@@ -754,18 +504,18 @@ SUITES = {
         ("alia.cocycle_values", check_cocycle_values),
         ("alia.cocycle_condition", check_cocycle_condition),
         ("alia.jacobi_tables", check_alia_jacobi),
-        ("alia.scalar_oracle", check_scalar_oracle),
+        _identity("alia.scalar_oracle"),
         ("alia.barrel_contraction", check_barrel_contraction),
         ("alia.specialization", check_specialization),
         ("alia.levi_dimensions", check_levi),
     ],
     "loop": [
-        ("loop.residue_calculus", check_residue_calculus),
-        ("loop.total_residue", check_total_residue),
+        _identity("loop.residue_calculus"),
+        _identity("loop.total_residue"),
         ("loop.cocycle_properties", check_cocycle_properties),
-        ("loop.cocycle_monomials", check_cocycle_monomials),
-        ("loop.onsager", check_onsager),
-        ("loop.dolan_grady", check_dolan_grady),
+        _identity("loop.cocycle_monomials"),
+        _identity("loop.onsager"),
+        _identity("loop.dolan_grady"),
         ("loop.polyhedral_cocycles", check_polyhedral_cocycles),
         ("loop.evaluation_rep", check_evaluation_rep),
     ],

@@ -40,14 +40,24 @@ def _parse_tau(text: str) -> complex:
         raise argparse.ArgumentTypeError(f"cannot parse tau {text!r}") from exc
 
 
-def cmd_expand(args) -> int:
+def _named_form(args):
+    """The form ``args.form`` at ``args.order``, or None after a one-line
+    message when the name is unknown or names an odd weight F_k."""
     from . import modforms
 
     try:
-        form = modforms.named_form(args.form, args.order)
+        return modforms.named_form(args.form, args.order)
     except modforms.UnknownForm:
-        print(f"unknown form {args.form!r}; known: {', '.join(modforms.REGISTERED_NAMES)}",
-              file=sys.stderr)
+        print(f"unknown form {args.form!r}; known: {', '.join(modforms.REGISTERED_NAMES)}, "
+              "F_k:<even int>", file=sys.stderr)
+    except modforms.OddWeight as exc:
+        print(f"error: {args.form}: {exc}", file=sys.stderr)
+    return None
+
+
+def cmd_expand(args) -> int:
+    form = _named_form(args)
+    if form is None:
         return 2
     series = form.series
     if args.format == "json":
@@ -127,10 +137,8 @@ def cmd_eval(args) -> int:
     from . import modforms
     from .qseries import NeedsCyclotomic, NotConvergent
 
-    try:
-        form = modforms.named_form(args.form, args.order)
-    except modforms.UnknownForm:
-        print(f"unknown form {args.form!r}", file=sys.stderr)
+    form = _named_form(args)
+    if form is None:
         return 2
     tau = args.tau
     series = form.series

@@ -149,9 +149,6 @@ class Matrix:
                 b.rows[i][i] = b.rows[i][i] + c[m]
         return _det(c), (-b if n % 2 == 0 else b)
 
-    def adjugate(self) -> "Matrix":
-        return self.det_adjugate()[1]
-
 
 # ----------------------------------------------------------------------
 # Gauss-Jordan elimination over a field

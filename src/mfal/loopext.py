@@ -12,7 +12,6 @@ from fractions import Fraction
 from math import comb
 
 from . import liealg
-from .alia import AliaTable, JPoly
 from .linalg import Matrix, dot, rank, solve
 from .poly import Ring, add, horner, mul, sparse_add, sparse_mul, trim
 
@@ -431,90 +430,6 @@ def onsager_G(m: int) -> Matrix:
     if m == 0:
         return _laurent_matrix([[{}, {}], [{}, {}]])
     return _laurent_matrix([[{m: 1, -m: -1}, {}], [{}, {m: -1, -m: 1}]])
-
-
-def onsager_relations_check(bound: int = 10) -> bool:
-    """The defining Onsager relations under the loop realization.
-
-    [G_m, G_n] = 0, [G_m, A_k] = 2 A_{k+m} - 2 A_{k-m}, [A_k, A_l] = G_{k-l}
-    with G_{-m} = -G_m and G_0 = 0.
-    """
-    for m in range(1, bound + 1):
-        for n in range(1, bound + 1):
-            if not onsager_G(m).commutator(onsager_G(n)).is_zero():
-                return False
-    for m in range(1, bound + 1):
-        for k in range(-bound, bound + 1):
-            lhs = onsager_G(m).commutator(onsager_A(k))
-            rhs = onsager_A(k + m).scale(2) - onsager_A(k - m).scale(2)
-            if not (lhs - rhs).is_zero():
-                return False
-    for k in range(-bound, bound + 1):
-        for l in range(-bound, bound + 1):
-            lhs = onsager_A(k).commutator(onsager_A(l))
-            d = k - l
-            if d > 0:
-                rhs = onsager_G(d)
-            elif d < 0:
-                rhs = onsager_G(-d).scale(-1)
-            else:
-                rhs = onsager_G(0)
-            if not (lhs - rhs).is_zero():
-                return False
-    return True
-
-
-def onsager_hef_check() -> bool:
-    """[h, e] = 2e, [h, f] = -2f, [e, f] = jhat(jhat - 1) h.
-
-    The e, f prefactor is (z^2 - z^{-2})/8: with jhat = (z^2 + 2 + z^-2)/4
-    this is the normalization that closes the bracket on jhat(jhat-1)h.
-    """
-    c = Laurent({2: Fraction(1, 8), -2: Fraction(-1, 8)})
-    e = Matrix([[1, -1], [1, -1]]).scale(c)
-    f = Matrix([[1, 1], [-1, -1]]).scale(c)
-    h = Matrix([[0, 1], [1, 0]]).scale(Laurent({0: 1}))
-    jhat = Laurent({2: Fraction(1, 4), 0: Fraction(1, 2), -2: Fraction(1, 4)})
-    rhs = h.scale(jhat * (jhat - 1))
-    return (
-        (h.commutator(e) - e.scale(2)).is_zero()
-        and (h.commutator(f) + f.scale(2)).is_zero()
-        and (e.commutator(f) - rhs).is_zero()
-    )
-
-
-def dolan_grady_check() -> bool:
-    """Dolan-Grady relations for the Onsager generators inside the A1 table.
-
-    B0 = h and B1 = ((2j - 1728) h - 2 e + 2 f)/1728 must satisfy
-    [B1,[B1,[B1,B0]]] = 4 [B1,B0] and the index-swapped relation, exactly
-    over Q[j].
-    """
-    table = AliaTable("A1", "principal")
-    idx_h = table.index[("H", 0)]
-    idx_e = table.index[("A", (1,))]
-    idx_f = table.index[("A", (-1,))]
-    b0 = {idx_h: JPoly.const(1)}
-    b1 = {
-        idx_h: JPoly((Fraction(-1728, 1728), Fraction(2, 1728))),
-        idx_e: JPoly.const(Fraction(-2, 1728)),
-        idx_f: JPoly.const(Fraction(2, 1728)),
-    }
-
-    def nested(a, b, depth):
-        out = table.bracket(a, b)
-        for _ in range(depth - 1):
-            out = table.bracket(a, out)
-        return out
-
-    def scaled(vec, c):
-        return {k: p * c for k, p in vec.items()}
-
-    lhs1 = nested(b1, b0, 3)
-    rhs1 = scaled(table.bracket(b1, b0), 4)
-    lhs2 = nested(b0, b1, 3)
-    rhs2 = scaled(table.bracket(b0, b1), 4)
-    return lhs1 == rhs1 and lhs2 == rhs2
 
 
 # ----------------------------------------------------------------------

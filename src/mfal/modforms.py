@@ -437,7 +437,10 @@ _STORE: dict = {}
 
 def _build(name: str, order) -> NamedForm:
     if name.startswith("F_k:"):
-        k = int(name.split(":", 1)[1])
+        try:
+            k = int(name.split(":", 1)[1])
+        except ValueError:
+            raise UnknownForm(name) from None
         return NamedForm(name, k, "Gamma(1)", duke_jenkins(k, order)[3])
     if name not in _BUILDERS:
         raise UnknownForm(name)

@@ -49,20 +49,6 @@ T_GAMMA = ((1, 1), (0, 1))
 S_GAMMA = ((0, -1), (1, 0))
 
 
-def check_T_equivariance(n: int) -> bool:
-    """Phi_n(tau+1) = rho_n(T) Phi_n(tau) as an exact polynomial identity.
-
-    E2 is T-periodic, so only tau moves; the grading factor is untouched by
-    T since c = 0.
-    """
-    op = phi(n)
-    shifted = op.matrix.shift_tau()
-    rho_t = QuasiMatrix(
-        [[QuasiPoly.const(c) for c in row] for row in rho_matrix(n, T_GAMMA)]
-    )
-    return (shifted - rho_t * op.matrix).is_zero()
-
-
 def check_gamma_equivariance(n: int, gamma, tau: complex, order=64) -> float:
     """Max entry residual of Phi_n(gamma tau) D - rho_n(gamma) Phi_n(tau).
 
@@ -84,22 +70,6 @@ def check_gamma_equivariance(n: int, gamma, tau: complex, order=64) -> float:
             corrected = m_image[i][j] * (c * tau + d) ** (-op.weights[j])
             residual = max(residual, abs(corrected - target[i][j]))
     return residual
-
-
-def check_S_equivariance(n: int, tau: complex, order=64) -> float:
-    """Max entry residual of Phi_n(-1/tau) D - rho_n(S) Phi_n(tau)."""
-    return check_gamma_equivariance(n, S_GAMMA, tau, order)
-
-
-def phi_functoriality_check(n: int) -> bool:
-    """phi(n) equals Sym^n applied entrywise to phi(1)."""
-    base = phi(1).matrix
-    entries = (
-        (base[0, 0], base[0, 1]),
-        (base[1, 0], base[1, 1]),
-    )
-    lifted = QuasiMatrix(liealg.sym_power_matrix(n, entries))
-    return (lifted - phi(n).matrix).is_zero()
 
 
 # ----------------------------------------------------------------------

@@ -46,6 +46,20 @@ def test_expand_unknown_form_exits_2(capsys):
     assert "unknown form" in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("expand", "F_k:3", "--order", "8"), "error: F_k:3: weakly holomorphic forms of odd"),
+    (("expand", "F_k:x"), "unknown form 'F_k:x'; known: E2, "),
+    (("expand", "F_k:"), "unknown form 'F_k:'; known: E2, "),
+    (("eval", "F_k:5", "--tau", "1i"), "error: F_k:5: weakly holomorphic forms of odd"),
+])
+def test_bad_f_k_exits_2_with_one_line(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(message)
+    assert err.count("\n") == 1
+
+
 def test_alia_json_schema(capsys):
     code, out, _ = run(capsys, "alia", "A1", "principal", "--format", "json")
     assert code == 0

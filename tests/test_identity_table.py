@@ -1,10 +1,12 @@
-"""The table of exact q-series identities behind `mfal verify`.
+"""The table of exact identities, over every ring, behind `mfal verify`.
 
 Each row of ``checks.IDENTITIES`` is run by ``checks.check_identity``, and
 every suite entry built from a row runs that row.  A row must fail, naming
-the broken identity, when one side of one identity is off by a single term
-inside its truncation.  The verify reports pinned here are byte-identical to
-those of the checks the table replaced.
+the broken identity, when one side of one identity is off by a nonzero
+element of its own ring: a single series term inside the truncation, 1, the
+identity matrix or one basis vector.  That also shows each ring's ``==`` is
+exact.  The verify reports pinned here are byte-identical to those of the
+checks the table replaced.
 """
 
 import hashlib
@@ -15,22 +17,38 @@ import pytest
 
 from mfal import checks
 from mfal.cli import main
+from mfal.linalg import Matrix
+from mfal.poly import add_term
 from mfal.qseries import QSeries
 
 ORDER = 24
+
+
+def _plus_one(side, other):
+    """side plus a nonzero element of its own ring, inside the truncation."""
+    if isinstance(side, QSeries):
+        trunc = min(side.trunc, other.trunc)
+        return side + QSeries.qpow(trunc - 1, 1, trunc=side.trunc)
+    if isinstance(side, Matrix):
+        return side + Matrix.identity(side.size, side[0, 0] * 0 + 1)
+    if isinstance(side, dict):  # a bracket vector: add the first basis vector
+        out = dict(side)
+        add_term(out, 0, next(iter(side.values())) * 0 + 1)
+        return out
+    return side + 1
 
 
 @pytest.mark.parametrize("check_id", list(checks.IDENTITIES))
 def test_row_fails_on_each_perturbed_side_and_names_it(monkeypatch, check_id):
     detail, sides = checks.IDENTITIES[check_id]
     assert checks.check_identity(check_id, ORDER) == (True, detail.format(order=ORDER))
-    exact = sides(ORDER)
-    for name, pair in exact.items():
+    exact = list(sides(ORDER))
+    assert len({name for name, _, _ in exact}) == len(exact)
+    for i, (name, lhs, rhs) in enumerate(exact):
         for side in (0, 1):
-            wrong = list(pair)
-            trunc = min(pair[0].trunc, pair[1].trunc)
-            wrong[side] = pair[side] + QSeries.qpow(trunc - 1, 1, trunc=pair[side].trunc)
-            perturbed = {**exact, name: tuple(wrong)}
+            wrong = [lhs, rhs]
+            wrong[side] = _plus_one(wrong[side], wrong[1 - side])
+            perturbed = exact[:i] + [(name, *wrong)] + exact[i + 1:]
             monkeypatch.setitem(checks.IDENTITIES, check_id, (detail, lambda order: perturbed))
             assert checks.check_identity(check_id, ORDER) == (False, f"failed: {name}"), side
 

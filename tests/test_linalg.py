@@ -42,7 +42,7 @@ def test_det_and_adjugate_match_sympy(n):
     expected = to_sympy(rows)
     det, adj = Matrix(rows).det_adjugate()
     assert det == Matrix(rows).det() == Fraction(str(expected.det()))
-    assert adj.rows == Matrix(rows).adjugate().rows == from_sympy(expected.adjugate())
+    assert adj.rows == from_sympy(expected.adjugate())
 
 
 def test_singular_det_and_adjugate():

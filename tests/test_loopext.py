@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from mfal import liealg, loopext
+from mfal import checks, liealg, loopext
 from mfal.loopext import (
     CycloField,
     EvaluationRep,
@@ -180,7 +180,7 @@ def test_pole_presets_have_polyhedral_sizes():
 
 
 def test_onsager_relations():
-    assert loopext.onsager_relations_check(10)
+    assert checks.check_identity("loop.onsager", 64)[0]
 
 
 def test_onsager_generators_are_involution_fixed():
@@ -209,11 +209,14 @@ def test_onsager_g_zero_and_negatives():
 
 
 def test_onsager_hef_hauptmodul_bracket():
-    assert loopext.onsager_hef_check()
+    names = ("[h, e] = 2e", "[h, f] = -2f", "[e, f] = jhat(jhat - 1) h")
+    _, sides = checks.IDENTITIES["loop.onsager"]
+    hef = {name: lhs == rhs for name, lhs, rhs in sides(64) if name in names}
+    assert hef == dict.fromkeys(names, True)
 
 
 def test_dolan_grady():
-    assert loopext.dolan_grady_check()
+    assert checks.check_identity("loop.dolan_grady", 64)[0]
 
 
 def test_dolan_grady_degree_bound():

@@ -147,7 +147,7 @@ def test_gamma2_generators():
     assert [h2.series.coefficient(Fraction(n, 2)) for n in range(5)] == [1, 24, 24, 96, 24]
     # the table row's F2/H2 combinations for theta2^4, theta3^4, theta4^4
     sides = checks.IDENTITIES["theta.gamma2_combinations"][1](ORDER)
-    t2, t3, t4 = (combination for combination, _ in sides.values())
+    t2, t3, t4 = (combination for _, combination, _ in sides)
     assert (t2 + t4).agrees(t3)
     assert checks.check_identity("theta.gamma2_combinations", ORDER)[0]
 

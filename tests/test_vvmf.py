@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from mfal import vvmf
+from mfal import checks, vvmf
 from mfal.quasimodular import QuasiPoly
 
 
@@ -40,14 +40,13 @@ def test_weights_vector():
 
 
 def test_T_equivariance_exact():
-    for n in (1, 2, 3, 4):
-        assert vvmf.check_T_equivariance(n)
+    assert checks.check_identity("vvmf.phi_T_exact", 64)[0]
 
 
 def test_S_equivariance_numeric():
     for n in (1, 2, 3):
         for tau in (1j, 0.3 + 1.1j):
-            assert vvmf.check_S_equivariance(n, tau, order=64) < 1e-8
+            assert vvmf.check_gamma_equivariance(n, vvmf.S_GAMMA, tau, order=64) < 1e-8
 
 
 def test_general_gamma_equivariance_numeric():
@@ -63,8 +62,7 @@ def test_general_gamma_equivariance_numeric():
 
 
 def test_functoriality():
-    for n in (2, 3, 4):
-        assert vvmf.phi_functoriality_check(n)
+    assert checks.check_identity("vvmf.phi_functoriality", 64)[0]
 
 
 def test_hilbert_scalar_gamma1():
