@@ -7,12 +7,14 @@ each as a name and its two sides built at the working order, and
 shared range; sides in any other ring (scalars, QuasiPoly, JPoly, Laurent,
 CycloNumber, matrices over them, bracket vectors) hold when they are equal,
 which is exact because each of these rings keeps one canonical form.  A row
-fails with the names of the identities whose sides differ.  `mfal.checks`
-runs each row as a check of its suite.
+fails with the names of the identities whose sides differ.  A row whose
+identities are the finite lemmas of a proof gives the proof in its docstring.
+`mfal.checks` runs each row as a check of its suite.
 """
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 
 from . import alia, liealg, loopext, modforms, vvmf
@@ -91,9 +93,38 @@ def _symrep(order):
         yield f"E^{n + 1} = 0 on Sym^{n}", power(e, n + 1, Matrix.identity(n + 1)), e * 0
 
 
+def _killing_invariance(order, types=("A1", "A2", "B2", "G2")):
+    """K = K^T and ad(x)^T K + K ad(x) = 0 for every basis vector x of g.
+
+    With K(u, v) = u^T K v and [x, u] = ad(x) u, the second lemma is
+    K([x,y],z) + K(y,[x,z]) = 0, for every x by linearity; with the first it
+    gives K([x,y],z) = -K([y,x],z) = K(x,[y,z]) on every triple.
+    """
+    for t in types:
+        st = liealg.chevalley(t)
+        k = Matrix(st.killing())
+        yield f"K = K^T in {t}", Matrix(zip(*k.rows)), k
+        for a in range(st.dim):
+            # row i of ad_t is column i of ad(x_a): the coordinates of [x_a, x_i]
+            ad_t = Matrix([[st.bracket_indices(a, i).get(j, 0) for j in range(st.dim)]
+                           for i in range(st.dim)])
+            yield (f"ad(x_{a})^T K + K ad(x_{a}) = 0 in {t}",
+                   ad_t * k + k * Matrix(zip(*ad_t.rows)), k * 0)
+
+
 def _phi_det(order):
-    for n in range(7):
-        yield f"det Phi_{n} = 1", vvmf.phi(n).determinant(), QuasiPoly.const(1)
+    """Phi_n is the product of its factors exp(tau E) and exp(y F).  When the
+    first is upper and the second lower unitriangular, each has determinant
+    1, and so has Phi_n: O(n^2) zero tests in place of a determinant."""
+    for n in range(11):
+        one = QuasiMatrix.identity(n + 1)
+        upper, lower = vvmf.phi(n).factors
+        for m, name, keep in ((upper, "exp(tau E) is upper", operator.ge),
+                              (lower, "exp(y F) is lower", operator.le)):
+            # m with its entries on the side that must vanish set to zero
+            kept = QuasiMatrix([[e if keep(i, j) else e * 0 for j, e in enumerate(row)]
+                                for i, row in enumerate(m.rows)])
+            yield f"{name} unitriangular on Sym^{n}", kept, one
 
 
 def _phi_functoriality(order):
@@ -222,6 +253,30 @@ def _cocycle_monomials(order):
                     yield f"omega({x_name} z^{m}, {y_name} z^{n}) in {t}", value, expect
 
 
+def _polyhedral_cocycles(order):
+    """omega(x f, y g) = K(x, y) res_b(f' g) is a 2-cocycle on sl2 = A1 at
+    every point b of the four polyhedral pole sets.
+
+    By invariance and symmetry K([x,y],z) = K([y,z],x) = K([z,x],y) = kappa,
+    so the cyclic sum is kappa res_b((fg)'h + (gh)'f + (hf)'g) = 2 kappa
+    res_b((fgh)'), and a derivative has no residue.  The lemmas are A1's and
+    res_b(u') = 0 for u = (t - a)^-k, a a preset point and 1 <= k <= 6, and
+    u = t^m, m <= 3.  Their span holds every product of three functions with
+    poles of order <= 2 at preset points and polynomial part of degree <= 1.
+    """
+    yield from _killing_invariance(order, ("A1",))
+    for preset in ("dihedral", "tetrahedral", "octahedral", "icosahedral"):
+        field, points = loopext.pole_preset(preset)
+        funcs = [(f"t^{m}", loopext.RatFunc.t_power(field, m)) for m in range(4)]
+        funcs += [(f"(t - a_{i})^-{k}", loopext.RatFunc.pole_factor(field, a, k))
+                  for i, a in enumerate(points) for k in range(1, 7)]
+        for name, u in funcs:
+            du = u.derivative()
+            for i, b in enumerate(points):
+                yield (f"{preset}: res at a_{i} of ({name})' = 0",
+                       loopext.residue(du, b), field.zero)
+
+
 def _onsager(order):
     """The Onsager relations under the loop realization, to index 10, then
     the Hauptmodul bracket.
@@ -283,7 +338,11 @@ IDENTITIES = {
     "quasimodular.sl2_bundle": (
         "standard triple, conjugation, ad(a_0), T-shift all exact", _sl2_bundle),
     "liealg.symrep": ("commutation and nilpotency for n <= 8", _symrep),
-    "vvmf.phi_det": ("unimodular for n <= 6", _phi_det),
+    "liealg.killing_associativity": (
+        "K symmetric and ad-invariant on every basis vector of A1, A2, B2, G2",
+        _killing_invariance),
+    "vvmf.phi_det": (
+        "unimodular for n <= 10: exp(tau E) upper, exp(y F) lower unitriangular", _phi_det),
     "vvmf.phi_functoriality": ("Sym^n Phi_1 = Phi_n for n <= 4", _phi_functoriality),
     "vvmf.phi_T_exact": ("exact polynomial identity for n <= 4", _phi_T),
     "theta.jacobi_identity": ("theta2^4 + theta4^4 = theta3^4", _jacobi),
@@ -300,6 +359,9 @@ IDENTITIES = {
         "omega(x z^m, y z^n) = m K(x,y) delta for |m|,|n| <= 6, A1 and A2", _cocycle_monomials),
     "loop.onsager": ("relations to index 10 and the Hauptmodul bracket", _onsager),
     "loop.dolan_grady": ("nested bracket relations over Q[j]", _dolan_grady),
+    "loop.polyhedral_cocycles": (
+        "2-cocycle proved: K invariant on A1, res(u') = 0 at every point of the four "
+        "pole sets", _polyhedral_cocycles),
 }
 
 

@@ -466,16 +466,10 @@ class EvaluationRep:
 
     def _psi(self, i: int, x: dict) -> Matrix:
         rep = self.reps[i]
-        n = rep.dim
-        acc = [[Fraction(0)] * n for _ in range(n)]
         mats = {"h": rep.h, "e": rep.e, "f": rep.f}
-        for name, c in x.items():
-            m = mats[name]
-            for r in range(n):
-                for s in range(n):
-                    if m[r][s]:
-                        acc[r][s] += c * m[r][s]
-        return Matrix([[self.field.rational(c) for c in row] for row in acc])
+        psi = sum((Matrix(mats[name]).scale(c) for name, c in x.items()),
+                  Matrix([[Fraction(0)] * rep.dim] * rep.dim))
+        return psi.map(self.field.rational)
 
     def _slot(self, i: int, mat: Matrix) -> Matrix:
         out = None

@@ -437,10 +437,7 @@ _STORE: dict = {}
 
 def _build(name: str, order) -> NamedForm:
     if name.startswith("F_k:"):
-        try:
-            k = int(name.split(":", 1)[1])
-        except ValueError:
-            raise UnknownForm(name) from None
+        k = int(name[4:])
         return NamedForm(name, k, "Gamma(1)", duke_jenkins(k, order)[3])
     if name not in _BUILDERS:
         raise UnknownForm(name)
@@ -456,6 +453,11 @@ def named_form(name: str, order=DEFAULT_ORDER) -> NamedForm:
     The series are shared: nothing may mutate them.
     """
     order = Fraction(order)
+    if name.startswith("F_k:"):  # F_k:4, F_k:+4 and F_k: 4 are the one form F_k:4
+        try:
+            name = f"F_k:{int(name[4:])}"
+        except ValueError:
+            raise UnknownForm(name) from None
     entry = _STORE.get(name)
     if entry is not None and order in entry[1]:
         return entry[1][order]

@@ -26,7 +26,8 @@ class PhiOperator:
         tau = QuasiPoly.var("tau")
         # y = 2*pi*i*E2/12 = P/(12 s)
         y = QuasiPoly.monomial((0, 1, 0, 0, -1), Fraction(1, 12))
-        self.matrix = liealg.exp_nilpotent(e_mat, tau) * liealg.exp_nilpotent(f_mat, y)
+        self.factors = (liealg.exp_nilpotent(e_mat, tau), liealg.exp_nilpotent(f_mat, y))
+        self.matrix = self.factors[0] * self.factors[1]
         self.weights = rep.weights()
 
     def determinant(self) -> QuasiPoly:

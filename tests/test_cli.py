@@ -40,6 +40,12 @@ def test_expand_json_round_trip(capsys):
     assert series.coefficient(1) == 240
 
 
+def test_expand_names_f_k_by_its_weight(capsys):
+    code, out, _ = run(capsys, "expand", "F_k:+4", "--order", "6", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["name"] == "F_k:4"
+
+
 def test_expand_unknown_form_exits_2(capsys):
     code, _, err = run(capsys, "expand", "nosuch")
     assert code == 2

@@ -233,3 +233,10 @@ def test_store_under_thread_contention(empty_store):
         sys.setswitchinterval(interval)
     for (name, order), form in zip(requests * 4, forms):
         assert json.dumps(form.series.to_json()) == expected[name, order]
+
+
+def test_f_k_spellings_are_one_store_entry(empty_store):
+    forms = [mf.named_form(name, 24) for name in ("F_k:4", "F_k:+4", "F_k: 4")]
+    assert forms[0] is forms[1] is forms[2]
+    assert forms[0].name == "F_k:4"
+    assert [key for key in mf._STORE if key.startswith("F_k")] == ["F_k:4"]

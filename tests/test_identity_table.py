@@ -5,17 +5,19 @@ every suite entry built from a row runs that row.  A row must fail, naming
 the broken identity, when one side of one identity is off by a nonzero
 element of its own ring: a single series term inside the truncation, 1, the
 identity matrix or one basis vector.  That also shows each ring's ``==`` is
-exact.  The verify reports pinned here are byte-identical to those of the
-checks the table replaced.
+exact.  A row that proves a statement from finite lemmas must also fail,
+naming a lemma, on a broken copy of the code its proof rests on, and reach
+no sampler and no determinant.  The verify reports are pinned by digest.
 """
 
 import hashlib
 import json
+import random
 from functools import partial
 
 import pytest
 
-from mfal import checks
+from mfal import checks, liealg, loopext
 from mfal.cli import main
 from mfal.linalg import Matrix
 from mfal.poly import add_term
@@ -65,12 +67,82 @@ def test_table_ids_are_the_suite_entries_the_runner_builds():
 
 
 @pytest.mark.parametrize("order, digest", [
-    (32, "9a4d6d5a394ba7f5a079070631ed0904bfde06d2c8613f5f42ab7c3927a45edd"),
-    (64, "01ff3ec4644854896a793eccc459a199f92e3566be750d2d43c83a5c557692e7"),
-])
+    (32, "ffa012c88fdc287bdf72d9fc3b497b55ac154213562b2cd152ae9965d1536880"),
+    (64, "f208ff40ab5493626eb7a4b5ffefc89510c9a430ad2d9c370ebe76e75b3664d4"),
+], ids=["32", "64"])
 def test_verify_all_json_digest(capsys, order, digest):
     assert main(["verify", "all", "--order", str(order), "--format", "json"]) == 0
     report = json.loads(capsys.readouterr().out)
     for check in report["checks"]:
         del check["elapsed_ms"]
     assert hashlib.sha256(json.dumps(report).encode()).hexdigest() == digest
+
+
+def _failed(check_id):
+    passed, detail = checks.check_identity(check_id, ORDER)
+    assert not passed
+    return detail.removeprefix("failed: ").split("; ")
+
+
+def test_polyhedral_cocycles_fails_when_a_derivative_keeps_a_residue(monkeypatch):
+    derivative = loopext.RatFunc.derivative
+
+    def keeps_residue(f):
+        # f' plus the 1/(t - a) term of f at each pole a
+        kept = {key: (a, cs[:1]) for key, (a, cs) in f.parts.items()}
+        return derivative(f) + loopext.RatFunc(f.field, [], kept)
+
+    monkeypatch.setattr(loopext.RatFunc, "derivative", keeps_residue)
+    assert _failed("loop.polyhedral_cocycles") == [
+        f"{preset}: res at a_{i} of ((t - a_{i})^-1)' = 0"
+        for preset, size in (("dihedral", 2), ("tetrahedral", 3), ("octahedral", 5),
+                             ("icosahedral", 11))
+        for i in range(size)
+    ]
+
+
+@pytest.mark.parametrize("i, j", [(0, 0), (0, 5)])
+def test_killing_associativity_fails_on_a_changed_entry(monkeypatch, i, j):
+    """A changed diagonal entry keeps K symmetric and breaks invariance; an
+    off-diagonal one breaks symmetry first."""
+    st = liealg.chevalley("B2")
+    km = [list(row) for row in st.killing()]
+    km[i][j] += 1
+    monkeypatch.setattr(st, "_killing", km)
+    failed = _failed("liealg.killing_associativity")
+    if i == j:
+        assert failed and all(
+            name.startswith("ad(x_") and name.endswith(") = 0 in B2") for name in failed)
+    else:
+        assert failed[0] == "K = K^T in B2"
+
+
+@pytest.mark.parametrize("corner, name", [
+    (lambda n: (n, 0), "exp(tau E) is upper unitriangular on Sym^{n}"),
+    (lambda n: (0, n), "exp(y F) is lower unitriangular on Sym^{n}"),
+])
+def test_phi_det_fails_on_an_entry_across_the_diagonal(monkeypatch, corner, name):
+    exp_nilpotent = liealg.exp_nilpotent
+
+    def with_corner(matrix, scalar):
+        out = exp_nilpotent(matrix, scalar)
+        i, j = corner(matrix.size - 1)
+        if i != j:  # Sym^0 has no off-diagonal entry
+            out.rows[i][j] = out.rows[i][j] + 1
+        return out
+
+    monkeypatch.setattr(liealg, "exp_nilpotent", with_corner)
+    assert _failed("vvmf.phi_det") == [name.format(n=n) for n in range(1, 11)]
+
+
+def test_proofs_reach_no_sampler_and_no_determinant(monkeypatch):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("reached")
+
+    monkeypatch.setattr(random.Random, "__init__", unreachable)
+    monkeypatch.setattr(Matrix, "charpoly", unreachable)
+    entries = dict(entry for suite in checks.SUITES.values() for entry in suite)
+    for check_id in ("liealg.killing_associativity", "loop.polyhedral_cocycles",
+                     "vvmf.phi_det", "loop.cocycle_properties"):
+        passed, detail = entries[check_id](ORDER)
+        assert passed, (check_id, detail)
