@@ -5,8 +5,9 @@ Two shapes share it:
 * dense: a list (or tuple) of coefficients, lowest degree first, used by
   ``JPoly``, ``CycloNumber`` and ``RatFunc``; ``trim`` drops trailing zeros;
 * sparse: a dict exponent -> nonzero coefficient, used by ``QuasiPoly``
-  (5-tuple exponents), ``loopext.Laurent`` (int exponents) and bracket
-  vectors; sums drop every entry that cancels.
+  (5-tuple exponents, int numerators over the polynomial's one
+  denominator), ``loopext.Laurent`` (int exponents) and bracket vectors;
+  sums drop every entry that cancels.
 
 ``power`` is the one repeated-squaring loop of the package, and
 ``kronecker_mul`` the one product of dense integer lists (the q-series

@@ -10,9 +10,8 @@ power of s, keeping the coefficient field Q.
 from __future__ import annotations
 
 import cmath
-import operator
 from fractions import Fraction
-from math import comb
+from math import comb, gcd, lcm
 
 from . import modforms
 from .linalg import Matrix
@@ -24,7 +23,34 @@ _TAU, _P, _Q, _R, _S = range(5)
 
 
 def _add_exponents(a, b):
-    return tuple(map(operator.add, a, b))
+    return (a[0] + b[0], a[1] + b[1], a[2] + b[2], a[3] + b[3], a[4] + b[4])
+
+
+def _rational(c):
+    """c as an int or a Fraction: both carry ``numerator`` and ``denominator``."""
+    return c if isinstance(c, int) else _to_frac(c)
+
+
+def _make(nums: dict, den: int) -> "QuasiPoly":
+    """The canonical QuasiPoly nums / den for den > 0; ``nums`` (no zero
+    values) is kept, not copied: no polynomial mutates its dict."""
+    if den != 1:
+        g = gcd(den, *nums.values())
+        if g > 1:
+            nums, den = {k: c // g for k, c in nums.items()}, den // g
+    p = object.__new__(QuasiPoly)
+    p.nums, p.den = nums, den
+    return p
+
+
+#: 12 * D on the generators tau, P, Q, R: D(tau) = s, D(P) = (P^2 - Q)/12,
+#: D(Q) = (PQ - R)/3, D(R) = (PR - Q^2)/2, as {exponent: int} images
+_D_TIMES_12 = (
+    (_TAU, {(0, 0, 0, 0, 1): 12}),
+    (_P, {(0, 2, 0, 0, 0): 1, (0, 0, 1, 0, 0): -1}),
+    (_Q, {(0, 1, 1, 0, 0): 4, (0, 0, 0, 1, 0): -4}),
+    (_R, {(0, 1, 0, 1, 0): 6, (0, 0, 2, 0, 0): -6}),
+)
 
 
 class NotInvertible(ValueError):
@@ -32,55 +58,83 @@ class NotInvertible(ValueError):
 
 
 class QuasiPoly(Ring):
-    """Polynomial in tau, P, Q, R and the invertible constant s."""
+    """Polynomial in tau, P, Q, R and the invertible constant s.
 
-    __slots__ = ("terms",)
+    Integer numerators over one denominator: ``nums`` maps the exponents
+    (t, p, q, r, m) of tau^t P^p Q^q R^r s^m to a nonzero int and ``den`` is
+    the common denominator.  The canonical form, built by ``_make``, has
+    den > 0 and gcd(den, *nums) == 1 (den == 1 for zero), so equal
+    polynomials have equal (nums, den).  Only s may carry a negative
+    exponent.  ``terms`` reads the coefficients as {exponent: Fraction}.
+    """
+
+    __slots__ = ("nums", "den")
 
     def __init__(self, terms: dict | None = None):
-        self.terms = terms or {}
+        fracs = {}
+        for key, c in (terms or {}).items():
+            t, p, q, r, m = key
+            if min(t, p, q, r) < 0:
+                raise ValueError("only s may carry a negative exponent")
+            c = _to_frac(c)
+            if c:
+                fracs[(t, p, q, r, m)] = c
+        den = lcm(*(c.denominator for c in fracs.values()))
+        self.nums = {k: c.numerator * (den // c.denominator) for k, c in fracs.items()}
+        self.den = den
+
+    @property
+    def terms(self) -> dict:
+        return {k: Fraction(c, self.den) for k, c in self.nums.items()}
 
     @classmethod
     def const(cls, c) -> "QuasiPoly":
-        c = _to_frac(c)
-        return cls({} if c == 0 else {(0, 0, 0, 0, 0): c})
+        c = _rational(c)
+        return _make({(0, 0, 0, 0, 0): c.numerator} if c else {}, c.denominator)
 
     @classmethod
     def var(cls, name: str) -> "QuasiPoly":
         idx = VARS.index(name)
-        key = tuple(1 if i == idx else 0 for i in range(5))
-        return cls({key: Fraction(1)})
+        return _make({tuple(1 if i == idx else 0 for i in range(5)): 1}, 1)
 
     @classmethod
     def monomial(cls, exponents, c=1) -> "QuasiPoly":
-        c = _to_frac(c)
-        t, p, q, r, s = exponents
-        if min(t, p, q, r) < 0:
-            raise ValueError("only s may carry a negative exponent")
-        return cls({} if c == 0 else {(t, p, q, r, s): c})
+        return cls({tuple(exponents): c})
 
     def __bool__(self) -> bool:
-        return bool(self.terms)
+        return bool(self.nums)
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
             other = QuasiPoly.const(other)
-        return isinstance(other, QuasiPoly) and self.terms == other.terms
+        return isinstance(other, QuasiPoly) and self.den == other.den and self.nums == other.nums
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if not isinstance(other, QuasiPoly):
             other = QuasiPoly.const(other)
-        return QuasiPoly(sparse_add(self.terms, other.terms))
+        a, b, da, db = self.nums, other.nums, self.den, other.den
+        if not b:
+            return self
+        if not a:
+            return other
+        if da != db:
+            den = lcm(da, db)
+            if den != da:
+                a = {k: c * (den // da) for k, c in a.items()}
+            if den != db:
+                b = {k: c * (den // db) for k, c in b.items()}
+            da = den
+        return _make(sparse_add(a, b), da)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if not isinstance(other, QuasiPoly):
             return self.scale(other)
-        return QuasiPoly(sparse_mul(self.terms, other.terms, _add_exponents))
+        return _make(sparse_mul(self.nums, other.nums, _add_exponents), self.den * other.den)
 
     def scale(self, c) -> "QuasiPoly":
-        c = _to_frac(c)
-        if c == 0:
-            return QuasiPoly()
-        return QuasiPoly({k: c * v for k, v in self.terms.items()})
+        c = _rational(c)
+        n = c.numerator
+        return _make({k: n * v for k, v in self.nums.items()} if n else {}, self.den * c.denominator)
 
     # ------------------------------------------------------------------
     # derivations and substitutions
@@ -92,22 +146,15 @@ class QuasiPoly(Ring):
         D(tau) = s, D(P) = (P^2-Q)/12, D(Q) = (PQ-R)/3, D(R) = (PR-Q^2)/2,
         D(s) = 0, extended by the Leibniz rule.
         """
-        out = QuasiPoly()
-        images = {
-            _TAU: QuasiPoly.var("s"),
-            _P: (QuasiPoly.var("P") ** 2 - QuasiPoly.var("Q")).scale(Fraction(1, 12)),
-            _Q: (QuasiPoly.var("P") * QuasiPoly.var("Q") - QuasiPoly.var("R")).scale(Fraction(1, 3)),
-            _R: (QuasiPoly.var("P") * QuasiPoly.var("R") - QuasiPoly.var("Q") ** 2).scale(Fraction(1, 2)),
-        }
-        for key, c in self.terms.items():
-            for idx, image in images.items():
+        out = {}
+        for key, c in self.nums.items():
+            for idx, image in _D_TIMES_12:
                 e = key[idx]
-                if e == 0:
-                    continue
-                lowered = list(key)
-                lowered[idx] = e - 1
-                out = out + image * QuasiPoly({tuple(lowered): c * e})
-        return out
+                if e:
+                    lowered = key[:idx] + (e - 1,) + key[idx + 1:]
+                    for k, v in image.items():
+                        add_term(out, _add_exponents(lowered, k), c * e * v)
+        return _make(out, 12 * self.den)
 
     def serre_D(self, k: int) -> "QuasiPoly":
         """Weight-raising derivative D - (k/12) P."""
@@ -116,10 +163,10 @@ class QuasiPoly(Ring):
     def shift_tau(self) -> "QuasiPoly":
         """Substitute tau -> tau + 1; P, Q, R, s are shift-invariant."""
         out = {}
-        for (t, p, q, r, s), c in self.terms.items():
+        for (t, p, q, r, s), c in self.nums.items():
             for i in range(t + 1):
                 add_term(out, (i, p, q, r, s), c * comb(t, i))
-        return QuasiPoly(out)
+        return _make(out, self.den)
 
     def substitute_numeric(self, ctx: "NumericContext") -> complex:
         total = 0j
@@ -161,12 +208,12 @@ class QuasiPoly(Ring):
     # ------------------------------------------------------------------
 
     def pretty(self) -> str:
-        if not self.terms:
+        terms = self.terms
+        if not terms:
             return "0"
         names = ("tau", "E2", "E4", "E6", "s")
         parts = []
-        for key in sorted(self.terms, reverse=True):
-            c = self.terms[key]
+        for key, c in sorted(terms.items(), reverse=True):
             factors = []
             for name, e in zip(names, key):
                 if e == 1:

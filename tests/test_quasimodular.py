@@ -111,3 +111,30 @@ def test_json_round_trip():
 def test_pretty_uses_paper_names():
     y = QuasiPoly.monomial((1, 1, 0, 0, -1), Fraction(1, 12))
     assert "E2" in y.pretty() and "tau" in y.pretty()
+
+
+def test_constructor_drops_zero_coefficients():
+    zero = QuasiPoly({(0, 0, 0, 0, 0): Fraction(0)})
+    assert not zero and zero == 0 and zero == QuasiPoly()
+    assert zero.pretty() == "0"
+    assert QuasiPoly({(1, 0, 0, 0, 0): 2, (0, 1, 0, 0, 0): 0}) == TAU.scale(2)
+
+
+def test_from_json_drops_zero_coefficients():
+    assert QuasiPoly.from_json([[[0, 0, 0, 0, 0], "0/1"]]) == QuasiPoly()
+
+
+def test_constructor_copies_its_dict():
+    d = {(1, 0, 0, 0, 0): Fraction(1)}
+    poly = QuasiPoly(d)
+    d[(1, 0, 0, 0, 0)] = Fraction(5)
+    assert poly == TAU and poly.pretty() == "tau"
+
+
+def test_only_s_takes_a_negative_exponent():
+    for key in ((-1, 0, 0, 0, 0), (0, -1, 0, 0, 0), (0, 0, -2, 0, 0), (0, 0, 0, -1, 0)):
+        with pytest.raises(ValueError, match="only s"):
+            QuasiPoly({key: 1})
+        with pytest.raises(ValueError, match="only s"):
+            QuasiPoly.monomial(key)
+    assert QuasiPoly({(0, 0, 0, 0, -3): 1}) * S**3 == 1

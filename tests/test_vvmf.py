@@ -1,3 +1,5 @@
+import hashlib
+import json
 from fractions import Fraction
 
 import pytest
@@ -33,6 +35,29 @@ def test_right_column_is_tau_powers():
 def test_determinants():
     for n in range(7):
         assert vvmf.phi(n).determinant() == QuasiPoly.const(1)
+
+
+def _digest(data) -> str:
+    return hashlib.sha256(json.dumps(data).encode()).hexdigest()
+
+
+def _matrix_json(m):
+    return [[e.to_json() for e in row] for row in m.rows]
+
+
+def test_phi_outputs_byte_for_byte():
+    # Phi_10, Phi_6^-1 and Phi_6's characteristic polynomial, pinned so that
+    # a change to QuasiPoly's arithmetic shows as a byte change of its JSON
+    assert _digest(_matrix_json(vvmf.phi(10).matrix)) == (
+        "4ae4f79f1908c2ab6f6620a1d59543166ef8901be3a081a120bef4b5f64abf1a"
+    )
+    m = vvmf.phi(6).matrix
+    assert _digest(_matrix_json(m.inverse())) == (
+        "43920235918a79b326163f86e4c4136f9814000efde8946ade7b954fd597d455"
+    )
+    assert _digest([c.to_json() for c in m.charpoly()]) == (
+        "09839df8ad643c077acd3ce436287c8cc44f8bcdb3514a57074ffa4aa905d9d1"
+    )
 
 
 def test_weights_vector():
