@@ -1,10 +1,9 @@
 """Weight-zero bracket tables over Q[j] and their two-route certification.
 
 The cocycle exponents (w4, w6) that place j and (j-1728) factors in the
-brackets are computed from the weight-residue table, then independently
-certified against exact q-series identities between the weight-k module
-generators (the ``alia.scalar_oracle`` row of ``mfal.checks``): that
-cross-check is the trust anchor of the whole package.
+brackets come from the weight-residue table, which makes each table the
+Chevalley table in a diagonal gauge (``gauge_lemmas``, a proof of Jacobi); the
+``alia.scalar_oracle`` row certifies them independently on q-series.
 """
 
 from __future__ import annotations
@@ -141,34 +140,6 @@ class CocyclePair:
                 self.w4[(alpha, beta)] = w4
                 self.w6[(alpha, beta)] = w6
 
-    def is_symmetric(self) -> bool:
-        return all(
-            self.w4[(a, b)] == self.w4.get((b, a)) and self.w6[(a, b)] == self.w6.get((b, a))
-            for a, b in self.w4
-        )
-
-    def cocycle_condition_holds(self) -> bool:
-        """w(a,b) + w(a+b,c) = w(b,c) + w(a,b+c) on admissible arguments."""
-        rs = self.triple.structure.rs
-        roots = rs.roots
-
-        def check(w):
-            for a, b, c in itertools.product(roots, repeat=3):
-                ab = tuple(x + y for x, y in zip(a, b))
-                bc = tuple(x + y for x, y in zip(b, c))
-                abc = tuple(x + y for x, y in zip(ab, c))
-                if not (
-                    ab in rs.root_set
-                    and bc in rs.root_set
-                    and abc in rs.root_set
-                ):
-                    continue
-                if w[(a, b)] + w[(ab, c)] != w[(b, c)] + w[(a, bc)]:
-                    return False
-            return True
-
-        return check(self.w4) and check(self.w6)
-
 
 # ----------------------------------------------------------------------
 # the bracket table over Q[j]
@@ -291,6 +262,56 @@ def _dense(vectors, dim):
 
 def alia_table(type_label: str, orbit: str) -> AliaTable:
     return AliaTable(type_label, orbit)
+
+
+def _gauges():
+    """Each orbit, its table and n(x) = (n4, n6) on its basis, the residue
+    exponents of weight -k(x), k(h_i) = 0.  The rows below ignore their order."""
+    for key in liealg.ORBIT_LABELS:
+        table = alia_table(*key)
+        yield key, table, {x: residue_exponents(-table.triple.grading.get(x[1], 0))
+                           for x in table.basis}
+
+
+def cocycle_value_lemmas(order):
+    """``alia.cocycle_values``: w(a, b) = w(b, a) and w(w - 1) = 0."""
+    for key, table, _ in _gauges():
+        for name, w in (("w4", table.cocycles.w4), ("w6", table.cocycles.w6)):
+            for (a, b), v in w.items():
+                yield f"{key} {name}({a}, {b}) = {name}({b}, {a})", v, w.get((b, a))
+                yield f"{key} {name}({a}, {b}) in {{0, 1}}", v * (v - 1), 0
+
+
+def coboundary_lemmas(order):
+    """``alia.cocycle_condition``: w4, w6 are the coboundaries of n4/3, n6/2 on
+    every stored pair (n(0) = 0), and a coboundary w(a,b) = m(a) + m(b) - m(a+b)
+    has w(a,b) + w(a+b,c) = m(a) + m(b) + m(c) - m(a+b+c) = w(b,c) + w(a,b+c)."""
+    for key, table, n in _gauges():
+        for i, (w, p) in enumerate(((table.cocycles.w4, 3), (table.cocycles.w6, 2))):
+            for (a, b), v in w.items():
+                s = tuple(x + y for x, y in zip(a, b))
+                yield (f"{key} {p} w{4 + 2 * i}({a}, {b}) = delta n{4 + 2 * i}", p * v,
+                       n["A", a][i] + n["A", b][i] - n.get(("A", s), (0, 0))[i])
+
+
+def gauge_lemmas(order):
+    """``alia.jacobi_tables``: the lemmas of ``liealg.jacobi`` and, on each
+    Chevalley entry [x_a, x_b] = ... + c x_k + ..., n(x_a) + n(x_b) - n(x_k) =
+    (3 w4, 2 w6), w4, w6 >= 0, with the table's coefficient c j^w4 (j-1728)^w6
+    there and no other.  So the bracket is D^-1 [Dx, Dy] for the diagonal map
+    D: x -> j^(n4/3) (j-1728)^(n6/2) x over an extension of Q(j), and its
+    Jacobiator D^-1 of the Chevalley one: zero by the lemmas and antisymmetry."""
+    yield from liealg.jacobi_lemmas(order)
+    for key, table, n in _gauges():
+        for a, b, k in sorted({(a, b, k) for t in (table.structure, table)
+                               for (a, b), acc in t._table.items() for k in acc}):
+            entry = f"{key} [x_{a}, x_{b}] at x_{k}"
+            d4, d6 = (x + y - z for x, y, z in zip(*(n[table.basis[i]] for i in (a, b, k))))
+            w4, w6 = max(d4 // 3, 0), max(d6 // 2, 0)
+            yield f"{entry}: 3 | delta4 >= 0", d4, 3 * w4
+            yield f"{entry}: 2 | delta6 >= 0", d6, 2 * w6
+            yield (entry, table.bracket_indices(a, b).get(k, 0),
+                   JPoly.j_power_form(w4, w6) * table.structure.bracket_indices(a, b).get(k, 0))
 
 
 # ----------------------------------------------------------------------

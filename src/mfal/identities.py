@@ -5,11 +5,10 @@ Each row of IDENTITIES is one check: it yields its identities one at a time,
 each as a name and its two sides built at the working order, and
 `check_identity` runs a row.  Two q-series hold when they agree on their
 shared range; sides in any other ring (scalars, QuasiPoly, JPoly, Laurent,
-CycloNumber, matrices over them, bracket vectors) hold when they are equal,
-which is exact because each of these rings keeps one canonical form.  A row
-fails with the names of the identities whose sides differ.  A row whose
-identities are the finite lemmas of a proof gives the proof in its docstring.
-`mfal.checks` runs each row as a check of its suite.
+CycloNumber, matrices over them, bracket vectors) hold when equal, exact as
+each ring keeps one canonical form.  A row fails naming the identities whose
+sides differ.  A row of finite lemmas gives its proof in its docstring; the
+Jacobi and cocycle rows come from `mfal.liealg` and `mfal.alia`.
 """
 
 from __future__ import annotations
@@ -337,6 +336,7 @@ IDENTITIES = {
         "D and q d/dq agree through the expansion map", _expansion_commutes_with_d),
     "quasimodular.sl2_bundle": (
         "standard triple, conjugation, ad(a_0), T-shift all exact", _sl2_bundle),
+    "liealg.jacobi": ("all basis triples, four types", liealg.jacobi_lemmas),
     "liealg.symrep": ("commutation and nilpotency for n <= 8", _symrep),
     "liealg.killing_associativity": (
         "K symmetric and ad-invariant on every basis vector of A1, A2, B2, G2",
@@ -352,6 +352,10 @@ IDENTITIES = {
     "theta.lambda_j": ("j lambda^2 (lambda-1)^2 = 256 (lambda^2-lambda+1)^3", _lambda_j),
     "theta.lambda_shift": ("lambda(tau+1) = lambda/(lambda-1)", _lambda_shift),
     "gamma.rel3": ("E4, E6 as polynomials in phi1, phi2", _rel3),
+    "alia.cocycle_values": (
+        "symmetric and {{0,1}}-valued for all six orbits", alia.cocycle_value_lemmas),
+    "alia.cocycle_condition": ("proved (w4, w6 are coboundaries)", alia.coboundary_lemmas),
+    "alia.jacobi_tables": ("proved (Chevalley bracket in a diagonal gauge)", alia.gauge_lemmas),
     "alia.scalar_oracle": ("two-route certification for all orbits", _scalar_oracle),
     "loop.residue_calculus": ("linearity and res(f') = 0 at an exact pole", _residue_calculus),
     "loop.total_residue": ("finite residues sum to zero for decaying f", _total_residue),

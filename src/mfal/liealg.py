@@ -177,21 +177,17 @@ class BracketTable:
                     add_term(out, k, ab * c)
         return out
 
+    def jacobiator(self, i: int, j: int, k: int) -> dict:
+        """[[x,y],z] + [[y,z],x] + [[z,x],y] for basis vectors x_i, x_j, x_k."""
+        acc: dict = {}
+        for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
+            for idx, v in self.bracket(self.bracket_indices(a, b), {c: 1}).items():
+                add_term(acc, idx, v)
+        return acc
+
     def jacobi_ok(self) -> bool:
-        """[[x,y],z] + [[y,z],x] + [[z,x],y] = 0 on every basis triple."""
-        for i, j, k in itertools.combinations(range(self.dim), 3):
-            x, y, z = {i: 1}, {j: 1}, {k: 1}
-            acc: dict = {}
-            for term in (
-                self.bracket(self.bracket(x, y), z),
-                self.bracket(self.bracket(y, z), x),
-                self.bracket(self.bracket(z, x), y),
-            ):
-                for idx, c in term.items():
-                    add_term(acc, idx, c)
-            if acc:
-                return False
-        return True
+        """The Jacobiator vanishes on every basis triple."""
+        return not any(self.jacobiator(*t) for t in itertools.combinations(range(self.dim), 3))
 
     def killing(self):
         """Matrix of tr(ad x ad y) over the basis, entries in the table's ring."""
@@ -354,6 +350,14 @@ def chevalley(type_label: str) -> ChevalleyStructure:
     if type_label not in _CHEVALLEY_CACHE:
         _CHEVALLEY_CACHE[type_label] = ChevalleyStructure(RootSystem(type_label))
     return _CHEVALLEY_CACHE[type_label]
+
+
+def jacobi_lemmas(order):
+    """The ``liealg.jacobi`` row: each basis Jacobiator of A1, A2, B2, G2 is 0."""
+    for t in ("A1", "A2", "B2", "G2"):
+        st = chevalley(t)
+        for i, j, k in itertools.combinations(range(st.dim), 3):
+            yield f"Jacobi on x_{i}, x_{j}, x_{k} in {t}", st.jacobiator(i, j, k), {}
 
 
 class GradedTriple:

@@ -85,13 +85,16 @@ class CycloNumber(Ring):
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
             other = self.field.rational(other)
-        return isinstance(other, CycloNumber) and self.coeffs == other.coeffs
+        return (isinstance(other, CycloNumber) and self.field.n == other.field.n
+                and self.coeffs == other.coeffs)
 
     def __add__(self, other):
         if isinstance(other, (int, Fraction)):
             other = self.field.rational(other)
         elif not isinstance(other, CycloNumber):
             return NotImplemented
+        if other.field.n != self.field.n:  # zeta_3 and zeta_4 are both (0, 1)
+            raise ValueError(f"{other.field} element in {self.field} arithmetic")
         return CycloNumber(
             self.field, tuple(a + b for a, b in zip(self.coeffs, other.coeffs))
         )
@@ -101,6 +104,8 @@ class CycloNumber(Ring):
             return CycloNumber(self.field, tuple(a * other for a in self.coeffs))
         if not isinstance(other, CycloNumber):
             return NotImplemented
+        if other.field.n != self.field.n:
+            raise ValueError(f"{other.field} element in {self.field} arithmetic")
         prod = mul(self.coeffs, other.coeffs, Fraction(0))
         return CycloNumber(self.field, tuple(self.field._reduce(prod)))
 

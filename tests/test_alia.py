@@ -182,10 +182,9 @@ def test_zero_grade_pairs_vanish():
 
 
 def test_cocycles_symmetric_and_cocycle_condition():
-    for key in GOLDEN:
-        cp = alia.alia_table(*key).cocycles
-        assert cp.is_symmetric()
-        assert cp.cocycle_condition_holds()
+    for check_id in ("alia.cocycle_values", "alia.cocycle_condition"):
+        passed, detail = checks.check_identity(check_id, 32)
+        assert passed, detail
 
 
 def test_tables_jacobi_over_qj():

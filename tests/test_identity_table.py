@@ -7,7 +7,8 @@ element of its own ring: a single series term inside the truncation, 1, the
 identity matrix or one basis vector.  That also shows each ring's ``==`` is
 exact.  A row that proves a statement from finite lemmas must also fail,
 naming a lemma, on a broken copy of the code its proof rests on, and reach
-no sampler and no determinant.  The verify reports are pinned by digest.
+no sampler, no determinant and no brute-force Jacobi check.  The verify
+reports are pinned by digest.
 """
 
 import hashlib
@@ -17,7 +18,7 @@ from functools import partial
 
 import pytest
 
-from mfal import checks, liealg, loopext
+from mfal import alia, checks, liealg, loopext
 from mfal.cli import main
 from mfal.linalg import Matrix
 from mfal.poly import add_term
@@ -35,24 +36,32 @@ def _plus_one(side, other):
         return side + Matrix.identity(side.size, side[0, 0] * 0 + 1)
     if isinstance(side, dict):  # a bracket vector: add the first basis vector
         out = dict(side)
-        add_term(out, 0, next(iter(side.values())) * 0 + 1)
+        # an empty vector (a Jacobiator) gets the integer 1
+        add_term(out, 0, next(iter(side.values()), 0) * 0 + 1)
         return out
     return side + 1
 
 
 @pytest.mark.parametrize("check_id", list(checks.IDENTITIES))
 def test_row_fails_on_each_perturbed_side_and_names_it(monkeypatch, check_id):
+    """Each perturbed identity fails alone, as a row of one; one perturbed
+    identity inside the whole row is named among the passing ones."""
     detail, sides = checks.IDENTITIES[check_id]
     assert checks.check_identity(check_id, ORDER) == (True, detail.format(order=ORDER))
     exact = list(sides(ORDER))
     assert len({name for name, _, _ in exact}) == len(exact)
-    for i, (name, lhs, rhs) in enumerate(exact):
+    row = []
+    monkeypatch.setitem(checks.IDENTITIES, check_id, (detail, lambda order: row))
+    for name, lhs, rhs in exact:
         for side in (0, 1):
             wrong = [lhs, rhs]
             wrong[side] = _plus_one(wrong[side], wrong[1 - side])
-            perturbed = exact[:i] + [(name, *wrong)] + exact[i + 1:]
-            monkeypatch.setitem(checks.IDENTITIES, check_id, (detail, lambda order: perturbed))
+            row[:] = [(name, *wrong)]
             assert checks.check_identity(check_id, ORDER) == (False, f"failed: {name}"), side
+    i = len(exact) // 2
+    name, lhs, rhs = exact[i]
+    row[:] = exact[:i] + [(name, _plus_one(lhs, rhs), rhs)] + exact[i + 1:]
+    assert checks.check_identity(check_id, ORDER) == (False, f"failed: {name}")
 
 
 def test_table_ids_are_the_suite_entries_the_runner_builds():
@@ -67,8 +76,8 @@ def test_table_ids_are_the_suite_entries_the_runner_builds():
 
 
 @pytest.mark.parametrize("order, digest", [
-    (32, "ffa012c88fdc287bdf72d9fc3b497b55ac154213562b2cd152ae9965d1536880"),
-    (64, "f208ff40ab5493626eb7a4b5ffefc89510c9a430ad2d9c370ebe76e75b3664d4"),
+    (32, "52248efc2a93c09f0fe3d1c1ae93b60a5ace89398e298fcdf1ff012e2eb66f09"),
+    (64, "98540164a5d6466adb946f62fa15ad01197fa032269a841129026a484180327e"),
 ], ids=["32", "64"])
 def test_verify_all_json_digest(capsys, order, digest):
     assert main(["verify", "all", "--order", str(order), "--format", "json"]) == 0
@@ -135,14 +144,61 @@ def test_phi_det_fails_on_an_entry_across_the_diagonal(monkeypatch, corner, name
     assert _failed("vvmf.phi_det") == [name.format(n=n) for n in range(1, 11)]
 
 
+def test_gauge_rows_name_the_entry_and_pair_of_a_raised_w4(monkeypatch):
+    """[x_5, x_6] = [a_(0,1), a_(1,0)] of the A2 table, rebuilt with w4 + 1."""
+    build, key, pair = alia.alia_table, ("A2", "principal"), ((0, 1), (1, 0))
+
+    def raised(*args):
+        table = build(*args)
+        if args == key:
+            table.cocycles.w4[pair] += 1
+            table._table = table._build()
+        return table
+
+    monkeypatch.setattr(alia, "alia_table", raised)
+    assert _failed("alia.jacobi_tables") == [f"{key} [x_5, x_6] at x_7"]
+    assert _failed("alia.cocycle_condition") == [f"{key} 3 w4({pair[0]}, {pair[1]}) = delta n4"]
+
+
+def test_jacobi_rows_name_triples_on_a_negated_carter_constant(monkeypatch):
+    """[a_(0,1), a_(1,0)] = N a_(1,1) in B2, with N negated in the cached
+    Chevalley table that the B2 tables over Q[j] are built from."""
+    st = liealg.chevalley("B2")
+    monkeypatch.setitem(st._table, (6, 7), {8: -st._table[6, 7][8]})
+    failed = _failed("liealg.jacobi")
+    assert failed and all(
+        name.startswith("Jacobi on x_") and name.endswith(" in B2") for name in failed)
+    assert _failed("alia.jacobi_tables") == failed
+
+
+def test_cocycle_values_names_a_pair_with_w6_2(monkeypatch):
+    build, key, (a, b) = alia.alia_table, ("B2", "subregular"), ((-1, -1), (0, 1))
+
+    def edited(*args):
+        table = build(*args)
+        if args == key:
+            table.cocycles.w6[a, b] = 2
+        return table
+
+    monkeypatch.setattr(alia, "alia_table", edited)
+    assert sorted(_failed("alia.cocycle_values")) == sorted([
+        f"{key} w6({a}, {b}) = w6({b}, {a})", f"{key} w6({a}, {b}) in {{0, 1}}",
+        f"{key} w6({b}, {a}) = w6({a}, {b})"])
+
+
 def test_proofs_reach_no_sampler_and_no_determinant(monkeypatch):
     def unreachable(*args, **kwargs):
         raise AssertionError("reached")
 
     monkeypatch.setattr(random.Random, "__init__", unreachable)
     monkeypatch.setattr(Matrix, "charpoly", unreachable)
+    # the brute-force Jacobi routes and the bracket over Q[j]
+    monkeypatch.setattr(liealg.BracketTable, "jacobi_ok", unreachable)
+    monkeypatch.setattr(alia.AliaTable, "jacobi_ok", unreachable)
+    monkeypatch.setattr(alia.AliaTable, "bracket", unreachable)
     entries = dict(entry for suite in checks.SUITES.values() for entry in suite)
     for check_id in ("liealg.killing_associativity", "loop.polyhedral_cocycles",
-                     "vvmf.phi_det", "loop.cocycle_properties"):
+                     "vvmf.phi_det", "loop.cocycle_properties", "alia.jacobi_tables",
+                     "alia.cocycle_condition"):
         passed, detail = entries[check_id](ORDER)
         assert passed, (check_id, detail)

@@ -32,6 +32,24 @@ def test_cyclotomic_degree_and_inverse():
         f5.zero.inverse()
 
 
+def test_cyclotomic_equality_sees_the_field():
+    # zeta_3 and zeta_4 have the same coordinates (0, 1)
+    assert CycloField(3).zeta != CycloField(4).zeta
+    assert CycloField(4).zeta == CycloField(4).zeta
+
+
+def test_cyclotomic_sum_across_fields_raises():
+    with pytest.raises(ValueError):
+        CycloField(3).zeta + CycloField(5).zeta
+
+
+def test_cyclotomic_product_across_fields_raises():
+    i, z = CycloField(4).zeta, CycloField(5).zeta
+    for x, y in ((i, z), (z, i)):
+        with pytest.raises(ValueError):
+            x * y
+
+
 def test_cyclotomic_field_one_is_rationals():
     f1 = CycloField(1)
     assert f1.degree == 1
