@@ -1,14 +1,27 @@
 """Exact computer algebra for modular forms and the Lie algebras they span.
 
-Modules:
+Two layers.  The algebra half imports nothing from the q-series half:
+  poly          the one polynomial kernel
+  linalg        exact dense matrices and elimination over any ring
+  liealg        root systems, Chevalley bases, sl2 triples, Sym^n
+  alia          weight-zero bracket tables over C[j], two-route certified
+  loopext       polyhedral loop algebras, residue cocycles, Onsager
+The q-series half realises it by forms:
   qseries       truncated q-expansions over Q with rational exponents
   modforms      named forms (Eisenstein, theta, eta, Klein, Hauptmoduls)
   quasimodular  the polynomial ring Q[tau, E2, E4, E6, 1/(2 pi i)]
-  liealg        root systems, Chevalley bases, sl2 triples, Sym^n
   vvmf          the intertwiner Phi_n and Hilbert series
-  alia          weight-zero bracket tables over C[j], two-route certified
-  loopext       polyhedral loop algebras, residue cocycles, Onsager
+Above both:
+  identities    the table of exact identities behind `mfal verify`
+  checks        the certification suites
   cli           the `mfal` command
+
+RESIDUE_TABLE lives here, where both halves read it: the bracket cocycles of
+`mfal.alia` and the generators F_k of `mfal.modforms`.
 """
 
 __version__ = "0.1.0"
+
+#: (n4, n6) of the weight-k generator Delta^l E4^n4 E6^n6, keyed by k mod 12:
+#: the residue map 2Z/12Z -> Z/3Z x Z/2Z.
+RESIDUE_TABLE = {0: (0, 0), 4: (1, 0), 6: (0, 1), 8: (2, 0), 10: (1, 1), 2: (2, 1)}

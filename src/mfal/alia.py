@@ -11,12 +11,10 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from . import liealg, modforms
+from . import RESIDUE_TABLE, liealg
 from .liealg import BracketTable, ChevalleyStructure, GradedTriple
 from .linalg import rank, rref
 from .poly import Ring, add, horner, mul
-from .qseries import QSeries
-from .quasimodular import QuasiMatrix, QuasiPoly
 
 
 class OddGrading(ValueError):
@@ -71,15 +69,15 @@ class JPoly(Ring):
     def __call__(self, value):
         return horner(self.coeffs, Fraction(value), Fraction(0))
 
-    def as_series(self, j_series: QSeries) -> QSeries:
+    def as_series(self, j):
+        """The polynomial at the series j, in j's own ring."""
         # the powers start from j itself, so j^i keeps the depth of j * ... * j
-        acc = QSeries.zero(trunc=j_series.trunc)
-        j_pow = QSeries.constant(1, trunc=j_series.trunc)
+        acc = j.scale(0)
         for i, c in enumerate(self.coeffs):
             if i:
-                j_pow = j_series if i == 1 else j_pow * j_series
+                j_pow = j if i == 1 else j_pow * j
             if c:
-                acc = acc + j_pow.scale(c)
+                acc = acc + (j_pow.scale(c) if i else c)
         return acc
 
     def pretty(self):
@@ -107,7 +105,7 @@ class JPoly(Ring):
 def residue_exponents(k: int):
     if k % 2:
         raise OddGrading(f"weight {k} is odd")
-    return modforms.RESIDUE_TABLE[k % 12]
+    return RESIDUE_TABLE[k % 12]
 
 
 class CocyclePair:
@@ -315,33 +313,7 @@ def gauge_lemmas(order):
 
 
 # ----------------------------------------------------------------------
-# the explicit sl2 bundle
-# ----------------------------------------------------------------------
-
-class Sl2Bundle:
-    """The weight -2, 0, 2 matrix forms and the triple (h, e, f) they span;
-    the ``quasimodular.sl2_bundle`` row of ``mfal.checks`` certifies their
-    relations."""
-
-    def __init__(self):
-        tau = QuasiPoly.var("tau")
-        self.a_minus2 = QuasiMatrix(
-            [[tau, -(tau * tau)], [QuasiPoly.const(1), -tau]]
-        )
-        self.a_0 = self.a_minus2.serre_D(-2)
-        self.a_2 = self.a_0.serre_D(0)
-        s_inv = QuasiPoly.monomial((0, 0, 0, 0, -1))
-        pi_sq = QuasiPoly.monomial((0, 0, 0, 0, -2), Fraction(-1, 4))
-        q_var = QuasiPoly.var("Q")
-        self.f = self.a_minus2
-        self.h = self.a_0.scale(s_inv)
-        self.e = self.a_minus2.scale(pi_sq * q_var * Fraction(1, 36)) + self.a_2.scale(
-            pi_sq * Fraction(2)
-        )
-
-
-# ----------------------------------------------------------------------
-# Levi decomposition bookkeeping and other groups
+# Levi decomposition bookkeeping
 # ----------------------------------------------------------------------
 
 def levi_dimensions(type_label: str, orbit: str):
@@ -371,46 +343,3 @@ def levi_dimensions(type_label: str, orbit: str):
     for n, count in negatives.items():
         radical += count * monomial_count(n)
     return radical, levi
-
-
-def weight_zero_iso_check(order=24) -> dict:
-    """Series-level ingredients of the weight-zero isomorphisms.
-
-    For each principal congruence group the designated nonvanishing form is
-    expanded, its leading coefficient is checked to be 1 and its formal
-    q-series inverse is materialised (local invertibility at the cusp).
-    Nonvanishing on the upper half-plane itself is quoted, not certified.
-    """
-    t3 = modforms.named_form("theta3", order).series
-    forms = {
-        "Gamma(2)": ("theta3^4", t3**4, "C[lambda, lambda^-1, (lambda-1)^-1]"),
-        "Gamma(3)": (
-            "eta(3t)^3/eta(t)",
-            modforms.eta_quotient([(3, 3), (1, -1)], order),
-            "C[gamma-line: 4-punctured sphere ring]",
-        ),
-        "Gamma(4)": (
-            "eta(4t)^4/eta(2t)^2",
-            modforms.eta_quotient([(4, 4), (2, -2)], order),
-            "C[mu, mu^-1, (mu-1)^-1, (mu+1)^-1, (mu-i)^-1, (mu+i)^-1]",
-        ),
-        "Gamma(5)": (
-            "eta(5t)^15 klein(1/5;5t)^5 / eta(t)^3",
-            modforms.named_form("f_gamma5", order).series,
-            "C[icosahedral 12-punctured sphere ring]",
-        ),
-    }
-    report = {}
-    for group, (name, series, ring) in forms.items():
-        lead_exp = series.valuation
-        lead_coeff = series.coefficient(series.valuation)
-        inverse = series.inverse()
-        report[group] = {
-            "form": name,
-            "leading_exponent": lead_exp,
-            "leading_coefficient": lead_coeff,
-            "inverse_valuation": inverse.valuation,
-            "coefficient_ring": ring,
-            "unit_normalizable": lead_coeff == 1,
-        }
-    return report

@@ -1,8 +1,8 @@
 """Command-line surface: expansions, tables, Hilbert series, verification.
 
-Exit codes: 0 success, 1 failed verification, 2 usage error.  The default
-working order is 64; override with --order or the MFAL_ORDER environment
-variable.
+Exit codes: 0 success, 1 failed verification, 2 usage error.  The working
+order of expand, eval and verify is 64; override with --order or the
+MFAL_ORDER environment variable.
 
 Each subcommand imports the modules it runs, so ``import mfal.cli`` loads no
 other mfal module and ``mfal expand`` loads only modforms, qseries and poly:
@@ -221,15 +221,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(fn=cmd_expand)
 
-    p = sub.add_parser("alia", parents=[common],
-                       help="emit a weight-zero bracket table over C[j]")
+    p = sub.add_parser("alia", help="emit a weight-zero bracket table over C[j]")
     p.add_argument("type", choices=("A1", "A2", "B2", "G2"))
     p.add_argument("orbit", choices=("principal", "subregular"))
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(fn=cmd_alia)
 
-    p = sub.add_parser("hilbert", parents=[common],
-                       help="weight dimensions of the Sym^n module")
+    p = sub.add_parser("hilbert", help="weight dimensions of the Sym^n module")
     p.add_argument("n", type=_int_at_least(0))
     p.add_argument("group")
     p.add_argument("kmax", type=int)

@@ -20,7 +20,7 @@ from . import alia, liealg, loopext, modforms, vvmf
 from .linalg import Matrix
 from .poly import power
 from .qseries import QSeries
-from .quasimodular import QuasiMatrix, QuasiPoly
+from .quasimodular import QuasiMatrix, QuasiPoly, Sl2Bundle
 
 
 def _series(name, order):
@@ -64,7 +64,7 @@ def _expansion_commutes_with_d(order):
 def _sl2_bundle(order):
     """The triple, its conjugation by Phi_1, ad(a_0) on the weight basis, the
     T-shift of a_-2 and the (2,1) entry of h, where P/(6s) = (1/3) i pi E2."""
-    b = alia.Sl2Bundle()
+    b = Sl2Bundle()
     h, e, f = b.h, b.e, b.f
     yield "[h, e] = 2e", h.commutator(e), e.scale(2)
     yield "[h, f] = -2f", h.commutator(f), f.scale(-2)
@@ -183,6 +183,25 @@ def _rel3(order):
     u, v, e4, e6 = (_series(name, order) for name in ("phi1", "phi2", "E4", "E6"))
     yield "E4 = u^4 + 8 u v^3", e4, u**4 + (u * v**3).scale(8)
     yield "E6 = u^6 - 20 u^3 v^3 - 8 v^6", e6, u**6 - (u**3 * v**3).scale(20) - (v**6).scale(8)
+
+
+def _weight_zero_iso(order):
+    """For each principal congruence group, the nonvanishing form of its
+    weight-zero isomorphism: its valuation, leading coefficient 1 and
+    f f^-1 = 1, a unit at the cusp.  Nonvanishing on the upper half-plane is
+    quoted, not checked."""
+    order = max(24, min(order, 32))
+    for group, name, f, valuation in (
+        ("Gamma(2)", "theta3^4", _series("theta3", order) ** 4, 0),
+        ("Gamma(3)", "eta(3t)^3/eta(t)", modforms.eta_quotient([(3, 3), (1, -1)], order),
+         Fraction(1, 3)),
+        ("Gamma(4)", "eta(4t)^4/eta(2t)^2", modforms.eta_quotient([(4, 4), (2, -2)], order),
+         Fraction(1, 2)),
+        ("Gamma(5)", "eta(5t)^15 klein(1/5;5t)^5/eta(t)^3", _series("f_gamma5", order), 1),
+    ):
+        yield f"{group} {name} has valuation {valuation}", f.valuation, valuation
+        yield f"{group} {name} has leading coefficient 1", f.coefficient(f.valuation), 1
+        yield f"{group} {name} f^-1 = 1", f * f.inverse(), f.scale(0) + 1
 
 
 def _scalar_oracle(order):
@@ -352,6 +371,8 @@ IDENTITIES = {
     "theta.lambda_j": ("j lambda^2 (lambda-1)^2 = 256 (lambda^2-lambda+1)^3", _lambda_j),
     "theta.lambda_shift": ("lambda(tau+1) = lambda/(lambda-1)", _lambda_shift),
     "gamma.rel3": ("E4, E6 as polynomials in phi1, phi2", _rel3),
+    "gamma.weight_zero_iso": (
+        "nonvanishing forms invertible at the cusp, all four groups", _weight_zero_iso),
     "alia.cocycle_values": (
         "symmetric and {{0,1}}-valued for all six orbits", alia.cocycle_value_lemmas),
     "alia.cocycle_condition": ("proved (w4, w6 are coboundaries)", alia.coboundary_lemmas),

@@ -13,9 +13,8 @@ import itertools
 from fractions import Fraction
 from math import comb, factorial
 
-from .linalg import solve
+from .linalg import Matrix, solve
 from .poly import add_term
-from .quasimodular import QuasiMatrix, QuasiPoly
 
 
 class NoRationalTriple(ValueError):
@@ -528,12 +527,13 @@ def sym_power_matrix(n: int, entries):
     return [[zero if x is None else x for x in row] for row in rows]
 
 
-def exp_nilpotent(matrix: QuasiMatrix, scalar: QuasiPoly) -> QuasiMatrix:
-    """Finite exponential sum of scalar*matrix for nilpotent matrix."""
+def exp_nilpotent(matrix: Matrix, scalar) -> Matrix:
+    """Finite exponential sum of scalar*matrix for a nilpotent matrix, over
+    any ring of the ``mfal.linalg`` protocol; the result has matrix's class."""
     n = matrix.size
-    result = QuasiMatrix.identity(n)
-    power = QuasiMatrix.identity(n)
-    scalar_power = QuasiPoly.const(1)
+    one = scalar * 0 + 1
+    result = power = type(matrix).identity(n, one)
+    scalar_power = one
     for k in range(1, n + 1):
         power = power * matrix
         scalar_power = scalar_power * scalar

@@ -4,7 +4,7 @@ Everything is an exact QSeries in q = exp(2*pi*i*tau).  Forms classically
 written in the nome exp(pi*i*tau) (theta constants, lambda) live here with
 half/quarter/eighth-integral exponents so that a single exponent lattice
 serves the whole package.  The identities between these forms that
-`mfal verify` certifies are declared once, in the table of `mfal.checks`.
+`mfal verify` certifies are declared once, in the table of `mfal.identities`.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ from functools import reduce
 from math import ceil, comb, isqrt
 from operator import mul
 
+from . import RESIDUE_TABLE
 from .qseries import DEFAULT_ORDER, QSeries
 
 
@@ -168,10 +169,6 @@ def j_minus_1728(order=DEFAULT_ORDER) -> NamedForm:
     return NamedForm("j-1728", 0, "Gamma(1)", level_one_monomial(-1, 0, 2, order))
 
 
-#: (n4, n6) of the weight-k generator Delta^l E4^n4 E6^n6, keyed by k mod 12.
-RESIDUE_TABLE = {0: (0, 0), 4: (1, 0), 6: (0, 1), 8: (2, 0), 10: (1, 1), 2: (2, 1)}
-
-
 def duke_jenkins(k: int, order=DEFAULT_ORDER):
     """Generator F_k = Delta^l E4^n4 E6^n6 of the weight-k module over C[j].
 
@@ -244,7 +241,7 @@ def theta(i: int, order=DEFAULT_ORDER) -> NamedForm:
 def gamma2_generators(order=DEFAULT_ORDER):
     """(F2, H2): F2 = 2 E2(2 tau) - E2(tau) and H2 = F2(tau/2) generate the
     Gamma(2) forms; their theta fourth-power combinations are a row of the
-    identity table in `mfal.checks`."""
+    identity table in `mfal.identities`."""
     wide = 2 * Fraction(order)  # F2 must be known twice as deep to halve tau
     e2 = named_form("E2", wide).series
     f2 = e2.rescale_tau(2).truncate(wide).scale(2) - e2

@@ -312,3 +312,18 @@ class QuasiMatrix(Matrix):
 
     def __repr__(self):
         return f"QuasiMatrix({self.pretty()})"
+
+
+class Sl2Bundle:
+    """The weight -2, 0, 2 matrix forms and the triple (h, e, f) they span;
+    the ``quasimodular.sl2_bundle`` row of ``mfal.identities`` certifies their
+    relations."""
+
+    def __init__(self):
+        self.a_minus2 = QuasiMatrix([[TAU, -(TAU * TAU)], [1, -TAU]])
+        self.a_0 = self.a_minus2.serre_D(-2)
+        self.a_2 = self.a_0.serre_D(0)
+        pi_sq = QuasiPoly.monomial((0, 0, 0, 0, -2), Fraction(-1, 4))
+        self.f = self.a_minus2
+        self.h = self.a_0.scale(S_INV)
+        self.e = self.a_minus2.scale(pi_sq * Q * Fraction(1, 36)) + self.a_2.scale(pi_sq * 2)

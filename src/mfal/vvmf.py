@@ -9,6 +9,7 @@ in numeric checks.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 
 from . import liealg
 from .linalg import Matrix
@@ -27,15 +28,25 @@ class PhiOperator:
         # y = 2*pi*i*E2/12 = P/(12 s)
         y = QuasiPoly.monomial((0, 1, 0, 0, -1), Fraction(1, 12))
         self.factors = (liealg.exp_nilpotent(e_mat, tau), liealg.exp_nilpotent(f_mat, y))
-        self.matrix = self.factors[0] * self.factors[1]
         self.weights = rep.weights()
+
+    @cached_property
+    def matrix(self) -> QuasiMatrix:
+        """Built on first read: ``vvmf.phi_det`` reads only the factors."""
+        return self.factors[0] * self.factors[1]
 
     def determinant(self) -> QuasiPoly:
         return self.matrix.det()
 
 
+_PHI_CACHE: dict[int, PhiOperator] = {}
+
+
 def phi(n: int) -> PhiOperator:
-    return PhiOperator(n)
+    """Phi_n, built once per process: its readers only read it."""
+    if n not in _PHI_CACHE:
+        _PHI_CACHE[n] = PhiOperator(n)
+    return _PHI_CACHE[n]
 
 
 def rho_matrix(n: int, gamma) -> list:

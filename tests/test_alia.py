@@ -264,58 +264,10 @@ def test_sl2_bundle_certificates():
     assert checks.check_identity("quasimodular.sl2_bundle", 64)[0]
 
 
-def test_f_squares_to_zero():
-    b = alia.Sl2Bundle()
-    assert (b.f * b.f).is_zero()
-
-
-def test_h_and_e_traceless():
-    b = alia.Sl2Bundle()
-    assert b.h.trace().is_zero()
-    assert b.e.trace().is_zero()
-    assert b.f.trace().is_zero()
-
-
-def test_h_and_e_exact_entries():
-    # every entry pinned as a polynomial literal; the constants i*pi/3,
-    # pi^2/36 etc. are rational multiples of powers of s = 1/(2 pi i)
-    from mfal.quasimodular import QuasiPoly
-
-    def mono(exps, c):
-        return QuasiPoly.monomial(exps, c)
-
-    b = alia.Sl2Bundle()
-    tau_p_over_6s = mono((1, 1, 0, 0, -1), Fraction(1, 6))
-    assert b.h[0, 0] == tau_p_over_6s + 1
-    assert b.h[0, 1] == mono((2, 1, 0, 0, -1), Fraction(-1, 6)) + mono((1, 0, 0, 0, 0), -2)
-    assert b.h[1, 0] == mono((0, 1, 0, 0, -1), Fraction(1, 6))
-    assert b.h[1, 1] == -(tau_p_over_6s + 1)
-    assert b.e[0, 0] == mono((1, 2, 0, 0, -2), Fraction(-1, 144)) + mono((0, 1, 0, 0, -1), Fraction(-1, 12))
-    assert b.e[0, 1] == (
-        mono((2, 2, 0, 0, -2), Fraction(1, 144))
-        + mono((1, 1, 0, 0, -1), Fraction(1, 6))
-        + QuasiPoly.const(1)
-    )
-    assert b.e[1, 0] == mono((0, 2, 0, 0, -2), Fraction(-1, 144))
-    assert b.e[1, 1] == mono((1, 2, 0, 0, -2), Fraction(1, 144)) + mono((0, 1, 0, 0, -1), Fraction(1, 12))
-
-
 def test_levi_dimensions():
     assert alia.levi_dimensions("A1", "principal") == (1, 0)
     radical, levi = alia.levi_dimensions("B2", "subregular")
     assert levi >= 3
-
-
-def test_weight_zero_iso_report():
-    report = alia.weight_zero_iso_check(24)
-    assert report["Gamma(2)"]["leading_exponent"] == 0
-    assert report["Gamma(3)"]["leading_exponent"] == Fraction(1, 3)
-    assert report["Gamma(4)"]["leading_exponent"] == Fraction(1, 2)
-    assert report["Gamma(5)"]["leading_exponent"] == 1
-    for info in report.values():
-        assert info["unit_normalizable"]
-        assert "lambda" in report["Gamma(2)"]["coefficient_ring"]
-        assert "mu" in report["Gamma(4)"]["coefficient_ring"]
 
 
 def test_jpoly_arithmetic():

@@ -216,6 +216,22 @@ def test_bad_order_env_names_the_variable(capsys, monkeypatch):
     assert "MFAL_ORDER" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [["alia", "A1", "principal"], ["hilbert", "2", "Gamma1", "6"]])
+def test_subcommands_without_an_order_ignore_a_bad_mfal_order(capsys, monkeypatch, argv):
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    for value in ("abc", "0"):
+        monkeypatch.setenv("MFAL_ORDER", value)
+        assert run(capsys, *argv) == (0, out, "")
+
+
+def test_alia_takes_no_order(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["alia", "A1", "principal", "--order", "5"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --order 5" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("form", ["eta", "theta3"])
 def test_eval_s_check_refuses_forms_without_the_level_one_law(capsys, form):
     # eta and theta3 carry multipliers; f(-1/tau) = tau^k f(tau) is not their law
@@ -265,12 +281,12 @@ def test_expand_j_1024_json_digest(capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == EXPAND_J_1024_JSON
 
 
-def mfal_modules_after(argv=None) -> list:
-    """The mfal modules a fresh interpreter holds after ``import mfal.cli``
+def mfal_modules_after(argv=None, module="mfal.cli") -> list:
+    """The mfal modules a fresh interpreter holds after ``import module``
     and, unless argv is None, ``mfal.cli.main(argv)``."""
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    code = "import sys, mfal.cli; "
+    code = f"import sys, {module}; "
     if argv is not None:
         code += f"mfal.cli.main({argv!r}); "
     code += "print(*sorted(m for m in sys.modules if m.split('.')[0] == 'mfal'))"
@@ -284,5 +300,11 @@ def test_each_subcommand_imports_only_its_own_modules():
     expand = mfal_modules_after(["expand", "j", "--order", "8"])
     assert expand == ["mfal", "mfal.cli", "mfal.modforms", "mfal.poly", "mfal.qseries"]
     alia = mfal_modules_after(["alia", "A1", "principal"])
-    assert "mfal.alia" in alia
-    assert not {"mfal.checks", "mfal.loopext", "mfal.vvmf"} & set(alia)
+    assert alia == ["mfal", "mfal.alia", "mfal.cli", "mfal.liealg", "mfal.linalg", "mfal.poly"]
+
+
+@pytest.mark.parametrize("module", ["mfal.liealg", "mfal.alia", "mfal.loopext"])
+def test_algebra_half_loads_no_qseries_module(module):
+    loaded = mfal_modules_after(module=module)
+    assert module in loaded
+    assert not {"mfal.qseries", "mfal.modforms", "mfal.quasimodular", "mfal.vvmf"} & set(loaded)

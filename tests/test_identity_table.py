@@ -18,7 +18,7 @@ from functools import partial
 
 import pytest
 
-from mfal import alia, checks, liealg, loopext
+from mfal import alia, checks, liealg, loopext, vvmf
 from mfal.cli import main
 from mfal.linalg import Matrix
 from mfal.poly import add_term
@@ -87,6 +87,18 @@ def test_verify_all_json_digest(capsys, order, digest):
     assert hashlib.sha256(json.dumps(report).encode()).hexdigest() == digest
 
 
+def test_weight_zero_iso_row_names():
+    _, sides = checks.IDENTITIES["gamma.weight_zero_iso"]
+    assert [name for name, _, _ in sides(ORDER)] == [
+        f"{group} {form} {claim}"
+        for group, form, valuation in (
+            ("Gamma(2)", "theta3^4", 0), ("Gamma(3)", "eta(3t)^3/eta(t)", "1/3"),
+            ("Gamma(4)", "eta(4t)^4/eta(2t)^2", "1/2"),
+            ("Gamma(5)", "eta(5t)^15 klein(1/5;5t)^5/eta(t)^3", 1))
+        for claim in (f"has valuation {valuation}", "has leading coefficient 1", "f^-1 = 1")
+    ]
+
+
 def _failed(check_id):
     passed, detail = checks.check_identity(check_id, ORDER)
     assert not passed
@@ -140,6 +152,9 @@ def test_phi_det_fails_on_an_entry_across_the_diagonal(monkeypatch, corner, name
             out.rows[i][j] = out.rows[i][j] + 1
         return out
 
+    # Phi_n is built once per process: the broken one is built fresh here
+    # and does not outlive this test
+    monkeypatch.setattr(vvmf, "_PHI_CACHE", {})
     monkeypatch.setattr(liealg, "exp_nilpotent", with_corner)
     assert _failed("vvmf.phi_det") == [name.format(n=n) for n in range(1, 11)]
 

@@ -7,6 +7,7 @@ import pytest
 
 from mfal import liealg
 from mfal.liealg import NotNilpotent, OddLabel
+from mfal.linalg import Matrix
 from mfal.quasimodular import QuasiMatrix, QuasiPoly
 
 
@@ -173,6 +174,17 @@ def test_exp_nilpotent_tau():
     assert result[0, 0] == QuasiPoly.const(1)
     assert result[0, 1] == tau
     assert result[1, 0].is_zero()
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_exp_nilpotent_over_fractions_is_sym_power(n):
+    """exp(t E) and exp(t F) on Sym^n are Sym^n of the 2x2 unipotents."""
+    t, one, zero = Fraction(3, 2), Fraction(1), Fraction(0)
+    rep = liealg.sym_rep(n)
+    for gen, base in ((rep.e, ((one, t), (zero, one))), (rep.f, ((one, zero), (t, one)))):
+        exp = liealg.exp_nilpotent(Matrix(gen), t)
+        assert type(exp) is Matrix
+        assert exp == Matrix(liealg.sym_power_matrix(n, base))
 
 
 def test_exp_nilpotent_rejects_non_nilpotent():

@@ -9,6 +9,7 @@ from mfal.quasimodular import (
     NumericContext,
     QuasiMatrix,
     QuasiPoly,
+    Sl2Bundle,
 )
 
 TAU = QuasiPoly.var("tau")
@@ -138,3 +139,37 @@ def test_only_s_takes_a_negative_exponent():
         with pytest.raises(ValueError, match="only s"):
             QuasiPoly.monomial(key)
     assert QuasiPoly({(0, 0, 0, 0, -3): 1}) * S**3 == 1
+
+
+def test_f_squares_to_zero():
+    b = Sl2Bundle()
+    assert (b.f * b.f).is_zero()
+
+
+def test_h_and_e_traceless():
+    b = Sl2Bundle()
+    assert b.h.trace().is_zero()
+    assert b.e.trace().is_zero()
+    assert b.f.trace().is_zero()
+
+
+def test_h_and_e_exact_entries():
+    # every entry pinned as a polynomial literal; the constants i*pi/3,
+    # pi^2/36 etc. are rational multiples of powers of s = 1/(2 pi i)
+    def mono(exps, c):
+        return QuasiPoly.monomial(exps, c)
+
+    b = Sl2Bundle()
+    tau_p_over_6s = mono((1, 1, 0, 0, -1), Fraction(1, 6))
+    assert b.h[0, 0] == tau_p_over_6s + 1
+    assert b.h[0, 1] == mono((2, 1, 0, 0, -1), Fraction(-1, 6)) + mono((1, 0, 0, 0, 0), -2)
+    assert b.h[1, 0] == mono((0, 1, 0, 0, -1), Fraction(1, 6))
+    assert b.h[1, 1] == -(tau_p_over_6s + 1)
+    assert b.e[0, 0] == mono((1, 2, 0, 0, -2), Fraction(-1, 144)) + mono((0, 1, 0, 0, -1), Fraction(-1, 12))
+    assert b.e[0, 1] == (
+        mono((2, 2, 0, 0, -2), Fraction(1, 144))
+        + mono((1, 1, 0, 0, -1), Fraction(1, 6))
+        + QuasiPoly.const(1)
+    )
+    assert b.e[1, 0] == mono((0, 2, 0, 0, -2), Fraction(-1, 144))
+    assert b.e[1, 1] == mono((1, 2, 0, 0, -2), Fraction(1, 144)) + mono((0, 1, 0, 0, -1), Fraction(1, 12))
