@@ -1,10 +1,11 @@
 """Exact computer algebra for modular forms and the Lie algebras they span.
 
 Two layers.  The algebra half imports nothing from the q-series half:
-  poly          the one polynomial kernel
+  poly          the one polynomial kernel and the one canonical step
   linalg        exact dense matrices and elimination over any ring
   liealg        root systems, Chevalley bases, sl2 triples, Sym^n
   alia          weight-zero bracket tables over C[j], two-route certified
+  cyclotomic    the fields Q(zeta_n) of the polyhedral pole sets
   loopext       polyhedral loop algebras, residue cocycles, Onsager
 The q-series half realises it by forms:
   qseries       truncated q-expansions over Q with rational exponents
@@ -12,8 +13,8 @@ The q-series half realises it by forms:
   quasimodular  the polynomial ring Q[tau, E2, E4, E6, 1/(2 pi i)]
   vvmf          the intertwiner Phi_n and Hilbert series
 Above both:
-  identities    the table of exact identities behind `mfal verify`
-  checks        the certification suites
+  checks        the suites of `mfal verify`: registry, identity table, runner
+  checks_<s>    the checks of suite s, importing only the modules s runs
   cli           the `mfal` command
 
 RESIDUE_TABLE lives here, where both halves read it: the bracket cocycles of

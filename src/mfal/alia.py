@@ -10,11 +10,12 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from math import comb, lcm
 
 from . import RESIDUE_TABLE, liealg
 from .liealg import BracketTable, ChevalleyStructure, GradedTriple
 from .linalg import rank, rref
-from .poly import Ring, add, horner, mul
+from .poly import Ring, add, horner, lowest_terms, monomial_count, mul, trim
 
 
 class OddGrading(ValueError):
@@ -25,16 +26,33 @@ class OddGrading(ValueError):
 # univariate polynomials in j over Q
 # ----------------------------------------------------------------------
 
-class JPoly(Ring):
-    """Dense polynomial in j with Fraction coefficients."""
+def _jpoly(nums: list, den: int) -> "JPoly":
+    """The canonical JPoly of the int list nums (trimmed in place) over den."""
+    p = object.__new__(JPoly)
+    p.nums, p.den = lowest_terms(tuple(trim(nums)), den)
+    return p
 
-    __slots__ = ("coeffs",)
+
+class JPoly(Ring):
+    """Dense polynomial in j over Q: int numerators over one denominator.
+
+    ``nums[i] / den`` is the coefficient of j^i.  Every polynomial is
+    canonical, with no trailing zero numerator, den > 0 and
+    gcd(den, *nums) == 1 (``poly.lowest_terms``), so equal polynomials have
+    equal (nums, den).  ``coeffs`` reads the coefficients as Fractions.
+    """
+
+    __slots__ = ("nums", "den")
 
     def __init__(self, coeffs=()):
         cs = [Fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        self.coeffs = tuple(cs)
+        den = lcm(*(c.denominator for c in cs))
+        nums = trim([c.numerator * (den // c.denominator) for c in cs])
+        self.nums, self.den = lowest_terms(tuple(nums), den)
+
+    @property
+    def coeffs(self) -> tuple:
+        return tuple(Fraction(c, self.den) for c in self.nums)
 
     @classmethod
     def const(cls, c):
@@ -42,32 +60,36 @@ class JPoly(Ring):
 
     @classmethod
     def j_power_form(cls, w4: int, w6: int):
-        """j^w4 (j - 1728)^w6."""
-        return cls((0, 1)) ** w4 * cls((-1728, 1)) ** w6
+        """j^w4 (j - 1728)^w6, by the binomial theorem."""
+        return _jpoly([0] * w4 + [comb(w6, k) * (-1728) ** (w6 - k) for k in range(w6 + 1)], 1)
 
     def __bool__(self):
-        return bool(self.coeffs)
+        return bool(self.nums)
 
     def degree(self):
-        return len(self.coeffs) - 1
+        return len(self.nums) - 1
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
             other = JPoly((other,))
-        return isinstance(other, JPoly) and self.coeffs == other.coeffs
+        return isinstance(other, JPoly) and self.nums == other.nums and self.den == other.den
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if not isinstance(other, JPoly):
             other = JPoly((other,))
-        return JPoly(add(self.coeffs, other.coeffs))
+        da, db = self.den, other.den
+        if da == db:
+            return _jpoly(add(self.nums, other.nums), da)
+        return _jpoly(add([c * db for c in self.nums], [c * da for c in other.nums]), da * db)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return JPoly([c * other for c in self.coeffs])
-        return JPoly(mul(self.coeffs, other.coeffs, Fraction(0)))
+        if isinstance(other, JPoly):
+            return _jpoly(mul(self.nums, other.nums, 0), self.den * other.den)
+        p = other.numerator  # an int or a Fraction
+        return _jpoly([c * p for c in self.nums], self.den * other.denominator)
 
     def __call__(self, value):
-        return horner(self.coeffs, Fraction(value), Fraction(0))
+        return horner(self.nums, Fraction(value), Fraction(0)) / self.den
 
     def as_series(self, j):
         """The polynomial at the series j, in j's own ring."""
@@ -128,11 +150,10 @@ class CocyclePair:
                 n4a, n6a = residue_exponents(-ka)
                 n4b, n6b = residue_exponents(-kb)
                 n4s, n6s = residue_exponents(-ka - kb)
-                w4 = Fraction(n4a - n4s + n4b, 3)
-                w6 = Fraction(n6a - n6s + n6b, 2)
-                if w4.denominator != 1 or w6.denominator != 1:
+                w4, r4 = divmod(n4a - n4s + n4b, 3)
+                w6, r6 = divmod(n6a - n6s + n6b, 2)
+                if r4 or r6:
                     raise AssertionError("coboundary values are not integral")
-                w4, w6 = int(w4), int(w6)
                 if w4 not in (0, 1) or w6 not in (0, 1):
                     raise AssertionError("cocycle value outside {0,1}")
                 self.w4[(alpha, beta)] = w4
@@ -322,8 +343,6 @@ def levi_dimensions(type_label: str, orbit: str):
     radical = dim z(g_0) + sum_{n>0} dim g_{-n} * dim M_n(Gamma(1));
     levi = dim of the derived subalgebra of g_0.
     """
-    from .vvmf import monomial_count
-
     triple = liealg.graded_triple(type_label, orbit)
     st = triple.structure
     g0 = [st.index[("H", i)] for i in range(st.rs.rank)]

@@ -359,6 +359,26 @@ def jacobi_lemmas(order):
             yield f"Jacobi on x_{i}, x_{j}, x_{k} in {t}", st.jacobiator(i, j, k), {}
 
 
+def killing_lemmas(order, types=("A1", "A2", "B2", "G2")):
+    """The ``liealg.killing_associativity`` row: K = K^T and ad(x)^T K + K ad(x)
+    = 0 for every basis vector x of g.
+
+    With K(u, v) = u^T K v and [x, u] = ad(x) u, the second lemma is
+    K([x,y],z) + K(y,[x,z]) = 0, for every x by linearity; with the first it
+    gives K([x,y],z) = -K([y,x],z) = K(x,[y,z]) on every triple.
+    """
+    for t in types:
+        st = chevalley(t)
+        k = Matrix(st.killing())
+        yield f"K = K^T in {t}", Matrix(zip(*k.rows)), k
+        for a in range(st.dim):
+            # row i of ad_t is column i of ad(x_a): the coordinates of [x_a, x_i]
+            ad_t = Matrix([[st.bracket_indices(a, i).get(j, 0) for j in range(st.dim)]
+                           for i in range(st.dim)])
+            yield (f"ad(x_{a})^T K + K ad(x_{a}) = 0 in {t}",
+                   ad_t * k + k * Matrix(zip(*ad_t.rows)), k * 0)
+
+
 class GradedTriple:
     """Grading from Dynkin labels plus a rational standard triple."""
 

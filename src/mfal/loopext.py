@@ -1,9 +1,10 @@
 """Polyhedral loop algebras: residue cocycles, Onsager realization,
 evaluation representations.
 
-Pole sets live in cyclotomic fields Q(zeta_n), n in {1, 3, 4, 5}, and every
-rational function is kept as its partial fractions over that field, so a
-residue is read off exactly as one coefficient.
+Pole sets live in the cyclotomic fields Q(zeta_n), n in {1, 3, 4, 5}, of
+``mfal.cyclotomic``, and every rational function is kept as its partial
+fractions over that field, so a residue is read off exactly as one
+coefficient.
 """
 
 from __future__ import annotations
@@ -12,126 +13,13 @@ from fractions import Fraction
 from math import comb
 
 from . import liealg
-from .linalg import Matrix, dot, rank, solve
+from .cyclotomic import CycloField, CycloNumber
+from .linalg import Matrix, dot, rank
 from .poly import Ring, add, horner, mul, sparse_add, sparse_mul, trim
 
 
 class PoleAtEvaluationPoint(ValueError):
     """Evaluation representation asked to evaluate at a pole."""
-
-
-# ----------------------------------------------------------------------
-# cyclotomic fields
-# ----------------------------------------------------------------------
-
-_CYCLOTOMIC = {
-    1: (Fraction(-1), Fraction(1)),                                  # x - 1
-    3: (Fraction(1), Fraction(1), Fraction(1)),                      # x^2 + x + 1
-    4: (Fraction(1), Fraction(0), Fraction(1)),                      # x^2 + 1
-    5: (Fraction(1),) * 5,                                           # x^4 + ... + 1
-}
-
-
-class CycloField:
-    """Q(zeta_n) as Q[x] modulo the n-th cyclotomic polynomial."""
-
-    def __init__(self, n: int):
-        if n not in _CYCLOTOMIC:
-            raise ValueError(f"unsupported cyclotomic order {n}")
-        self.n = n
-        self.modulus = _CYCLOTOMIC[n]
-        self.degree = len(self.modulus) - 1
-        self.zero = self.element([])
-        self.one = self.element([1])
-
-    def element(self, coeffs) -> "CycloNumber":
-        cs = [c if isinstance(c, Fraction) else Fraction(c) for c in coeffs]
-        return CycloNumber(self, tuple(self._reduce(cs)))
-
-    def _reduce(self, cs):
-        mod = self.modulus
-        deg = self.degree
-        while len(cs) > deg:
-            top = cs.pop()
-            if top:
-                for i in range(deg):
-                    cs[len(cs) - deg + i] -= top * mod[i]
-        cs += [Fraction(0)] * (deg - len(cs))
-        return cs
-
-    @property
-    def zeta(self):
-        if self.degree == 1:
-            return self.one  # zeta_1 = 1
-        return self.element([0, 1])
-
-    def rational(self, c):
-        return self.element([Fraction(c)])
-
-    def __repr__(self):
-        return f"CycloField(zeta_{self.n})"
-
-
-class CycloNumber(Ring):
-    __slots__ = ("field", "coeffs")
-
-    def __init__(self, field: CycloField, coeffs):
-        self.field = field
-        self.coeffs = coeffs
-
-    def __bool__(self) -> bool:
-        return any(self.coeffs)
-
-    def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = self.field.rational(other)
-        return (isinstance(other, CycloNumber) and self.field.n == other.field.n
-                and self.coeffs == other.coeffs)
-
-    def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = self.field.rational(other)
-        elif not isinstance(other, CycloNumber):
-            return NotImplemented
-        if other.field.n != self.field.n:  # zeta_3 and zeta_4 are both (0, 1)
-            raise ValueError(f"{other.field} element in {self.field} arithmetic")
-        return CycloNumber(
-            self.field, tuple(a + b for a, b in zip(self.coeffs, other.coeffs))
-        )
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return CycloNumber(self.field, tuple(a * other for a in self.coeffs))
-        if not isinstance(other, CycloNumber):
-            return NotImplemented
-        if other.field.n != self.field.n:
-            raise ValueError(f"{other.field} element in {self.field} arithmetic")
-        prod = mul(self.coeffs, other.coeffs, Fraction(0))
-        return CycloNumber(self.field, tuple(self.field._reduce(prod)))
-
-    def inverse(self) -> "CycloNumber":
-        """Solve x y = 1 in coordinates: column j of x's multiplication
-        matrix holds the coordinates of x zeta^j."""
-        if not self:
-            raise ZeroDivisionError("inverse of zero field element")
-        field = self.field
-        cols = [field.element([0] * j + list(self.coeffs)).coeffs for j in range(field.degree)]
-        y = solve([list(row) for row in zip(*cols)], list(field.one.coeffs))
-        return CycloNumber(field, tuple(y))
-
-    def __repr__(self):
-        names = {1: "1", 3: "w", 4: "i", 5: "z"}
-        sym = names[self.field.n]
-        parts = []
-        for i, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            if i == 0:
-                parts.append(str(c))
-            else:
-                mono = sym if i == 1 else f"{sym}^{i}"
-                parts.append(mono if c == 1 else f"{c}*{mono}")
-        return " + ".join(parts) if parts else "0"
 
 
 # ----------------------------------------------------------------------
@@ -146,8 +34,8 @@ class RatFunc(Ring):
     """A rational function over a CycloField as its partial fractions.
 
     f = P(t) + sum_a sum_k c_(a,k) (t - a)^(-k).  ``poly`` lists P's
-    coefficients, lowest degree first; ``parts`` maps the ``coeffs`` tuple
-    of each pole a to ``(a, [c_(a,1), c_(a,2), ...])``.  Lists carry no
+    coefficients, lowest degree first; ``parts`` maps the ``key`` of each
+    pole a to ``(a, [c_(a,1), c_(a,2), ...])``.  Lists carry no
     trailing zeros and no part is empty, so the form is unique: a residue
     is a lookup and ``is_zero`` is exact.
     """
@@ -179,7 +67,7 @@ class RatFunc(Ring):
         if power < 1:
             raise ValueError(f"pole order must be at least 1, got {power}")
         a = _num(field, a)
-        return cls(field, [], {a.coeffs: (a, [field.zero] * (power - 1) + [field.one])})
+        return cls(field, [], {a.key: (a, [field.zero] * (power - 1) + [field.one])})
 
     def __bool__(self) -> bool:
         return bool(self.poly or self.parts)
@@ -236,7 +124,7 @@ class RatFunc(Ring):
 
     def evaluate(self, point) -> CycloNumber:
         point = _num(self.field, point)
-        if point.coeffs in self.parts:
+        if point.key in self.parts:
             raise PoleAtEvaluationPoint("f has a pole at the point")
         zero = self.field.zero
         acc = horner(self.poly, point, zero)
@@ -298,7 +186,7 @@ def _taylor(ds, pows, count, zero):
 
 def residue(f: RatFunc, point) -> CycloNumber:
     """Residue of f at a finite point: the coefficient c_(a,1) of 1/(t - a)."""
-    part = f.parts.get(_num(f.field, point).coeffs)
+    part = f.parts.get(_num(f.field, point).key)
     return part[1][0] if part else f.field.zero
 
 
@@ -307,7 +195,7 @@ def residue_at_infinity(f: RatFunc, finite_points) -> CycloNumber:
 
     Raises ValueError when f has a pole outside ``finite_points``.
     """
-    given = {_num(f.field, a).coeffs for a in finite_points}
+    given = {_num(f.field, a).key for a in finite_points}
     for key, (a, _) in f.parts.items():
         if key not in given:
             raise ValueError(f"f has a pole at {a!r}, outside the given points")

@@ -4,7 +4,8 @@ Everything is an exact QSeries in q = exp(2*pi*i*tau).  Forms classically
 written in the nome exp(pi*i*tau) (theta constants, lambda) live here with
 half/quarter/eighth-integral exponents so that a single exponent lattice
 serves the whole package.  The identities between these forms that
-`mfal verify` certifies are declared once, in the table of `mfal.identities`.
+`mfal verify` certifies are declared once each, as rows of the identity
+table `mfal.checks.IDENTITIES`.
 """
 
 from __future__ import annotations
@@ -240,8 +241,8 @@ def theta(i: int, order=DEFAULT_ORDER) -> NamedForm:
 
 def gamma2_generators(order=DEFAULT_ORDER):
     """(F2, H2): F2 = 2 E2(2 tau) - E2(tau) and H2 = F2(tau/2) generate the
-    Gamma(2) forms; their theta fourth-power combinations are a row of the
-    identity table in `mfal.identities`."""
+    Gamma(2) forms; their theta fourth-power combinations are the
+    `theta.gamma2_combinations` row of the identity table."""
     wide = 2 * Fraction(order)  # F2 must be known twice as deep to halve tau
     e2 = named_form("E2", wide).series
     f2 = e2.rescale_tau(2).truncate(wide).scale(2) - e2
@@ -470,3 +471,8 @@ def named_form(name: str, order=DEFAULT_ORDER) -> NamedForm:
             series = deepest.series.truncate(order + deepest.series.trunc - built)
             cuts[order] = NamedForm(name, deepest.weight, deepest.group, series)
         return cuts[order]
+
+
+def series(name: str, order=DEFAULT_ORDER) -> QSeries:
+    """The q-expansion of ``named_form(name, order)``."""
+    return named_form(name, order).series

@@ -3,11 +3,16 @@
 Two shapes share it:
 
 * dense: a list (or tuple) of coefficients, lowest degree first, used by
-  ``JPoly``, ``CycloNumber`` and ``RatFunc``; ``trim`` drops trailing zeros;
+  ``JPoly`` and ``CycloNumber`` (int numerators over one denominator) and
+  ``RatFunc`` (CycloNumbers); ``trim`` drops trailing zeros;
 * sparse: a dict exponent -> nonzero coefficient, used by ``QuasiPoly``
-  (5-tuple exponents, int numerators over the polynomial's one
-  denominator), ``loopext.Laurent`` (int exponents) and bracket vectors;
-  sums drop every entry that cancels.
+  (5-tuple exponents, int numerators over one denominator),
+  ``loopext.Laurent`` (int exponents) and bracket vectors; sums drop every
+  entry that cancels.
+
+Every exact ring over Q keeps int numerators over one denominator, and
+``lowest_terms`` is its one canonical step: ``QSeries``, ``QuasiPoly``,
+``JPoly`` and ``CycloNumber`` build each result through it.
 
 ``power`` is the one repeated-squaring loop of the package, and
 ``kronecker_mul`` the one product of dense integer lists (the q-series
@@ -23,6 +28,7 @@ import decimal
 import operator
 import sys
 from fractions import Fraction
+from math import gcd
 
 #: Bits in the smaller packed operand above which ``kronecker_mul`` packs in
 #: decimal: libmpdec multiplies big numbers in quasi-linear time, where
@@ -31,6 +37,32 @@ DECIMAL_BITS = 1 << 17
 
 #: Exact integer arithmetic in decimal: no product of ints is ever rounded.
 _EXACT = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN)
+
+
+def lowest_terms(nums, den: int):
+    """(nums, den) with den > 0 and gcd(den, *nums) == 1, so den == 1 when
+    every numerator is 0: the one canonical layout of int numerators over one
+    nonzero int denominator.  ``nums`` is a list or tuple of ints, or a dict
+    of int values; it is returned as it is when already canonical, and
+    otherwise rebuilt as the same type."""
+    if den == 1:
+        return nums, den
+    g = gcd(den, *(nums.values() if isinstance(nums, dict) else nums))
+    if den < 0:
+        g = -g
+    if g == 1:
+        return nums, den
+    if isinstance(nums, dict):
+        return {k: c // g for k, c in nums.items()}, den // g
+    return type(nums)([c // g for c in nums]), den // g
+
+
+def monomial_count(k: int, degrees=(4, 6)) -> int:
+    """Number of monomials of weight k in free generators of given weights."""
+    if k < 0:
+        return 0
+    d1, d2 = degrees
+    return sum(1 for a in range(k // d1 + 1) if (k - a * d1) % d2 == 0)
 
 
 def trim(p):

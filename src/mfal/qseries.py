@@ -10,11 +10,12 @@ A series is stored in the layout its kernel multiplies: int numerators
 ``nums`` over one positive int ``den``, ``nums[i] / den`` being the
 coefficient at exponent ``(val + step*i) / denom``.  ``_series`` builds
 every result in canonical form: no zero numerator at either end, no common
-factor of ``nums`` and ``den``, ``step`` the gcd of the nonzero terms'
-offsets (0 for at most one term), and ``denom`` the least denominator of
-the exponents, so gcd(denom, val, step) == 1.  Products and inverses work
-on the numerators directly: ``mfal.poly.kronecker_mul`` is the one product
-kernel, and ``inverse`` runs Newton's iteration on it.
+factor of ``nums`` and ``den`` (``mfal.poly.lowest_terms``), ``step`` the
+gcd of the nonzero terms' offsets (0 for at most one term), and ``denom``
+the least denominator of the exponents, so gcd(denom, val, step) == 1.
+Products and inverses work on the numerators directly:
+``mfal.poly.kronecker_mul`` is the one product kernel, and ``inverse`` runs
+Newton's iteration on it.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable
 
-from .poly import Ring, add, kronecker_mul
+from .poly import Ring, add, kronecker_mul, lowest_terms
 
 
 class DivisionByZeroSeries(ZeroDivisionError):
@@ -92,11 +93,7 @@ def _series(denom: int, val: int, step: int, nums: list, den: int, trunc) -> "QS
         step *= g
         g = gcd(denom, val, step)
         denom, val, step = denom // g, val // g, step // g
-        if den < 0:
-            nums, den = [-c for c in nums], -den
-        g = gcd(den, *nums)
-        if g > 1:
-            nums, den = [c // g for c in nums], den // g
+        nums, den = lowest_terms(nums, den)
     s = object.__new__(QSeries)
     s.denom, s.val, s.step, s.nums, s.den, s.trunc = denom, val, step, nums, den, trunc
     return s

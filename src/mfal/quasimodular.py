@@ -11,11 +11,11 @@ from __future__ import annotations
 
 import cmath
 from fractions import Fraction
-from math import comb, gcd, lcm
+from math import comb, lcm
 
 from . import modforms
 from .linalg import Matrix
-from .poly import Ring, add_term, sparse_add, sparse_mul
+from .poly import Ring, add_term, lowest_terms, sparse_add, sparse_mul
 from .qseries import QSeries, _to_frac
 
 VARS = ("tau", "P", "Q", "R", "s")
@@ -34,12 +34,8 @@ def _rational(c):
 def _make(nums: dict, den: int) -> "QuasiPoly":
     """The canonical QuasiPoly nums / den for den > 0; ``nums`` (no zero
     values) is kept, not copied: no polynomial mutates its dict."""
-    if den != 1:
-        g = gcd(den, *nums.values())
-        if g > 1:
-            nums, den = {k: c // g for k, c in nums.items()}, den // g
     p = object.__new__(QuasiPoly)
-    p.nums, p.den = nums, den
+    p.nums, p.den = lowest_terms(nums, den)
     return p
 
 
@@ -316,8 +312,8 @@ class QuasiMatrix(Matrix):
 
 class Sl2Bundle:
     """The weight -2, 0, 2 matrix forms and the triple (h, e, f) they span;
-    the ``quasimodular.sl2_bundle`` row of ``mfal.identities`` certifies their
-    relations."""
+    the ``quasimodular.sl2_bundle`` row of the identity table certifies
+    their relations."""
 
     def __init__(self):
         self.a_minus2 = QuasiMatrix([[TAU, -(TAU * TAU)], [1, -TAU]])

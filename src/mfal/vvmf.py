@@ -13,6 +13,7 @@ from functools import cached_property
 
 from . import liealg
 from .linalg import Matrix
+from .poly import monomial_count
 from .quasimodular import NumericContext, QuasiMatrix, QuasiPoly
 
 
@@ -140,14 +141,6 @@ def hilbert_coeffs(h: HilbertSeries, k_max: int) -> list:
     coeffs = h.coefficients(k_max)
     low = min(coeffs, default=0)
     return [(k, coeffs.get(k, 0)) for k in range(low, k_max + 1)]
-
-
-def monomial_count(k: int, degrees=(4, 6)) -> int:
-    """Number of monomials of weight k in free generators of given weights."""
-    if k < 0:
-        return 0
-    d1, d2 = degrees
-    return sum(1 for a in range(k // d1 + 1) if (k - a * d1) % d2 == 0)
 
 
 def brute_force_vvmf_dim(n: int, k: int, degrees=(4, 6)) -> int:

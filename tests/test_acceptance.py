@@ -13,6 +13,8 @@ from mfal import alia, checks, liealg, loopext, modforms, vvmf
 from mfal.alia import JPoly
 from mfal.loopext import CycloField, RatFunc
 
+checks.load("all")  # the rows and checks of every suite
+
 ORDER = 64
 
 

@@ -7,6 +7,8 @@ from mfal.alia import JPoly, OddGrading
 from mfal.linalg import Matrix
 from mfal.qseries import QSeries
 
+checks.load("all")  # the rows and checks of every suite
+
 
 # ----------------------------------------------------------------------
 # golden cocycle graphs: one edge set per cocycle per orbit, transcribed

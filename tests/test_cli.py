@@ -281,18 +281,23 @@ def test_expand_j_1024_json_digest(capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == EXPAND_J_1024_JSON
 
 
+def last_line_of(code: str) -> str:
+    """The last line a fresh interpreter running ``code`` prints."""
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
+                         capture_output=True, text=True, check=True)
+    return out.stdout.splitlines()[-1]
+
+
 def mfal_modules_after(argv=None, module="mfal.cli") -> list:
     """The mfal modules a fresh interpreter holds after ``import module``
     and, unless argv is None, ``mfal.cli.main(argv)``."""
-    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     code = f"import sys, {module}; "
     if argv is not None:
         code += f"mfal.cli.main({argv!r}); "
     code += "print(*sorted(m for m in sys.modules if m.split('.')[0] == 'mfal'))"
-    out = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
-                         capture_output=True, text=True, check=True)
-    return out.stdout.splitlines()[-1].split()
+    return last_line_of(code).split()
 
 
 def test_each_subcommand_imports_only_its_own_modules():
@@ -303,7 +308,45 @@ def test_each_subcommand_imports_only_its_own_modules():
     assert alia == ["mfal", "mfal.alia", "mfal.cli", "mfal.liealg", "mfal.linalg", "mfal.poly"]
 
 
-@pytest.mark.parametrize("module", ["mfal.liealg", "mfal.alia", "mfal.loopext"])
+#: the mfal modules beyond mfal, mfal.cli, mfal.checks and mfal.poly that
+#: `mfal verify <suite>` loads
+VERIFY_MODULES = {
+    "core": ["checks_core", "liealg", "linalg", "modforms", "qseries", "quasimodular", "vvmf"],
+    "theta": ["checks_theta", "modforms", "qseries"],
+    "gamma": ["checks_gamma", "modforms", "qseries"],
+    "alia": ["alia", "checks_alia", "liealg", "linalg", "modforms", "qseries"],
+    "loop": ["alia", "checks_loop", "cyclotomic", "liealg", "linalg", "loopext"],
+}
+#: the modules each suite must not load
+VERIFY_SKIPS = {
+    "theta": {"liealg", "alia", "loopext", "quasimodular", "vvmf"},
+    "gamma": {"liealg", "alia", "loopext", "quasimodular", "vvmf"},
+    "loop": {"qseries", "modforms", "quasimodular", "vvmf"},
+    "core": {"alia", "loopext"},
+    "alia": {"loopext", "vvmf", "quasimodular"},
+}
+
+
+@pytest.mark.parametrize("suite", VERIFY_MODULES)
+def test_each_verify_suite_imports_only_its_own_modules(suite):
+    loaded = mfal_modules_after(["verify", suite, "--order", "8"])
+    own = ["mfal." + name for name in ["checks", "cli", "poly", *VERIFY_MODULES[suite]]]
+    assert loaded == sorted(["mfal", *own])
+    assert not {"mfal." + name for name in VERIFY_SKIPS[suite]} & set(loaded)
+
+
+@pytest.mark.parametrize("suite", VERIFY_MODULES)
+def test_no_check_imports_a_module(suite):
+    """No module is first imported while a check runs: run_suite loads the
+    suite's modules before its first timer starts."""
+    code = ("import sys; from mfal import checks; "
+            f"checks.load({suite!r}); before = set(sys.modules); "
+            f"checks.run_suite({suite!r}, 8); print(sorted(set(sys.modules) - before))")
+    assert last_line_of(code) == "[]"
+
+
+@pytest.mark.parametrize("module", ["mfal.liealg", "mfal.alia", "mfal.cyclotomic", "mfal.loopext",
+                                    "mfal.checks_loop"])
 def test_algebra_half_loads_no_qseries_module(module):
     loaded = mfal_modules_after(module=module)
     assert module in loaded

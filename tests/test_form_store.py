@@ -18,6 +18,8 @@ import pytest
 from mfal import checks, modforms as mf
 from mfal.qseries import QSeries
 
+checks.load("all")  # the rows and checks of every suite
+
 NAMES = list(mf.REGISTERED_NAMES) + [f"F_k:{k}" for k in range(-24, 25, 2)]
 
 GOLDEN_64 = {

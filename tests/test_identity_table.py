@@ -24,6 +24,8 @@ from mfal.linalg import Matrix
 from mfal.poly import add_term
 from mfal.qseries import QSeries
 
+checks.load("all")  # the rows and checks of every suite
+
 ORDER = 24
 
 

@@ -8,6 +8,8 @@ from mfal import checks, modforms as mf
 from mfal.modforms import OddWeight, UnknownForm, Unsupported
 from mfal.qseries import QSeries
 
+checks.load("all")  # the rows and checks of every suite
+
 ORDER = 40
 
 

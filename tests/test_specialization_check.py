@@ -1,10 +1,10 @@
 """`alia.specialization`: det K(j) over Q[j] against the cocycle exponents."""
 
-from mfal import alia, checks
+from mfal import alia, checks_alia
 
 
 def test_specialization_is_exact_over_qj():
-    passed, detail = checks.check_specialization(32)
+    passed, detail = checks_alia.check_specialization(32)
     assert passed, detail
     for key, ab in ((("A1", "principal"), (2, 2)), (("A2", "principal"), (6, 4)),
                     (("B2", "principal"), (6, 6)), (("B2", "subregular"), (6, 6)),
@@ -23,6 +23,6 @@ def test_specialization_fails_on_one_wrong_cocycle_exponent(monkeypatch):
         return table
 
     monkeypatch.setattr(alia, "alia_table", patched)
-    passed, detail = checks.check_specialization(32)
+    passed, detail = checks_alia.check_specialization(32)
     assert not passed
     assert "('B2', 'subregular')" in detail

@@ -7,6 +7,8 @@ import pytest
 from mfal import checks, vvmf
 from mfal.quasimodular import QuasiPoly
 
+checks.load("all")  # the rows and checks of every suite
+
 
 def test_phi0_is_identity():
     op = vvmf.phi(0)
