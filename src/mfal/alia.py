@@ -279,8 +279,15 @@ def _dense(vectors, dim):
     return [[v.get(i, Fraction(0)) for i in range(dim)] for v in vectors]
 
 
+_TABLE_CACHE: dict[tuple, AliaTable] = {}
+
+
 def alia_table(type_label: str, orbit: str) -> AliaTable:
-    return AliaTable(type_label, orbit)
+    """The table of an orbit, built once per process: its readers only read it."""
+    key = (type_label, orbit)
+    if key not in _TABLE_CACHE:
+        _TABLE_CACHE[key] = AliaTable(type_label, orbit)
+    return _TABLE_CACHE[key]
 
 
 def _gauges():

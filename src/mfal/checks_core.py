@@ -29,52 +29,6 @@ def _random_series(rng, trunc=24, denom=1):
     return QSeries.from_terms(terms, trunc=trunc)
 
 
-def check_qseries_ring_axioms(order):
-    rng = random.Random(101)
-    for _ in range(8):
-        a, b, c = (_random_series(rng, denom=rng.choice((1, 2))) for _ in range(3))
-        assoc = ((a * b) * c) - (a * (b * c))
-        dist = (a * (b + c)) - (a * b + a * c)
-        if not assoc.is_zero() or not dist.is_zero():
-            return False, "associativity/distributivity failed on sample"
-    return True, "8 sampled triples, exact"
-
-
-def check_qseries_div_roundtrip(order):
-    rng = random.Random(202)
-    for _ in range(6):
-        a = _random_series(rng) + 1  # unit constant term
-        b = _random_series(rng) + 2
-        if not ((a * b) / b).agrees(a, min_span=8):
-            return False, "div(mul) failed"
-        if not ((a / b) * b).agrees(a, min_span=8):
-            return False, "mul(div) failed"
-    return True, "6 sampled pairs round-trip"
-
-
-def check_qseries_leibniz(order):
-    rng = random.Random(303)
-    for _ in range(6):
-        a, b = _random_series(rng), _random_series(rng)
-        lhs = (a * b).q_derive()
-        rhs = a.q_derive() * b + a * b.q_derive()
-        if not (lhs - rhs).is_zero():
-            return False, "Leibniz failed"
-    return True, "q d/dq is a derivation on samples"
-
-
-def check_qseries_shift_hom(order):
-    rng = random.Random(404)
-    for _ in range(6):
-        a = _random_series(rng, denom=2)
-        b = _random_series(rng, denom=2)
-        if not ((a * b).shift_tau() - a.shift_tau() * b.shift_tau()).is_zero():
-            return False, "shift_tau is not multiplicative"
-        if not ((a + b).shift_tau() - (a.shift_tau() + b.shift_tau())).is_zero():
-            return False, "shift_tau is not additive"
-    return True, "algebra homomorphism on half-integral lattice"
-
-
 def check_qseries_eval_product(order):
     e4, e6 = series("E4", order), series("E6", order)
     tau = 1j
@@ -82,19 +36,6 @@ def check_qseries_eval_product(order):
     rhs = e4.eval_numeric(tau) * e6.eval_numeric(tau)
     err = abs(lhs - rhs)
     return err < 1e-10, f"|eval(E4*E6) - eval(E4)eval(E6)| = {err:.2e} at tau=i"
-
-
-def check_duke_jenkins_table(order):
-    expected = {0: (0, 0), 2: (2, 1), 4: (1, 0), 6: (0, 1), 8: (2, 0), 10: (1, 1)}
-    for k in range(-24, 26, 2):
-        ell, n4, n6, f = modforms.duke_jenkins(k, 16)
-        if (n4, n6) != expected[k % 12]:
-            return False, f"residue pair wrong at k={k}"
-        if 12 * ell + 4 * n4 + 6 * n6 != k:
-            return False, f"weight bookkeeping wrong at k={k}"
-        if f.valuation != ell or f.coefficient(f.valuation) != 1:
-            return False, f"leading term wrong at k={k}"
-    return True, "residue map verified for even k in [-24, 24]"
 
 
 def check_delta_derivation(order):
@@ -126,37 +67,6 @@ def check_numeric_s_equivariance(order):
     return worst < 1e-8, f"max S-residual {worst:.2e} (E4, E6, E2 anomaly)"
 
 
-def check_dtau_leibniz(order):
-    rng = random.Random(606)
-    gens = [QuasiPoly.var(v) for v in ("tau", "P", "Q", "R", "s")]
-    for _ in range(6):
-        a = sum(
-            (g.scale(rng.randint(-3, 3)) * h for g, h in zip(gens, reversed(gens))),
-            QuasiPoly.const(rng.randint(-2, 2)),
-        )
-        b = gens[rng.randrange(5)] * gens[rng.randrange(5)] + QuasiPoly.const(1)
-        lhs = (a * b).d_tau()
-        rhs = a.d_tau() * b + a * b.d_tau()
-        if not (lhs - rhs).is_zero():
-            return False, "d_tau violates Leibniz"
-    return True, "derivation property on sampled products"
-
-
-def check_grading_additivity(order):
-    for key in liealg.ORBIT_LABELS:
-        triple = liealg.graded_triple(*key)
-        rs = triple.structure.rs
-        for a in rs.roots:
-            for b in rs.roots:
-                s = tuple(x + y for x, y in zip(a, b))
-                if s in rs.root_set:
-                    if triple.grading[s] != triple.grading[a] + triple.grading[b]:
-                        return False, f"additivity failed for {key}"
-        if not triple.triple_relations_hold():
-            return False, f"triple relations failed for {key}"
-    return True, "k additive and (H, E, F) standard for all orbits"
-
-
 def check_phi_S(order):
     worst = 0.0
     for n in (1, 2, 3):
@@ -165,19 +75,45 @@ def check_phi_S(order):
     return worst < 1e-8, f"max S-residual {worst:.2e} for n <= 3"
 
 
-def check_hilbert(order):
-    for n in range(0, 5):
-        h = vvmf.hilbert_vvmf(n, "Gamma(1)")
-        coeffs = h.coefficients(40)
-        for k in range(-n, 41):
-            if coeffs.get(k, 0) != vvmf.brute_force_vvmf_dim(n, k):
-                return False, f"mismatch at n={n}, k={k}"
-    return True, "generating function = monomial counts, n <= 4, k <= 40"
-
-
 # ----------------------------------------------------------------------
 # rows of the identity table
 # ----------------------------------------------------------------------
+
+def _ring_axioms(order):
+    rng = random.Random(101)
+    for i in range(8):
+        a, b, c = (_random_series(rng, denom=rng.choice((1, 2))) for _ in range(3))
+        yield f"sample {i}: (ab)c = a(bc)", (a * b) * c, a * (b * c)
+        yield f"sample {i}: a(b + c) = ab + ac", a * (b + c), a * b + a * c
+
+
+def _div_roundtrip(order):
+    rng = random.Random(202)
+    for i in range(6):
+        a = _random_series(rng) + 1  # unit constant term
+        b = _random_series(rng) + 2
+        yield f"sample {i}: (ab)/b = a", (a * b) / b, a
+        yield f"sample {i}: (a/b)b = a", (a / b) * b, a
+
+
+def _q_leibniz(order):
+    rng = random.Random(303)
+    for i in range(6):
+        a, b = _random_series(rng), _random_series(rng)
+        yield (f"sample {i}: (ab)' = a' b + a b' for ' = q d/dq",
+               (a * b).q_derive(), a.q_derive() * b + a * b.q_derive())
+
+
+def _shift_homomorphism(order):
+    rng = random.Random(404)
+    for i in range(6):
+        a = _random_series(rng, denom=2)
+        b = _random_series(rng, denom=2)
+        yield (f"sample {i}: (ab)(tau+1) = a(tau+1) b(tau+1)",
+               (a * b).shift_tau(), a.shift_tau() * b.shift_tau())
+        yield (f"sample {i}: (a + b)(tau+1) = a(tau+1) + b(tau+1)",
+               (a + b).shift_tau(), a.shift_tau() + b.shift_tau())
+
 
 def _j_head(order):
     j = series("j", order)
@@ -203,6 +139,30 @@ def _eisenstein_powers(order):
     yield "E8 = E4^2", series("E8", order), e4**2
     yield "E10 = E4 E6", series("E10", order), e4 * e6
     yield "E14 = E4^2 E6", series("E14", order), e4**2 * e6
+
+
+def _duke_jenkins_table(order):
+    expected = {0: (0, 0), 2: (2, 1), 4: (1, 0), 6: (0, 1), 8: (2, 0), 10: (1, 1)}
+    for k in range(-24, 26, 2):
+        ell, n4, n6, f = modforms.duke_jenkins(k, 16)
+        yield f"k={k}: n4", n4, expected[k % 12][0]
+        yield f"k={k}: n6", n6, expected[k % 12][1]
+        yield f"k={k}: 12 ell + 4 n4 + 6 n6 = k", 12 * ell + 4 * n4 + 6 * n6, k
+        yield f"k={k}: valuation ell", f.valuation, ell
+        yield f"k={k}: leading coefficient 1", f.coefficient(f.valuation), 1
+
+
+def _dtau_leibniz(order):
+    rng = random.Random(606)
+    gens = [QuasiPoly.var(v) for v in ("tau", "P", "Q", "R", "s")]
+    for i in range(6):
+        a = sum(
+            (g.scale(rng.randint(-3, 3)) * h for g, h in zip(gens, reversed(gens))),
+            QuasiPoly.const(rng.randint(-2, 2)),
+        )
+        b = gens[rng.randrange(5)] * gens[rng.randrange(5)] + QuasiPoly.const(1)
+        yield (f"sample {i}: d_tau(ab) = d_tau(a) b + a d_tau(b)",
+               (a * b).d_tau(), a.d_tau() * b + a * b.d_tau())
 
 
 def _expansion_commutes_with_d(order):
@@ -234,6 +194,19 @@ def _sl2_bundle(order):
     t, t_inv = QuasiMatrix([[1, 1], [0, 1]]), QuasiMatrix([[1, -1], [0, 1]])
     yield "a_-2(tau+1) = T a_-2 T^-1", b.a_minus2.shift_tau(), t * b.a_minus2 * t_inv
     yield "h[2,1] = P/(6s)", h[1, 0], QuasiPoly.monomial((0, 1, 0, 0, -1), Fraction(1, 6))
+
+
+def _grading_additivity(order):
+    for key in liealg.ORBIT_LABELS:
+        triple = liealg.graded_triple(*key)
+        rs = triple.structure.rs
+        for a in rs.roots:
+            for b in rs.roots:
+                s = tuple(x + y for x, y in zip(a, b))
+                if s in rs.root_set:
+                    yield (f"{key} k({a}) + k({b}) = k({s})",
+                           triple.grading[a] + triple.grading[b], triple.grading[s])
+        yield f"{key} (H, E, F) is a standard triple", triple.triple_relations_hold(), True
 
 
 def _symrep(order):
@@ -275,17 +248,34 @@ def _phi_T(order):
         yield f"Phi_{n}(tau+1) = rho_{n}(T) Phi_{n}(tau)", m.shift_tau(), rho_t * m
 
 
+def _hilbert(order):
+    for n in range(0, 5):
+        coeffs = vvmf.hilbert_vvmf(n, "Gamma(1)").coefficients(40)
+        for k in range(-n, 41):
+            yield f"n={n}, k={k}", coeffs.get(k, 0), vvmf.brute_force_vvmf_dim(n, k)
+
+
 IDENTITIES = {
+    "qseries.ring_axioms": ("8 sampled triples, exact", _ring_axioms),
+    "qseries.div_roundtrip": ("6 sampled pairs round-trip", _div_roundtrip),
+    "qseries.leibniz": ("q d/dq is a derivation on samples", _q_leibniz),
+    "qseries.shift_homomorphism": (
+        "algebra homomorphism on half-integral lattice", _shift_homomorphism),
     "modforms.j_expansion": ("head coefficients exact", _j_head),
     "modforms.delta_dual_route": (
         "Eisenstein route = eta^24 route to order {order}", _delta_routes),
     "modforms.ramanujan": ("D1 E2, D4 E4, D6 E6 closed system", _ramanujan),
     "modforms.eisenstein_powers": ("E8, E10, E14 as monomials", _eisenstein_powers),
+    "modforms.duke_jenkins_table": (
+        "residue map verified for even k in [-24, 24]", _duke_jenkins_table),
+    "quasimodular.d_tau_leibniz": ("derivation property on sampled products", _dtau_leibniz),
     "quasimodular.series_consistency": (
         "D and q d/dq agree through the expansion map", _expansion_commutes_with_d),
     "quasimodular.sl2_bundle": (
         "standard triple, conjugation, ad(a_0), T-shift all exact", _sl2_bundle),
     "liealg.jacobi": ("all basis triples, four types", liealg.jacobi_lemmas),
+    "liealg.grading_additivity": (
+        "k additive and (H, E, F) standard for all orbits", _grading_additivity),
     "liealg.symrep": ("commutation and nilpotency for n <= 8", _symrep),
     "liealg.killing_associativity": (
         "K symmetric and ad-invariant on every basis vector of A1, A2, B2, G2",
@@ -294,19 +284,12 @@ IDENTITIES = {
         "unimodular for n <= 10: exp(tau E) upper, exp(y F) lower unitriangular", _phi_det),
     "vvmf.phi_functoriality": ("Sym^n Phi_1 = Phi_n for n <= 4", _phi_functoriality),
     "vvmf.phi_T_exact": ("exact polynomial identity for n <= 4", _phi_T),
+    "vvmf.hilbert": ("generating function = monomial counts, n <= 4, k <= 40", _hilbert),
 }
 
 CHECKS = {
-    "qseries.ring_axioms": check_qseries_ring_axioms,
-    "qseries.div_roundtrip": check_qseries_div_roundtrip,
-    "qseries.leibniz": check_qseries_leibniz,
-    "qseries.shift_homomorphism": check_qseries_shift_hom,
     "qseries.eval_product": check_qseries_eval_product,
-    "modforms.duke_jenkins_table": check_duke_jenkins_table,
     "modforms.delta_derivation": check_delta_derivation,
     "modforms.numeric_s_equivariance": check_numeric_s_equivariance,
-    "quasimodular.d_tau_leibniz": check_dtau_leibniz,
-    "liealg.grading_additivity": check_grading_additivity,
     "vvmf.phi_S_numeric": check_phi_S,
-    "vvmf.hilbert": check_hilbert,
 }

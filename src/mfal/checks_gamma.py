@@ -20,31 +20,25 @@ def check_ferapontov(order):
     return True, "fourth-order ODE for phi1, all five terms active"
 
 
-def check_mu(order):
-    mu = series("mu", order)
-    if mu.coefficient(0) != 1:
-        return False, "mu constant term is not 1"
-    if mu.denom not in (1, 2, 4):
-        return False, f"mu exponents have denominator {mu.denom}"
-    return True, "cusp value 1, quarter-integral lattice"
-
-
-def check_klein(order):
-    k = modforms.klein_form(Fraction(1, 5), 5, order).series
-    if k.valuation != Fraction(-2, 5):
-        return False, f"klein valuation {k.valuation}"
-    if (k**5).valuation != -2:
-        return False, "fifth power valuation"
-    f = series("f_gamma5", order)
-    if f.valuation != 1 or f.coefficient(f.valuation) != 1:
-        return False, "Gamma(5) form f leading term wrong"
-    return True, "Klein form exponents and the Gamma(5) weight-1 form"
-
-
 def _rel3(order):
     u, v, e4, e6 = (series(name, order) for name in ("phi1", "phi2", "E4", "E6"))
     yield "E4 = u^4 + 8 u v^3", e4, u**4 + (u * v**3).scale(8)
     yield "E6 = u^6 - 20 u^3 v^3 - 8 v^6", e6, u**6 - (u**3 * v**3).scale(20) - (v**6).scale(8)
+
+
+def _mu(order):
+    mu = series("mu", order)
+    yield "mu has constant term 1", mu.coefficient(0), 1
+    yield "the denominator of mu's exponents divides 4", 4 % mu.denom, 0
+
+
+def _klein(order):
+    k = modforms.klein_form(Fraction(1, 5), 5, order).series
+    yield "klein(1/5; 5t) has valuation -2/5", k.valuation, Fraction(-2, 5)
+    yield "klein(1/5; 5t)^5 has valuation -2", (k**5).valuation, -2
+    f = series("f_gamma5", order)
+    yield "Gamma(5) f has valuation 1", f.valuation, 1
+    yield "Gamma(5) f has leading coefficient 1", f.coefficient(f.valuation), 1
 
 
 def _weight_zero_iso(order):
@@ -68,12 +62,10 @@ def _weight_zero_iso(order):
 
 IDENTITIES = {
     "gamma.rel3": ("E4, E6 as polynomials in phi1, phi2", _rel3),
+    "gamma.mu_hauptmodul": ("cusp value 1, quarter-integral lattice", _mu),
+    "gamma.klein_forms": ("Klein form exponents and the Gamma(5) weight-1 form", _klein),
     "gamma.weight_zero_iso": (
         "nonvanishing forms invertible at the cusp, all four groups", _weight_zero_iso),
 }
 
-CHECKS = {
-    "gamma.ferapontov_ode": check_ferapontov,
-    "gamma.mu_hauptmodul": check_mu,
-    "gamma.klein_forms": check_klein,
-}
+CHECKS = {"gamma.ferapontov_ode": check_ferapontov}

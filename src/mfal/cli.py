@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from fractions import Fraction
@@ -35,9 +36,12 @@ def _int_at_least(low: int):
 
 def _parse_tau(text: str) -> complex:
     try:
-        return complex(text.replace("i", "j"))
+        tau = complex(text.replace("i", "j"))
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"cannot parse tau {text!r}") from exc
+    if not (math.isfinite(tau.real) and math.isfinite(tau.imag)):
+        raise argparse.ArgumentTypeError(f"tau {text!r} is not finite")
+    return tau
 
 
 def _named_form(args):
@@ -140,32 +144,28 @@ def cmd_eval(args) -> int:
     form = _named_form(args)
     if form is None:
         return 2
-    tau = args.tau
-    series = form.series
+    tau, series = args.tau, form.series
     try:
         value = series.eval_numeric(tau)
-    except NotConvergent as exc:
+        if args.check == "S":
+            residual = modforms.s_law_residual(form, tau)
+        elif args.check == "T":
+            residual = abs(series.eval_numeric(tau + 1) - series.shift_tau().eval_numeric(tau))
+    except (NotConvergent, modforms.Unsupported) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except NeedsCyclotomic as exc:
+        print(f"error: exact T-check unavailable for {form.name}: {exc}", file=sys.stderr)
+        return 2
+    except OverflowError:
+        print(f"error: {form.name} at tau = {tau} overflows a float", file=sys.stderr)
         return 2
     if args.check == "none":
         print(f"{form.name}({tau}) = {value}")
         return 0
     if args.check == "S":
-        try:
-            residual = modforms.s_law_residual(form, tau)
-        except modforms.Unsupported as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
         print(f"{form.name}: |f(-1/tau) - tau^{form.weight} f(tau)| = {residual:.3e}")
-    else:  # T
-        image = series.eval_numeric(tau + 1)
-        try:
-            expected = series.shift_tau().eval_numeric(tau)
-        except NeedsCyclotomic as exc:
-            print(f"error: exact T-check unavailable for {form.name}: {exc}",
-                  file=sys.stderr)
-            return 2
-        residual = abs(image - expected)
+    else:
         print(f"{form.name}: |f(tau+1) - (T f)(tau)| = {residual:.3e}")
     if residual > args.tol:
         print(f"residual exceeds tolerance {args.tol}", file=sys.stderr)

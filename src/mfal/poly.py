@@ -10,7 +10,8 @@ Two shapes share it:
   ``loopext.Laurent`` (int exponents) and bracket vectors; sums drop every
   entry that cancels.
 
-Every exact ring over Q keeps int numerators over one denominator, and
+Every exact ring over Q but ``loopext.Laurent``, which holds Fraction
+coefficients, keeps int numerators over one denominator, and
 ``lowest_terms`` is its one canonical step: ``QSeries``, ``QuasiPoly``,
 ``JPoly`` and ``CycloNumber`` build each result through it.
 

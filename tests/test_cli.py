@@ -125,6 +125,23 @@ def test_eval_rejects_lower_half_plane(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("tau, check", [("200i", "none"), ("200i", "S"), ("200i", "T"),
+                                        ("0.001i", "S")])
+def test_eval_overflow_exits_2_with_one_line(capsys, tau, check):
+    # j(200i) overflows a float, and at 0.001i so does j(-1/tau) of the S law
+    code, out, err = run(capsys, "eval", "j", "--tau", tau, "--check", check, "--order", "8")
+    assert code == 2
+    assert out == "" and err.count("\n") == 1 and "overflows" in err
+
+
+@pytest.mark.parametrize("tau", ["nan+1i", "1+nani", "1e400i"])
+def test_eval_refuses_a_tau_that_is_not_finite(capsys, tau):
+    with pytest.raises(SystemExit) as exc:
+        main(["eval", "E4", "--tau", tau])
+    assert exc.value.code == 2
+    assert "is not finite" in capsys.readouterr().err
+
+
 def test_eval_tolerance_exceeded_exits_1(capsys):
     code, _, err = run(capsys, "eval", "E4", "--tau", "0.3+1.1i", "--check", "S",
                        "--order", "48", "--tol", "1e-30")

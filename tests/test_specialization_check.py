@@ -22,6 +22,8 @@ def test_specialization_fails_on_one_wrong_cocycle_exponent(monkeypatch):
             table.cocycles.w6[pair] = 1 - table.cocycles.w6[pair]
         return table
 
+    # the edited table is built fresh and does not outlive this test
+    monkeypatch.setattr(alia, "_TABLE_CACHE", {})
     monkeypatch.setattr(alia, "alia_table", patched)
     passed, detail = checks_alia.check_specialization(32)
     assert not passed
