@@ -106,6 +106,7 @@ def _cocycle_properties(order):
 def _cocycle_monomials(order):
     field = loopext.CycloField(1)
     zero = field.zero
+    powers = {m: loopext.RatFunc.t_power(field, m) for m in range(-6, 7)}
     for t in ("A1", "A2"):
         st = liealg.chevalley(t)
         alpha = st.rs.positive[0]
@@ -119,10 +120,7 @@ def _cocycle_monomials(order):
             k_val = st.killing_form(x, y)
             for m in range(-6, 7):
                 for n in range(-6, 7):
-                    value = loopext.loop_cocycle(
-                        st, x, loopext.RatFunc.t_power(field, m),
-                        y, loopext.RatFunc.t_power(field, n), zero,
-                    )
+                    value = loopext.loop_cocycle(st, x, powers[m], y, powers[n], zero)
                     expect = field.rational(m * k_val) if m + n == 0 else zero
                     yield f"omega({x_name} z^{m}, {y_name} z^{n}) in {t}", value, expect
 
@@ -160,18 +158,19 @@ def _onsager(order):
     with jhat = (z^2 + 2 + z^-2)/4 this is the normalization that closes the
     bracket on jhat(jhat - 1) h.
     """
-    a, g = loopext.onsager_A, loopext.onsager_G
+    a = {k: loopext.onsager_A(k) for k in range(-20, 21)}
+    g = {m: loopext.onsager_G(m) for m in range(21)}
     for m in range(1, 11):
         for n in range(1, 11):
-            yield f"[G_{m}, G_{n}] = 0", g(m).commutator(g(n)), g(0)
+            yield f"[G_{m}, G_{n}] = 0", g[m].commutator(g[n]), g[0]
     for m in range(1, 11):
         for k in range(-10, 11):
             yield (f"[G_{m}, A_{k}] = 2 A_{k + m} - 2 A_{k - m}",
-                   g(m).commutator(a(k)), a(k + m).scale(2) - a(k - m).scale(2))
+                   g[m].commutator(a[k]), a[k + m].scale(2) - a[k - m].scale(2))
     for k in range(-10, 11):
         for n in range(-10, 11):
-            g_kn = g(k - n) if k >= n else g(n - k).scale(-1)
-            yield f"[A_{k}, A_{n}] = G_{k - n}", a(k).commutator(a(n)), g_kn
+            g_kn = g[k - n] if k >= n else g[n - k].scale(-1)
+            yield f"[A_{k}, A_{n}] = G_{k - n}", a[k].commutator(a[n]), g_kn
     c = loopext.Laurent({2: Fraction(1, 8), -2: Fraction(-1, 8)})
     e = Matrix([[1, -1], [1, -1]]).scale(c)
     f = Matrix([[1, 1], [-1, -1]]).scale(c)

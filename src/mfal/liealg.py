@@ -373,8 +373,8 @@ def killing_lemmas(order, types=("A1", "A2", "B2", "G2")):
         yield f"K = K^T in {t}", Matrix(zip(*k.rows)), k
         for a in range(st.dim):
             # row i of ad_t is column i of ad(x_a): the coordinates of [x_a, x_i]
-            ad_t = Matrix([[st.bracket_indices(a, i).get(j, 0) for j in range(st.dim)]
-                           for i in range(st.dim)])
+            brackets = [st.bracket_indices(a, i) for i in range(st.dim)]
+            ad_t = Matrix([[row.get(j, 0) for j in range(st.dim)] for row in brackets])
             yield (f"ad(x_{a})^T K + K ad(x_{a}) = 0 in {t}",
                    ad_t * k + k * Matrix(zip(*ad_t.rows)), k * 0)
 

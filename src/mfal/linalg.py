@@ -1,14 +1,24 @@
-"""Exact dense linear algebra over the package's coefficient rings.
+"""Exact linear algebra over the package's coefficient rings.
 
-Entries may be ``Fraction`` or any ``mfal.poly.Ring`` (``QSeries``,
-``QuasiPoly``, ``JPoly``, ``CycloNumber``, ``RatFunc``, ``loopext.Laurent``),
-or any other type with the same minimal protocol:
+Entries may be ``Fraction`` or any ``mfal.poly.Ring`` (``QuasiPoly``,
+``JPoly``, ``CycloNumber``, ``RatFunc``, ``loopext.Laurent``), or any other
+type with the same minimal protocol:
 
 * ``+``, ``-`` and ``*`` between entries, and with the integers 0 and 1
   (``x * 0`` is the zero of x's ring, ``x * 0 + 1`` its one);
-* a truth value that is false exactly for zero;
+* a truth value that is false exactly for zero, and one zero per type (a
+  ``QSeries`` zero carries its truncation, so series are not entries);
 * ``1 / x`` for nonzero x, needed only by the field routines ``rref``,
   ``rank`` and ``solve``.
+
+Matrices are stored densely, but zeros are never multiplied: a product
+reads each row of its right factor once as its nonzero (column, entry)
+pairs, so it costs one ring multiplication per pair of nonzero entries
+that meet, and ``scale``, ``+`` and ``-`` do no ring operation on a zero
+entry.  Every entry still holds what the dense formula gives, of the same
+type: a skipped zero is the zero of the ring the dense sum or product lands
+in.  ``+``, ``-`` and ``*`` raise ``ValueError`` on operands whose shapes
+do not fit.
 
 Determinants and adjugates use Berkowitz's algorithm (S. J. Berkowitz,
 Inf. Process. Lett. 18, 1984): O(n^4) ring operations and no division,
@@ -28,13 +38,34 @@ def dot(xs, ys, zero):
     return zero if acc is None else acc
 
 
+def _plus(a, b):
+    """a + b; no ring operation when one side is a zero of the other's type."""
+    if type(a) is type(b):
+        if not b:
+            return a
+        if not a:
+            return b
+    return a + b
+
+
+def _minus(a, b):
+    """a - b, skipping zeros as ``_plus`` does."""
+    if type(a) is type(b):
+        if not b:
+            return a
+        if not a:
+            return -b
+    return a - b
+
+
 def _det(c):
     """det A = (-1)^n cn from the characteristic coefficients of A."""
     return c[-1] if len(c) % 2 == 0 else -c[-1]
 
 
 class Matrix:
-    """Dense matrix over a commutative ring; operations return the same class."""
+    """Matrix over a commutative ring, kept as dense rows; operations return
+    the same class."""
 
     __slots__ = ("rows",)
 
@@ -50,6 +81,10 @@ class Matrix:
     def size(self) -> int:
         return len(self.rows)
 
+    @property
+    def shape(self) -> tuple:
+        return len(self.rows), len(self.rows[0]) if self.rows else 0
+
     def __getitem__(self, ij):
         i, j = ij
         return self.rows[i][j]
@@ -59,28 +94,52 @@ class Matrix:
 
     __hash__ = None
 
+    def _fits(self, other, op, ok):
+        if not ok:
+            raise ValueError(f"cannot {op} matrices of shapes {self.shape} and {other.shape}")
+
     def __add__(self, other):
-        return type(self)(
-            [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(self.rows, other.rows)]
-        )
+        self._fits(other, "add", self.shape == other.shape)
+        return type(self)([[_plus(a, b) for a, b in zip(ra, rb)]
+                           for ra, rb in zip(self.rows, other.rows)])
 
     def __sub__(self, other):
-        return type(self)(
-            [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(self.rows, other.rows)]
-        )
+        self._fits(other, "subtract", self.shape == other.shape)
+        return type(self)([[_minus(a, b) for a, b in zip(ra, rb)]
+                           for ra, rb in zip(self.rows, other.rows)])
 
     def __neg__(self):
         return type(self)([[-a for a in row] for row in self.rows])
 
     def scale(self, c) -> "Matrix":
-        return type(self)([[c * a for a in row] for row in self.rows])
+        zeros = {}  # type of a zero entry -> c times it
+
+        def times(a):
+            if a:
+                return c * a
+            kind = type(a)
+            if kind not in zeros:
+                zeros[kind] = c * a
+            return zeros[kind]
+
+        return type(self)([[times(a) for a in row] for row in self.rows])
 
     def __mul__(self, other):
         if not isinstance(other, Matrix):
             return self.scale(other)
+        self._fits(other, "multiply", self.shape[1] == other.size)
         zero = self.rows[0][0] * 0
-        cols = list(zip(*other.rows))
-        return type(self)([[dot(row, col, zero) for col in cols] for row in self.rows])
+        width = other.shape[1]
+        sparse = [[(j, y) for j, y in enumerate(row) if y] for row in other.rows]
+        out = []
+        for row in self.rows:
+            acc = [None] * width
+            for x, pairs in zip(row, sparse):
+                if x:
+                    for j, y in pairs:
+                        acc[j] = x * y if acc[j] is None else acc[j] + x * y
+            out.append([zero if a is None else a for a in acc])
+        return type(self)(out)
 
     def __rmul__(self, other):
         return self.scale(other)

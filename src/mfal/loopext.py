@@ -4,7 +4,9 @@ evaluation representations.
 Pole sets live in the cyclotomic fields Q(zeta_n), n in {1, 3, 4, 5}, of
 ``mfal.cyclotomic``, and every rational function is kept as its partial
 fractions over that field, so a residue is read off exactly as one
-coefficient.
+coefficient.  The cocycle res_a(f' g) never forms f' g: only the principal
+part of each factor at a meets the other's Taylor expansion there, so
+``residue_of_product`` sums a few products of coefficients.
 """
 
 from __future__ import annotations
@@ -102,10 +104,7 @@ class RatFunc(Ring):
                     _merge(parts, ka, a, [zero] + mul(cs, ds, zero))
                     continue
                 # 1/e, 1/e^2, ... once per pair of points, e = a - b
-                inv = (a - b).inverse()
-                pows = [self.field.one]
-                for _ in range(len(cs) + len(ds) - 1):
-                    pows.append(pows[-1] * inv)
+                pows = _inverse_powers(self.field, a - b, len(cs) + len(ds))
                 neg = [p if n % 2 == 0 else -p for n, p in enumerate(pows)]
                 _merge(parts, ka, a, _principal(cs, _taylor(ds, pows, len(cs), zero), zero))
                 _merge(parts, kb, b, _principal(ds, _taylor(cs, neg, len(ds), zero), zero))
@@ -146,25 +145,40 @@ def _principal(cs, taylor, zero):
     return [dot(cs[j:], taylor, zero) for j in range(len(cs))]
 
 
-def _times_poly(a, cs, p, zero):
-    """(sum_k c_k (t - a)^-k) * p(t) as (polynomial part, principal part at a).
-
-    Dividing p by (t - a) k times with Horner's rule gives p = r_0 + r_1 (t - a)
-    + ... + r_(k-1) (t - a)^(k-1) + (t - a)^k q_k, so c_k (t - a)^-k p
-    contributes c_k q_k to the polynomial part and the remainders to the
-    principal part.
-    """
-    poly, remainders, q = [], [], p
-    for c in cs:
+def _divisions(a, p, count, zero):
+    """Divide p by (t - a) up to count times with Horner's rule, yielding
+    (r_(k-1), q_k) for k = 1, 2, ... while q_(k-1) is nonzero:
+    p = r_0 + r_1 (t - a) + ... + r_(k-1) (t - a)^(k-1) + (t - a)^k q_k, so
+    r_m is the m-th Taylor coefficient of p at a."""
+    q = p
+    for _ in range(count):
         if not q:
-            break
+            return
         acc, q = zero, list(q)
         for i in range(len(q) - 1, -1, -1):
             acc = q[i] = acc * a + q[i]
-        remainders.append(q.pop(0))
+        yield q.pop(0), q
+
+
+def _times_poly(a, cs, p, zero):
+    """(sum_k c_k (t - a)^-k) * p(t) as (polynomial part, principal part at a):
+    c_k (t - a)^-k p contributes c_k q_k to the polynomial part and the
+    remainders of ``_divisions`` to the principal part."""
+    poly, remainders = [], []
+    for c, (r, q) in zip(cs, _divisions(a, p, len(cs), zero)):
+        remainders.append(r)
         if c:
             poly = add(poly, [c * x for x in q])
     return poly, _principal(cs, remainders, zero)
+
+
+def _inverse_powers(field, e, count):
+    """[1, 1/e, ..., 1/e^(count-1)]."""
+    inv = e.inverse()
+    pows = [field.one]
+    for _ in range(count - 1):
+        pows.append(pows[-1] * inv)
+    return pows
 
 
 def _taylor(ds, pows, count, zero):
@@ -188,6 +202,37 @@ def residue(f: RatFunc, point) -> CycloNumber:
     """Residue of f at a finite point: the coefficient c_(a,1) of 1/(t - a)."""
     part = f.parts.get(_num(f.field, point).key)
     return part[1][0] if part else f.field.zero
+
+
+def residue_of_product(f: RatFunc, g: RatFunc, point) -> CycloNumber:
+    """res_point(f g) without forming f g.
+
+    With u = t - a, write f = P_f(u) + T_f(u) for its principal part at a and
+    the Taylor series there of the rest (the polynomial and the other poles),
+    and g likewise.  P_f P_g has only u^-2 and lower, T_f T_g no negative
+    power, so res(f g) = sum_k c_k T_g[k-1] + sum_k d_k T_f[k-1] for the
+    principal coefficients c_k of f and d_k of g.
+    """
+    key = _num(f.field, point).key
+    zero = f.field.zero
+    total = zero
+    for h, other in ((f, g), (g, f)):
+        if key in h.parts:
+            a, cs = h.parts[key]
+            total = total + dot(cs, _taylor_at(other, key, a, len(cs)), zero)
+    return total
+
+
+def _taylor_at(f: RatFunc, key, a, count):
+    """First Taylor coefficients (at most count) at a of f minus its
+    principal part at a."""
+    zero = f.field.zero
+    out = [r for r, _ in _divisions(a, f.poly, count, zero)]
+    for kb, (b, ds) in f.parts.items():
+        if kb != key:
+            pows = _inverse_powers(f.field, a - b, len(ds) + count)
+            out = add(out, _taylor(ds, pows, count, zero))
+    return out
 
 
 def residue_at_infinity(f: RatFunc, finite_points) -> CycloNumber:
@@ -250,7 +295,7 @@ def loop_cocycle(structure, x: dict, f: RatFunc, y: dict, g: RatFunc, point) -> 
     k_val = structure.killing_form(x, y)
     if k_val == 0:
         return f.field.zero
-    return residue(f.derivative() * g, point) * k_val
+    return residue_of_product(f.derivative(), g, point) * k_val
 
 
 def cocycle_bilinear_identity(structure, samples, point) -> bool:

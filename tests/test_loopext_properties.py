@@ -73,6 +73,29 @@ def test_residue_is_additive_and_kills_derivatives(preset, data):
         assert loopext.residue(f.derivative(), a).is_zero()
 
 
+def several_poles(field, points):
+    """sum_i c_i (t - a_i)^-k_i over two or three distinct preset points."""
+    pole = st.tuples(st.integers(1, 3), field_elements(field))
+    return st.dictionaries(st.integers(0, len(points) - 1), pole, min_size=2, max_size=3).map(
+        lambda terms: sum((RatFunc.pole_factor(field, points[i], k) * c
+                           for i, (k, c) in terms.items()), RatFunc(field, []))
+    )
+
+
+@pytest.mark.parametrize("preset", POLYHEDRAL)
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_residue_of_product_is_the_residue_of_the_product(preset, data):
+    field, points = loopext.pole_preset(preset)
+    f = data.draw(ratfuncs(field, points, max_ops=3))
+    g = data.draw(ratfuncs(field, points) | several_poles(field, points))
+    if data.draw(st.booleans()):
+        f = f * data.draw(several_poles(field, points))
+    for a in points:
+        assert loopext.residue_of_product(f, g, a) == loopext.residue(f * g, a)
+        assert loopext.residue_of_product(g, f, a) == loopext.residue(f * g, a)
+
+
 @pytest.mark.parametrize("n", [1, 3, 4, 5])
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())

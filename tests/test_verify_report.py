@@ -53,13 +53,17 @@ def test_load_keeps_an_entry_already_there(monkeypatch):
     assert checks.check_identity("loop.onsager", 8) == (True, "patched")
 
 
-@pytest.mark.parametrize("path", sorted((ROOT / "src" / "mfal").glob("checks*.py")),
-                         ids=lambda path: path.name)
+GUARDED = sorted((ROOT / "src" / "mfal").glob("checks*.py")) + [
+    ROOT / "src" / "mfal" / "linalg.py", ROOT / "src" / "mfal" / "loopext.py"]
+
+
+@pytest.mark.parametrize("path", GUARDED, ids=lambda path: path.name)
 def test_check_module_stays_below_the_parser_step(path):
     # CPython's parser keeps a module's tokens in an array that doubles when
     # full; a checks module past 4,096 tokens (comments and blank lines not
     # counted) raised the measured peak RSS of every `mfal verify` process
-    # by 0.2-0.3 MB
+    # by 0.2-0.3 MB.  linalg and loopext, which every loop or core verify
+    # imports, are held to the same step
     with path.open("rb") as fh:
         skipped = (tokenize.COMMENT, tokenize.NL, tokenize.ENCODING)
         tokens = sum(tok.type not in skipped for tok in tokenize.tokenize(fh.readline))
