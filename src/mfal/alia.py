@@ -251,9 +251,7 @@ class SpecializedAlgebra(BracketTable):
 
     def derived_series_lengths(self, max_steps=6):
         """Dimensions of the derived series D^0 >= D^1 >= ..."""
-        current = [
-            {i: Fraction(1)} for i in range(self.dim)
-        ]
+        current = [{i: 1} for i in range(self.dim)]
         dims = [self.dim]
         for _ in range(max_steps):
             brackets = []
@@ -276,7 +274,7 @@ class SpecializedAlgebra(BracketTable):
 
 def _dense(vectors, dim):
     """Rows of coefficients from index -> coefficient dicts."""
-    return [[v.get(i, Fraction(0)) for i in range(dim)] for v in vectors]
+    return [[v.get(i, 0) for i in range(dim)] for v in vectors]
 
 
 _TABLE_CACHE: dict[tuple, AliaTable] = {}
@@ -356,7 +354,7 @@ def levi_dimensions(type_label: str, orbit: str):
     g0 += [st.index[("A", r)] for r in st.rs.roots if triple.grading[r] == 0]
     brackets = []
     for a, b in itertools.combinations(g0, 2):
-        v = st.bracket({a: Fraction(1)}, {b: Fraction(1)})
+        v = st.bracket({a: 1}, {b: 1})
         if v:
             brackets.append(v)
     levi = rank(_dense(brackets, st.dim))

@@ -7,8 +7,6 @@ It imports `alia`, `liealg` and, for the scalar oracle, `modforms`; never
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from . import alia, liealg, modforms
 from .linalg import Matrix
 from .modforms import series
@@ -66,7 +64,7 @@ def _barrel_contraction(order):
     for j_val in (0, 1728):
         spec = table.specialize(j_val)
         yield (f"[e, f] = 0 at j={j_val}",
-               spec.bracket_vectors({idx_e: Fraction(1)}, {idx_f: Fraction(1)}), {})
+               spec.bracket_vectors({idx_e: 1}, {idx_f: 1}), {})
         yield f"solvable at j={j_val}", spec.is_solvable(within_steps=3), True
 
 

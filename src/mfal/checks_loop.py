@@ -28,13 +28,13 @@ def check_evaluation_rep(order):
         loopext.RatFunc.pole_factor(field, field.zero, 2),
     ]
     for _ in range(5):
-        x = {rng.choice(names): Fraction(rng.randint(1, 3))}
-        y = {rng.choice(names): Fraction(rng.randint(-3, -1))}
+        x = {rng.choice(names): rng.randint(1, 3)}
+        y = {rng.choice(names): rng.randint(-3, -1)}
         f, g = rng.choice(funcs), rng.choice(funcs)
         if not ev.homomorphism_residual(x, f, y, g).is_zero():
             return False, "homomorphism residual nonzero"
     try:
-        ev.evaluate({"h": Fraction(1)}, loopext.RatFunc.pole_factor(field, field.rational(2), 1))
+        ev.evaluate({"h": 1}, loopext.RatFunc.pole_factor(field, field.rational(2), 1))
     except loopext.PoleAtEvaluationPoint:
         pass
     else:
@@ -72,7 +72,7 @@ def _cocycle_properties(order):
     the rank of the puncture cocycles on three pairs."""
     st = liealg.chevalley("A1")
     field, points = loopext.pole_preset("dihedral")
-    vecs = [{st.index[b]: Fraction(1)} for b in (("A", (1,)), ("A", (-1,)), ("H", 0))]
+    vecs = [{st.index[b]: 1} for b in (("A", (1,)), ("A", (-1,)), ("H", 0))]
     funcs = [
         loopext.RatFunc.pole_factor(field, 0, 1),
         loopext.RatFunc.pole_factor(field, 1, 1) * loopext.RatFunc.polynomial(field, [0, 1]),
@@ -116,7 +116,7 @@ def _cocycle_monomials(order):
         # K(e, f) and K(h, h) are nonzero, K(e, e) = 0
         for (x_name, i), (y_name, j) in ((("e", e), ("f", f)), (("h", h), ("h", h)),
                                          (("e", e), ("e", e))):
-            x, y = {i: Fraction(1)}, {j: Fraction(1)}
+            x, y = {i: 1}, {j: 1}
             k_val = st.killing_form(x, y)
             for m in range(-6, 7):
                 for n in range(-6, 7):

@@ -5,6 +5,11 @@ A number keeps its coordinates in the power basis 1, zeta, ..., as int
 numerators over one denominator, the layout of every exact ring of the
 package; the field reduces products modulo the monic n-th cyclotomic
 polynomial, so every coordinate stays an int.
+
+A zero operand costs nothing: a sum with zero returns the other operand and
+a product with zero returns the field's zero, both without arithmetic.  The
+field check comes first, so an element of another field still raises
+``ValueError`` when one side is zero.
 """
 
 from __future__ import annotations
@@ -113,6 +118,10 @@ class CycloNumber(Ring):
             other = self.field.rational(other)
         else:
             return NotImplemented
+        if not any(other.nums):
+            return self
+        if not any(self.nums):
+            return other
         da, db = self.den, other.den
         if da == db:
             nums = tuple(a + b for a, b in zip(self.nums, other.nums))
@@ -124,9 +133,13 @@ class CycloNumber(Ring):
     def __mul__(self, other):
         if isinstance(other, CycloNumber):
             self._check_field(other)
+            if not (any(self.nums) and any(other.nums)):
+                return self.field.zero
             return self.field._make(mul(self.nums, other.nums, 0), self.den * other.den)
         if not isinstance(other, (int, Fraction)):
             return NotImplemented
+        if not (other and any(self.nums)):
+            return self.field.zero
         p = other.numerator
         return CycloNumber(self.field, *lowest_terms(tuple(a * p for a in self.nums),
                                                      self.den * other.denominator))

@@ -5,6 +5,11 @@ Roots are integer coordinate tuples in the simple-root basis; the bilinear
 form is the Gram matrix of the simple roots.  Structure constants come from
 Carter's recursion: +(p + 1) on extraspecial pairs, and every other
 constant follows from those in closed form.
+
+A Chevalley table holds its constants as ints, so its brackets of int
+vectors and its Killing matrix are ints too.  ``Fraction`` appears only
+where a division does: inside Carter's recursion, in the ``GradedTriple``
+solves and in the coefficients of ``sym_power_matrix``.
 """
 
 from __future__ import annotations
@@ -205,7 +210,8 @@ class BracketTable:
 
 
 class ChevalleyStructure(BracketTable):
-    """Basis {H_i} + {A_alpha} with integral structure constants.
+    """Basis {H_i} + {A_alpha} with integral structure constants, stored as
+    ints.
 
     Brackets:
       [H_i, H_j] = 0
@@ -230,7 +236,7 @@ class ChevalleyStructure(BracketTable):
             for j, y in enumerate(self.basis):
                 if i >= j:
                     continue
-                acc: dict[int, Fraction] = {}
+                acc: dict[int, int] = {}
                 kx, vx = x
                 ky, vy = y
                 if kx == "H" and ky == "H":
@@ -238,16 +244,16 @@ class ChevalleyStructure(BracketTable):
                 elif kx == "H" and ky == "A":
                     c = rs.pairing(vy, rs.simple[vx])
                     if c:
-                        acc[j] = Fraction(c)
+                        acc[j] = c
                 elif kx == "A" and ky == "A":
                     if vy == _neg(vx):
                         for idx, c in enumerate(rs.coroot_coefficients(vx)):
                             if c:
-                                acc[self.index[("H", idx)]] = Fraction(c)
+                                acc[self.index[("H", idx)]] = c
                     else:
                         s = _add(vx, vy)
                         if s in rs.root_set:
-                            acc[self.index[("A", s)]] = Fraction(self.eps[(vx, vy)])
+                            acc[self.index[("A", s)]] = self.eps[(vx, vy)]
                 if acc:
                     table[(i, j)] = acc
         return table
@@ -257,12 +263,13 @@ def killing_matrix(bracket, dim: int):
     """tr(ad x_a ad x_b) over a basis x_0..x_(dim-1).
 
     ``bracket`` takes and returns vectors as index -> coefficient dicts.
-    Every sum starts from the zero of the coefficients' ring (Q when the
-    brackets are all zero), so the entries lie in that ring.
+    Every sum starts from the zero of the coefficients' ring (the int 0 when
+    the brackets are all zero), so the entries lie in that ring: ints for a
+    Chevalley table.
     """
     # ad[a][k] is [x_a, x_k]; its coefficient at i is the (i, k) entry of ad x_a
     ad = [[bracket({a: 1}, {k: 1}) for k in range(dim)] for a in range(dim)]
-    zero = next((c * 0 for row in ad for img in row for c in img.values()), Fraction(0))
+    zero = next((c * 0 for row in ad for img in row for c in img.values()), 0)
     km = [[zero] * dim for _ in range(dim)]
     for a in range(dim):
         for b in range(a, dim):

@@ -9,7 +9,8 @@ type with the same minimal protocol:
 * a truth value that is false exactly for zero, and one zero per type (a
   ``QSeries`` zero carries its truncation, so series are not entries);
 * ``1 / x`` for nonzero x, needed only by the field routines ``rref``,
-  ``rank`` and ``solve``.
+  ``rank`` and ``solve``.  Int entries are exact there too: an int pivot p
+  divides as ``Fraction(1, p)``, never as the float ``1 / p``.
 
 Matrices are stored densely, but zeros are never multiplied: a product
 reads each row of its right factor once as its nonzero (column, entry)
@@ -27,6 +28,8 @@ Polynomials over the same rings use the one kernel ``mfal.poly``.
 """
 
 from __future__ import annotations
+
+from fractions import Fraction
 
 
 def dot(xs, ys, zero):
@@ -151,6 +154,9 @@ class Matrix:
         return sum((self.rows[i][i] for i in range(1, self.size)), self.rows[0][0])
 
     def kron(self, other) -> "Matrix":
+        """Kronecker product; every product of entries is formed, so a zero
+        factor costs what the ring's ``*`` makes it cost (``CycloNumber``
+        returns its zero at once, cheaper than a zero test per pair here)."""
         return type(self)(
             [[a * b for a in ra for b in rb] for ra in self.rows for rb in other.rows]
         )
@@ -231,7 +237,8 @@ def rref(rows):
         if p is None:
             continue
         a[r], a[p] = a[p], a[r]
-        inv = 1 / a[r][c]
+        pivot = a[r][c]
+        inv = Fraction(1, pivot) if isinstance(pivot, int) else 1 / pivot
         pivot_row = a[r] = [x * inv for x in a[r]]
         for i, row in enumerate(a):
             f = row[c]

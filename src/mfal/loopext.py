@@ -149,15 +149,18 @@ def _divisions(a, p, count, zero):
     """Divide p by (t - a) up to count times with Horner's rule, yielding
     (r_(k-1), q_k) for k = 1, 2, ... while q_(k-1) is nonzero:
     p = r_0 + r_1 (t - a) + ... + r_(k-1) (t - a)^(k-1) + (t - a)^k q_k, so
-    r_m is the m-th Taylor coefficient of p at a."""
+    r_m is the m-th Taylor coefficient of p at a.  At a = 0 each division is
+    a shift."""
     q = p
     for _ in range(count):
         if not q:
             return
-        acc, q = zero, list(q)
-        for i in range(len(q) - 1, -1, -1):
-            acc = q[i] = acc * a + q[i]
-        yield q.pop(0), q
+        if a:
+            acc, q = zero, list(q)
+            for i in range(len(q) - 1, -1, -1):
+                acc = q[i] = acc * a + q[i]
+        r, q = q[0], q[1:]
+        yield r, q
 
 
 def _times_poly(a, cs, p, zero):
@@ -296,22 +299,6 @@ def loop_cocycle(structure, x: dict, f: RatFunc, y: dict, g: RatFunc, point) -> 
     if k_val == 0:
         return f.field.zero
     return residue_of_product(f.derivative(), g, point) * k_val
-
-
-def cocycle_bilinear_identity(structure, samples, point) -> bool:
-    """omega([a,b],c) + omega([b,c],a) + omega([c,a],b) = 0 on samples."""
-    for (x, f), (y, g), (z, h) in samples:
-        xy = structure.bracket(x, y)
-        yz = structure.bracket(y, z)
-        zx = structure.bracket(z, x)
-        total = (
-            loop_cocycle(structure, xy, f * g, z, h, point)
-            + loop_cocycle(structure, yz, g * h, x, f, point)
-            + loop_cocycle(structure, zx, h * f, y, g, point)
-        )
-        if not total.is_zero():
-            return False
-    return True
 
 
 def cocycle_rank(structure, samples, points) -> int:

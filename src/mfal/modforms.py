@@ -269,13 +269,14 @@ def gamma3_generators(order=DEFAULT_ORDER):
     bound = ceil(2 * (ceil(order) ** 0.5)) + 2
     phi1_counts: dict[int, int] = {}
     phi2_counts: dict[int, int] = {}
+    phi2_limit = order - Fraction(1, 3)  # w + 1/3 < order
     for x in range(-bound, bound + 1):
         for y in range(-bound, bound + 1):
             v = x * x - x * y + y * y
             if v < order:
                 phi1_counts[v] = phi1_counts.get(v, 0) + 1
             w = v + x - y
-            if w + Fraction(1, 3) < order:
+            if w < phi2_limit:
                 phi2_counts[w] = phi2_counts.get(w, 0) + 1
     phi1 = QSeries.from_terms(phi1_counts.items(), trunc=order)
     phi2 = QSeries.from_terms(

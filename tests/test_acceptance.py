@@ -12,6 +12,7 @@ import pytest
 from mfal import alia, checks, liealg, loopext, modforms, vvmf
 from mfal.alia import JPoly
 from mfal.loopext import CycloField, RatFunc
+from test_loopext import cocycle_bilinear_identity
 
 checks.load("all")  # the rows and checks of every suite
 
@@ -192,7 +193,7 @@ def test_criterion_12_loop_cocycles():
             for _ in range(100)
         ]
         point = points[0] if not points[0].is_zero() else points[1]
-        polyhedral_ok = polyhedral_ok and loopext.cocycle_bilinear_identity(
+        polyhedral_ok = polyhedral_ok and cocycle_bilinear_identity(
             st, samples, point
         )
     report(12, "loop cocycle normalization and 2-cocycle identity",

@@ -97,6 +97,19 @@ def test_solve_matches_sympy(seed):
         assert all(x == 0 for c, x in enumerate(sol) if c not in pivots)
 
 
+def test_int_entries_reduce_exactly():
+    # an int pivot p must divide as Fraction(1, p): the float 1 / p drops the
+    # 1 in 10**17 + 1 and reads this determinant-1 matrix as rank 1
+    rows = [[10**17, 10**17 + 1], [10**17 - 1, 10**17]]
+    assert rank(rows) == 2
+    reduced, pivots = rref(rows)
+    assert reduced == [[1, 0], [0, 1]] and pivots == [0, 1]
+    assert all(type(x) is Fraction for row in reduced for x in row)
+    sol = solve([[3, 1], [1, 3]], [1, 0])
+    assert sol == [Fraction(3, 8), Fraction(-1, 8)]
+    assert all(type(x) is Fraction for x in sol)
+
+
 SYMBOLS = sympy.symbols("tau P Q R s")
 
 

@@ -1,9 +1,9 @@
 """The sparse-row kernel of ``mfal.linalg.Matrix`` against a dense oracle.
 
-``*``, ``scale``, ``+`` and ``-`` skip zero entries; each entry must still
-equal the dense formula's entry and have its type, so a skipped zero is the
-zero of the ring the dense sum or product lands in (``Laurent({})``, not the
-int 0).  Operands whose shapes do not fit are refused.  hypothesis is a
+``*``, ``scale``, ``kron``, ``+`` and ``-`` skip zero entries; each entry must
+still equal the dense formula's entry and have its type, so a skipped zero is
+the zero of the ring the dense sum or product lands in (``Laurent({})``, not
+the int 0).  Operands whose shapes do not fit are refused.  hypothesis is a
 test-only dependency.
 """
 
@@ -78,6 +78,7 @@ def test_kernel_matches_the_dense_formula(ring, data, n, k, m):
     assert_entries(a * b, dense_product(a, b))
     assert_entries(a.scale(s), [[s * x for x in row] for row in a.rows])
     assert_entries(a + c, [[x + y for x, y in zip(r, q)] for r, q in zip(a.rows, c.rows)])
+    assert_entries(a.kron(c), [[x * y for x in r for y in q] for r in a.rows for q in c.rows])
     assert_entries(a - c, [[x - y for x, y in zip(r, q)] for r, q in zip(a.rows, c.rows)])
 
 

@@ -1,13 +1,18 @@
-"""Exact operation counts of the matrix kernel and the loop cocycle.
+"""Exact operation counts of the matrix kernel and the loop cocycle, and the
+int arithmetic of the Chevalley tables.
 
 Wall time on a shared host swings by 2x, so these pin the work itself: a
-return to dense matrix products or to forming f' g for one residue changes
-a count here long before a timing shows it.
+return to dense matrix products, to forming f' g for one residue, to
+multiplying cyclotomic zeros or to Fraction constants changes a count or a
+type here long before a timing shows it.
 """
+
+import sys
 
 import pytest
 
-from mfal import checks, loopext, vvmf
+from mfal import checks, liealg, loopext, vvmf
+from mfal.cyclotomic import CycloField
 from mfal.quasimodular import QuasiPoly
 
 
@@ -48,3 +53,38 @@ def test_cocycles_read_residues_without_products(monkeypatch, check_id, products
     calls = count_calls(monkeypatch, loopext.RatFunc, "__mul__")
     assert checks.check_identity(check_id, 8)[0]
     assert len(calls) == products
+
+
+@pytest.mark.parametrize("type_label", ["A1", "A2", "B2", "G2"])
+def test_chevalley_tables_compute_on_ints(type_label):
+    st = liealg.chevalley(type_label)
+    assert all(type(c) is int for acc in st._table.values() for c in acc.values())
+    assert all(type(k) is int for row in st.killing() for k in row)
+    x = {i: i + 1 for i in range(st.dim)}
+    y = {i: 2 - i for i in range(st.dim)}
+    assert all(type(c) is int for c in st.bracket(x, y).values())
+    assert type(st.killing_form(x, y)) is int
+
+
+def test_cocycle_monomials_multiply_no_cyclotomic_zero(monkeypatch):
+    checks.load("loop")
+    made = []
+    original = CycloField._make
+
+    def counted(field, nums, den):
+        made.append(sys._getframe(1).f_code.co_name)
+        return original(field, nums, den)
+
+    monkeypatch.setattr(CycloField, "_make", counted)
+    assert checks.check_identity("loop.cocycle_monomials", 8)[0]
+    # the nonzero products of principal and Taylor coefficients; a product
+    # that multiplies its zero operands makes 2,848
+    assert made.count("__mul__") == 48
+
+
+@pytest.mark.parametrize("op", [lambda a, b: a * b, lambda a, b: a + b])
+def test_a_zero_operand_keeps_the_field_check(op):
+    f3, f4 = CycloField(3), CycloField(4)
+    for a, b in ((f3.zero, f4.zeta), (f4.zeta, f3.zero), (f3.zero, f4.zero)):
+        with pytest.raises(ValueError, match="arithmetic"):
+            op(a, b)
