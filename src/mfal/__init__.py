@@ -3,7 +3,8 @@
 Two layers.  The algebra half imports nothing from the q-series half:
   poly          the one polynomial kernel and the one canonical step
   linalg        exact dense matrices and elimination over any ring
-  liealg        root systems, Chevalley bases, sl2 triples, Sym^n
+  liealg        root systems, Chevalley bases, graded sl2 triples
+  sl2           Sym^n of sl2, its functor on 2x2 matrices, exp of nilpotents
   alia          weight-zero bracket tables over C[j], two-route certified
   cyclotomic    the fields Q(zeta_n) of the polyhedral pole sets
   loopext       polyhedral loop algebras, residue cocycles, Onsager

@@ -1,8 +1,8 @@
 """The `core` suite of `mfal verify`: the series substrate, the quasimodular
 ring, the Lie substrate and the intertwiner Phi_n.
 
-It imports `qseries`, `modforms`, `quasimodular`, `liealg` and `vvmf`, never
-`alia` or `loopext`.  The checks that sample draw random series and
+It imports `qseries`, `modforms`, `quasimodular`, `liealg`, `sl2` and `vvmf`,
+never `alia` or `loopext`.  The checks that sample draw random series and
 quasimodular polynomials from fixed seeds.
 """
 
@@ -12,7 +12,7 @@ import operator
 import random
 from fractions import Fraction
 
-from . import liealg, modforms, vvmf
+from . import liealg, modforms, sl2, vvmf
 from .linalg import Matrix
 from .modforms import series
 from .poly import power
@@ -211,7 +211,7 @@ def _grading_additivity(order):
 
 def _symrep(order):
     for n in range(9):
-        rep = liealg.sym_rep(n)
+        rep = sl2.sym_rep(n)
         e, f = Matrix(rep.e), Matrix(rep.f)
         yield f"[E, F] = H on Sym^{n}", e.commutator(f), Matrix(rep.h)
         yield f"E^{n + 1} = 0 on Sym^{n}", power(e, n + 1, Matrix.identity(n + 1)), e * 0
@@ -236,7 +236,7 @@ def _phi_functoriality(order):
     base = vvmf.phi(1).matrix.rows
     for n in (2, 3, 4):
         yield (f"Sym^{n} Phi_1 = Phi_{n}",
-               QuasiMatrix(liealg.sym_power_matrix(n, base)), vvmf.phi(n).matrix)
+               QuasiMatrix(sl2.sym_power_matrix(n, base)), vvmf.phi(n).matrix)
 
 
 def _phi_T(order):

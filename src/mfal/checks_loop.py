@@ -2,7 +2,7 @@
 residue cocycles, the Onsager algebra and evaluation representations.
 
 It imports only the algebra half: `loopext`, `cyclotomic`, `alia`, `liealg`,
-`linalg` and `poly`.
+`sl2`, `linalg` and `poly`.
 """
 
 from __future__ import annotations

@@ -41,8 +41,12 @@ class CycloField:
         self.one = self.element([1])
 
     def element(self, coeffs) -> "CycloNumber":
-        """sum c_i zeta^i for rationals c_i (int, Fraction or str)."""
-        cs = [Fraction(c) for c in coeffs]
+        """sum c_i zeta^i for rationals c_i (int, Fraction or str); ints go
+        to ``_make`` as they are."""
+        cs = list(coeffs)
+        if all(type(c) is int for c in cs):
+            return self._make(cs, 1)
+        cs = [Fraction(c) for c in cs]
         den = lcm(*(c.denominator for c in cs))
         return self._make([c.numerator * (den // c.denominator) for c in cs], den)
 

@@ -1,5 +1,5 @@
-"""Structure-constant tables, and root systems, Chevalley bases and sl2
-machinery for types A1, A2, B2, G2.
+"""Structure-constant tables, and root systems, Chevalley bases and graded
+triples for types A1, A2, B2, G2.
 
 Roots are integer coordinate tuples in the simple-root basis; the bilinear
 form is the Gram matrix of the simple roots.  Structure constants come from
@@ -8,15 +8,14 @@ constant follows from those in closed form.
 
 A Chevalley table holds its constants as ints, so its brackets of int
 vectors and its Killing matrix are ints too.  ``Fraction`` appears only
-where a division does: inside Carter's recursion, in the ``GradedTriple``
-solves and in the coefficients of ``sym_power_matrix``.
+where a division does: inside Carter's recursion and in the
+``GradedTriple`` solves.  The symmetric powers of sl2 are ``mfal.sl2``.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from math import comb, factorial
 
 from .linalg import Matrix, solve
 from .poly import add_term
@@ -28,10 +27,6 @@ class NoRationalTriple(ValueError):
 
 class OddLabel(ValueError):
     """Even grading demanded but an odd Dynkin label was supplied."""
-
-
-class NotNilpotent(ValueError):
-    """Polynomial matrix exponential of a non-nilpotent argument."""
 
 
 _GRAM = {
@@ -489,84 +484,3 @@ def _small_coefficient_vectors(n: int):
         yield values
     for values in itertools.product((1, 2, 3, 5, 7), repeat=n):
         yield values
-
-
-# ----------------------------------------------------------------------
-# symmetric powers of the defining sl2 representation
-# ----------------------------------------------------------------------
-
-class SymRep:
-    """Sym^n C^2 in the basis binom(n,i) x^(n-i) y^i, i = 0..n.
-
-    H = diag(n, n-2, ..., -n); E and F raise and lower with the integer
-    entries that make exp(tau*E) carry right column (tau^n, ..., tau, 1).
-    """
-
-    def __init__(self, n: int):
-        if n < 0:
-            raise ValueError("n must be nonnegative")
-        self.n = n
-        dim = n + 1
-        self.h = [[Fraction(n - 2 * i) if i == j else Fraction(0) for j in range(dim)] for i in range(dim)]
-        self.e = [[Fraction(0)] * dim for _ in range(dim)]
-        self.f = [[Fraction(0)] * dim for _ in range(dim)]
-        for i in range(1, dim):
-            self.e[i - 1][i] = Fraction(n - i + 1)
-        for i in range(dim - 1):
-            self.f[i + 1][i] = Fraction(i + 1)
-
-    @property
-    def dim(self) -> int:
-        return self.n + 1
-
-    def weights(self):
-        """H-eigenvalue of each basis vector, top to bottom."""
-        return [self.n - 2 * i for i in range(self.n + 1)]
-
-
-def sym_rep(n: int) -> SymRep:
-    return SymRep(n)
-
-
-def sym_power_matrix(n: int, entries):
-    """Functorial Sym^n of a 2x2 matrix over any commutative ring.
-
-    ``entries`` is ((a, b), (c, d)); returns the (n+1)x(n+1) matrix in the
-    scaled monomial basis.  Works for any ring of the ``mfal.linalg`` protocol.
-    """
-    (a, b), (c, d) = entries
-    rows = [[None] * (n + 1) for _ in range(n + 1)]
-    for j in range(n + 1):
-        # image of basis vector j: binom(n,j) (a x + c y)^(n-j) (b x + d y)^j
-        contributions = {}
-        for u in range(n - j + 1):
-            for v in range(j + 1):
-                i = u + v
-                coeff = Fraction(comb(n, j) * comb(n - j, u) * comb(j, v), comb(n, i))
-                term = a ** (n - j - u) * c ** u * b ** (j - v) * d ** v * coeff
-                if i in contributions:
-                    contributions[i] = contributions[i] + term
-                else:
-                    contributions[i] = term
-        for i in range(n + 1):
-            rows[i][j] = contributions.get(i)
-    zero = a * 0
-    return [[zero if x is None else x for x in row] for row in rows]
-
-
-def exp_nilpotent(matrix: Matrix, scalar) -> Matrix:
-    """Finite exponential sum of scalar*matrix for a nilpotent matrix, over
-    any ring of the ``mfal.linalg`` protocol; the result has matrix's class."""
-    n = matrix.size
-    one = scalar * 0 + 1
-    result = power = type(matrix).identity(n, one)
-    scalar_power = one
-    for k in range(1, n + 1):
-        power = power * matrix
-        scalar_power = scalar_power * scalar
-        if power.is_zero():
-            return result
-        result = result + power.scale(scalar_power * Fraction(1, factorial(k)))
-    if not (power * matrix).is_zero():
-        raise NotNilpotent("matrix is not nilpotent of index <= size")
-    return result

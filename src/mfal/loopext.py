@@ -11,10 +11,9 @@ part of each factor at a meets the other's Taylor expansion there, so
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import comb
 
-from . import liealg
+from . import sl2
 from .cyclotomic import CycloField, CycloNumber
 from .linalg import Matrix, dot, rank
 from .poly import Ring, add, horner, mul, sparse_add, sparse_mul, trim
@@ -364,8 +363,12 @@ def onsager_G(m: int) -> Matrix:
 def sl2_bracket(x: dict, y: dict) -> dict:
     """[x, y] for vectors over the names h, e, f of the standard sl2 triple.
 
-    sl2 is A1: its Chevalley basis H, A_(1), A_(-1) is h, e, f.
+    sl2 is A1: its Chevalley basis H, A_(1), A_(-1) is h, e, f.  The table
+    comes from ``mfal.liealg``, imported when this is called, so importing
+    this module compiles no root system.
     """
+    from . import liealg
+
     a1 = liealg.chevalley("A1")
     index = {"h": a1.index[("H", 0)], "e": a1.index[("A", (1,))],
              "f": a1.index[("A", (-1,))]}
@@ -386,14 +389,14 @@ class EvaluationRep:
         self.points = [
             p if isinstance(p, CycloNumber) else field.rational(p) for p in points
         ]
-        self.reps = [liealg.sym_rep(n) for n in rep_sizes]
+        self.reps = [sl2.sym_rep(n) for n in rep_sizes]
         self.dims = [r.dim for r in self.reps]
 
     def _psi(self, i: int, x: dict) -> Matrix:
         rep = self.reps[i]
         mats = {"h": rep.h, "e": rep.e, "f": rep.f}
         psi = sum((Matrix(mats[name]).scale(c) for name, c in x.items()),
-                  Matrix([[Fraction(0)] * rep.dim] * rep.dim))
+                  Matrix([[0] * rep.dim] * rep.dim))
         return psi.map(self.field.rational)
 
     def _slot(self, i: int, mat: Matrix) -> Matrix:

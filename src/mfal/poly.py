@@ -15,29 +15,27 @@ coefficients, keeps int numerators over one denominator, and
 ``lowest_terms`` is its one canonical step: ``QSeries``, ``QuasiPoly``,
 ``JPoly`` and ``CycloNumber`` build each result through it.
 
-``power`` is the one repeated-squaring loop of the package, and
-``kronecker_mul`` the one product of dense integer lists (the q-series
-kernel), packed in base 2**w for CPython's Karatsuba or, once the operands
-are big, in base 10**w for libmpdec's number-theoretic transform.  ``Ring``
-writes the protocol's derived operations once for every coefficient ring of
-the package.
+``power`` is the one repeated-squaring loop of the package, ``_to_frac``
+the one reading of an exact rational input, and ``Ring`` writes the
+protocol's derived operations once for every coefficient ring of the
+package.  The product of dense integer lists behind every q-series product,
+``kronecker_mul``, lives with its only caller in ``mfal.qseries``.
 """
 
 from __future__ import annotations
 
-import decimal
 import operator
-import sys
 from fractions import Fraction
 from math import gcd
 
-#: Bits in the smaller packed operand above which ``kronecker_mul`` packs in
-#: decimal: libmpdec multiplies big numbers in quasi-linear time, where
-#: CPython's ints use Karatsuba (README, "Big products", has the timings).
-DECIMAL_BITS = 1 << 17
 
-#: Exact integer arithmetic in decimal: no product of ints is ever rounded.
-_EXACT = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN)
+def _to_frac(x) -> Fraction:
+    """x as a Fraction; x is a Fraction, an int or a str."""
+    if isinstance(x, Fraction):
+        return x
+    if isinstance(x, (int, str)):
+        return Fraction(x)
+    raise TypeError(f"expected exact rational, got {type(x).__name__}")
 
 
 def lowest_terms(nums, den: int):
@@ -192,79 +190,3 @@ class Ring:
 
     def inverse(self):
         raise ValueError(f"{type(self).__name__} has no general inverse")
-
-
-def kronecker_mul(a, b, n: int):
-    """The first n coefficients of the product of the int lists a and b.
-
-    Kronecker substitution: each list is packed into one int, one slot of
-    w bits per coefficient, the two ints are multiplied once and the
-    product is cut back into slots.  A slot holds its coefficient plus
-    2**(w-1), so no slot borrows from its neighbour; w fits
-    n * max|a| * max|b| plus that sign bit, the largest coefficient the
-    first n slots can hold.  When the smaller packed operand has more than
-    ``DECIMAL_BITS`` bits the same product is taken in base 10**w
-    (``_decimal_mul``).
-    """
-    if n <= 0:
-        return []
-    a, b = a[:n], b[:n]
-    top = max(map(abs, a), default=0) * max(map(abs, b), default=0)
-    if not top:
-        return [0] * n
-    short = min(len(a), len(b))
-    bound = top * short
-    width = bound.bit_length() // 8 + 1
-    if 8 * width * short > DECIMAL_BITS:
-        # 10**(places - 1) > 2**bits > bound, as 0.30103 > log10(2)
-        places = bound.bit_length() * 30103 // 100000 + 2
-        # slots are written and read with str() and int(), which refuse
-        # more digits than the interpreter's limit (0, or before Python
-        # 3.10.7, none)
-        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-        if not limit or places <= limit:
-            return _decimal_mul(a, b, n, places)
-    half = 1 << (8 * width - 1)
-
-    def pack(cs):
-        digits = b"".join((c + half).to_bytes(width, "little") for c in cs)
-        return int.from_bytes(digits, "little") - _bias(width, len(cs))
-
-    product = (pack(a) * pack(b) + _bias(width, n)) & ((1 << (8 * width * n)) - 1)
-    digits = product.to_bytes(width * n, "little")
-    return [
-        int.from_bytes(digits[i:i + width], "little") - half
-        for i in range(0, width * n, width)
-    ]
-
-
-def _bias(width: int, n: int) -> int:
-    """2**(8*width - 1) in each of n slots of 8*width bits."""
-    return int.from_bytes((b"\0" * (width - 1) + b"\x80") * n, "little")
-
-
-def _decimal_mul(a, b, n: int, w: int):
-    """``kronecker_mul`` of nonempty lists a, b (at most n long) in base 10**w.
-
-    With h = 10**w / 2, the largest |coefficient| of a, b and of the product
-    a*b is below h.  A list packs as its slots' digits, slot i holding
-    c_i + h in [0, 10**w), minus h in every slot: the exact number
-    sum c_i 10**(w*i).  The product P = sum p_k 10**(w*k) has len(a) +
-    len(b) - 1 slots, each |p_k| < h, so P plus h in each of
-    s = max(n, len(a) + len(b) - 1) slots is sum (p_k + h) 10**(w*k), every
-    term in [0, 10**w): no slot borrows from its neighbour, the sum is not
-    negative, and its last w*n digits are the first n slots plus h.  This
-    is the binary argument in base 10, with the bias laid over every slot
-    of the product instead of a wrap below 10**(w*n).
-    """
-    half = 5 * 10 ** (w - 1)
-    fill = "5" + "0" * (w - 1)
-
-    def pack(cs):
-        text = "".join([f"{c + half:0{w}d}" for c in reversed(cs)])
-        return _EXACT.subtract(decimal.Decimal(text), decimal.Decimal(fill * len(cs)))
-
-    slots = max(n, len(a) + len(b) - 1)
-    product = _EXACT.add(_EXACT.multiply(pack(a), pack(b)), decimal.Decimal(fill * slots))
-    text = str(product)[-w * n:].rjust(w * n, "0")
-    return [int(text[i - w:i]) - half for i in range(w * n, 0, -w)]

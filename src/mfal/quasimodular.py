@@ -5,18 +5,20 @@ these five quantities are algebraically independent over C, so identities
 proved here formally hold for the actual functions.  Every constant the
 weight calculus needs (i*pi/3, pi^2/36, ...) is a rational multiple of a
 power of s, keeping the coefficient field Q.
+
+The ring loads no q-series module when it is imported: ``substitute_series``,
+``to_qseries`` and ``NumericContext`` import ``mfal.modforms`` and
+``mfal.qseries`` when they are called, so Phi_n (``mfal.vvmf``) compiles no
+series code.
 """
 
 from __future__ import annotations
 
-import cmath
 from fractions import Fraction
 from math import comb, lcm
 
-from . import modforms
 from .linalg import Matrix
-from .poly import Ring, add_term, lowest_terms, sparse_add, sparse_mul
-from .qseries import QSeries, _to_frac
+from .poly import Ring, _to_frac, add_term, lowest_terms, sparse_add, sparse_mul
 
 VARS = ("tau", "P", "Q", "R", "s")
 _TAU, _P, _Q, _R, _S = range(5)
@@ -183,6 +185,9 @@ class QuasiPoly(Ring):
         The result maps tau-degree to a QSeries.  Any s-dependence has no
         exact q-expansion and raises.
         """
+        from . import modforms
+        from .qseries import QSeries
+
         e2, e4, e6 = (modforms.named_form(f"E{k}", order).series for k in (2, 4, 6))
         out: dict[int, QSeries] = {}
         for (t, p, q, r, s), c in self.terms.items():
@@ -194,6 +199,8 @@ class QuasiPoly(Ring):
 
     def to_qseries(self, order) -> QSeries:
         """Exact q-expansion of a tau-free, s-free element."""
+        from .qseries import QSeries
+
         pieces = self.substitute_series(order)
         if set(pieces) - {0}:
             raise ValueError("element depends on tau; no scalar q-expansion")
@@ -245,6 +252,10 @@ class NumericContext:
     """Evaluated E2, E4, E6 at a fixed tau, shared across substitutions."""
 
     def __init__(self, tau: complex, order=64):
+        import cmath
+
+        from . import modforms
+
         self.tau = tau
         self.order = order
         self.e2, self.e4, self.e6 = (

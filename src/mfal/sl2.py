@@ -1,0 +1,97 @@
+"""The symmetric powers Sym^n C^2 of the defining sl2 representation.
+
+``SymRep`` holds the standard triple (h, e, f) on Sym^n as int matrices,
+``sym_power_matrix`` is Sym^n of a 2x2 matrix over any ring and
+``exp_nilpotent`` the finite exponential of a nilpotent matrix: the pieces
+of Phi_n (``mfal.vvmf``) and of the evaluation representations
+(``mfal.loopext``).  The module imports no other mfal module; the root
+systems and Chevalley tables are ``mfal.liealg``.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+from math import comb, factorial
+
+
+class NotNilpotent(ValueError):
+    """Polynomial matrix exponential of a non-nilpotent argument."""
+
+
+class SymRep:
+    """Sym^n C^2 in the basis binom(n,i) x^(n-i) y^i, i = 0..n.
+
+    H = diag(n, n-2, ..., -n); E and F raise and lower with the integer
+    entries that make exp(tau*E) carry right column (tau^n, ..., tau, 1).
+    The three matrices are lists of int rows.
+    """
+
+    def __init__(self, n: int):
+        if n < 0:
+            raise ValueError("n must be nonnegative")
+        self.n = n
+        dim = n + 1
+        self.h = [[n - 2 * i if i == j else 0 for j in range(dim)] for i in range(dim)]
+        self.e = [[0] * dim for _ in range(dim)]
+        self.f = [[0] * dim for _ in range(dim)]
+        for i in range(1, dim):
+            self.e[i - 1][i] = n - i + 1
+        for i in range(dim - 1):
+            self.f[i + 1][i] = i + 1
+
+    @property
+    def dim(self) -> int:
+        return self.n + 1
+
+    def weights(self):
+        """H-eigenvalue of each basis vector, top to bottom."""
+        return [self.n - 2 * i for i in range(self.n + 1)]
+
+
+def sym_rep(n: int) -> SymRep:
+    return SymRep(n)
+
+
+def sym_power_matrix(n: int, entries):
+    """Functorial Sym^n of a 2x2 matrix over any commutative ring.
+
+    ``entries`` is ((a, b), (c, d)); returns the (n+1)x(n+1) matrix in the
+    scaled monomial basis.  Works for any ring of the ``mfal.linalg`` protocol.
+    """
+    (a, b), (c, d) = entries
+    rows = [[None] * (n + 1) for _ in range(n + 1)]
+    for j in range(n + 1):
+        # image of basis vector j: binom(n,j) (a x + c y)^(n-j) (b x + d y)^j
+        contributions = {}
+        for u in range(n - j + 1):
+            for v in range(j + 1):
+                i = u + v
+                coeff = Fraction(comb(n, j) * comb(n - j, u) * comb(j, v), comb(n, i))
+                term = a ** (n - j - u) * c ** u * b ** (j - v) * d ** v * coeff
+                if i in contributions:
+                    contributions[i] = contributions[i] + term
+                else:
+                    contributions[i] = term
+        for i in range(n + 1):
+            rows[i][j] = contributions.get(i)
+    zero = a * 0
+    return [[zero if x is None else x for x in row] for row in rows]
+
+
+def exp_nilpotent(matrix, scalar):
+    """Finite exponential sum of scalar*matrix for a nilpotent
+    ``mfal.linalg.Matrix``, over any ring of its protocol; the result has
+    matrix's class."""
+    n = matrix.size
+    one = scalar * 0 + 1
+    result = power = type(matrix).identity(n, one)
+    scalar_power = one
+    for k in range(1, n + 1):
+        power = power * matrix
+        scalar_power = scalar_power * scalar
+        if power.is_zero():
+            return result
+        result = result + power.scale(scalar_power * Fraction(1, factorial(k)))
+    if not (power * matrix).is_zero():
+        raise NotNilpotent("matrix is not nilpotent of index <= size")
+    return result

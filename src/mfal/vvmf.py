@@ -11,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cached_property
 
-from . import liealg
+from . import sl2
 from .linalg import Matrix
 from .poly import monomial_count
 from .quasimodular import NumericContext, QuasiMatrix, QuasiPoly
@@ -22,13 +22,13 @@ class PhiOperator:
 
     def __init__(self, n: int):
         self.n = n
-        rep = liealg.sym_rep(n)
+        rep = sl2.sym_rep(n)
         e_mat = QuasiMatrix([[QuasiPoly.const(c) for c in row] for row in rep.e])
         f_mat = QuasiMatrix([[QuasiPoly.const(c) for c in row] for row in rep.f])
         tau = QuasiPoly.var("tau")
         # y = 2*pi*i*E2/12 = P/(12 s)
         y = QuasiPoly.monomial((0, 1, 0, 0, -1), Fraction(1, 12))
-        self.factors = (liealg.exp_nilpotent(e_mat, tau), liealg.exp_nilpotent(f_mat, y))
+        self.factors = (sl2.exp_nilpotent(e_mat, tau), sl2.exp_nilpotent(f_mat, y))
         self.weights = rep.weights()
 
     @cached_property
@@ -53,7 +53,7 @@ def phi(n: int) -> PhiOperator:
 def rho_matrix(n: int, gamma) -> list:
     """Sym^n of an integer 2x2 matrix, as Fractions."""
     (a, b), (c, d) = gamma
-    return liealg.sym_power_matrix(
+    return sl2.sym_power_matrix(
         n, ((Fraction(a), Fraction(b)), (Fraction(c), Fraction(d)))
     )
 

@@ -288,7 +288,8 @@ def test_alia_text_digest(capsys, type_label, orbit):
 
 
 # sha256 of `mfal expand j --order 1024 --format json`, recorded before
-# kronecker_mul had a decimal path; this order takes it (see README)
+# qseries.kronecker_mul had a decimal path; 7 of this order's products take
+# that path (see README, "Big products")
 EXPAND_J_1024_JSON = "4c767708ab8f03d563b822ebdc56aaf70522dbe81a0c83691099917e07e7f1ad"
 
 
@@ -322,17 +323,19 @@ def test_each_subcommand_imports_only_its_own_modules():
     expand = mfal_modules_after(["expand", "j", "--order", "8"])
     assert expand == ["mfal", "mfal.cli", "mfal.modforms", "mfal.poly", "mfal.qseries"]
     alia = mfal_modules_after(["alia", "A1", "principal"])
+    # no mfal.sl2: a bracket table needs no symmetric power
     assert alia == ["mfal", "mfal.alia", "mfal.cli", "mfal.liealg", "mfal.linalg", "mfal.poly"]
 
 
 #: the mfal modules beyond mfal, mfal.cli, mfal.checks and mfal.poly that
 #: `mfal verify <suite>` loads
 VERIFY_MODULES = {
-    "core": ["checks_core", "liealg", "linalg", "modforms", "qseries", "quasimodular", "vvmf"],
+    "core": ["checks_core", "liealg", "linalg", "modforms", "qseries", "quasimodular", "sl2",
+             "vvmf"],
     "theta": ["checks_theta", "modforms", "qseries"],
     "gamma": ["checks_gamma", "modforms", "qseries"],
     "alia": ["alia", "checks_alia", "liealg", "linalg", "modforms", "qseries"],
-    "loop": ["alia", "checks_loop", "cyclotomic", "liealg", "linalg", "loopext"],
+    "loop": ["alia", "checks_loop", "cyclotomic", "liealg", "linalg", "loopext", "sl2"],
 }
 #: the modules each suite must not load
 VERIFY_SKIPS = {
@@ -368,3 +371,26 @@ def test_algebra_half_loads_no_qseries_module(module):
     loaded = mfal_modules_after(module=module)
     assert module in loaded
     assert not {"mfal.qseries", "mfal.modforms", "mfal.quasimodular", "mfal.vvmf"} & set(loaded)
+
+
+def test_phi_loads_no_qseries_module():
+    """Phi_n needs Sym^n and the quasimodular ring, no series: the q-series
+    bridges of quasimodular import modforms and qseries when called."""
+    assert mfal_modules_after(module="mfal.vvmf") == [
+        "mfal", "mfal.linalg", "mfal.poly", "mfal.quasimodular", "mfal.sl2", "mfal.vvmf"]
+    loaded = mfal_modules_after(module="mfal.quasimodular")
+    assert "mfal.quasimodular" in loaded
+    assert not {"mfal.qseries", "mfal.modforms"} & set(loaded)
+
+
+def test_loopext_loads_no_root_system():
+    """sl2_bracket imports liealg when it is called, not loopext's import."""
+    assert mfal_modules_after(module="mfal.loopext") == [
+        "mfal", "mfal.cyclotomic", "mfal.linalg", "mfal.loopext", "mfal.poly", "mfal.sl2"]
+
+
+def test_the_series_kernel_lives_in_qseries():
+    from mfal import poly, qseries
+
+    assert callable(qseries.kronecker_mul)
+    assert not hasattr(poly, "kronecker_mul")

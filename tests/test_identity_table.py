@@ -17,7 +17,7 @@ import random
 
 import pytest
 
-from mfal import alia, checks, liealg, loopext, vvmf
+from mfal import alia, checks, liealg, loopext, sl2, vvmf
 from mfal.cli import main
 from mfal.linalg import Matrix
 from mfal.poly import add_term
@@ -174,7 +174,7 @@ def test_killing_associativity_fails_on_a_changed_entry(monkeypatch, i, j):
     (lambda n: (0, n), "exp(y F) is lower unitriangular on Sym^{n}"),
 ])
 def test_phi_det_fails_on_an_entry_across_the_diagonal(monkeypatch, corner, name):
-    exp_nilpotent = liealg.exp_nilpotent
+    exp_nilpotent = sl2.exp_nilpotent
 
     def with_corner(matrix, scalar):
         out = exp_nilpotent(matrix, scalar)
@@ -186,7 +186,7 @@ def test_phi_det_fails_on_an_entry_across_the_diagonal(monkeypatch, corner, name
     # Phi_n is built once per process: the broken one is built fresh here
     # and does not outlive this test
     monkeypatch.setattr(vvmf, "_PHI_CACHE", {})
-    monkeypatch.setattr(liealg, "exp_nilpotent", with_corner)
+    monkeypatch.setattr(sl2, "exp_nilpotent", with_corner)
     assert _failed("vvmf.phi_det") == [name.format(n=n) for n in range(1, 11)]
 
 

@@ -5,8 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from mfal import liealg
-from mfal.liealg import NotNilpotent, OddLabel
+from mfal import liealg, sl2
+from mfal.liealg import OddLabel
 from mfal.linalg import Matrix
 from mfal.quasimodular import QuasiMatrix, QuasiPoly
 
@@ -129,7 +129,7 @@ def test_a1_adjoint_grading():
 
 
 def test_sym_rep_defining():
-    rep = liealg.sym_rep(1)
+    rep = sl2.sym_rep(1)
     assert rep.h == [[1, 0], [0, -1]]
     assert rep.e == [[0, 1], [0, 0]]
     assert rep.f == [[0, 0], [1, 0]]
@@ -137,7 +137,7 @@ def test_sym_rep_defining():
 
 def test_sym_rep_relations():
     for n in range(9):
-        rep = liealg.sym_rep(n)
+        rep = sl2.sym_rep(n)
         dim = rep.dim
 
         def mul(a, b):
@@ -157,7 +157,7 @@ def test_sym_rep_relations():
 
 
 def test_sym_rep_nilpotency_index():
-    rep = liealg.sym_rep(4)
+    rep = sl2.sym_rep(4)
     m = QuasiMatrix([[QuasiPoly.const(c) for c in row] for row in rep.e])
     p = m
     for _ in range(3):
@@ -167,10 +167,10 @@ def test_sym_rep_nilpotency_index():
 
 
 def test_exp_nilpotent_tau():
-    rep = liealg.sym_rep(1)
+    rep = sl2.sym_rep(1)
     e_mat = QuasiMatrix([[QuasiPoly.const(c) for c in row] for row in rep.e])
     tau = QuasiPoly.var("tau")
-    result = liealg.exp_nilpotent(e_mat, tau)
+    result = sl2.exp_nilpotent(e_mat, tau)
     assert result[0, 0] == QuasiPoly.const(1)
     assert result[0, 1] == tau
     assert result[1, 0].is_zero()
@@ -180,17 +180,17 @@ def test_exp_nilpotent_tau():
 def test_exp_nilpotent_over_fractions_is_sym_power(n):
     """exp(t E) and exp(t F) on Sym^n are Sym^n of the 2x2 unipotents."""
     t, one, zero = Fraction(3, 2), Fraction(1), Fraction(0)
-    rep = liealg.sym_rep(n)
+    rep = sl2.sym_rep(n)
     for gen, base in ((rep.e, ((one, t), (zero, one))), (rep.f, ((one, zero), (t, one)))):
-        exp = liealg.exp_nilpotent(Matrix(gen), t)
+        exp = sl2.exp_nilpotent(Matrix(gen), t)
         assert type(exp) is Matrix
-        assert exp == Matrix(liealg.sym_power_matrix(n, base))
+        assert exp == Matrix(sl2.sym_power_matrix(n, base))
 
 
 def test_exp_nilpotent_rejects_non_nilpotent():
     m = QuasiMatrix.identity(2)
-    with pytest.raises(NotNilpotent):
-        liealg.exp_nilpotent(m, QuasiPoly.var("tau"))
+    with pytest.raises(sl2.NotNilpotent):
+        sl2.exp_nilpotent(m, QuasiPoly.var("tau"))
 
 
 def test_sym_power_right_column():
@@ -200,7 +200,7 @@ def test_sym_power_right_column():
         (QuasiPoly(), QuasiPoly.const(1)),
     )
     for n in (2, 3):
-        mat = liealg.sym_power_matrix(n, base)
+        mat = sl2.sym_power_matrix(n, base)
         for i in range(n + 1):
             assert mat[i][n] == tau ** (n - i)
 
@@ -219,9 +219,9 @@ def test_sym_power_multiplicativity():
         ),
     )
     n = 3
-    sa = liealg.sym_power_matrix(n, a)
-    sb = liealg.sym_power_matrix(n, b)
-    sab = liealg.sym_power_matrix(n, ab)
+    sa = sl2.sym_power_matrix(n, a)
+    sb = sl2.sym_power_matrix(n, b)
+    sab = sl2.sym_power_matrix(n, ab)
     dim = n + 1
     prod = [
         [sum(sa[i][k] * sb[k][j] for k in range(dim)) for j in range(dim)]

@@ -1,6 +1,6 @@
 """Property tests of the integer series kernel: ``QSeries.__mul__`` and
 ``QSeries.inverse`` against the schoolbook ``Fraction`` algorithms,
-``poly.kronecker_mul`` (both its binary and its decimal packing) against
+``qseries.kronecker_mul`` (both its binary and its decimal packing) against
 ``poly.mul``, and the Newton ladder ``_monic_inverse`` against the
 ``Fraction`` recurrence.
 
@@ -19,10 +19,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from mfal import poly
+from mfal import qseries
 from mfal.alia import JPoly
-from mfal.poly import kronecker_mul, mul
-from mfal.qseries import QSeries, _monic_inverse
+from mfal.poly import mul
+from mfal.qseries import QSeries, _monic_inverse, kronecker_mul
 
 examples = settings(max_examples=80, deadline=None)
 
@@ -228,7 +228,7 @@ def test_kronecker_mul_slot_width_at_the_bound():
 
 
 # every product through the decimal packing, as big operands take it
-decimal_path = mock.patch.object(poly, "DECIMAL_BITS", 0)
+decimal_path = mock.patch.object(qseries, "DECIMAL_BITS", 0)
 # past sys.get_int_max_str_digits() (4300 by default) in decimal
 huge = st.integers(-(10 ** 4400), 10 ** 4400)
 
@@ -259,7 +259,7 @@ def test_decimal_path_at_and_past_the_full_product(a, b, extra):
 
 
 def test_decimal_path_runs_unless_a_slot_passes_the_str_limit():
-    with decimal_path, mock.patch.object(poly, "_decimal_mul", wraps=poly._decimal_mul) as spy:
+    with decimal_path, mock.patch.object(qseries, "_decimal_mul", wraps=qseries._decimal_mul) as spy:
         # the slot past n is negative, so is the product's part above slot n
         assert kronecker_mul([5, 7], [3, -9], 2) == [15, -24]
         assert spy.call_count == 1
@@ -270,7 +270,7 @@ def test_decimal_path_runs_unless_a_slot_passes_the_str_limit():
         big = 10 ** 4400
         assert kronecker_mul([big, -1], [-big, 2], 3) == [-big * big, 3 * big, -2]
         assert spy.call_count == 2
-    assert poly.DECIMAL_BITS > 0
+    assert qseries.DECIMAL_BITS > 0
 
 
 def fraction_inverse(v, n):

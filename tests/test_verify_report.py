@@ -1,8 +1,8 @@
 """A verify report depends only on the code and the order: every check's
 details are the same on a second run, so the JSON report without
 ``elapsed_ms`` is reproducible.  Each suite's registry entries are exactly
-the checks of its module, and each check module stays small enough to
-compile in one step of the parser."""
+the checks of its module, and each module stays small enough to compile in
+one step of the parser."""
 
 import importlib
 import json
@@ -53,8 +53,7 @@ def test_load_keeps_an_entry_already_there(monkeypatch):
     assert checks.check_identity("loop.onsager", 8) == (True, "patched")
 
 
-GUARDED = sorted((ROOT / "src" / "mfal").glob("checks*.py")) + [
-    ROOT / "src" / "mfal" / "linalg.py", ROOT / "src" / "mfal" / "loopext.py"]
+GUARDED = sorted((ROOT / "src" / "mfal").glob("*.py"))
 
 
 @pytest.mark.parametrize("path", GUARDED, ids=lambda path: path.name)
@@ -62,8 +61,7 @@ def test_check_module_stays_below_the_parser_step(path):
     # CPython's parser keeps a module's tokens in an array that doubles when
     # full; a checks module past 4,096 tokens (comments and blank lines not
     # counted) raised the measured peak RSS of every `mfal verify` process
-    # by 0.2-0.3 MB.  linalg and loopext, which every loop or core verify
-    # imports, are held to the same step
+    # by 0.2-0.3 MB.  Every module of the package is held to the same step
     with path.open("rb") as fh:
         skipped = (tokenize.COMMENT, tokenize.NL, tokenize.ENCODING)
         tokens = sum(tok.type not in skipped for tok in tokenize.tokenize(fh.readline))

@@ -8,6 +8,8 @@ type here long before a timing shows it.
 """
 
 import sys
+from fractions import Fraction
+from functools import partial
 
 import pytest
 
@@ -80,6 +82,27 @@ def test_cocycle_monomials_multiply_no_cyclotomic_zero(monkeypatch):
     # the nonzero products of principal and Taylor coefficients; a product
     # that multiplies its zero operands makes 2,848
     assert made.count("__mul__") == 48
+
+
+@pytest.mark.parametrize("check_id", [
+    "loop.evaluation_rep",  # 333 with Fraction SymRep matrices and coordinates
+    "loop.cocycle_monomials",  # 79 when CycloField.element wraps int coordinates
+])
+def test_loop_checks_make_no_fraction(monkeypatch, check_id):
+    checks.load("loop")
+    for t in ("A1", "A2"):
+        liealg.chevalley(t)  # Carter's recursion divides; its Fractions are not counted
+    calls = []
+    original = Fraction.__new__
+
+    def counted(cls, *args, **kwargs):
+        calls.append(None)
+        return original(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counted)
+    run = checks.CHECKS.get(check_id) or partial(checks.check_identity, check_id)
+    assert run(8)[0]
+    assert calls == []
 
 
 @pytest.mark.parametrize("op", [lambda a, b: a * b, lambda a, b: a + b])
