@@ -34,8 +34,10 @@ def _scalar_oracle(order):
 
     This is the modular-forms side of the bracket tables: it reads only the
     grading and the cocycle exponents, never the residue arithmetic that
-    produced them.
+    produced them.  The orbits share most of their identities, so each
+    distinct (k(a), k(b), w4, w6) is computed once and named once per orbit.
     """
+    computed = {}
     for key in liealg.ORBIT_LABELS:
         cocycles = alia.CocyclePair(liealg.graded_triple(*key))
         grading = cocycles.triple.grading
@@ -47,9 +49,13 @@ def _scalar_oracle(order):
         degree = max((w4 + w6 for w4, w6 in exponents.values()), default=0)
         j = series("j", modforms.depth(order, (-1, degree)))
         for (ka, kb), (w4, w6) in exponents.items():
-            rhs = alia.JPoly.j_power_form(w4, w6).as_series(j) * series(f"F_k:{-ka - kb}", order)
+            identity = ka, kb, w4, w6
+            if identity not in computed:
+                computed[identity] = (
+                    series(f"F_k:{-ka}", order) * series(f"F_k:{-kb}", order),
+                    alia.JPoly.j_power_form(w4, w6).as_series(j) * series(f"F_k:{-ka - kb}", order))
             yield (f"{key[0]} {key[1]}: F_{-ka} F_{-kb} = j^{w4} (j-1728)^{w6} F_{-ka - kb}",
-                   series(f"F_k:{-ka}", order) * series(f"F_k:{-kb}", order), rhs)
+                   *computed[identity])
 
 
 def _barrel_contraction(order):

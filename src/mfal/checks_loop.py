@@ -149,28 +149,39 @@ def _polyhedral_cocycles(order):
                        loopext.residue(du, b), field.zero)
 
 
-def _onsager(order):
-    """The Onsager relations under the loop realization, to index 10, then
-    the Hauptmodul bracket.
+#: the generic indices of the Onsager lemmas: (a, b) -> a K + b M is
+#: injective on a, b in {-1, 0, 1}
+_K, _M = 10**6, 10**12
 
-    [G_m, G_n] = 0, [G_m, A_k] = 2 A_{k+m} - 2 A_{k-m}, [A_k, A_l] = G_{k-l}
-    with G_{-m} = -G_m and G_0 = 0.  The e, f prefactor is (z^2 - z^-2)/8:
-    with jhat = (z^2 + 2 + z^-2)/4 this is the normalization that closes the
-    bracket on jhat(jhat - 1) h.
+
+def _onsager(order):
+    """The Onsager relations for every index, by three lemmas at generic
+    indices, then the Hauptmodul bracket.
+
+    The relations are [G_k, G_m] = 0, [G_m, A_k] = 2 A_{k+m} - 2 A_{k-m}
+    and [A_k, A_m] = G_{k-m} for all integers k, m, where A_k has z^k and
+    z^-k off the diagonal and G_m = diag(z^m - z^-m, z^-m - z^m).  The
+    proof is the Kronecker substitution of ``qseries.kronecker_mul``.  Read
+    k and m as symbols: the entries then live in Q[Z^2], with z^(a k + b m)
+    the monomial of (a, b).  The map (a, b) -> a K + b M is a group
+    homomorphism, so it induces a ring map Q[Z^2] -> Q[z, 1/z], and each
+    lemma at (K, M) is the image of its symbolic relation.  Every bracket
+    multiplies an entry in k by an entry in m, so every exponent on either
+    side has |a|, |b| <= 1; the map is injective there (M > 2K), so
+    equality at (K, M) is equality in Q[Z^2].  Specialising (k, m) to any
+    integers is again a ring map, which gives the relations at every
+    (k, m).  ``onsager_G(0)`` is the zero matrix, the formula's value at 0,
+    so G_0 = 0 and G_{-m} = -G_m come for free.
+
+    The e, f prefactor is (z^2 - z^-2)/8: with jhat = (z^2 + 2 + z^-2)/4
+    this is the normalization that closes the bracket on jhat(jhat - 1) h.
     """
-    a = {k: loopext.onsager_A(k) for k in range(-20, 21)}
-    g = {m: loopext.onsager_G(m) for m in range(21)}
-    for m in range(1, 11):
-        for n in range(1, 11):
-            yield f"[G_{m}, G_{n}] = 0", g[m].commutator(g[n]), g[0]
-    for m in range(1, 11):
-        for k in range(-10, 11):
-            yield (f"[G_{m}, A_{k}] = 2 A_{k + m} - 2 A_{k - m}",
-                   g[m].commutator(a[k]), a[k + m].scale(2) - a[k - m].scale(2))
-    for k in range(-10, 11):
-        for n in range(-10, 11):
-            g_kn = g[k - n] if k >= n else g[n - k].scale(-1)
-            yield f"[A_{k}, A_{n}] = G_{k - n}", a[k].commutator(a[n]), g_kn
+    a_k, a_m = loopext.onsager_A(_K), loopext.onsager_A(_M)
+    g_k, g_m = loopext.onsager_G(_K), loopext.onsager_G(_M)
+    yield "[G_k, G_m] = 0", g_k.commutator(g_m), loopext.onsager_G(0)
+    yield ("[G_m, A_k] = 2 A_{k+m} - 2 A_{k-m}", g_m.commutator(a_k),
+           loopext.onsager_A(_K + _M).scale(2) - loopext.onsager_A(_K - _M).scale(2))
+    yield "[A_k, A_m] = G_{k-m}", a_k.commutator(a_m), loopext.onsager_G(_K - _M)
     c = loopext.Laurent({2: Fraction(1, 8), -2: Fraction(-1, 8)})
     e = Matrix([[1, -1], [1, -1]]).scale(c)
     f = Matrix([[1, 1], [-1, -1]]).scale(c)
@@ -206,7 +217,9 @@ IDENTITIES = {
         "independent (rank M-1)", _cocycle_properties),
     "loop.cocycle_monomials": (
         "omega(x z^m, y z^n) = m K(x,y) delta for |m|,|n| <= 6, A1 and A2", _cocycle_monomials),
-    "loop.onsager": ("relations to index 10 and the Hauptmodul bracket", _onsager),
+    "loop.onsager": (
+        "relations proved for every index by three lemmas at generic indices, "
+        "and the Hauptmodul bracket", _onsager),
     "loop.dolan_grady": ("nested bracket relations over Q[j]", _dolan_grady),
     "loop.polyhedral_cocycles": (
         "2-cocycle proved: K invariant on A1, res(u') = 0 at every point of the four "

@@ -317,12 +317,16 @@ def cocycle_rank(structure, samples, points) -> int:
 # ----------------------------------------------------------------------
 
 class Laurent(Ring):
-    """A Laurent polynomial in z over Q: exponent -> nonzero coefficient."""
+    """A Laurent polynomial in z over Q: exponent -> nonzero coefficient.
+
+    The constructor copies ``terms`` and drops its zero coefficients, so
+    equal polynomials have equal ``terms`` and no caller's dict is shared.
+    """
 
     __slots__ = ("terms",)
 
     def __init__(self, terms: dict):
-        self.terms = terms
+        self.terms = {k: v for k, v in terms.items() if v}
 
     def __bool__(self) -> bool:
         return bool(self.terms)

@@ -17,7 +17,7 @@ import random
 
 import pytest
 
-from mfal import alia, checks, liealg, loopext, sl2, vvmf
+from mfal import alia, checks, checks_loop, liealg, loopext, sl2, vvmf
 from mfal.cli import main
 from mfal.linalg import Matrix
 from mfal.poly import add_term
@@ -88,8 +88,8 @@ def test_table_ids_are_the_suite_entries_the_runner_builds():
 
 
 @pytest.mark.parametrize("order, digest", [
-    (32, "52248efc2a93c09f0fe3d1c1ae93b60a5ace89398e298fcdf1ff012e2eb66f09"),
-    (64, "98540164a5d6466adb946f62fa15ad01197fa032269a841129026a484180327e"),
+    (32, "a5fa1f2ea6b4f16cea68a9e9bca3d5cd0ba794e946335d2d0f8c35039b528aa9"),
+    (64, "a3ca6dd0fddcd11e326f65f47f372387d694acb69c95e5c26abc5ad1c6692c8d"),
 ], ids=["32", "64"])
 def test_verify_all_json_digest(capsys, order, digest):
     assert main(["verify", "all", "--order", str(order), "--format", "json"]) == 0
@@ -239,6 +239,46 @@ def test_cocycle_values_names_a_pair_with_w6_2(monkeypatch):
         f"{key} w6({b}, {a}) = w6({a}, {b})"])
 
 
+@pytest.mark.parametrize("generator, column, failed", [
+    ("onsager_A", 1, ["[A_k, A_m] = G_{k-m}"]),
+    ("onsager_G", 0, ["[G_m, A_k] = 2 A_{k+m} - 2 A_{k-m}", "[A_k, A_m] = G_{k-m}"]),
+])
+def test_onsager_names_the_lemmas_a_shifted_exponent_breaks(monkeypatch, generator, column,
+                                                            failed):
+    """The first row's entry in `column` of every A_k, or of every G_m,
+    times z: its exponents shifted by 1."""
+    build = getattr(loopext, generator)
+
+    def shifted(k):
+        mat = build(k)
+        mat.rows[0][column] = mat.rows[0][column] * loopext.Laurent({1: 1})
+        return mat
+
+    monkeypatch.setattr(loopext, generator, shifted)
+    assert _failed("loop.onsager") == failed
+
+
+def test_onsager_lemmas_stay_on_the_nine_kronecker_exponents():
+    """The premise of the proof of ``loop.onsager``: the generators in k
+    carry only the exponents +-K, those in m only +-M, and every exponent on
+    either side of the three lemmas is one of the nine distinct a K + b M,
+    a, b in {-1, 0, 1}, where equality at (K, M) is equality in Q[Z^2]."""
+    k, m = checks_loop._K, checks_loop._M
+    nine = {a * k + b * m for a in (-1, 0, 1) for b in (-1, 0, 1)}
+    assert len(nine) == 9
+
+    def exponents(*matrices):
+        return {e for mat in matrices for row in mat.rows for entry in row for e in entry.terms}
+
+    for index in (k, m):
+        assert exponents(loopext.onsager_A(index), loopext.onsager_G(index)) == {index, -index}
+    _, sides = checks.IDENTITIES["loop.onsager"]
+    lemmas = list(sides(ORDER))[:3]
+    assert [name for name, _, _ in lemmas] == [
+        "[G_k, G_m] = 0", "[G_m, A_k] = 2 A_{k+m} - 2 A_{k-m}", "[A_k, A_m] = G_{k-m}"]
+    assert exponents(*(side for _, lhs, rhs in lemmas for side in (lhs, rhs))) <= nine
+
+
 def test_proofs_reach_no_sampler_and_no_determinant(monkeypatch):
     def unreachable(*args, **kwargs):
         raise AssertionError("reached")
@@ -252,6 +292,6 @@ def test_proofs_reach_no_sampler_and_no_determinant(monkeypatch):
     entries = dict(entry for suite in checks.SUITES.values() for entry in suite)
     for check_id in ("liealg.killing_associativity", "loop.polyhedral_cocycles",
                      "vvmf.phi_det", "loop.cocycle_properties", "alia.jacobi_tables",
-                     "alia.cocycle_condition"):
+                     "alia.cocycle_condition", "loop.onsager"):
         passed, detail = entries[check_id](ORDER)
         assert passed, (check_id, detail)

@@ -219,6 +219,37 @@ def test_onsager_relations():
     assert checks.check_identity("loop.onsager", 64)[0]
 
 
+def test_onsager_relations_to_index_10():
+    """The 751 relations for |k|, |n| <= 10, each computed at its own
+    indices: an oracle for the three lemmas at generic indices that
+    ``loop.onsager`` proves every index by.  G_{-m} = -G_m is applied here,
+    not read from the formula."""
+    a = {k: loopext.onsager_A(k) for k in range(-20, 21)}
+    g = {m: loopext.onsager_G(m) for m in range(21)}
+    relations = [(g[m].commutator(g[n]), g[0]) for m in range(1, 11) for n in range(1, 11)]
+    relations += [(g[m].commutator(a[k]), a[k + m].scale(2) - a[k - m].scale(2))
+                  for m in range(1, 11) for k in range(-10, 11)]
+    relations += [(a[k].commutator(a[n]), g[k - n] if k >= n else g[n - k].scale(-1))
+                  for k in range(-10, 11) for n in range(-10, 11)]
+    assert len(relations) == 751
+    assert all(lhs == rhs for lhs, rhs in relations)
+
+
+def test_laurent_drops_zero_coefficients():
+    zero = loopext.Laurent({1: 0})
+    assert not zero
+    assert zero == loopext.Laurent({})
+    assert (zero + loopext.Laurent({})).terms == {}
+    assert loopext.Laurent({1: Fraction(0), 2: 3}) == loopext.Laurent({2: 3})
+
+
+def test_laurent_copies_its_terms():
+    terms = {1: 1}
+    p = loopext.Laurent(terms)
+    terms[1], terms[2] = 5, 1
+    assert p.terms == {1: 1}
+
+
 def test_onsager_generators_are_involution_fixed():
     # the realization lives in the fixed points of M(z) -> X M(1/z) X
     def theta0(mat):

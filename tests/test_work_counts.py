@@ -1,10 +1,12 @@
-"""Exact operation counts of the matrix kernel and the loop cocycle, and the
-int arithmetic of the Chevalley tables.
+"""Exact operation counts of the matrix kernel, the loop cocycle, the
+Onsager lemmas and the scalar oracle, and the int arithmetic of the
+Chevalley tables.
 
 Wall time on a shared host swings by 2x, so these pin the work itself: a
 return to dense matrix products, to forming f' g for one residue, to
-multiplying cyclotomic zeros or to Fraction constants changes a count or a
-type here long before a timing shows it.
+multiplying cyclotomic zeros or to Fraction constants, to an index sweep or
+to computing a shared identity twice changes a count or a type here long
+before a timing shows it.
 """
 
 import sys
@@ -13,8 +15,9 @@ from functools import partial
 
 import pytest
 
-from mfal import checks, liealg, loopext, vvmf
+from mfal import checks, liealg, loopext, modforms, vvmf
 from mfal.cyclotomic import CycloField
+from mfal.qseries import QSeries
 from mfal.quasimodular import QuasiPoly
 
 
@@ -55,6 +58,26 @@ def test_cocycles_read_residues_without_products(monkeypatch, check_id, products
     calls = count_calls(monkeypatch, loopext.RatFunc, "__mul__")
     assert checks.check_identity(check_id, 8)[0]
     assert len(calls) == products
+
+
+def test_onsager_brackets_only_the_generic_generators(monkeypatch):
+    checks.load("loop")
+    calls = count_calls(monkeypatch, loopext.Laurent, "__mul__")
+    assert checks.check_identity("loop.onsager", 8)[0]
+    # three lemmas at generic indices and the Hauptmodul bracket; the 751
+    # relations to index 10 make 8,391
+    assert len(calls) == 105
+
+
+def test_scalar_oracle_computes_each_distinct_identity_once(monkeypatch):
+    checks.load("alia")
+    # the forms are built fresh, as in a `verify alia` process; 39 of the
+    # products build them
+    monkeypatch.setattr(modforms, "_STORE", {})
+    calls = count_calls(monkeypatch, QSeries, "__mul__")
+    assert checks.check_identity("alia.scalar_oracle", 24)[0]
+    # 36 distinct identities named by 66 rows; 183 when each row computes its own
+    assert len(calls) == 115
 
 
 @pytest.mark.parametrize("type_label", ["A1", "A2", "B2", "G2"])
