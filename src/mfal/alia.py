@@ -10,12 +10,12 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from math import comb, lcm
+from math import comb
 
 from . import RESIDUE_TABLE, liealg
 from .liealg import BracketTable, ChevalleyStructure, GradedTriple
 from .linalg import rank, rref
-from .poly import Ring, add, horner, lowest_terms, monomial_count, mul, trim
+from .poly import Ring, add, horner, lowest_terms, monomial_count, mul, numerators, trim
 
 
 class OddGrading(ValueError):
@@ -45,10 +45,8 @@ class JPoly(Ring):
     __slots__ = ("nums", "den")
 
     def __init__(self, coeffs=()):
-        cs = [Fraction(c) for c in coeffs]
-        den = lcm(*(c.denominator for c in cs))
-        nums = trim([c.numerator * (den // c.denominator) for c in cs])
-        self.nums, self.den = lowest_terms(tuple(nums), den)
+        nums, self.den = numerators(coeffs)
+        self.nums = tuple(trim(nums))
 
     @property
     def coeffs(self) -> tuple:
@@ -247,8 +245,6 @@ class SpecializedAlgebra(BracketTable):
                 consts[key] = vals
         super().__init__(table.dim, consts)
 
-    bracket_vectors = BracketTable.bracket
-
     def derived_series_lengths(self, max_steps=6):
         """Dimensions of the derived series D^0 >= D^1 >= ..."""
         current = [{i: 1} for i in range(self.dim)]
@@ -256,7 +252,7 @@ class SpecializedAlgebra(BracketTable):
         for _ in range(max_steps):
             brackets = []
             for a, b in itertools.combinations(range(len(current)), 2):
-                v = self.bracket_vectors(current[a], current[b])
+                v = self.bracket(current[a], current[b])
                 if v:
                     brackets.append(v)
             reduced = rref(_dense(brackets, self.dim))[0]

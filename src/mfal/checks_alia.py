@@ -70,7 +70,7 @@ def _barrel_contraction(order):
     for j_val in (0, 1728):
         spec = table.specialize(j_val)
         yield (f"[e, f] = 0 at j={j_val}",
-               spec.bracket_vectors({idx_e: 1}, {idx_f: 1}), {})
+               spec.bracket({idx_e: 1}, {idx_f: 1}), {})
         yield f"solvable at j={j_val}", spec.is_solvable(within_steps=3), True
 
 

@@ -211,7 +211,7 @@ def _grading_additivity(order):
 
 def _symrep(order):
     for n in range(9):
-        rep = sl2.sym_rep(n)
+        rep = sl2.SymRep(n)
         e, f = Matrix(rep.e), Matrix(rep.f)
         yield f"[E, F] = H on Sym^{n}", e.commutator(f), Matrix(rep.h)
         yield f"E^{n + 1} = 0 on Sym^{n}", power(e, n + 1, Matrix.identity(n + 1)), e * 0

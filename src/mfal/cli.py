@@ -176,12 +176,10 @@ def cmd_eval(args) -> int:
 def cmd_verify(args) -> int:
     from . import checks
 
-    suite = args.suite_flag or args.suite or "all"
-    args.suite = suite
     try:
-        report = checks.run_suite(suite, order=args.order)
+        report = checks.run_suite(args.suite, order=args.order)
     except KeyError:
-        print(f"unknown suite {suite!r}; choose from {', '.join(checks.SUITES)}, all",
+        print(f"unknown suite {args.suite!r}; choose from {', '.join(checks.SUITES)}, all",
               file=sys.stderr)
         return 2
     if args.format == "json":
@@ -244,8 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", parents=[common],
                        help="run a certification suite")
-    p.add_argument("suite", nargs="?", default=None)
-    p.add_argument("--suite", dest="suite_flag", default=None)
+    p.add_argument("suite", nargs="?", default="all")
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(fn=cmd_verify)
 

@@ -15,9 +15,9 @@ field check comes first, so an element of another field still raises
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 
-from .poly import Ring, lowest_terms, mul
+from .poly import Ring, lowest_terms, mul, numerators
 
 #: the n-th cyclotomic polynomial, lowest degree first and monic
 _CYCLOTOMIC = {
@@ -46,9 +46,7 @@ class CycloField:
         cs = list(coeffs)
         if all(type(c) is int for c in cs):
             return self._make(cs, 1)
-        cs = [Fraction(c) for c in cs]
-        den = lcm(*(c.denominator for c in cs))
-        return self._make([c.numerator * (den // c.denominator) for c in cs], den)
+        return self._make(*numerators(cs))
 
     def _reduce(self, nums: list) -> list:
         """The int list nums (any length) reduced in place modulo the monic

@@ -1,8 +1,8 @@
 """Exact linear algebra over the package's coefficient rings.
 
-Entries may be ``Fraction`` or any ``mfal.poly.Ring`` (``QuasiPoly``,
-``JPoly``, ``CycloNumber``, ``RatFunc``, ``loopext.Laurent``), or any other
-type with the same minimal protocol:
+Entries may be ``Fraction`` or any ``mfal.poly.Ring`` (the ``poly.Sparse``
+rings ``QuasiPoly`` and ``loopext.Laurent``, ``JPoly``, ``CycloNumber``,
+``RatFunc``), or any other type with the same minimal protocol:
 
 * ``+``, ``-`` and ``*`` between entries, and with the integers 0 and 1
   (``x * 0`` is the zero of x's ring, ``x * 0 + 1`` its one);

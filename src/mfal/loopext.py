@@ -16,7 +16,7 @@ from math import comb
 from . import sl2
 from .cyclotomic import CycloField, CycloNumber
 from .linalg import Matrix, dot, rank
-from .poly import Ring, add, horner, mul, sparse_add, sparse_mul, trim
+from .poly import Ring, Sparse, add, horner, mul, trim
 
 
 class PoleAtEvaluationPoint(ValueError):
@@ -316,33 +316,10 @@ def cocycle_rank(structure, samples, points) -> int:
 # Onsager algebra via Roan's fixed-point realization
 # ----------------------------------------------------------------------
 
-class Laurent(Ring):
-    """A Laurent polynomial in z over Q: exponent -> nonzero coefficient.
+class Laurent(Sparse):
+    """A Laurent polynomial in z over Q: a ``poly.Sparse`` with int exponents."""
 
-    The constructor copies ``terms`` and drops its zero coefficients, so
-    equal polynomials have equal ``terms`` and no caller's dict is shared.
-    """
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: dict):
-        self.terms = {k: v for k, v in terms.items() if v}
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    def __eq__(self, other):
-        return isinstance(other, Laurent) and self.terms == other.terms
-
-    def __add__(self, other):
-        if not isinstance(other, Laurent):
-            other = Laurent({0: other} if other else {})
-        return Laurent(sparse_add(self.terms, other.terms))
-
-    def __mul__(self, other):
-        if not isinstance(other, Laurent):
-            return Laurent({k: v * other for k, v in self.terms.items()} if other else {})
-        return Laurent(sparse_mul(self.terms, other.terms))
+    __slots__ = ()
 
 
 def _laurent_matrix(rows) -> Matrix:
@@ -393,7 +370,7 @@ class EvaluationRep:
         self.points = [
             p if isinstance(p, CycloNumber) else field.rational(p) for p in points
         ]
-        self.reps = [sl2.sym_rep(n) for n in rep_sizes]
+        self.reps = [sl2.SymRep(n) for n in rep_sizes]
         self.dims = [r.dim for r in self.reps]
 
     def _psi(self, i: int, x: dict) -> Matrix:

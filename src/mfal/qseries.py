@@ -30,7 +30,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable
 
-from .poly import Ring, _to_frac, add, lowest_terms
+from .poly import Ring, _to_frac, add, lowest_terms, numerators
 
 
 class DivisionByZeroSeries(ZeroDivisionError):
@@ -214,25 +214,22 @@ class QSeries(Ring):
     @classmethod
     def from_terms(cls, pairs: Iterable, trunc=DEFAULT_ORDER) -> "QSeries":
         """Build from (exponent, coefficient) pairs of exact rationals."""
-        trunc = _to_frac(trunc)
-        pairs = [(_to_frac(e), _to_frac(c)) for e, c in pairs]
-        # star-args from lists, not generators: CPython 3.11 keeps the tuple built
-        # from each generator alive on its free list (seen with tracemalloc)
-        denom = lcm(*[e.denominator for e, _ in pairs])
+        trunc, pairs = _to_frac(trunc), list(pairs)
+        exps, denom = numerators([e for e, _ in pairs])
+        coeffs, den = numerators([c for _, c in pairs])
+        cut = trunc * denom
         terms = {}
-        for e, c in pairs:
-            if e < trunc:
-                k = e.numerator * (denom // e.denominator)
+        for k, c in zip(exps, coeffs):
+            if k < cut:
                 terms[k] = terms.get(k, 0) + c
         terms = {k: c for k, c in terms.items() if c}
         if not terms:
             return cls.zero(trunc)
         v = min(terms)
         step = gcd(*[k - v for k in terms]) or 1
-        den = lcm(*[c.denominator for c in terms.values()])
         nums = [0] * ((max(terms) - v) // step + 1)
         for k, c in terms.items():
-            nums[(k - v) // step] = c.numerator * (den // c.denominator)
+            nums[(k - v) // step] = c
         return _series(denom, v, step, nums, den, trunc)
 
     @classmethod

@@ -48,10 +48,6 @@ class SymRep:
         return [self.n - 2 * i for i in range(self.n + 1)]
 
 
-def sym_rep(n: int) -> SymRep:
-    return SymRep(n)
-
-
 def sym_power_matrix(n: int, entries):
     """Functorial Sym^n of a 2x2 matrix over any commutative ring.
 

@@ -22,7 +22,7 @@ class PhiOperator:
 
     def __init__(self, n: int):
         self.n = n
-        rep = sl2.sym_rep(n)
+        rep = sl2.SymRep(n)
         e_mat = QuasiMatrix([[QuasiPoly.const(c) for c in row] for row in rep.e])
         f_mat = QuasiMatrix([[QuasiPoly.const(c) for c in row] for row in rep.f])
         tau = QuasiPoly.var("tau")

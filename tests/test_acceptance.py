@@ -104,7 +104,7 @@ def test_criterion_07_barrel_and_contraction():
     contraction = True
     for j_val in (0, 1728):
         spec = t.specialize(j_val)
-        ef = spec.bracket_vectors({idx_e: Fraction(1)}, {idx_f: Fraction(1)})
+        ef = spec.bracket({idx_e: Fraction(1)}, {idx_f: Fraction(1)})
         contraction = contraction and ef == {} and spec.is_solvable(within_steps=3)
     report(7, "[e,f] = j(j-1728) h and solvable contraction", barrel and contraction,
            "(derived series reaches 0 in <= 3 steps)")

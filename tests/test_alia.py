@@ -209,7 +209,7 @@ def test_contraction_at_orbifold_points():
     t = alia.alia_table("A1", "principal")
     for j_val in (0, 1728):
         spec = t.specialize(j_val)
-        ef = spec.bracket_vectors(
+        ef = spec.bracket(
             {t.index[("A", (1,))]: Fraction(1)}, {t.index[("A", (-1,))]: Fraction(1)}
         )
         assert ef == {}

@@ -183,11 +183,13 @@ def test_verify_unknown_suite(capsys):
     assert err.strip().split("choose from ")[1].split(", ") == [*checks.SUITES, "all"]
 
 
-def test_verify_suite_flag_form(capsys):
-    code, out, _ = run(capsys, "verify", "--suite", "theta", "--order", "20",
-                       "--format", "json")
-    assert code == 0
-    assert json.loads(out)["suite"] == "theta"
+def test_verify_rejects_a_suite_flag(capsys):
+    # the suite is the positional argument only; a second spelling that
+    # overrode it would run one suite and silently drop the other
+    with pytest.raises(SystemExit) as exc:
+        run(capsys, "verify", "--suite", "theta", "--order", "20")
+    assert exc.value.code == 2
+    assert "--suite" in capsys.readouterr().err
 
 
 def test_order_env_override(capsys, monkeypatch):

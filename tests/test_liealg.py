@@ -129,7 +129,7 @@ def test_a1_adjoint_grading():
 
 
 def test_sym_rep_defining():
-    rep = sl2.sym_rep(1)
+    rep = sl2.SymRep(1)
     assert rep.h == [[1, 0], [0, -1]]
     assert rep.e == [[0, 1], [0, 0]]
     assert rep.f == [[0, 0], [1, 0]]
@@ -137,7 +137,7 @@ def test_sym_rep_defining():
 
 def test_sym_rep_relations():
     for n in range(9):
-        rep = sl2.sym_rep(n)
+        rep = sl2.SymRep(n)
         dim = rep.dim
 
         def mul(a, b):
@@ -157,7 +157,7 @@ def test_sym_rep_relations():
 
 
 def test_sym_rep_nilpotency_index():
-    rep = sl2.sym_rep(4)
+    rep = sl2.SymRep(4)
     m = QuasiMatrix([[QuasiPoly.const(c) for c in row] for row in rep.e])
     p = m
     for _ in range(3):
@@ -167,7 +167,7 @@ def test_sym_rep_nilpotency_index():
 
 
 def test_exp_nilpotent_tau():
-    rep = sl2.sym_rep(1)
+    rep = sl2.SymRep(1)
     e_mat = QuasiMatrix([[QuasiPoly.const(c) for c in row] for row in rep.e])
     tau = QuasiPoly.var("tau")
     result = sl2.exp_nilpotent(e_mat, tau)
@@ -180,7 +180,7 @@ def test_exp_nilpotent_tau():
 def test_exp_nilpotent_over_fractions_is_sym_power(n):
     """exp(t E) and exp(t F) on Sym^n are Sym^n of the 2x2 unipotents."""
     t, one, zero = Fraction(3, 2), Fraction(1), Fraction(0)
-    rep = sl2.sym_rep(n)
+    rep = sl2.SymRep(n)
     for gen, base in ((rep.e, ((one, t), (zero, one))), (rep.f, ((one, zero), (t, one)))):
         exp = sl2.exp_nilpotent(Matrix(gen), t)
         assert type(exp) is Matrix

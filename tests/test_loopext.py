@@ -250,6 +250,31 @@ def test_laurent_copies_its_terms():
     assert p.terms == {1: 1}
 
 
+def test_laurent_keeps_int_numerators_over_one_denominator():
+    p = loopext.Laurent({1: Fraction(1, 2), 2: Fraction(1, 3)})
+    assert (p.nums, p.den) == ({1: 3, 2: 2}, 6)
+    assert all(type(c) is int for c in p.nums.values())
+    assert p.terms == {1: Fraction(1, 2), 2: Fraction(1, 3)}
+
+
+def test_laurent_equals_its_constant():
+    assert loopext.Laurent({0: 3}) == 3
+    assert loopext.Laurent({0: Fraction(1, 2)}) == Fraction(1, 2)
+    assert loopext.Laurent({}) == 0
+    assert loopext.Laurent({1: 3}) != 3
+
+
+def test_quasipoly_never_equals_a_laurent():
+    from mfal.quasimodular import QuasiPoly
+
+    # both rings are poly.Sparse, and their zeros hold the same ({}, 1)
+    q, z = QuasiPoly(), loopext.Laurent({})
+    assert (q.nums, q.den) == (z.nums, z.den)
+    assert q == 0 == z
+    assert q != z and z != q
+    assert QuasiPoly.const(2) != loopext.Laurent({0: 2})
+
+
 def test_onsager_generators_are_involution_fixed():
     # the realization lives in the fixed points of M(z) -> X M(1/z) X
     def theta0(mat):

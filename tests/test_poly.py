@@ -1,6 +1,7 @@
-"""Property tests of the polynomial kernel mfal.poly: the dense and sparse
-operations against sympy over QQ, cancelling sums, and the one ``power``
-against the n-fold product in every coefficient ring of the package.
+"""Property tests of the polynomial kernel mfal.poly: the dense operations
+and the sparse ring ``Sparse`` against sympy over QQ, cancelling sums, the
+one reading of rationals, and the one ``power`` against the n-fold product in
+every coefficient ring of the package.
 
 sympy and hypothesis are test-only dependencies.
 """
@@ -8,14 +9,16 @@ sympy and hypothesis are test-only dependencies.
 import operator
 from fractions import Fraction
 from functools import reduce
+from math import gcd, lcm
 
+import pytest
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mfal.alia import JPoly
 from mfal.loopext import CycloField
-from mfal.poly import add, add_term, horner, mul, power, sparse_add, sparse_mul, trim
+from mfal.poly import Sparse, add, add_term, horner, mul, numerators, power, trim
 from mfal.qseries import QSeries
 from mfal.quasimodular import QuasiPoly
 
@@ -86,13 +89,9 @@ def test_sparse_laurent_mul_matches_sympy(a, b):
     ea = sum((_q(c) * X**k for k, c in a.items()), sympy.S.Zero)
     eb = sum((_q(c) * X**k for k, c in b.items()), sympy.S.Zero)
     expected = {m[0] - 2 * SHIFT: c for m, c in sparse_from_sympy(ea * eb, [X], X ** (2 * SHIFT)).items()}
-    assert sparse_mul(a, b) == expected
+    assert (Sparse(a) * Sparse(b)).terms == expected
     expected = {m[0] - SHIFT: c for m, c in sparse_from_sympy(ea + eb, [X], X**SHIFT).items()}
-    assert sparse_add(a, b) == expected
-
-
-def _add_exponents(u, v):
-    return tuple(map(operator.add, u, v))
+    assert (Sparse(a) + Sparse(b)).terms == expected
 
 
 five = st.tuples(*[st.integers(0, 2)] * 4, st.integers(-SHIFT, SHIFT))
@@ -110,7 +109,8 @@ def _quasi_expr(a):
 @examples
 @given(quasi, quasi)
 def test_sparse_five_tuple_mul_matches_sympy(a, b):
-    got = sparse_mul(a, b, _add_exponents)
+    # QuasiPoly is the Sparse ring whose 5-tuple exponents add componentwise
+    got = (QuasiPoly(a) * QuasiPoly(b)).terms
     s = GENS[-1]
     expected = {
         (*m[:4], m[4] - 2 * SHIFT): c
@@ -122,15 +122,33 @@ def test_sparse_five_tuple_mul_matches_sympy(a, b):
 @examples
 @given(laurent, dense)
 def test_cancelling_sums_drop_their_entries(a, b):
-    assert sparse_add(a, {k: -c for k, c in a.items()}) == {}
+    p = Sparse(a)
+    assert (p + Sparse({k: -c for k, c in a.items()})).terms == {}
     assert trim(add(b, [-c for c in b])) == []
     out = dict(a)
     for k, c in a.items():
         add_term(out, k, -c)
     assert out == {}
     # (1 + z)(1 - z) = 1 - z^2: the z terms cancel and leave no entry
-    assert sparse_mul({0: 1, 1: 1}, {0: 1, 1: -1}) == {0: 1, 2: -1}
-    assert all(sparse_mul(a, a).values()) and all(sparse_add(a, a).values())
+    assert (Sparse({0: 1, 1: 1}) * Sparse({0: 1, 1: -1})).terms == {0: 1, 2: -1}
+    assert all((p * p).nums.values()) and all((p + p).nums.values())
+
+
+@examples
+@given(st.lists(coeffs | st.integers(-9, 9), max_size=5))
+def test_numerators_read_rationals_over_their_lcm(cs):
+    nums, den = numerators(cs)
+    assert all(type(n) is int for n in nums)
+    assert [Fraction(n, den) for n in nums] == cs
+    assert den == lcm(*[Fraction(c).denominator for c in cs])
+    # already canonical: lowest_terms has no common factor left to divide out
+    assert gcd(den, *nums) == 1
+
+
+def test_numerators_read_strs_and_refuse_floats():
+    assert numerators([1, Fraction(1, 2), "1/3"]) == ([6, 3, 2], 6)
+    with pytest.raises(TypeError):
+        numerators([0.5])
 
 
 # ----------------------------------------------------------------------
