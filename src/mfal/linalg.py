@@ -1,6 +1,6 @@
 """Exact linear algebra over the package's coefficient rings.
 
-Entries may be ``Fraction`` or any ``mfal.poly.Ring`` (the ``poly.Sparse``
+Entries may be ``Fraction`` or any ``mfal.poly.Ring`` (the ``sparse.Sparse``
 rings ``QuasiPoly`` and ``loopext.Laurent``, ``JPoly``, ``CycloNumber``,
 ``RatFunc``), or any other type with the same minimal protocol:
 
@@ -21,6 +21,12 @@ type: a skipped zero is the zero of the ring the dense sum or product lands
 in.  ``+``, ``-`` and ``*`` raise ``ValueError`` on operands whose shapes
 do not fit.
 
+A ring with a fused ``dot`` (``sparse.Sparse.dot``) sums the products of
+each dot product in one call that makes one canonical element, and skips
+the pairs with a zero factor itself: each entry of a matrix product is one
+such dot of a row and a column, and so is each dot product of Berkowitz's
+algorithm.  Any other ring adds its products one by one.
+
 Determinants and adjugates use Berkowitz's algorithm (S. J. Berkowitz,
 Inf. Process. Lett. 18, 1984): O(n^4) ring operations and no division,
 which matters because Q[tau, P, Q, R, s, 1/s] has no exact division.
@@ -33,7 +39,14 @@ from fractions import Fraction
 
 
 def dot(xs, ys, zero):
-    """sum x*y over the pairs where both factors are nonzero."""
+    """sum x*y over the pairs where both factors are nonzero.
+
+    A ring with a fused ``dot`` (``sparse.Sparse``) sums the products
+    itself, with one canonical step; any other ring adds them one by one.
+    """
+    fused = getattr(type(zero), "dot", None)
+    if fused is not None:
+        return fused(zip(xs, ys))
     acc = None
     for x, y in zip(xs, ys):
         if x and y:
@@ -132,6 +145,10 @@ class Matrix:
             return self.scale(other)
         self._fits(other, "multiply", self.shape[1] == other.size)
         zero = self.rows[0][0] * 0
+        if hasattr(type(zero), "dot"):
+            # one fused dot per entry; it skips the pairs with a zero factor
+            cols = list(zip(*other.rows))
+            return type(self)([[dot(row, col, zero) for col in cols] for row in self.rows])
         width = other.shape[1]
         sparse = [[(j, y) for j, y in enumerate(row) if y] for row in other.rows]
         out = []

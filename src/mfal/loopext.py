@@ -16,7 +16,8 @@ from math import comb
 from . import sl2
 from .cyclotomic import CycloField, CycloNumber
 from .linalg import Matrix, dot, rank
-from .poly import Ring, Sparse, add, horner, mul, trim
+from .poly import Ring, add, horner, mul, trim
+from .sparse import Sparse
 
 
 class PoleAtEvaluationPoint(ValueError):
@@ -317,7 +318,8 @@ def cocycle_rank(structure, samples, points) -> int:
 # ----------------------------------------------------------------------
 
 class Laurent(Sparse):
-    """A Laurent polynomial in z over Q: a ``poly.Sparse`` with int exponents."""
+    """A Laurent polynomial in z over Q: a ``sparse.Sparse`` whose exponent is
+    the power of z."""
 
     __slots__ = ()
 

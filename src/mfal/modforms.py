@@ -154,12 +154,20 @@ def discriminant(order=DEFAULT_ORDER, route: str = "eisenstein") -> NamedForm:
 
 
 def level_one_monomial(ell: int, n4: int, n6: int, order=DEFAULT_ORDER) -> QSeries:
-    """Delta^ell E4^n4 E6^n6 from the stored factors, valid below `order`."""
-    deep = depth(order, (0, n4), (0, n6), (1, ell))
-    series = named_form("E4", deep).series ** n4 * named_form("E6", deep).series ** n6
-    if ell:
-        series = series * named_form("Delta", deep).series ** ell
-    return series.truncate(order)
+    """Delta^ell E4^n4 E6^n6 from the stored factors, valid below `order`.
+
+    The product is kept in the form store under its own name, so each
+    (ell, n4, n6) is built once per deepest depth and cut below it.
+    """
+
+    def build(name, order):
+        deep = depth(order, (0, n4), (0, n6), (1, ell))
+        series = named_form("E4", deep).series ** n4 * named_form("E6", deep).series ** n6
+        if ell:
+            series = series * named_form("Delta", deep).series ** ell
+        return NamedForm(name, 12 * ell + 4 * n4 + 6 * n6, "Gamma(1)", series.truncate(order))
+
+    return _stored(f"Delta^{ell}*E4^{n4}*E6^{n6}", order, build).series
 
 
 def j_invariant(order=DEFAULT_ORDER) -> NamedForm:
@@ -438,8 +446,6 @@ def _build(name: str, order) -> NamedForm:
     if name.startswith("F_k:"):
         k = int(name[4:])
         return NamedForm(name, k, "Gamma(1)", duke_jenkins(k, order)[3])
-    if name not in _BUILDERS:
-        raise UnknownForm(name)
     return _BUILDERS[name](order)
 
 
@@ -451,19 +457,27 @@ def named_form(name: str, order=DEFAULT_ORDER) -> NamedForm:
     rebuilt only to go deeper, and the same request returns the same object.
     The series are shared: nothing may mutate them.
     """
-    order = Fraction(order)
     if name.startswith("F_k:"):  # F_k:4, F_k:+4 and F_k: 4 are the one form F_k:4
         try:
             name = f"F_k:{int(name[4:])}"
         except ValueError:
             raise UnknownForm(name) from None
+    elif name not in _BUILDERS:
+        raise UnknownForm(name)
+    return _stored(name, order, _build)
+
+
+def _stored(name: str, order, build) -> NamedForm:
+    """The store's form `name` valid below `order`; ``build(name, order)``
+    makes it when the store holds none deep enough."""
+    order = Fraction(order)
     entry = _STORE.get(name)
     if entry is not None and order in entry[1]:
         return entry[1][order]
     with _STORE_LOCK:
         built, cuts = _STORE.get(name, (None, None))
         if built is None or built < order:
-            form = _build(name, order)
+            form = build(name, order)
             _STORE[name] = (order, {order: form})
             return form
         if order not in cuts:

@@ -6,9 +6,9 @@ Two shapes share it:
   ``JPoly`` and ``CycloNumber`` (int numerators over one denominator) and
   ``RatFunc`` (CycloNumbers); ``trim`` drops trailing zeros;
 * sparse: a dict exponent -> nonzero coefficient, used by bracket vectors
-  and by ``Sparse``, the one sparse polynomial ring over Q: ``QuasiPoly``
-  (5-tuple exponents) and ``loopext.Laurent`` (int exponents) subclass it;
-  ``add_term`` drops every entry that cancels.
+  and by ``mfal.sparse.Sparse``, the one sparse polynomial ring over Q
+  behind ``QuasiPoly`` and ``loopext.Laurent``; ``add_term`` drops every
+  entry that cancels.
 
 Every exact ring over Q keeps int numerators over one denominator:
 ``QSeries``, ``Sparse``, ``JPoly`` and ``CycloNumber`` read rational input
@@ -24,7 +24,6 @@ product of dense integer lists behind every q-series product,
 
 from __future__ import annotations
 
-import operator
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -184,87 +183,3 @@ class Ring:
 
     def inverse(self):
         raise ValueError(f"{type(self).__name__} has no general inverse")
-
-
-class Sparse(Ring):
-    """A sparse polynomial over Q: int numerators over one denominator.
-
-    ``nums`` maps each exponent to a nonzero int and ``den`` is the common
-    denominator.  Every polynomial is canonical, with den > 0 and
-    gcd(den, *nums) == 1 (den == 1 for zero), so equal polynomials have
-    equal (nums, den); ``terms`` reads the coefficients as {exponent:
-    Fraction}.  The constructor reads {exponent: rational} through
-    ``numerators``, copying the dict and dropping its zeros; ``_make`` keeps
-    canonical int numerators as they are, not copied: no polynomial mutates
-    its dict.  A subclass sets ``CONST``, the exponent of the constants, and
-    ``add_exponents``; the defaults are int exponents.  A polynomial equals
-    a scalar that is its constant, and never one of another subclass.
-    """
-
-    __slots__ = ("nums", "den")
-
-    CONST = 0
-    add_exponents = staticmethod(operator.add)
-
-    def __init__(self, terms: dict | None = None):
-        terms = terms or {}
-        nums, self.den = numerators(terms.values())
-        self.nums = {k: c for k, c in zip(terms, nums) if c}
-
-    @classmethod
-    def _make(cls, nums: dict, den: int):
-        """The canonical polynomial nums / den for den > 0; ``nums`` holds no
-        zero value."""
-        p = object.__new__(cls)
-        p.nums, p.den = lowest_terms(nums, den)
-        return p
-
-    @classmethod
-    def const(cls, c):
-        (n,), den = numerators((c,))
-        return cls._make({cls.CONST: n} if n else {}, den)
-
-    @property
-    def terms(self) -> dict:
-        return {k: Fraction(c, self.den) for k, c in self.nums.items()}
-
-    def __bool__(self) -> bool:
-        return bool(self.nums)
-
-    def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = self.const(other)
-        return type(other) is type(self) and self.den == other.den and self.nums == other.nums
-
-    def __add__(self, other):
-        if type(other) is not type(self):
-            other = self.const(other)
-        a, b, da, db = self.nums, other.nums, self.den, other.den
-        if not b:
-            return self
-        if not a:
-            return other
-        if da != db:
-            den = lcm(da, db)
-            if den != da:
-                a = {k: c * (den // da) for k, c in a.items()}
-            if den != db:
-                b = {k: c * (den // db) for k, c in b.items()}
-            da = den
-        out = dict(a)
-        for k, c in b.items():
-            add_term(out, k, c)
-        return self._make(out, da)
-
-    def __mul__(self, other):
-        if type(other) is not type(self):
-            return self.scale(other)
-        add_exponents, out = self.add_exponents, {}
-        for ka, ca in self.nums.items():
-            for kb, cb in other.nums.items():
-                add_term(out, add_exponents(ka, kb), ca * cb)
-        return self._make(out, self.den * other.den)
-
-    def scale(self, c):
-        (n,), den = numerators((c,))
-        return self._make({k: n * v for k, v in self.nums.items()} if n else {}, self.den * den)

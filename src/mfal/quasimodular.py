@@ -6,6 +6,10 @@ proved here formally hold for the actual functions.  Every constant the
 weight calculus needs (i*pi/3, pi^2/36, ...) is a rational multiple of a
 power of s, keeping the coefficient field Q.
 
+A monomial tau^t P^p Q^q R^r s^m is one int key (``pack``), so the ring
+is a ``sparse.Sparse`` whose products add keys: t, p, q and r stay below
+2**15, and a product that would reach it raises ``OverflowError``.
+
 The ring loads no q-series module when it is imported: ``substitute_series``,
 ``to_qseries`` and ``NumericContext`` import ``mfal.modforms`` and
 ``mfal.qseries`` when they are called, so Phi_n (``mfal.vvmf``) compiles no
@@ -15,26 +19,64 @@ series code.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
 from math import comb
+from operator import or_
 
 from .linalg import Matrix
-from .poly import Sparse, add_term
+from .poly import add_term
+from .sparse import Sparse
 
 VARS = ("tau", "P", "Q", "R", "s")
-_TAU, _P, _Q, _R, _S = range(5)
+
+#: bit offset of the tau, P, Q, R and s fields of a packed exponent
+_SHIFTS = (48, 32, 16, 0, 64)
+#: exponents of tau, P, Q and R stay below 2**15 in their 16-bit fields
+_LIMIT = 1 << 15
+#: bit 15 of each low field: set in a sum of two valid keys exactly when
+#: one of its tau, P, Q, R exponents reached 2**15
+_TOP = sum(_LIMIT << shift for shift in _SHIFTS[:4])
+_FIELD = 0xFFFF
+#: the four low fields: zero exactly for a power of s
+_LOW = (1 << 64) - 1
 
 
-def _add_exponents(a, b):
-    return (a[0] + b[0], a[1] + b[1], a[2] + b[2], a[3] + b[3], a[4] + b[4])
+def pack(t: int, p: int, q: int, r: int, m: int) -> int:
+    """The key of tau^t P^p Q^q R^r s^m: m * 2^64 + t * 2^48 + p * 2^32 +
+    q * 2^16 + r, for 0 <= t, p, q, r < 2^15 and any int m."""
+    if min(t, p, q, r) < 0:
+        raise ValueError("only s may carry a negative exponent")
+    if max(t, p, q, r) >= _LIMIT:
+        raise OverflowError("a tau, P, Q or R exponent reaches 2**15")
+    return (m << 64) + (t << 48) + (p << 32) + (q << 16) + r
+
+
+def unpack(key: int) -> tuple:
+    """The exponents (t, p, q, r, m) of a packed key; the floor shift reads
+    the signed s field above the four low ones."""
+    return (key >> 48 & _FIELD, key >> 32 & _FIELD, key >> 16 & _FIELD, key & _FIELD, key >> 64)
+
+
+def _checked(p: "QuasiPoly") -> "QuasiPoly":
+    """p, unless one of its tau, P, Q, R exponents reached 2**15.  The
+    fields of a product's keys are sums of two exponents below 2**15, so
+    none has carried into the next field yet; ORing the keys first tests
+    bit 15 of every field of every key at once."""
+    if reduce(or_, p.nums, 0) & _TOP:
+        raise OverflowError("a tau, P, Q or R exponent reaches 2**15")
+    return p
 
 
 #: 12 * D on the generators tau, P, Q, R: D(tau) = s, D(P) = (P^2 - Q)/12,
-#: D(Q) = (PQ - R)/3, D(R) = (PR - Q^2)/2, as {exponent: int} images
-_D_TIMES_12 = (
-    (_TAU, {(0, 0, 0, 0, 1): 12}),
-    (_P, {(0, 2, 0, 0, 0): 1, (0, 0, 1, 0, 0): -1}),
-    (_Q, {(0, 1, 1, 0, 0): 4, (0, 0, 0, 1, 0): -4}),
-    (_R, {(0, 1, 0, 1, 0): 6, (0, 0, 2, 0, 0): -6}),
+#: D(Q) = (PQ - R)/3, D(R) = (PR - Q^2)/2, as (field shift, {key: int}) pairs
+_D_TIMES_12 = tuple(
+    (shift, {pack(*k): v for k, v in image.items()})
+    for shift, image in zip(_SHIFTS, (
+        {(0, 0, 0, 0, 1): 12},
+        {(0, 2, 0, 0, 0): 1, (0, 0, 1, 0, 0): -1},
+        {(0, 1, 1, 0, 0): 4, (0, 0, 0, 1, 0): -4},
+        {(0, 1, 0, 1, 0): 6, (0, 0, 2, 0, 0): -6},
+    ))
 )
 
 
@@ -45,33 +87,39 @@ class NotInvertible(ValueError):
 class QuasiPoly(Sparse):
     """Polynomial in tau, P, Q, R and the invertible constant s.
 
-    A ``poly.Sparse`` whose exponents (t, p, q, r, m) stand for
-    tau^t P^p Q^q R^r s^m; only s may carry a negative exponent.
+    A ``sparse.Sparse`` whose int key ``pack(t, p, q, r, m)`` stands for
+    tau^t P^p Q^q R^r s^m: only s may carry a negative exponent, and each of
+    t, p, q, r stays below 2**15, so a product adds keys with one int
+    addition and no field carries into the next.  A product that would
+    reach 2**15 raises ``OverflowError``.  The constructor, ``terms``,
+    printing, JSON and the substitutions read the exponents as 5-tuples.
     """
 
     __slots__ = ()
 
-    CONST = (0, 0, 0, 0, 0)
-    add_exponents = staticmethod(_add_exponents)
-
     def __init__(self, terms: dict | None = None):
-        for t, p, q, r, _ in terms or {}:
-            if min(t, p, q, r) < 0:
-                raise ValueError("only s may carry a negative exponent")
-        super().__init__(terms)
+        super().__init__({pack(*k): c for k, c in terms.items()} if terms else None)
 
     @classmethod
     def var(cls, name: str) -> "QuasiPoly":
-        idx = VARS.index(name)
-        return cls._make({tuple(1 if i == idx else 0 for i in range(5)): 1}, 1)
+        return cls._make({1 << _SHIFTS[VARS.index(name)]: 1}, 1)
 
     @classmethod
     def monomial(cls, exponents, c=1) -> "QuasiPoly":
         return cls({tuple(exponents): c})
 
+    @property
+    def terms(self) -> dict:
+        return {unpack(k): Fraction(c, self.den) for k, c in self.nums.items()}
+
     # rebound here so that wrapping this attribute of QuasiPoly (as the
     # per-layer benchmark trace does) sees only quasimodular products
     __mul__ = Sparse.__mul__
+
+    @classmethod
+    def dot(cls, pairs):
+        """``Sparse.dot``, refusing an exponent that reaches 2**15."""
+        return _checked(super().dot(pairs))
 
     # ------------------------------------------------------------------
     # derivations and substitutions
@@ -85,13 +133,13 @@ class QuasiPoly(Sparse):
         """
         out = {}
         for key, c in self.nums.items():
-            for idx, image in _D_TIMES_12:
-                e = key[idx]
+            for shift, image in _D_TIMES_12:
+                e = key >> shift & _FIELD
                 if e:
-                    lowered = key[:idx] + (e - 1,) + key[idx + 1:]
+                    lowered = key - (1 << shift)
                     for k, v in image.items():
-                        add_term(out, _add_exponents(lowered, k), c * e * v)
-        return self._make(out, 12 * self.den)
+                        add_term(out, lowered + k, c * e * v)
+        return _checked(self._make(out, 12 * self.den))
 
     def serre_D(self, k: int) -> "QuasiPoly":
         """Weight-raising derivative D - (k/12) P."""
@@ -100,9 +148,11 @@ class QuasiPoly(Sparse):
     def shift_tau(self) -> "QuasiPoly":
         """Substitute tau -> tau + 1; P, Q, R, s are shift-invariant."""
         out = {}
-        for (t, p, q, r, s), c in self.nums.items():
+        for key, c in self.nums.items():
+            t = key >> 48 & _FIELD
+            rest = key - (t << 48)
             for i in range(t + 1):
-                add_term(out, (i, p, q, r, s), c * comb(t, i))
+                add_term(out, rest + (i << 48), c * comb(t, i))
         return self._make(out, self.den)
 
     def substitute_numeric(self, ctx: "NumericContext") -> complex:
@@ -231,13 +281,12 @@ class QuasiMatrix(Matrix):
     def inverse(self) -> "QuasiMatrix":
         """Adjugate inverse; the determinant must be a unit +-c*s^k."""
         d, adj = self.det_adjugate()
-        if len(d.terms) != 1:
+        if len(d.nums) != 1:
             raise NotInvertible(f"determinant {d.pretty()} is not a monomial unit")
-        (key, c), = d.terms.items()
-        t, p, q, r, s = key
-        if (t, p, q, r) != (0, 0, 0, 0):
+        (key, c), = d.nums.items()
+        if key & _LOW:
             raise NotInvertible(f"determinant {d.pretty()} is not a unit")
-        return adj.scale(QuasiPoly.monomial((0, 0, 0, 0, -s), Fraction(1) / c))
+        return adj.scale(QuasiPoly.monomial((0, 0, 0, 0, -(key >> 64)), Fraction(d.den, c)))
 
     def d_tau(self) -> "QuasiMatrix":
         return self.map(QuasiPoly.d_tau)

@@ -76,18 +76,21 @@ def sym_power_matrix(n: int, entries):
 
 def exp_nilpotent(matrix, scalar):
     """Finite exponential sum of scalar*matrix for a nilpotent
-    ``mfal.linalg.Matrix``, over any ring of its protocol; the result has
-    matrix's class."""
+    ``mfal.linalg.Matrix``; the result has matrix's class.
+
+    The powers of matrix are taken in its own ring, starting from matrix
+    itself, and each is scaled once by scalar^k / k!: an int matrix (as
+    ``SymRep`` gives) costs int matrix products, and the ring of scalar
+    (any ring of the ``mfal.linalg`` protocol) one scale per power.
+    """
     n = matrix.size
-    one = scalar * 0 + 1
-    result = power = type(matrix).identity(n, one)
-    scalar_power = one
+    result = type(matrix).identity(n, scalar * 0 + 1)
+    power, scalar_power = matrix, scalar
     for k in range(1, n + 1):
-        power = power * matrix
-        scalar_power = scalar_power * scalar
         if power.is_zero():
             return result
         result = result + power.scale(scalar_power * Fraction(1, factorial(k)))
-    if not (power * matrix).is_zero():
+        power, scalar_power = power * matrix, scalar_power * scalar
+    if not power.is_zero():
         raise NotNilpotent("matrix is not nilpotent of index <= size")
     return result

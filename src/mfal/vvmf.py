@@ -23,12 +23,12 @@ class PhiOperator:
     def __init__(self, n: int):
         self.n = n
         rep = sl2.SymRep(n)
-        e_mat = QuasiMatrix([[QuasiPoly.const(c) for c in row] for row in rep.e])
-        f_mat = QuasiMatrix([[QuasiPoly.const(c) for c in row] for row in rep.f])
         tau = QuasiPoly.var("tau")
         # y = 2*pi*i*E2/12 = P/(12 s)
         y = QuasiPoly.monomial((0, 1, 0, 0, -1), Fraction(1, 12))
-        self.factors = (sl2.exp_nilpotent(e_mat, tau), sl2.exp_nilpotent(f_mat, y))
+        # the powers of E and F are int matrices; each is scaled once
+        self.factors = tuple(QuasiMatrix(sl2.exp_nilpotent(Matrix(gen), c).rows)
+                             for gen, c in ((rep.e, tau), (rep.f, y)))
         self.weights = rep.weights()
 
     @cached_property

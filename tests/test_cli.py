@@ -329,23 +329,30 @@ def test_each_subcommand_imports_only_its_own_modules():
     assert alia == ["mfal", "mfal.alia", "mfal.cli", "mfal.liealg", "mfal.linalg", "mfal.poly"]
 
 
+@pytest.mark.parametrize("argv", [["alia", "A1", "principal"], ["alia", "G2", "principal"],
+                                  ["expand", "j", "--order", "8"], ["expand", "F_k:-20"]])
+def test_alia_and_expand_compile_no_sparse_ring(argv):
+    """Only the quasimodular ring and the loop algebras use mfal.sparse."""
+    assert "mfal.sparse" not in mfal_modules_after(argv)
+
+
 #: the mfal modules beyond mfal, mfal.cli, mfal.checks and mfal.poly that
 #: `mfal verify <suite>` loads
 VERIFY_MODULES = {
     "core": ["checks_core", "liealg", "linalg", "modforms", "qseries", "quasimodular", "sl2",
-             "vvmf"],
+             "sparse", "vvmf"],
     "theta": ["checks_theta", "modforms", "qseries"],
     "gamma": ["checks_gamma", "modforms", "qseries"],
     "alia": ["alia", "checks_alia", "liealg", "linalg", "modforms", "qseries"],
-    "loop": ["alia", "checks_loop", "cyclotomic", "liealg", "linalg", "loopext", "sl2"],
+    "loop": ["alia", "checks_loop", "cyclotomic", "liealg", "linalg", "loopext", "sl2", "sparse"],
 }
 #: the modules each suite must not load
 VERIFY_SKIPS = {
-    "theta": {"liealg", "alia", "loopext", "quasimodular", "vvmf"},
-    "gamma": {"liealg", "alia", "loopext", "quasimodular", "vvmf"},
+    "theta": {"liealg", "alia", "loopext", "quasimodular", "sparse", "vvmf"},
+    "gamma": {"liealg", "alia", "loopext", "quasimodular", "sparse", "vvmf"},
     "loop": {"qseries", "modforms", "quasimodular", "vvmf"},
     "core": {"alia", "loopext"},
-    "alia": {"loopext", "vvmf", "quasimodular"},
+    "alia": {"loopext", "vvmf", "quasimodular", "sparse"},
 }
 
 
@@ -379,7 +386,8 @@ def test_phi_loads_no_qseries_module():
     """Phi_n needs Sym^n and the quasimodular ring, no series: the q-series
     bridges of quasimodular import modforms and qseries when called."""
     assert mfal_modules_after(module="mfal.vvmf") == [
-        "mfal", "mfal.linalg", "mfal.poly", "mfal.quasimodular", "mfal.sl2", "mfal.vvmf"]
+        "mfal", "mfal.linalg", "mfal.poly", "mfal.quasimodular", "mfal.sl2", "mfal.sparse",
+        "mfal.vvmf"]
     loaded = mfal_modules_after(module="mfal.quasimodular")
     assert "mfal.quasimodular" in loaded
     assert not {"mfal.qseries", "mfal.modforms"} & set(loaded)
@@ -388,7 +396,8 @@ def test_phi_loads_no_qseries_module():
 def test_loopext_loads_no_root_system():
     """sl2_bracket imports liealg when it is called, not loopext's import."""
     assert mfal_modules_after(module="mfal.loopext") == [
-        "mfal", "mfal.cyclotomic", "mfal.linalg", "mfal.loopext", "mfal.poly", "mfal.sl2"]
+        "mfal", "mfal.cyclotomic", "mfal.linalg", "mfal.loopext", "mfal.poly", "mfal.sl2",
+        "mfal.sparse"]
 
 
 def test_the_series_kernel_lives_in_qseries():

@@ -18,7 +18,8 @@ from hypothesis import strategies as st
 
 from mfal.alia import JPoly
 from mfal.loopext import CycloField
-from mfal.poly import Sparse, add, add_term, horner, mul, numerators, power, trim
+from mfal.poly import add, add_term, horner, mul, numerators, power, trim
+from mfal.sparse import Sparse
 from mfal.qseries import QSeries
 from mfal.quasimodular import QuasiPoly
 

@@ -1,7 +1,8 @@
 """Property tests of the canonical QuasiPoly layout against a Fraction oracle.
 
-A QuasiPoly stores int numerators ``nums`` ({exponent: int}) over one
-``den``.  Every operation must return the one canonical layout of its
+A QuasiPoly stores int numerators ``nums`` ({packed exponent: int}) over
+one ``den``; the key of tau^t P^p Q^q R^r s^m is s * 2^64 + t * 2^48 +
+p * 2^32 + q * 2^16 + r.  Every operation must return the one canonical layout of its
 value: no zero numerator, ``den > 0`` and no factor common to ``den`` and
 all of ``nums``, so equal values have equal ``(nums, den)``.  The oracle
 is the plain {exponent: Fraction} dict, written out here.  hypothesis is a
@@ -14,7 +15,7 @@ from math import comb, gcd
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mfal.quasimodular import QuasiPoly
+from mfal.quasimodular import QuasiPoly, pack, unpack
 
 examples = settings(max_examples=120, deadline=None)
 
@@ -79,7 +80,9 @@ def assert_canonical(p: QuasiPoly):
     assert isinstance(p.den, int) and p.den > 0
     assert all(isinstance(c, int) and c for c in p.nums.values())
     assert gcd(p.den, *p.nums.values()) == 1
-    assert all(len(k) == 5 and min(k[:4]) >= 0 for k in p.nums)
+    # every key is one int that reads back as five exponents, only s negative
+    assert all(type(k) is int and pack(*unpack(k)) == k for k in p.nums)
+    assert all(len(k) == 5 and min(k[:4]) >= 0 for k in p.terms)
     rebuilt = QuasiPoly(p.terms)
     assert (rebuilt.nums, rebuilt.den) == (p.nums, p.den)
 
@@ -138,18 +141,25 @@ def test_equal_values_have_equal_layouts(a, b):
         assert (u.nums, u.den) == (v.nums, v.den)
 
 
+#: the packed keys of tau and P
+TAU_KEY, P_KEY = 1 << 48, 1 << 32
+
+
 def test_canonical_layout_by_hand():
     # 1/2 tau + 1/3 P: numerators 3 and 2 over the lcm 6
     p = QuasiPoly({(1, 0, 0, 0, 0): Fraction(1, 2), (0, 1, 0, 0, 0): Fraction(1, 3)})
-    assert (p.nums, p.den) == ({(1, 0, 0, 0, 0): 3, (0, 1, 0, 0, 0): 2}, 6)
+    assert (p.nums, p.den) == ({TAU_KEY: 3, P_KEY: 2}, 6)
     # scaling by 6 cancels the denominator, by -2/3 makes it positive again
-    assert ((p * 6).nums, (p * 6).den) == ({(1, 0, 0, 0, 0): 3, (0, 1, 0, 0, 0): 2}, 1)
+    assert ((p * 6).nums, (p * 6).den) == ({TAU_KEY: 3, P_KEY: 2}, 1)
     q = p.scale(Fraction(-2, 3))
-    assert (q.nums, q.den) == ({(1, 0, 0, 0, 0): -3, (0, 1, 0, 0, 0): -2}, 9)
+    assert (q.nums, q.den) == ({TAU_KEY: -3, P_KEY: -2}, 9)
     # a sum whose denominators differ and whose result cancels to an integer
     r = p + QuasiPoly({(1, 0, 0, 0, 0): Fraction(1, 2), (0, 1, 0, 0, 0): Fraction(2, 3)})
-    assert (r.nums, r.den) == ({(1, 0, 0, 0, 0): 1, (0, 1, 0, 0, 0): 1}, 1)
+    assert (r.nums, r.den) == ({TAU_KEY: 1, P_KEY: 1}, 1)
     # zero has no numerators and denominator 1, however it was reached
     z = p - p
     assert (z.nums, z.den) == ({}, 1)
     assert (p.scale(0).nums, p.scale(0).den) == ({}, 1)
+    # s^-1 sits one unit below the constant in the signed top field
+    assert QuasiPoly.monomial((0, 0, 0, 0, -1)).nums == {-(1 << 64): 1}
+    assert QuasiPoly.monomial((1, 2, 3, 4, -1)).nums == {-(1 << 64) + TAU_KEY + 2 * P_KEY + (3 << 16) + 4: 1}

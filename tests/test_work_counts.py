@@ -18,7 +18,7 @@ import pytest
 from mfal import checks, liealg, loopext, modforms, vvmf
 from mfal.cyclotomic import CycloField
 from mfal.qseries import QSeries
-from mfal.quasimodular import QuasiPoly
+from mfal.quasimodular import QuasiMatrix, QuasiPoly
 
 
 def count_calls(monkeypatch, cls, name):
@@ -33,20 +33,68 @@ def count_calls(monkeypatch, cls, name):
     return calls
 
 
+def count_dots(monkeypatch, cls):
+    """For each call of ``cls.dot``, the number of its pairs whose factors
+    are both nonzero: the pairs it multiplies."""
+    sizes = []
+    original = cls.dot.__func__
+
+    def counted(ring, pairs):
+        pairs = list(pairs)
+        sizes.append(sum(1 for x, y in pairs if x and y))
+        return original(ring, pairs)
+
+    monkeypatch.setattr(cls, "dot", classmethod(counted))
+    return sizes
+
+
+def count_canonical_steps(monkeypatch, cls):
+    made = []
+    original = cls._make.__func__
+
+    def counted(ring, nums, den):
+        if ring is cls:
+            made.append(None)
+        return original(ring, nums, den)
+
+    monkeypatch.setattr(cls, "_make", classmethod(counted))
+    return made
+
+
 def test_phi_operator_products_touch_only_nonzero_entries(monkeypatch):
     calls = count_calls(monkeypatch, QuasiPoly, "__mul__")
+    dots = count_dots(monkeypatch, QuasiPoly)
     phi = vvmf.PhiOperator(10)
-    # the two exp_nilpotent series of 11x11 nilpotent matrices; a kernel
-    # that scales zeros makes 2,598
-    assert len(calls) == 308
-    tests = count_calls(monkeypatch, QuasiPoly, "__bool__")
+    # the powers of E and F on Sym^10 are int matrices: each of their 2 x 55
+    # nonzero entries, and one zero per power, is scaled by its QuasiPoly
+    # tau^k/k! or y^k/k!, whose 2 x 10 powers cost two products each, and
+    # the two identities make their one and zero with four more; taking the
+    # powers over QuasiPoly makes 308, and a kernel that scales zeros 2,598
+    assert len(calls) == 174
+    assert dots == [1] * 20
+    dots.clear()
+    made = count_canonical_steps(monkeypatch, QuasiPoly)
     phi.matrix
-    # exp(tau E) is upper and exp(y F) lower triangular: 506 pairs of
-    # nonzero entries meet, plus one x * 0 for the zero
-    assert len(calls) == 815
-    # each entry of either factor is tested once; a dot product per entry
-    # of the result tests 2,057 times
-    assert len(tests) == 242
+    # exp(tau E) is upper and exp(y F) lower triangular: each of the 121
+    # entries sums the pairs of nonzero entries that meet, 506 in all, in
+    # one dot and one canonical step, and one x * 0 makes the zero; a
+    # product per pair makes 815 products here
+    assert len(calls) == 175
+    assert (len(dots), sum(dots)) == (121, 506)
+    assert len(made) == 121 + 1
+
+
+def test_phi_determinant_and_inverse_make_one_canonical_step_per_dot(monkeypatch):
+    det6, m5 = vvmf.PhiOperator(6).matrix, vvmf.PhiOperator(5).matrix
+    made = count_canonical_steps(monkeypatch, QuasiPoly)
+    assert det6.det() == 1
+    # Berkowitz's dot products each make one polynomial; one per product
+    # and per partial sum makes 955
+    assert len(made) == 192
+    made.clear()
+    assert m5.inverse() * m5 == QuasiMatrix.identity(m5.size)
+    # 2,628 with one canonical step per product and per partial sum
+    assert len(made) == 454
 
 
 @pytest.mark.parametrize("check_id, products", [
@@ -63,10 +111,14 @@ def test_cocycles_read_residues_without_products(monkeypatch, check_id, products
 def test_onsager_brackets_only_the_generic_generators(monkeypatch):
     checks.load("loop")
     calls = count_calls(monkeypatch, loopext.Laurent, "__mul__")
+    dots = count_dots(monkeypatch, loopext.Laurent)
     assert checks.check_identity("loop.onsager", 8)[0]
-    # three lemmas at generic indices and the Hauptmodul bracket; the 751
-    # relations to index 10 make 8,391
-    assert len(calls) == 105
+    # three lemmas at generic indices and the Hauptmodul bracket: 61 calls
+    # of `*`, 57 of them scalings, and 52 dots, 48 of them the entries of
+    # 2x2 matrix products, that multiply 47 pairs; with one `*` per pair of
+    # a matrix product 105 calls, and the 751 relations to index 10 make 8,391
+    assert len(calls) == 61
+    assert (len(dots), sum(dots)) == (52, 47)
 
 
 def test_scalar_oracle_computes_each_distinct_identity_once(monkeypatch):
@@ -78,6 +130,19 @@ def test_scalar_oracle_computes_each_distinct_identity_once(monkeypatch):
     assert checks.check_identity("alia.scalar_oracle", 24)[0]
     # 36 distinct identities named by 66 rows; 183 when each row computes its own
     assert len(calls) == 115
+
+
+def test_core_suite_builds_each_level_one_monomial_once(monkeypatch):
+    checks.load("core")
+    # the forms are built fresh, as in a `verify core` process
+    monkeypatch.setattr(modforms, "_STORE", {})
+    calls = count_calls(monkeypatch, QSeries, "inverse")
+    assert all(passed for _, passed, _, _ in checks.run_suite("core", 32))
+    # Delta^l E4^a E6^b comes from the form store, cut from its deepest
+    # build; 41 when each of the 41 requests builds its own (15 of them ask
+    # for E4 E6 / Delta, 11 at one truncation for delta_derivation's
+    # samples), 31 with a memo per (l, a, b, order)
+    assert len(calls) == 29
 
 
 @pytest.mark.parametrize("type_label", ["A1", "A2", "B2", "G2"])
