@@ -45,7 +45,7 @@ def dot(xs, ys, zero):
     itself, with one canonical step; any other ring adds them one by one.
     """
     fused = getattr(type(zero), "dot", None)
-    if fused is not None:
+    if fused:
         return fused(zip(xs, ys))
     acc = None
     for x, y in zip(xs, ys):
@@ -145,10 +145,11 @@ class Matrix:
             return self.scale(other)
         self._fits(other, "multiply", self.shape[1] == other.size)
         zero = self.rows[0][0] * 0
-        if hasattr(type(zero), "dot"):
+        fused = getattr(type(zero), "dot", None)
+        if fused:
             # one fused dot per entry; it skips the pairs with a zero factor
             cols = list(zip(*other.rows))
-            return type(self)([[dot(row, col, zero) for col in cols] for row in self.rows])
+            return type(self)([[fused(zip(row, col)) for col in cols] for row in self.rows])
         width = other.shape[1]
         sparse = [[(j, y) for j, y in enumerate(row) if y] for row in other.rows]
         out = []

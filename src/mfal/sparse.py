@@ -127,10 +127,7 @@ class Sparse(Ring):
         return cls._make(_nonzero(out), den)
 
     def scale(self, c):
-        if type(c) is int:
-            n, den = c, 1
-        else:
-            (n,), den = numerators((c,))
+        (n,), den = numerators((c,))
         return self._make({k: n * v for k, v in self.nums.items()} if n else {}, self.den * den)
 
 

@@ -34,14 +34,18 @@ def count_calls(monkeypatch, cls, name):
 
 
 def count_dots(monkeypatch, cls):
-    """For each call of ``cls.dot``, the number of its pairs whose factors
-    are both nonzero: the pairs it multiplies."""
+    """For each call of ``cls.dot``, the number of pairs it visits and the
+    number of those whose factors are both nonzero: the pairs it multiplies.
+    A factor of the ring is read by its numerators, not its truth value, so
+    the count calls no ``__bool__``."""
     sizes = []
     original = cls.dot.__func__
 
     def counted(ring, pairs):
         pairs = list(pairs)
-        sizes.append(sum(1 for x, y in pairs if x and y))
+        nonzero = [(x.nums if type(x) is ring else x) and (y.nums if type(y) is ring else y)
+                   for x, y in pairs]
+        sizes.append((len(pairs), sum(map(bool, nonzero))))
         return original(ring, pairs)
 
     monkeypatch.setattr(cls, "dot", classmethod(counted))
@@ -71,17 +75,25 @@ def test_phi_operator_products_touch_only_nonzero_entries(monkeypatch):
     # the two identities make their one and zero with four more; taking the
     # powers over QuasiPoly makes 308, and a kernel that scales zeros 2,598
     assert len(calls) == 174
-    assert dots == [1] * 20
+    assert dots == [(1, 1)] * 20
     dots.clear()
     made = count_canonical_steps(monkeypatch, QuasiPoly)
+    consts = count_calls(monkeypatch, QuasiPoly, "const")
+    tests = count_calls(monkeypatch, QuasiPoly, "__bool__")
     phi.matrix
     # exp(tau E) is upper and exp(y F) lower triangular: each of the 121
     # entries sums the pairs of nonzero entries that meet, 506 in all, in
     # one dot and one canonical step, and one x * 0 makes the zero; a
     # product per pair makes 815 products here
     assert len(calls) == 175
-    assert (len(dots), sum(dots)) == (121, 506)
+    assert (len(dots), sum(m for _, m in dots)) == (121, 506)
     assert len(made) == 121 + 1
+    # each dot visits the 11 pairs of a row and a column and skips a zero
+    # factor by its empty numerators: no zero is read as a constant or truth
+    # tested (a product per pair of nonzero entries tests each entry once,
+    # 242 times, and a dot product per entry 2,057 times)
+    assert sum(v for v, _ in dots) == 121 * 11
+    assert (len(consts), len(tests)) == (0, 0)
 
 
 def test_phi_determinant_and_inverse_make_one_canonical_step_per_dot(monkeypatch):
@@ -118,7 +130,7 @@ def test_onsager_brackets_only_the_generic_generators(monkeypatch):
     # 2x2 matrix products, that multiply 47 pairs; with one `*` per pair of
     # a matrix product 105 calls, and the 751 relations to index 10 make 8,391
     assert len(calls) == 61
-    assert (len(dots), sum(dots)) == (52, 47)
+    assert (len(dots), sum(m for _, m in dots)) == (52, 47)
 
 
 def test_scalar_oracle_computes_each_distinct_identity_once(monkeypatch):
