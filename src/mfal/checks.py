@@ -9,27 +9,23 @@ A suite is the unit of import.  Its checks live in the module
 `mfal.checks_<suite>`, which imports only the modules the suite runs, and
 `load` imports it before `run_suite` starts the first check's timer.  So
 `import mfal.checks` loads no other mfal module, and each entry of SUITES
-calls `run` with its id.  A check's kind is declared once, by the table of
-its suite's module that holds it.
+calls `check_identity` with its id.
 
-42 of the 50 checks are exact identities, over any of the package's rings,
-and are rows of IDENTITIES, run by `check_identity`.  Each row yields its
-identities one at a time, each as a name and its two sides built at the
-working order.  Two q-series hold when they agree on their shared range;
-sides in any other ring (scalars, QuasiPoly, JPoly, Laurent, CycloNumber,
-matrices over them, bracket vectors) hold when equal, exact as each ring
-keeps one canonical form.  A row fails naming the identities whose sides
-differ; a sampled row names the sample.  A row of finite lemmas gives its
-proof in its docstring.
+Every check is a row of IDENTITIES.  Each row yields its identities one at
+a time, each as a name and its two sides built at the working order.  Two
+q-series hold when they agree on their shared range; sides in any other
+ring (scalars, booleans, QuasiPoly, JPoly, Laurent, CycloNumber, matrices
+over them, bracket vectors) hold when equal, exact as each ring keeps one
+canonical form.  A row fails naming the identities whose sides differ; a
+sampled row names the sample.  A row of finite lemmas gives its proof in
+its docstring.
 
-The other 8 are in CHECKS, each for a reason a row cannot carry:
-`qseries.eval_product`, `modforms.numeric_s_equivariance`,
-`vvmf.phi_S_numeric` and `theta.transformation_laws` compare floats within
-a tolerance; `modforms.delta_derivation` compares its Leibniz samples on a
-shared range of 8, below a row's; `gamma.ferapontov_ode` also requires that
-no term of its ODE vanish; `alia.specialization` reports the exponents it
-computed; and `loop.evaluation_rep` asserts that evaluating at a pole is
-refused.
+A statement that is not an equation of two exact sides is a lemma against
+True: a float residual below its tolerance (`qseries.eval_product`,
+`modforms.numeric_s_equivariance`, `vvmf.phi_S_numeric`,
+`theta.transformation_laws`, each naming the residual it computed), a
+comparison on a range shorter than a row's, a term that must not vanish or
+an error that must be raised.
 """
 
 from __future__ import annotations
@@ -41,20 +37,14 @@ from functools import partial
 #: check id -> (detail of a pass, sides): sides(order) yields each identity
 #: of the row as (name, lhs, rhs), one at a time; the rows of every loaded suite
 IDENTITIES = {}
-#: check id -> check(order) -> (passed, detail): the other checks of every
-#: loaded suite
-CHECKS = {}
 
 
 def load(suite: str) -> None:
     """Import the module of `suite` ("all": of every suite) and add its rows
-    to IDENTITIES and its other checks to CHECKS; an entry already there is
-    kept."""
+    to IDENTITIES; a row already there is kept."""
     for name in SUITES if suite == "all" else (suite,):
-        module = importlib.import_module(f"mfal.checks_{name}")
-        for table, entries in ((IDENTITIES, module.IDENTITIES), (CHECKS, module.CHECKS)):
-            for check_id, entry in entries.items():
-                table.setdefault(check_id, entry)
+        for check_id, row in importlib.import_module(f"mfal.checks_{name}").IDENTITIES.items():
+            IDENTITIES.setdefault(check_id, row)
 
 
 def check_identity(check_id, order):
@@ -74,16 +64,8 @@ def check_identity(check_id, order):
     return True, detail.format(order=order)
 
 
-def run(check_id, order):
-    """Check `check_id` at `order`: its row of IDENTITIES, or else its check
-    in CHECKS."""
-    if check_id in IDENTITIES:
-        return check_identity(check_id, order)
-    return CHECKS[check_id](order)
-
-
 SUITES = {
-    suite: [(check_id, partial(run, check_id)) for check_id in ids]
+    suite: [(check_id, partial(check_identity, check_id)) for check_id in ids]
     for suite, ids in {
         "core": (
             "qseries.ring_axioms",

@@ -12,23 +12,6 @@ from .linalg import Matrix
 from .modforms import series
 
 
-def check_specialization(order):
-    """det K(j) = c j^a (j-1728)^b, c != 0, with (a, b) the sum of the
-    cocycle exponents (w4, w6)(alpha, -alpha) over the roots: every fiber is
-    nondegenerate exactly when j is not 0 or 1728."""
-    found = []
-    for key in liealg.ORBIT_LABELS:
-        table = alia.alia_table(*key)
-        cp = table.cocycles
-        pairs = [(r, tuple(-x for x in r)) for r in table.structure.rs.roots]
-        a, b = sum(cp.w4[p] for p in pairs), sum(cp.w6[p] for p in pairs)
-        det = Matrix(table.killing()).det()
-        if not det or det != alia.JPoly.j_power_form(a, b) * det.coeffs[-1]:
-            return False, f"det K(j) for {key} is {det.pretty()}, not c j^{a} (j-1728)^{b}"
-        found.append(f"{key[0]} {key[1]} ({a}, {b})")
-    return True, "det K(j) = c j^a (j-1728)^b over Q[j], (a, b) = " + ", ".join(found)
-
-
 def _scalar_oracle(order):
     """F_{-k(a)} F_{-k(b)} = j^w4 (j-1728)^w6 F_{-k(a)-k(b)} for each orbit.
 
@@ -74,6 +57,21 @@ def _barrel_contraction(order):
         yield f"solvable at j={j_val}", spec.is_solvable(within_steps=3), True
 
 
+def _specialization(order):
+    """det K(j) = c j^a (j-1728)^b, c != 0, with (a, b) the sum of the
+    cocycle exponents (w4, w6)(alpha, -alpha) over the roots: every fiber is
+    nondegenerate exactly when j is not 0 or 1728."""
+    for key in liealg.ORBIT_LABELS:
+        table = alia.alia_table(*key)
+        cp = table.cocycles
+        pairs = [(r, tuple(-x for x in r)) for r in table.structure.rs.roots]
+        a, b = sum(cp.w4[p] for p in pairs), sum(cp.w6[p] for p in pairs)
+        det = Matrix(table.killing()).det()
+        yield f"{key[0]} {key[1]}: det K(j) != 0", bool(det), True
+        yield (f"{key[0]} {key[1]}: det K(j) = c j^a (j-1728)^b, (a, b) = ({a}, {b})",
+               det, alia.JPoly.j_power_form(a, b) * (det.coeffs[-1] if det else 0))
+
+
 def _levi(order):
     """(radical, Levi) dimensions of two orbits."""
     for key, dims in ((("A1", "principal"), (1, 0)), (("B2", "subregular"), (1, 3))):
@@ -90,7 +88,7 @@ IDENTITIES = {
     "alia.scalar_oracle": ("two-route certification for all orbits", _scalar_oracle),
     "alia.barrel_contraction": (
         "barrel bracket and solvable contractions at j=0, 1728", _barrel_contraction),
+    "alia.specialization": (
+        "det K(j) = c j^a (j-1728)^b, c != 0, over Q[j] for all six orbits", _specialization),
     "alia.levi_dimensions": ("dimension bookkeeping for sample orbits", _levi),
 }
-
-CHECKS = {"alia.specialization": check_specialization}

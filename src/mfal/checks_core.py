@@ -29,56 +29,6 @@ def _random_series(rng, trunc=24, denom=1):
     return QSeries.from_terms(terms, trunc=trunc)
 
 
-def check_qseries_eval_product(order):
-    e4, e6 = series("E4", order), series("E6", order)
-    tau = 1j
-    lhs = (e4 * e6).eval_numeric(tau)
-    rhs = e4.eval_numeric(tau) * e6.eval_numeric(tau)
-    err = abs(lhs - rhs)
-    return err < 1e-10, f"|eval(E4*E6) - eval(E4)eval(E6)| = {err:.2e} at tau=i"
-
-
-def check_delta_derivation(order):
-    pref = modforms.delta_derivation_prefactor(order)
-    head = [1, -240, -141444, -8529280, -238758390]
-    for n, c in enumerate(head):
-        if pref.coefficient(n) != c:
-            return False, f"prefactor coefficient at q^{n} is {pref.coefficient(n)}"
-    # delta(j) multiplies two series of valuation -1: j' and q^-1 E4 E6 / Delta
-    j = series("j", modforms.depth(order, (-1, 2)))
-    if not modforms.delta_derivation(j).agrees(-(j * (j - 1728))):
-        return False, "delta(j) != -j(j-1728)"
-    rng = random.Random(505)
-    for _ in range(4):
-        a, b = _random_series(rng), _random_series(rng)
-        lhs = modforms.delta_derivation(a * b)
-        rhs = modforms.delta_derivation(a) * b + a * modforms.delta_derivation(b)
-        if not lhs.agrees(rhs, min_span=8):
-            return False, "delta is not a derivation on samples"
-    return True, "prefactor head, delta(j), Leibniz samples"
-
-
-def check_numeric_s_equivariance(order):
-    worst = max(
-        modforms.s_law_residual(modforms.named_form(name, order), tau)
-        for tau in (1j, 0.3 + 1.1j)
-        for name in ("E4", "E6", "E2")
-    )
-    return worst < 1e-8, f"max S-residual {worst:.2e} (E4, E6, E2 anomaly)"
-
-
-def check_phi_S(order):
-    worst = 0.0
-    for n in (1, 2, 3):
-        for tau in (1j, 0.3 + 1.1j):
-            worst = max(worst, vvmf.check_gamma_equivariance(n, vvmf.S_GAMMA, tau, order))
-    return worst < 1e-8, f"max S-residual {worst:.2e} for n <= 3"
-
-
-# ----------------------------------------------------------------------
-# rows of the identity table
-# ----------------------------------------------------------------------
-
 def _ring_axioms(order):
     rng = random.Random(101)
     for i in range(8):
@@ -113,6 +63,12 @@ def _shift_homomorphism(order):
                (a * b).shift_tau(), a.shift_tau() * b.shift_tau())
         yield (f"sample {i}: (a + b)(tau+1) = a(tau+1) + b(tau+1)",
                (a + b).shift_tau(), a.shift_tau() + b.shift_tau())
+
+
+def _eval_product(order):
+    e4, e6 = series("E4", order), series("E6", order)
+    err = abs((e4 * e6).eval_numeric(1j) - e4.eval_numeric(1j) * e6.eval_numeric(1j))
+    yield f"|eval(E4*E6) - eval(E4)eval(E6)| = {err:.2e} < 1e-10 at tau=i", err < 1e-10, True
 
 
 def _j_head(order):
@@ -150,6 +106,30 @@ def _duke_jenkins_table(order):
         yield f"k={k}: 12 ell + 4 n4 + 6 n6 = k", 12 * ell + 4 * n4 + 6 * n6, k
         yield f"k={k}: valuation ell", f.valuation, ell
         yield f"k={k}: leading coefficient 1", f.coefficient(f.valuation), 1
+
+
+def _delta_derivation(order):
+    """delta(j) multiplies two series of valuation -1: j' and q^-1 E4 E6 / Delta.
+    The Leibniz samples are compared on a shared range of 8, below a row's."""
+    pref = modforms.delta_derivation_prefactor(order)
+    for n, c in enumerate((1, -240, -141444, -8529280, -238758390)):
+        yield f"prefactor coefficient at q^{n} = {c}", pref.coefficient(n), c
+    delta = modforms.delta_derivation
+    j = series("j", modforms.depth(order, (-1, 2)))
+    yield "delta(j) = -j(j-1728)", delta(j), -(j * (j - 1728))
+    rng = random.Random(505)
+    for i in range(4):
+        a, b = _random_series(rng), _random_series(rng)
+        yield (f"sample {i}: delta(ab) = delta(a) b + a delta(b)",
+               delta(a * b).agrees(delta(a) * b + a * delta(b), min_span=8), True)
+
+
+def _numeric_s_equivariance(order):
+    for name in ("E4", "E6", "E2"):
+        form = modforms.named_form(name, order)
+        for tau in (1j, 0.3 + 1.1j):
+            err = modforms.s_law_residual(form, tau)
+            yield f"{name}: S-residual {err:.2e} < 1e-8 at tau={tau}", err < 1e-8, True
 
 
 def _dtau_leibniz(order):
@@ -248,6 +228,13 @@ def _phi_T(order):
         yield f"Phi_{n}(tau+1) = rho_{n}(T) Phi_{n}(tau)", m.shift_tau(), rho_t * m
 
 
+def _phi_s(order):
+    for n in (1, 2, 3):
+        for tau in (1j, 0.3 + 1.1j):
+            err = vvmf.check_gamma_equivariance(n, vvmf.S_GAMMA, tau, order)
+            yield f"Phi_{n}: S-residual {err:.2e} < 1e-8 at tau={tau}", err < 1e-8, True
+
+
 def _hilbert(order):
     for n in range(0, 5):
         coeffs = vvmf.hilbert_vvmf(n, "Gamma(1)").coefficients(40)
@@ -261,6 +248,7 @@ IDENTITIES = {
     "qseries.leibniz": ("q d/dq is a derivation on samples", _q_leibniz),
     "qseries.shift_homomorphism": (
         "algebra homomorphism on half-integral lattice", _shift_homomorphism),
+    "qseries.eval_product": ("|eval(E4*E6) - eval(E4)eval(E6)| < 1e-10 at tau=i", _eval_product),
     "modforms.j_expansion": ("head coefficients exact", _j_head),
     "modforms.delta_dual_route": (
         "Eisenstein route = eta^24 route to order {order}", _delta_routes),
@@ -268,6 +256,10 @@ IDENTITIES = {
     "modforms.eisenstein_powers": ("E8, E10, E14 as monomials", _eisenstein_powers),
     "modforms.duke_jenkins_table": (
         "residue map verified for even k in [-24, 24]", _duke_jenkins_table),
+    "modforms.delta_derivation": (
+        "prefactor head, delta(j), Leibniz samples", _delta_derivation),
+    "modforms.numeric_s_equivariance": (
+        "S-residual < 1e-8 at 2 points (E4, E6, E2 anomaly)", _numeric_s_equivariance),
     "quasimodular.d_tau_leibniz": ("derivation property on sampled products", _dtau_leibniz),
     "quasimodular.series_consistency": (
         "D and q d/dq agree through the expansion map", _expansion_commutes_with_d),
@@ -284,12 +276,6 @@ IDENTITIES = {
         "unimodular for n <= 10: exp(tau E) upper, exp(y F) lower unitriangular", _phi_det),
     "vvmf.phi_functoriality": ("Sym^n Phi_1 = Phi_n for n <= 4", _phi_functoriality),
     "vvmf.phi_T_exact": ("exact polynomial identity for n <= 4", _phi_T),
+    "vvmf.phi_S_numeric": ("S-residual < 1e-8 at 2 points for n <= 3", _phi_s),
     "vvmf.hilbert": ("generating function = monomial counts, n <= 4, k <= 40", _hilbert),
-}
-
-CHECKS = {
-    "qseries.eval_product": check_qseries_eval_product,
-    "modforms.delta_derivation": check_delta_derivation,
-    "modforms.numeric_s_equivariance": check_numeric_s_equivariance,
-    "vvmf.phi_S_numeric": check_phi_S,
 }

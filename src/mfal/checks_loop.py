@@ -16,36 +16,6 @@ from . import alia, liealg, loopext
 from .linalg import Matrix
 
 
-def check_evaluation_rep(order):
-    field, points = loopext.pole_preset("octahedral")
-    i = field.zeta
-    ev = loopext.EvaluationRep(field, [field.rational(2), i + 1], [1, 2])
-    rng = random.Random(111)
-    names = ("h", "e", "f")
-    funcs = [
-        loopext.RatFunc.pole_factor(field, i, 1),
-        loopext.RatFunc.polynomial(field, [1, 0, 1]),
-        loopext.RatFunc.pole_factor(field, field.zero, 2),
-    ]
-    for _ in range(5):
-        x = {rng.choice(names): rng.randint(1, 3)}
-        y = {rng.choice(names): rng.randint(-3, -1)}
-        f, g = rng.choice(funcs), rng.choice(funcs)
-        if not ev.homomorphism_residual(x, f, y, g).is_zero():
-            return False, "homomorphism residual nonzero"
-    try:
-        ev.evaluate({"h": 1}, loopext.RatFunc.pole_factor(field, field.rational(2), 1))
-    except loopext.PoleAtEvaluationPoint:
-        pass
-    else:
-        return False, "evaluation at a pole did not raise"
-    return True, "bracket respected on samples; pole evaluation rejected"
-
-
-# ----------------------------------------------------------------------
-# rows of the identity table
-# ----------------------------------------------------------------------
-
 def _residue_calculus(order):
     field = loopext.CycloField(4)
     i = field.zeta
@@ -209,6 +179,32 @@ def _dolan_grady(order):
         yield name, nested, {k: p * 4 for k, p in table.bracket(x, y).items()}
 
 
+def _evaluation_rep(order):
+    field, _ = loopext.pole_preset("octahedral")
+    i = field.zeta
+    ev = loopext.EvaluationRep(field, [field.rational(2), i + 1], [1, 2])
+    rng = random.Random(111)
+    names = ("h", "e", "f")
+    funcs = [
+        loopext.RatFunc.pole_factor(field, i, 1),
+        loopext.RatFunc.polynomial(field, [1, 0, 1]),
+        loopext.RatFunc.pole_factor(field, field.zero, 2),
+    ]
+    for k in range(5):
+        x = {rng.choice(names): rng.randint(1, 3)}
+        y = {rng.choice(names): rng.randint(-3, -1)}
+        f, g = rng.choice(funcs), rng.choice(funcs)
+        yield (f"sample {k}: ev[x f, y g] = [ev(x f), ev(y g)]",
+               ev.homomorphism_residual(x, f, y, g).is_zero(), True)
+    try:
+        ev.evaluate({"h": 1}, loopext.RatFunc.pole_factor(field, field.rational(2), 1))
+    except loopext.PoleAtEvaluationPoint:
+        refused = True
+    else:
+        refused = False
+    yield "evaluation at a pole raises PoleAtEvaluationPoint", refused, True
+
+
 IDENTITIES = {
     "loop.residue_calculus": ("linearity and res(f') = 0 at an exact pole", _residue_calculus),
     "loop.total_residue": ("finite residues sum to zero for decaying f", _total_residue),
@@ -224,6 +220,6 @@ IDENTITIES = {
     "loop.polyhedral_cocycles": (
         "2-cocycle proved: K invariant on A1, res(u') = 0 at every point of the four "
         "pole sets", _polyhedral_cocycles),
+    "loop.evaluation_rep": (
+        "bracket respected on samples; pole evaluation rejected", _evaluation_rep),
 }
-
-CHECKS = {"loop.evaluation_rep": check_evaluation_rep}

@@ -296,20 +296,13 @@ def gamma3_generators(order=DEFAULT_ORDER):
     )
 
 
-def ferapontov_ode_check(order=DEFAULT_ORDER) -> bool:
-    """The integrable-Lagrangian fourth-order ODE satisfied by g = phi1.
+def ferapontov_ode_terms(order=DEFAULT_ORDER):
+    """The five terms of the integrable-Lagrangian fourth-order ODE satisfied
+    by g = phi1, which sum to zero (the row `gamma.ferapontov_ode`).
 
     Every term has total derivative order 6 and degree 4, so q*d/dq may
     stand in for the tau-derivative: the 2*pi*i powers cancel.
     """
-    if order < 20:
-        raise ValueError("order too small to distinguish the ODE terms")
-    first, *rest = ferapontov_ode_terms(order)
-    return sum(rest, first).is_zero()
-
-
-def ferapontov_ode_terms(order=DEFAULT_ORDER):
-    """The five terms of the ODE, whose sum ``ferapontov_ode_check`` tests."""
     g = named_form("phi1", order).series
     g1 = g.q_derive()
     g2 = g1.q_derive()
@@ -427,10 +420,10 @@ _BUILDERS = {
     "theta4": lambda order: theta(4, order),
     "lambda": lambda order: lambda_invariant(order),
     "mu": lambda order: mu_gamma4(order),
-    "phi1": lambda order: gamma3_generators(order)[0],
-    "phi2": lambda order: gamma3_generators(order)[1],
-    "F2": lambda order: gamma2_generators(order)[0],
-    "H2": lambda order: gamma2_generators(order)[1],
+    "phi1": lambda order: _one_of_pair(gamma3_generators(order), 0, order),
+    "phi2": lambda order: _one_of_pair(gamma3_generators(order), 1, order),
+    "F2": lambda order: _one_of_pair(gamma2_generators(order), 0, order),
+    "H2": lambda order: _one_of_pair(gamma2_generators(order), 1, order),
     "f_gamma5": lambda order: gamma5_form_f(order),
 }
 
@@ -447,6 +440,16 @@ def _build(name: str, order) -> NamedForm:
         k = int(name[4:])
         return NamedForm(name, k, "Gamma(1)", duke_jenkins(k, order)[3])
     return _BUILDERS[name](order)
+
+
+def _one_of_pair(pair, index, order) -> NamedForm:
+    """Form `index` of a pair built together below `order`; the store keeps
+    the other form too, so asking for it next builds nothing."""
+    other = pair[1 - index]
+    built, _ = _STORE.get(other.name, (None, None))
+    if built is None or built < order:
+        _STORE[other.name] = (order, {order: other})
+    return pair[index]
 
 
 def named_form(name: str, order=DEFAULT_ORDER) -> NamedForm:

@@ -14,7 +14,7 @@ from mfal.alia import JPoly
 from mfal.loopext import CycloField, RatFunc
 from test_loopext import cocycle_bilinear_identity
 
-checks.load("all")  # the rows and checks of every suite
+checks.load("all")  # the rows of every suite
 
 ORDER = 64
 
@@ -132,7 +132,7 @@ def test_criterion_09_theta_suite():
 
 def test_criterion_10_gamma3():
     rel = checks.check_identity("gamma.rel3", ORDER)[0]
-    ode = modforms.ferapontov_ode_check(ORDER)
+    ode = checks.check_identity("gamma.ferapontov_ode", ORDER)[0]
     report(10, "Gamma(3) relations and the integrable ODE", rel and ode,
            f"(exact to order {ORDER})")
 

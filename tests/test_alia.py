@@ -7,7 +7,7 @@ from mfal.alia import JPoly, OddGrading
 from mfal.linalg import Matrix
 from mfal.qseries import QSeries
 
-checks.load("all")  # the rows and checks of every suite
+checks.load("all")  # the rows of every suite
 
 
 # ----------------------------------------------------------------------

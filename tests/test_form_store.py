@@ -18,7 +18,7 @@ import pytest
 from mfal import checks, modforms as mf
 from mfal.qseries import QSeries
 
-checks.load("all")  # the rows and checks of every suite
+checks.load("all")  # the rows of every suite
 
 NAMES = list(mf.REGISTERED_NAMES) + [f"F_k:{k}" for k in range(-24, 25, 2)]
 
@@ -242,3 +242,28 @@ def test_f_k_spellings_are_one_store_entry(empty_store):
     assert forms[0] is forms[1] is forms[2]
     assert forms[0].name == "F_k:4"
     assert [key for key in mf._STORE if key.startswith("F_k")] == ["F_k:4"]
+
+
+@pytest.mark.parametrize("first, second, generators", [
+    ("phi1", "phi2", "gamma3_generators"), ("phi2", "phi1", "gamma3_generators"),
+    ("F2", "H2", "gamma2_generators"), ("H2", "F2", "gamma2_generators"),
+])
+def test_one_build_stores_both_forms_of_a_pair(monkeypatch, first, second, generators):
+    # a fresh store, which does not outlive this test
+    monkeypatch.setattr(mf, "_STORE", {})
+    calls, build = [], getattr(mf, generators)
+    monkeypatch.setattr(mf, generators, lambda order: calls.append(order) or build(order))
+    pair = {name: mf.named_form(name, 32) for name in (first, second)}
+    assert calls == [32]
+    assert {name: form.series.to_json() for name, form in pair.items()} == {
+        form.name: form.series.to_json() for form in build(32)}
+    mf.named_form(second, 16)  # a cut of the stored form
+    assert calls == [32]
+
+
+def test_verify_gamma_builds_the_gamma3_pair_once(monkeypatch):
+    monkeypatch.setattr(mf, "_STORE", {})
+    calls, build = [], mf.gamma3_generators
+    monkeypatch.setattr(mf, "gamma3_generators", lambda order: calls.append(order) or build(order))
+    assert all(passed for _, passed, _, _ in checks.run_suite("gamma", 32))
+    assert calls == [32]

@@ -12,7 +12,7 @@ from mfal.loopext import (
     RatFunc,
 )
 
-checks.load("all")  # the rows and checks of every suite
+checks.load("all")  # the rows of every suite
 
 
 def cocycle_bilinear_identity(structure, samples, point) -> bool:

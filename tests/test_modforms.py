@@ -8,7 +8,7 @@ from mfal import checks, modforms as mf
 from mfal.modforms import OddWeight, UnknownForm, Unsupported
 from mfal.qseries import QSeries
 
-checks.load("all")  # the rows and checks of every suite
+checks.load("all")  # the rows of every suite
 
 ORDER = 40
 
@@ -189,10 +189,34 @@ def test_gamma3_generators():
 
 
 def test_ferapontov():
-    assert mf.ferapontov_ode_check(32)
-    assert all(not t.is_zero() for t in mf.ferapontov_ode_terms(24))
-    with pytest.raises(ValueError):
-        mf.ferapontov_ode_check(12)
+    assert checks.check_identity("gamma.ferapontov_ode", 32) == (
+        True, "fourth-order ODE for phi1, all five terms active")
+    first, *rest = terms = mf.ferapontov_ode_terms(24)
+    assert all(terms) and sum(rest, first).is_zero()
+    with pytest.raises(ValueError, match="^order too small to distinguish the ODE terms$"):
+        checks.check_identity("gamma.ferapontov_ode", 19)
+
+
+def test_ferapontov_row_builds_its_terms_once(monkeypatch):
+    calls, terms = [], mf.ferapontov_ode_terms
+    monkeypatch.setattr(mf, "ferapontov_ode_terms",
+                        lambda order: calls.append(order) or terms(order))
+    assert checks.check_identity("gamma.ferapontov_ode", 32)[0]
+    assert calls == [32]
+
+
+@pytest.mark.parametrize("zeroed", range(5))
+def test_ferapontov_row_names_a_vanishing_term(monkeypatch, zeroed):
+    terms = mf.ferapontov_ode_terms
+
+    def one_zero(order):
+        out = terms(order)
+        out[zeroed] = out[zeroed].scale(0)
+        return out
+
+    monkeypatch.setattr(mf, "ferapontov_ode_terms", one_zero)
+    assert checks.check_identity("gamma.ferapontov_ode", 32) == (
+        False, f"failed: the five ODE terms sum to 0; ODE term {zeroed} is nonzero")
 
 
 def test_ferapontov_constant_is_trivial_solution():

@@ -7,7 +7,7 @@ import pytest
 from mfal import checks, vvmf
 from mfal.quasimodular import QuasiPoly
 
-checks.load("all")  # the rows and checks of every suite
+checks.load("all")  # the rows of every suite
 
 
 def test_phi0_is_identity():
