@@ -15,7 +15,8 @@ from math import comb
 from . import RESIDUE_TABLE, liealg
 from .liealg import BracketTable, ChevalleyStructure, GradedTriple
 from .linalg import rank, rref
-from .poly import Ring, add, horner, lowest_terms, monomial_count, mul, numerators, trim
+from .poly import horner, monomial_count
+from .sparse import Sparse
 
 
 class OddGrading(ValueError):
@@ -26,68 +27,33 @@ class OddGrading(ValueError):
 # univariate polynomials in j over Q
 # ----------------------------------------------------------------------
 
-def _jpoly(nums: list, den: int) -> "JPoly":
-    """The canonical JPoly of the int list nums (trimmed in place) over den."""
-    p = object.__new__(JPoly)
-    p.nums, p.den = lowest_terms(tuple(trim(nums)), den)
-    return p
+class JPoly(Sparse):
+    """A polynomial in j over Q: a ``sparse.Sparse`` whose exponent is the
+    power of j.
 
-
-class JPoly(Ring):
-    """Dense polynomial in j over Q: int numerators over one denominator.
-
-    ``nums[i] / den`` is the coefficient of j^i.  Every polynomial is
-    canonical, with no trailing zero numerator, den > 0 and
-    gcd(den, *nums) == 1 (``poly.lowest_terms``), so equal polynomials have
-    equal (nums, den).  ``coeffs`` reads the coefficients as Fractions.
+    ``JPoly(coeffs)`` reads dense coefficients, lowest degree first, and
+    ``coeffs`` reads them back as Fractions up to the degree.
     """
 
-    __slots__ = ("nums", "den")
+    __slots__ = ()
 
     def __init__(self, coeffs=()):
-        nums, self.den = numerators(coeffs)
-        self.nums = tuple(trim(nums))
+        super().__init__(dict(enumerate(coeffs)))
 
     @property
     def coeffs(self) -> tuple:
-        return tuple(Fraction(c, self.den) for c in self.nums)
-
-    @classmethod
-    def const(cls, c):
-        return cls((c,))
+        return tuple(Fraction(self.nums.get(i, 0), self.den) for i in range(self.degree() + 1))
 
     @classmethod
     def j_power_form(cls, w4: int, w6: int):
         """j^w4 (j - 1728)^w6, by the binomial theorem."""
-        return _jpoly([0] * w4 + [comb(w6, k) * (-1728) ** (w6 - k) for k in range(w6 + 1)], 1)
-
-    def __bool__(self):
-        return bool(self.nums)
+        return cls._make({w4 + k: comb(w6, k) * (-1728) ** (w6 - k) for k in range(w6 + 1)}, 1)
 
     def degree(self):
-        return len(self.nums) - 1
-
-    def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = JPoly((other,))
-        return isinstance(other, JPoly) and self.nums == other.nums and self.den == other.den
-
-    def __add__(self, other):
-        if not isinstance(other, JPoly):
-            other = JPoly((other,))
-        da, db = self.den, other.den
-        if da == db:
-            return _jpoly(add(self.nums, other.nums), da)
-        return _jpoly(add([c * db for c in self.nums], [c * da for c in other.nums]), da * db)
-
-    def __mul__(self, other):
-        if isinstance(other, JPoly):
-            return _jpoly(mul(self.nums, other.nums, 0), self.den * other.den)
-        p = other.numerator  # an int or a Fraction
-        return _jpoly([c * p for c in self.nums], self.den * other.denominator)
+        return max(self.nums, default=-1)
 
     def __call__(self, value):
-        return horner(self.nums, Fraction(value), Fraction(0)) / self.den
+        return horner(self.coeffs, Fraction(value), Fraction(0))
 
     def as_series(self, j):
         """The polynomial at the series j, in j's own ring."""
@@ -101,7 +67,7 @@ class JPoly(Ring):
         return acc
 
     def pretty(self):
-        if not self.coeffs:
+        if not self:
             return "0"
         parts = []
         for i, c in enumerate(self.coeffs):

@@ -1,7 +1,7 @@
 """Exact linear algebra over the package's coefficient rings.
 
 Entries may be ``Fraction`` or any ``mfal.poly.Ring`` (the ``sparse.Sparse``
-rings ``QuasiPoly`` and ``loopext.Laurent``, ``JPoly``, ``CycloNumber``,
+rings ``QuasiPoly``, ``loopext.Laurent`` and ``alia.JPoly``, ``CycloNumber``,
 ``RatFunc``), or any other type with the same minimal protocol:
 
 * ``+``, ``-`` and ``*`` between entries, and with the integers 0 and 1

@@ -3,15 +3,15 @@
 Two shapes share it:
 
 * dense: a list (or tuple) of coefficients, lowest degree first, used by
-  ``JPoly`` and ``CycloNumber`` (int numerators over one denominator) and
-  ``RatFunc`` (CycloNumbers); ``trim`` drops trailing zeros;
+  ``CycloNumber`` (int numerators over one denominator) and ``RatFunc``
+  (CycloNumbers); ``trim`` drops trailing zeros;
 * sparse: a dict exponent -> nonzero coefficient, used by bracket vectors
-  and by ``mfal.sparse.Sparse``, the one sparse polynomial ring over Q
-  behind ``QuasiPoly`` and ``loopext.Laurent``; ``add_term`` drops every
-  entry that cancels.
+  and by ``mfal.sparse.Sparse``, the one polynomial ring over Q behind
+  ``QuasiPoly``, ``loopext.Laurent`` and ``alia.JPoly``; ``add_term`` drops
+  every entry that cancels.
 
 Every exact ring over Q keeps int numerators over one denominator:
-``QSeries``, ``Sparse``, ``JPoly`` and ``CycloNumber`` read rational input
+``QSeries``, ``Sparse`` and ``CycloNumber`` read rational input
 into that layout through ``numerators`` and build each result through
 ``lowest_terms``, its one canonical step.
 

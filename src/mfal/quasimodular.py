@@ -10,10 +10,9 @@ A monomial tau^t P^p Q^q R^r s^m is one int key (``pack``), so the ring
 is a ``sparse.Sparse`` whose products add keys: t, p, q and r stay below
 2**15, and a product that would reach it raises ``OverflowError``.
 
-The ring loads no q-series module when it is imported: ``substitute_series``,
-``to_qseries`` and ``NumericContext`` import ``mfal.modforms`` and
-``mfal.qseries`` when they are called, so Phi_n (``mfal.vvmf``) compiles no
-series code.
+The ring loads no q-series module when it is imported: ``to_qseries`` and
+``NumericContext`` import ``mfal.modforms`` and ``mfal.qseries`` when they
+are called, so Phi_n (``mfal.vvmf``) compiles no series code.
 """
 
 from __future__ import annotations
@@ -168,32 +167,22 @@ class QuasiPoly(Sparse):
             )
         return total
 
-    def substitute_series(self, order) -> dict:
-        """Replace P, Q, R by their expansions; keyed by remaining tau-degree.
-
-        The result maps tau-degree to a QSeries.  Any s-dependence has no
-        exact q-expansion and raises.
-        """
+    def to_qseries(self, order) -> QSeries:
+        """Exact q-expansion of a tau-free, s-free element: P, Q, R replaced
+        by the expansions of E2, E4, E6.  A power of tau or of s = 1/(2*pi*i)
+        has no exact q-expansion and raises."""
         from . import modforms
         from .qseries import QSeries
 
         e2, e4, e6 = (modforms.named_form(f"E{k}", order).series for k in (2, 4, 6))
-        out: dict[int, QSeries] = {}
+        total = QSeries.zero(trunc=order)
         for (t, p, q, r, s), c in self.terms.items():
-            if s != 0:
+            if s:
                 raise ValueError("monomial carries a power of s = 1/(2*pi*i)")
-            piece = QSeries.constant(c, trunc=order) * e2**p * e4**q * e6**r
-            out[t] = out[t] + piece if t in out else piece
-        return out
-
-    def to_qseries(self, order) -> QSeries:
-        """Exact q-expansion of a tau-free, s-free element."""
-        from .qseries import QSeries
-
-        pieces = self.substitute_series(order)
-        if set(pieces) - {0}:
-            raise ValueError("element depends on tau; no scalar q-expansion")
-        return pieces.get(0, QSeries.zero(trunc=order))
+            if t:
+                raise ValueError("element depends on tau; no scalar q-expansion")
+            total = total + QSeries.constant(c, trunc=order) * e2**p * e4**q * e6**r
+        return total
 
     # ------------------------------------------------------------------
     # display / serialization

@@ -1,13 +1,13 @@
-"""``Sparse``, the one sparse polynomial ring over Q, and its fused ``dot``.
+"""``Sparse``, the one polynomial ring over Q, and its fused ``dot``.
 
 A polynomial maps int exponents to int numerators over one denominator.
-``loopext.Laurent`` reads the exponent as the power of z; ``QuasiPoly``
-(``mfal.quasimodular``) packs its five exponents into one int, so in both
-rings the exponent of a product of monomials is one int addition.
+``loopext.Laurent`` reads the exponent as the power of z and ``alia.JPoly``
+as the power of j; ``QuasiPoly`` (``mfal.quasimodular``) packs its five
+exponents into one int, so in every ring the exponent of a product of
+monomials is one int addition.
 
-Only ``quasimodular`` and ``loopext`` import this module: the processes that
-never build a sparse polynomial (``mfal alia``, ``mfal expand``) do not
-compile it.
+Only ``quasimodular``, ``loopext`` and ``alia`` import this module: a
+process that builds no polynomial (``mfal expand``) does not compile it.
 """
 
 from __future__ import annotations
@@ -100,9 +100,9 @@ class Sparse(Ring):
 
         The products are summed into one dict of numerators over the lcm
         of their denominators; a factor that is not of this class is read
-        as a constant.
+        as a constant.  The first nonzero product sets the denominator.
         """
-        out, den = {}, 1
+        out, den = {}, 0
         get = out.get
         for x, y in pairs:
             if type(x) is not cls:
@@ -113,7 +113,9 @@ class Sparse(Ring):
             if not (xs and ys):
                 continue
             d = x.den * y.den
-            if den % d:
+            if not den:
+                den = d
+            elif den % d:
                 new = lcm(den, d)
                 out = {k: c * (new // den) for k, c in out.items()}
                 get, den = out.get, new
@@ -124,7 +126,7 @@ class Sparse(Ring):
                 for kb, cb in ys.items():
                     k = ka + kb
                     out[k] = get(k, 0) + ca * cb
-        return cls._make(_nonzero(out), den)
+        return cls._make(_nonzero(out), den or 1)
 
     def scale(self, c):
         (n,), den = numerators((c,))

@@ -1,13 +1,14 @@
 """Property tests of the canonical CycloNumber and JPoly layouts against a
 Fraction oracle.
 
-Both rings store int numerators ``nums`` (a tuple) over one ``den``.  Every
-operation must return the one canonical layout of its value: ``den > 0``
-and no factor common to ``den`` and all of ``nums``; a CycloNumber has one
-numerator per power of zeta below the field's degree, a JPoly no trailing
-zero.  So two values are equal exactly when their ``(nums, den)`` are.  The
-oracles are plain tuples of Fractions and the arithmetic on them, written
-out here.  hypothesis is a test-only dependency.
+Both rings store int numerators ``nums`` over one ``den``.  Every operation
+must return the one canonical layout of its value: ``den > 0`` and no factor
+common to ``den`` and all of ``nums``.  A CycloNumber holds a tuple with one
+numerator per power of zeta below the field's degree; a JPoly is a
+``sparse.Sparse``, a dict from each power of j (an int >= 0) to its nonzero
+numerator.  So two values are equal exactly when their ``(nums, den)`` are.
+The oracles are plain tuples of Fractions and the arithmetic on them,
+written out here.  hypothesis is a test-only dependency.
 """
 
 from fractions import Fraction
@@ -183,10 +184,12 @@ jpoly_coeffs = st.lists(coeffs, max_size=5)
 
 
 def assert_jpoly_canonical(p):
+    assert type(p) is JPoly
     assert isinstance(p.den, int) and p.den > 0
-    assert isinstance(p.nums, tuple) and all(isinstance(c, int) for c in p.nums)
-    assert not p.nums or p.nums[-1]
-    assert gcd(p.den, *p.nums) == 1
+    assert isinstance(p.nums, dict)
+    assert all(isinstance(k, int) and k >= 0 for k in p.nums)
+    assert all(isinstance(c, int) and c for c in p.nums.values())
+    assert gcd(p.den, *p.nums.values()) == 1
     rebuilt = JPoly(p.coeffs)
     assert (rebuilt.nums, rebuilt.den) == (p.nums, p.den)
 
@@ -244,15 +247,15 @@ def test_jpoly_equal_values_have_equal_layouts(a, b):
 def test_jpoly_layout_by_hand():
     # 1/2 + j/3: numerators 3 and 2 over the lcm 6
     p = JPoly((Fraction(1, 2), Fraction(1, 3)))
-    assert (p.nums, p.den) == ((3, 2), 6)
-    assert ((p * 6).nums, (p * 6).den) == ((3, 2), 1)
+    assert (p.nums, p.den) == ({0: 3, 1: 2}, 6)
+    assert ((p * 6).nums, (p * 6).den) == ({0: 3, 1: 2}, 1)
     q = p * Fraction(-2, 3)
-    assert (q.nums, q.den) == ((-3, -2), 9)
+    assert (q.nums, q.den) == ({0: -3, 1: -2}, 9)
     # a sum that cancels the top and the denominator
     r = p + JPoly((Fraction(1, 2), Fraction(-1, 3)))
-    assert (r.nums, r.den) == ((1,), 1)
-    assert ((p - p).nums, (p - p).den) == ((), 1)
-    # j (j - 1728), by the binomial theorem
+    assert (r.nums, r.den) == ({0: 1}, 1)
+    assert ((p - p).nums, (p - p).den) == ({}, 1)
+    # j (j - 1728), by the binomial theorem: no entry for the zero constant
     w = JPoly.j_power_form(1, 1)
-    assert (w.nums, w.den) == ((0, -1728, 1), 1)
+    assert (w.nums, w.den) == ({1: -1728, 2: 1}, 1)
     assert JPoly.j_power_form(2, 3) == JPoly((0, 1)) ** 2 * JPoly((-1728, 1)) ** 3

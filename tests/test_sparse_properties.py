@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mfal.alia import JPoly
 from mfal.loopext import Laurent
 from mfal.quasimodular import TAU, QuasiPoly, pack, unpack
 
@@ -26,6 +27,7 @@ coeffs = st.builds(Fraction, st.integers(-30, 30), st.sampled_from((1, 2, 3, 5, 
 small = st.tuples(*[st.integers(0, 3)] * 4, st.integers(-3, 3))
 quasis = st.dictionaries(small, coeffs, max_size=4).map(QuasiPoly)
 laurents = st.dictionaries(st.integers(-4, 4), coeffs, max_size=4).map(Laurent)
+jpolys = st.lists(coeffs, max_size=4).map(JPoly)
 #: a factor may be a scalar, which dot reads as a constant
 scalars = st.integers(-3, 3) | coeffs
 
@@ -84,7 +86,7 @@ def _fold(pairs):
 
 
 @examples
-@given(st.data(), st.sampled_from([(QuasiPoly, quasis), (Laurent, laurents)]))
+@given(st.data(), st.sampled_from([(QuasiPoly, quasis), (Laurent, laurents), (JPoly, jpolys)]))
 def test_dot_equals_the_sum_of_its_products(data, ring):
     cls, elements = ring
     factors = elements | scalars
@@ -98,6 +100,8 @@ def test_dot_equals_the_sum_of_its_products(data, ring):
 
 
 def test_dot_of_nothing_is_zero():
-    for cls in (QuasiPoly, Laurent):
-        zero = cls.dot([])
-        assert (zero.nums, zero.den) == ({}, 1)
+    for cls in (QuasiPoly, Laurent, JPoly):
+        # no pair, or only pairs with a zero factor, which set no denominator
+        for pairs in ([], [(cls.const(Fraction(1, 3)), 0), (cls(), cls.const(2))]):
+            zero = cls.dot(pairs)
+            assert (zero.nums, zero.den) == ({}, 1)
