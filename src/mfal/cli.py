@@ -44,6 +44,17 @@ def _parse_tau(text: str) -> complex:
     return tau
 
 
+def _positive_tolerance(text: str) -> float:
+    """argparse type: a finite float > 0."""
+    try:
+        tol = float(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"invalid tolerance {text!r}") from exc
+    if not (math.isfinite(tol) and tol > 0):
+        raise argparse.ArgumentTypeError(f"tolerance {text!r} is not finite and positive")
+    return tol
+
+
 def _named_form(args):
     """The form ``args.form`` at ``args.order``, or None after a one-line
     message when the name is unknown or names an odd weight F_k."""
@@ -237,7 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("form")
     p.add_argument("--tau", type=_parse_tau, required=True, help="point, e.g. 0.3+1.1i")
     p.add_argument("--check", choices=("S", "T", "none"), default="none")
-    p.add_argument("--tol", type=float, default=1e-8)
+    p.add_argument("--tol", type=_positive_tolerance, default=1e-8)
     p.set_defaults(fn=cmd_eval)
 
     p = sub.add_parser("verify", parents=[common],

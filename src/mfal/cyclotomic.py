@@ -1,172 +1,113 @@
 """The cyclotomic fields Q(zeta_n), n in {1, 3, 4, 5}, of the polyhedral pole
 sets in ``mfal.loopext``.
 
-A number keeps its coordinates in the power basis 1, zeta, ..., as int
-numerators over one denominator, the layout of every exact ring of the
-package; the field reduces products modulo the monic n-th cyclotomic
-polynomial, so every coordinate stays an int.
+A number is a ``sparse.Sparse`` whose int key is the power of zeta, below
+the field's degree, as ``loopext.Laurent`` is one in z and ``alia.JPoly``
+one in j.  A product is ``Sparse.dot`` reduced once modulo the monic n-th
+cyclotomic polynomial, so every coordinate stays an int.
 
-A zero operand costs nothing: a sum with zero returns the other operand and
-a product with zero returns the field's zero, both without arithmetic.  The
-field check comes first, so an element of another field still raises
-``ValueError`` when one side is zero.
+Each field is its own subclass of ``CycloNumber``, made once per n by
+``CycloField``, so Sparse's same-class test is the same-field test: numbers
+of two fields raise ``ValueError`` when added or multiplied, even when one
+of them is zero.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from math import gcd
 
-from .poly import Ring, lowest_terms, mul, numerators
+from .poly import numerators
+from .sparse import Sparse, _nonzero
 
-#: the n-th cyclotomic polynomial, lowest degree first and monic
-_CYCLOTOMIC = {
-    1: (-1, 1),             # x - 1
-    3: (1, 1, 1),           # x^2 + x + 1
-    4: (1, 0, 1),           # x^2 + 1
-    5: (1, 1, 1, 1, 1),     # x^4 + ... + 1
+#: n -> (the degree phi(n), {r: zeta^r as {power below the degree: int}}
+#: for each r from the degree up to n), read off the monic n-th cyclotomic
+#: polynomial, so every coordinate of a reduced product stays an int;
+#: zeta^n = 1 brings any power below n
+_FIELDS = {
+    1: (1, {}),                                         # x - 1: zeta = 1
+    3: (2, {2: {0: -1, 1: -1}}),                        # x^2 + x + 1
+    4: (2, {2: {0: -1}, 3: {1: -1}}),                   # x^2 + 1
+    5: (4, {4: {0: -1, 1: -1, 2: -1, 3: -1}}),          # x^4 + ... + x + 1
 }
 
 
-class CycloField:
-    """Q(zeta_n) as Q[x] modulo the n-th cyclotomic polynomial."""
+class CycloNumber(Sparse):
+    """An element of Q(zeta_n): ``nums`` maps each power of zeta below the
+    field's degree to its nonzero int numerator over ``den``.
 
-    def __init__(self, n: int):
-        if n not in _CYCLOTOMIC:
-            raise ValueError(f"unsupported cyclotomic order {n}")
-        self.n = n
-        self.modulus = _CYCLOTOMIC[n]
-        self.degree = len(self.modulus) - 1
-        self.zero = self.element([])
-        self.one = self.element([1])
-
-    def element(self, coeffs) -> "CycloNumber":
-        """sum c_i zeta^i for rationals c_i (int, Fraction or str); ints go
-        to ``_make`` as they are."""
-        cs = list(coeffs)
-        if all(type(c) is int for c in cs):
-            return self._make(cs, 1)
-        return self._make(*numerators(cs))
-
-    def _reduce(self, nums: list) -> list:
-        """The int list nums (any length) reduced in place modulo the monic
-        cyclotomic polynomial: one int per power of zeta below the degree."""
-        mod, deg = self.modulus, self.degree
-        while len(nums) > deg:
-            top = nums.pop()
-            if top:
-                for i in range(deg):
-                    nums[len(nums) - deg + i] -= top * mod[i]
-        nums += [0] * (deg - len(nums))
-        return nums
-
-    def _make(self, nums: list, den: int) -> "CycloNumber":
-        """The canonical number of the int list nums (any length) over den."""
-        return CycloNumber(self, *lowest_terms(tuple(self._reduce(nums)), den))
-
-    @property
-    def zeta(self):
-        if self.degree == 1:
-            return self.one  # zeta_1 = 1
-        return self.element([0, 1])
-
-    def rational(self, c):
-        return self.element([c])
-
-    def __repr__(self):
-        return f"CycloField(zeta_{self.n})"
-
-
-class CycloNumber(Ring):
-    """An element of a CycloField: int numerators over one denominator.
-
-    ``nums[i] / den`` is the coordinate at zeta^i, i < degree.  Every number
-    is canonical, den > 0 and gcd(den, *nums) == 1 (``poly.lowest_terms``),
-    so equal numbers have equal ``key`` = (nums, den), which hashes ints
-    (``loopext.RatFunc`` keys its poles by it).  ``coeffs`` reads the
-    coordinates as Fractions.
+    The class of a number is its field (``CycloField``), which carries
+    ``n``, ``degree``, ``high_powers``, ``zero``, ``one``, ``zeta`` and
+    ``rational`` (``Sparse.const``); ``x.field`` is that class.  ``key``,
+    the numerators as a frozenset of items and ``den``, is canonical and
+    hashable (``loopext.RatFunc`` keys its poles by it); ``coeffs`` reads
+    the coordinates as Fractions, one per power of zeta below the degree.
     """
 
-    __slots__ = ("field", "nums", "den")
+    __slots__ = ()
 
-    def __init__(self, field: CycloField, nums: tuple, den: int):
-        self.field, self.nums, self.den = field, nums, den
+    # rebound here so that wrapping this attribute (as the per-layer
+    # benchmark trace does) sees only field products
+    __mul__ = Sparse.__mul__
+
+    @classmethod
+    def element(cls, coeffs) -> "CycloNumber":
+        """sum c_i zeta^i for rationals c_i (int, Fraction or str), as many
+        as wanted: the field reduces them."""
+        nums, den = numerators(coeffs)
+        return cls._reduce(dict(enumerate(nums)), den)
+
+    @classmethod
+    def _reduce(cls, nums: dict, den: int) -> "CycloNumber":
+        """The canonical number nums / den for ``nums`` mapping any ints >= 0
+        to ints: each power of zeta is taken modulo n, and one from the
+        degree up is replaced by its coordinates."""
+        n, deg, high = cls.n, cls.degree, cls.high_powers
+        out = {}
+        for k, c in nums.items():
+            k %= n
+            if k < deg:
+                out[k] = out.get(k, 0) + c
+            else:
+                for i, m in high[k].items():
+                    out[i] = out.get(i, 0) + c * m
+        return cls._make(_nonzero(out), den)
+
+    @classmethod
+    def dot(cls, pairs):
+        """``Sparse.dot`` reduced modulo the cyclotomic polynomial."""
+        p = super().dot(pairs)
+        return cls._reduce(p.nums, p.den) if p.nums and max(p.nums) >= cls.degree else p
 
     @property
     def key(self) -> tuple:
-        return self.nums, self.den
+        return frozenset(self.nums.items()), self.den
 
     @property
     def coeffs(self) -> tuple:
-        return tuple(Fraction(c, self.den) for c in self.nums)
-
-    def __bool__(self) -> bool:
-        return any(self.nums)
-
-    def _check_field(self, other):
-        if other.field.n != self.field.n:  # zeta_3 and zeta_4 are both (0, 1)
-            raise ValueError(f"{other.field} element in {self.field} arithmetic")
-
-    def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = self.field.rational(other)
-        return (isinstance(other, CycloNumber) and self.field.n == other.field.n
-                and self.key == other.key)
-
-    def __add__(self, other):
-        if isinstance(other, CycloNumber):
-            self._check_field(other)
-        elif isinstance(other, (int, Fraction)):
-            other = self.field.rational(other)
-        else:
-            return NotImplemented
-        if not any(other.nums):
-            return self
-        if not any(self.nums):
-            return other
-        da, db = self.den, other.den
-        if da == db:
-            nums = tuple(a + b for a, b in zip(self.nums, other.nums))
-        else:
-            nums = tuple(a * db + b * da for a, b in zip(self.nums, other.nums))
-            da *= db
-        return CycloNumber(self.field, *lowest_terms(nums, da))
-
-    def __mul__(self, other):
-        if isinstance(other, CycloNumber):
-            self._check_field(other)
-            if not (any(self.nums) and any(other.nums)):
-                return self.field.zero
-            return self.field._make(mul(self.nums, other.nums, 0), self.den * other.den)
-        if not isinstance(other, (int, Fraction)):
-            return NotImplemented
-        if not (other and any(self.nums)):
-            return self.field.zero
-        p = other.numerator
-        return CycloNumber(self.field, *lowest_terms(tuple(a * p for a in self.nums),
-                                                     self.den * other.denominator))
+        get = self.nums.get
+        return tuple([Fraction(get(i, 0), self.den) for i in range(self.degree)])
 
     def inverse(self) -> "CycloNumber":
         """The product c of the other Galois conjugates sigma_k(x), zeta ->
-        zeta^k for k prime to n, over the norm x c, a rational.  On the
-        numerators a = x den: x^-1 = C den / N for C the conjugates of a
-        multiplied out and N = a C, both ints."""
+        zeta^k for k prime to n, over the norm x c, a rational.  The
+        conjugates are taken of the numerators, so c has den 1, and x c =
+        u / v gives x^-1 = c v / u."""
         if not self:
             raise ZeroDivisionError("inverse of zero field element")
-        field, n = self.field, self.field.n
-        conj = [1]
+        n, conj = self.n, None
         for k in range(2, n):
             if gcd(k, n) == 1:
-                image = [0] * n
-                for i, c in enumerate(self.nums):
-                    image[i * k % n] = c
-                conj = field._reduce(mul(conj, field._reduce(image), 0))
-        norm = field._reduce(mul(self.nums, conj, 0))[0]
-        return field._make([c * self.den for c in conj], norm)
+                image = self._reduce({i * k % n: c for i, c in self.nums.items()}, 1)
+                conj = image if conj is None else self.dot(((conj, image),))
+        if conj is None:  # Q(zeta_1) = Q
+            conj = self.one
+        norm = self.dot(((self, conj),))
+        return self._make({i: c * norm.den for i, c in conj.nums.items()}, norm.nums[0])
 
     def __repr__(self):
-        names = {1: "1", 3: "w", 4: "i", 5: "z"}
-        sym = names[self.field.n]
+        sym = {1: "1", 3: "w", 4: "i", 5: "z"}[self.n]
         parts = []
         for i, c in enumerate(self.coeffs):
             if c == 0:
@@ -177,3 +118,18 @@ class CycloNumber(Ring):
                 mono = sym if i == 1 else f"{sym}^{i}"
                 parts.append(mono if c == 1 else f"{c}*{mono}")
         return " + ".join(parts) if parts else "0"
+
+
+@cache
+def CycloField(n: int) -> type[CycloNumber]:
+    """Q(zeta_n) as Q[x] modulo the n-th cyclotomic polynomial: the one
+    ``CycloNumber`` subclass of the field, however often it is asked for."""
+    if n not in _FIELDS:
+        raise ValueError(f"unsupported cyclotomic order {n}")
+    degree, high_powers = _FIELDS[n]
+    field = type(f"Q(zeta_{n})", (CycloNumber,),
+                 {"__slots__": (), "n": n, "degree": degree, "high_powers": high_powers})
+    field.field, field.rational = field, field.const
+    field.zero, field.one = field._make({}, 1), field._make({0: 1}, 1)
+    field.zeta = field.element([0, 1])  # zeta_1 = 1
+    return field

@@ -1,8 +1,9 @@
 """Exact linear algebra over the package's coefficient rings.
 
 Entries may be ``Fraction`` or any ``mfal.poly.Ring`` (the ``sparse.Sparse``
-rings ``QuasiPoly``, ``loopext.Laurent`` and ``alia.JPoly``, ``CycloNumber``,
-``RatFunc``), or any other type with the same minimal protocol:
+rings ``QuasiPoly``, ``loopext.Laurent``, ``alia.JPoly`` and
+``cyclotomic.CycloNumber``, and ``RatFunc``), or any other type with the
+same minimal protocol:
 
 * ``+``, ``-`` and ``*`` between entries, and with the integers 0 and 1
   (``x * 0`` is the zero of x's ring, ``x * 0 + 1`` its one);
@@ -25,7 +26,8 @@ A ring with a fused ``dot`` (``sparse.Sparse.dot``) sums the products of
 each dot product in one call that makes one canonical element, and skips
 the pairs with a zero factor itself: each entry of a matrix product is one
 such dot of a row and a column, and so is each dot product of Berkowitz's
-algorithm.  Any other ring adds its products one by one.
+algorithm.  Any other ring (int, Fraction and complex entries, RatFunc)
+adds its products one by one.
 
 Determinants and adjugates use Berkowitz's algorithm (S. J. Berkowitz,
 Inf. Process. Lett. 18, 1984): O(n^4) ring operations and no division,
@@ -173,8 +175,9 @@ class Matrix:
 
     def kron(self, other) -> "Matrix":
         """Kronecker product; every product of entries is formed, so a zero
-        factor costs what the ring's ``*`` makes it cost (``CycloNumber``
-        returns its zero at once, cheaper than a zero test per pair here)."""
+        factor costs what the ring's ``*`` makes it cost (a ``sparse.Sparse``
+        ring, ``CycloNumber`` say, returns its zero factor at once, cheaper
+        than a zero test per pair here)."""
         return type(self)(
             [[a * b for a in ra for b in rb] for ra in self.rows for rb in other.rows]
         )

@@ -28,12 +28,12 @@ class PoleAtEvaluationPoint(ValueError):
 # rational functions over a cyclotomic field, in partial fractions
 # ----------------------------------------------------------------------
 
-def _num(field: CycloField, x) -> CycloNumber:
+def _num(field: type[CycloNumber], x) -> CycloNumber:
     return x if isinstance(x, CycloNumber) else field.rational(x)
 
 
 class RatFunc(Ring):
-    """A rational function over a CycloField as its partial fractions.
+    """A rational function over a ``CycloField`` as its partial fractions.
 
     f = P(t) + sum_a sum_k c_(a,k) (t - a)^(-k).  ``poly`` lists P's
     coefficients, lowest degree first; ``parts`` maps the ``key`` of each
@@ -44,7 +44,7 @@ class RatFunc(Ring):
 
     __slots__ = ("field", "poly", "parts")
 
-    def __init__(self, field: CycloField, poly, parts=None):
+    def __init__(self, field: type[CycloNumber], poly, parts=None):
         # the lists passed in are trimmed in place and never changed afterwards
         self.field = field
         self.poly = trim(poly)
@@ -367,7 +367,7 @@ class EvaluationRep:
     ev(x (x) f) = sum_i Id (x) ... (x) psi_i(x) f(a_i) (x) ... (x) Id.
     """
 
-    def __init__(self, field: CycloField, points, rep_sizes):
+    def __init__(self, field: type[CycloNumber], points, rep_sizes):
         self.field = field
         self.points = [
             p if isinstance(p, CycloNumber) else field.rational(p) for p in points

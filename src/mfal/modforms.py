@@ -5,7 +5,8 @@ written in the nome exp(pi*i*tau) (theta constants, lambda) live here with
 half/quarter/eighth-integral exponents so that a single exponent lattice
 serves the whole package.  The identities between these forms that
 `mfal verify` certifies are declared once each, as rows of the identity
-table `mfal.checks.IDENTITIES`.
+table `IDENTITIES` of the suite's module `mfal.checks_<suite>`, which
+`mfal.checks.load` gathers into `mfal.checks.IDENTITIES`.
 """
 
 from __future__ import annotations

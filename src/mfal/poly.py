@@ -2,18 +2,18 @@
 
 Two shapes share it:
 
-* dense: a list (or tuple) of coefficients, lowest degree first, used by
-  ``CycloNumber`` (int numerators over one denominator) and ``RatFunc``
-  (CycloNumbers); ``trim`` drops trailing zeros;
+* dense: a list of coefficients, lowest degree first, used by the
+  polynomial and principal parts of ``RatFunc`` (CycloNumbers); ``trim``
+  drops trailing zeros;
 * sparse: a dict exponent -> nonzero coefficient, used by bracket vectors
   and by ``mfal.sparse.Sparse``, the one polynomial ring over Q behind
-  ``QuasiPoly``, ``loopext.Laurent`` and ``alia.JPoly``; ``add_term`` drops
-  every entry that cancels.
+  ``QuasiPoly``, ``loopext.Laurent``, ``alia.JPoly`` and
+  ``cyclotomic.CycloNumber``; ``add_term`` drops every entry that cancels.
 
 Every exact ring over Q keeps int numerators over one denominator:
-``QSeries``, ``Sparse`` and ``CycloNumber`` read rational input
-into that layout through ``numerators`` and build each result through
-``lowest_terms``, its one canonical step.
+``QSeries`` and ``Sparse`` read rational input into that layout through
+``numerators`` and build each result through ``lowest_terms``, its one
+canonical step.
 
 ``power`` is the one repeated-squaring loop of the package, ``_to_frac``
 reads one exact rational as a Fraction, and ``Ring`` writes the protocol's

@@ -1,13 +1,15 @@
 """``Sparse``, the one polynomial ring over Q, and its fused ``dot``.
 
 A polynomial maps int exponents to int numerators over one denominator.
-``loopext.Laurent`` reads the exponent as the power of z and ``alia.JPoly``
-as the power of j; ``QuasiPoly`` (``mfal.quasimodular``) packs its five
-exponents into one int, so in every ring the exponent of a product of
-monomials is one int addition.
+``loopext.Laurent`` reads the exponent as the power of z, ``alia.JPoly`` as
+the power of j and ``cyclotomic.CycloNumber`` as the power of zeta, which
+its ``dot`` reduces below the field's degree; ``QuasiPoly``
+(``mfal.quasimodular``) packs its five exponents into one int, so in every
+ring the exponent of a product of monomials is one int addition.
 
-Only ``quasimodular``, ``loopext`` and ``alia`` import this module: a
-process that builds no polynomial (``mfal expand``) does not compile it.
+Only ``quasimodular``, ``cyclotomic``, ``loopext`` and ``alia`` import this
+module: a process that builds no polynomial (``mfal expand``) does not
+compile it.
 """
 
 from __future__ import annotations
@@ -29,12 +31,16 @@ class Sparse(Ring):
     ``numerators``, copying the dict and dropping its zeros; ``_make`` keeps
     canonical int numerators as they are, not copied: no polynomial mutates
     its dict.  The constants sit at exponent 0.  A polynomial equals a
-    scalar that is its constant, and never one of another subclass.
+    scalar that is its constant, and never one of another subclass.  The
+    scalars are ints and Fractions: ``+`` and ``*`` raise ``ValueError``
+    on an element of another subclass and return NotImplemented on any
+    other operand.
 
     ``dot`` is the fused multiply-accumulate: a sum of products pays one
-    canonical step, not one per product and one per partial sum.  ``*`` is
-    the ``dot`` of one pair, so a subclass that overrides ``dot`` sees every
-    product.
+    canonical step, not one per product and one per partial sum.  ``*`` of
+    two nonzero polynomials is the ``dot`` of one pair, so a subclass that
+    overrides ``dot`` sees every product; a zero factor, like a zero scaled
+    by ``scale``, is returned as it is.
     """
 
     __slots__ = ("nums", "den")
@@ -54,8 +60,8 @@ class Sparse(Ring):
 
     @classmethod
     def const(cls, c):
-        (n,), den = numerators((c,))
-        return cls._make({0: n} if n else {}, den)
+        """The constant c, an int or a Fraction."""
+        return cls._make({0: c.numerator} if c else {}, c.denominator)
 
     @property
     def terms(self) -> dict:
@@ -71,6 +77,8 @@ class Sparse(Ring):
 
     def __add__(self, other):
         if type(other) is not type(self):
+            if not isinstance(other, (int, Fraction)):
+                return self._foreign(other)
             other = self.const(other)
         a, b, da, db = self.nums, other.nums, self.den, other.den
         if not b:
@@ -90,9 +98,22 @@ class Sparse(Ring):
         return self._make(out, da)
 
     def __mul__(self, other):
-        if type(other) is not type(self):
+        if type(other) is type(self):
+            if not (self.nums and other.nums):
+                return other if self.nums else self
+            return self.dot(((self, other),))
+        if isinstance(other, (int, Fraction)):
             return self.scale(other)
-        return self.dot(((self, other),))
+        return self._foreign(other)
+
+    def _foreign(self, other):
+        """NotImplemented for an operand of another ring, so that Python tries
+        its reflected operation (``c - f`` reaches ``loopext.RatFunc``); an
+        element of another subclass, a number of another cyclotomic field
+        say, raises ``ValueError``, even when one side is zero."""
+        if isinstance(other, Sparse):
+            raise ValueError(f"{type(other).__name__} element in {type(self).__name__} arithmetic")
+        return NotImplemented
 
     @classmethod
     def dot(cls, pairs):
@@ -129,8 +150,14 @@ class Sparse(Ring):
         return cls._make(_nonzero(out), den or 1)
 
     def scale(self, c):
-        (n,), den = numerators((c,))
-        return self._make({k: n * v for k, v in self.nums.items()} if n else {}, self.den * den)
+        """self times the int or Fraction c; a zero polynomial is returned as
+        it is."""
+        if not self.nums:
+            return self
+        if not c:
+            return self._make({}, 1)
+        n = c.numerator  # an int is its own numerator over 1
+        return self._make({k: n * v for k, v in self.nums.items()}, self.den * c.denominator)
 
 
 def _nonzero(out: dict) -> dict:

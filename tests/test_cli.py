@@ -142,6 +142,15 @@ def test_eval_refuses_a_tau_that_is_not_finite(capsys, tau):
     assert "is not finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("tol", ["nan", "inf", "-0.5", "0", "junk"])
+def test_eval_refuses_a_tolerance_that_is_not_finite_and_positive(capsys, tol):
+    # a nan tolerance let a 5.5e-02 residual of the S law exit 0
+    with pytest.raises(SystemExit) as exc:
+        main(["eval", "E4", "--tau", "0.01+0.02i", "--check", "S", "--tol", tol])
+    assert exc.value.code == 2
+    assert "argument --tol" in capsys.readouterr().err
+
+
 def test_eval_tolerance_exceeded_exits_1(capsys):
     code, _, err = run(capsys, "eval", "E4", "--tau", "0.3+1.1i", "--check", "S",
                        "--order", "48", "--tol", "1e-30")

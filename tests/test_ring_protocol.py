@@ -22,6 +22,7 @@ import mfal
 from mfal.alia import JPoly
 from mfal.loopext import CycloField, CycloNumber, Laurent, RatFunc, pole_preset
 from mfal.poly import Ring
+from mfal.sparse import Sparse
 from mfal.qseries import QSeries
 from mfal.quasimodular import QuasiPoly
 
@@ -253,3 +254,11 @@ def test_ring_elements_have_no_instance_dict():
     for x in (QSeries.zero(4), QuasiPoly(), JPoly(), CycloField(3).one,
               RatFunc(CycloField(1), []), Laurent({})):
         assert not hasattr(x, "__dict__"), type(x)
+
+
+def test_every_polynomial_ring_over_q_is_sparse():
+    # one polynomial kernel over Q: a ring with its own copy of the
+    # int-numerators-over-one-denominator arithmetic fails here
+    for cls in (QuasiPoly, JPoly, Laurent, *(CycloField(n) for n in (1, 3, 4, 5))):
+        assert issubclass(cls, Sparse), cls
+        assert cls.__add__ is Sparse.__add__ and cls.__eq__ is Sparse.__eq__, cls

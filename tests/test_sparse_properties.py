@@ -4,8 +4,9 @@ A QuasiPoly key is the one int s * 2^64 + t * 2^48 + p * 2^32 + q * 2^16 + r
 with 0 <= t, p, q, r < 2^15, so a product adds keys and no field carries
 into the next; a product whose tau, P, Q or R exponent would reach 2^15
 raises ``OverflowError``.  ``Sparse.dot`` sums products with one canonical
-step and must equal the sum of the products taken one at a time.
-hypothesis is a test-only dependency.
+step and must equal the sum of the products taken one at a time, in every
+ring built on it, each cyclotomic field included, where it also reduces the
+sum modulo the cyclotomic polynomial.  hypothesis is a test-only dependency.
 """
 
 from fractions import Fraction
@@ -15,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mfal.alia import JPoly
-from mfal.loopext import Laurent
+from mfal.loopext import CycloField, Laurent
 from mfal.quasimodular import TAU, QuasiPoly, pack, unpack
 
 examples = settings(max_examples=150, deadline=None)
@@ -28,6 +29,10 @@ small = st.tuples(*[st.integers(0, 3)] * 4, st.integers(-3, 3))
 quasis = st.dictionaries(small, coeffs, max_size=4).map(QuasiPoly)
 laurents = st.dictionaries(st.integers(-4, 4), coeffs, max_size=4).map(Laurent)
 jpolys = st.lists(coeffs, max_size=4).map(JPoly)
+#: every ring on Sparse, with its elements
+RINGS = [(QuasiPoly, quasis), (Laurent, laurents), (JPoly, jpolys)] + [
+    (field, st.lists(coeffs, max_size=field.degree).map(field.element))
+    for field in map(CycloField, (1, 3, 4, 5))]
 #: a factor may be a scalar, which dot reads as a constant
 scalars = st.integers(-3, 3) | coeffs
 
@@ -86,7 +91,7 @@ def _fold(pairs):
 
 
 @examples
-@given(st.data(), st.sampled_from([(QuasiPoly, quasis), (Laurent, laurents), (JPoly, jpolys)]))
+@given(st.data(), st.sampled_from(RINGS))
 def test_dot_equals_the_sum_of_its_products(data, ring):
     cls, elements = ring
     factors = elements | scalars
@@ -100,7 +105,7 @@ def test_dot_equals_the_sum_of_its_products(data, ring):
 
 
 def test_dot_of_nothing_is_zero():
-    for cls in (QuasiPoly, Laurent, JPoly):
+    for cls, _ in RINGS:
         # no pair, or only pairs with a zero factor, which set no denominator
         for pairs in ([], [(cls.const(Fraction(1, 3)), 0), (cls(), cls.const(2))]):
             zero = cls.dot(pairs)
