@@ -22,7 +22,7 @@ def _scalar_oracle(order):
     """
     computed = {}
     for key in liealg.ORBIT_LABELS:
-        cocycles = alia.CocyclePair(liealg.graded_triple(*key))
+        cocycles = alia.alia_table(*key).cocycles
         grading = cocycles.triple.grading
         exponents = {}
         for (alpha, beta), w4 in cocycles.w4.items():

@@ -246,7 +246,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", parents=[common],
                        help="evaluate a form numerically, optionally checking S or T")
     p.add_argument("form")
-    p.add_argument("--tau", type=_parse_tau, required=True, help="point, e.g. 0.3+1.1i")
+    p.add_argument("--tau", type=_parse_tau, required=True,
+                   help="point, e.g. 0.3+1.1i; write one with a leading minus as --tau=-0.5+1i")
     p.add_argument("--check", choices=("S", "T", "none"), default="none")
     p.add_argument("--tol", type=_positive_tolerance, default=1e-8)
     p.set_defaults(fn=cmd_eval)

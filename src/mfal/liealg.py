@@ -17,7 +17,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from .linalg import Matrix, solve
+from .linalg import Matrix, dot, solve
 from .poly import add_term
 
 
@@ -189,9 +189,31 @@ class BracketTable:
         return not any(self.jacobiator(*t) for t in itertools.combinations(range(self.dim), 3))
 
     def killing(self):
-        """Matrix of tr(ad x ad y) over the basis, entries in the table's ring."""
+        """Matrix of tr(ad x_a ad x_b) over the basis x_0..x_(dim-1).
+
+        Column k of ad x_a is the stored bracket [x_a, x_k], so entry (a, b)
+        is one dot product of the (i, k) entries of ad x_a with the (k, i)
+        entries of ad x_b, over the pairs where both are nonzero.  It starts
+        from the zero of the coefficients' ring (the int 0 when every bracket
+        is zero), so the entries lie in that ring: ints for a Chevalley table.
+        """
         if self._killing is None:
-            self._killing = killing_matrix(self.bracket, self.dim)
+            dim = self.dim
+            # ad[a][k] is [x_a, x_k]; its coefficient at i is the (i, k) entry of ad x_a
+            ad = [[self.bracket_indices(a, k) for k in range(dim)] for a in range(dim)]
+            zero = next((c * 0 for row in ad for img in row for c in img.values()), 0)
+            km = [[zero] * dim for _ in range(dim)]
+            for a in range(dim):
+                for b in range(a, dim):
+                    xs, ys = [], []
+                    for k, img in enumerate(ad[a]):
+                        for i, c in img.items():
+                            d = ad[b][i].get(k)
+                            if d:
+                                xs.append(c)
+                                ys.append(d)
+                    km[a][b] = km[b][a] = dot(xs, ys, zero)
+            self._killing = km
         return self._killing
 
     def killing_form(self, x: dict, y: dict):
@@ -252,30 +274,6 @@ class ChevalleyStructure(BracketTable):
                 if acc:
                     table[(i, j)] = acc
         return table
-
-
-def killing_matrix(bracket, dim: int):
-    """tr(ad x_a ad x_b) over a basis x_0..x_(dim-1).
-
-    ``bracket`` takes and returns vectors as index -> coefficient dicts.
-    Every sum starts from the zero of the coefficients' ring (the int 0 when
-    the brackets are all zero), so the entries lie in that ring: ints for a
-    Chevalley table.
-    """
-    # ad[a][k] is [x_a, x_k]; its coefficient at i is the (i, k) entry of ad x_a
-    ad = [[bracket({a: 1}, {k: 1}) for k in range(dim)] for a in range(dim)]
-    zero = next((c * 0 for row in ad for img in row for c in img.values()), 0)
-    km = [[zero] * dim for _ in range(dim)]
-    for a in range(dim):
-        for b in range(a, dim):
-            t = zero
-            for k, img in enumerate(ad[a]):
-                for i, c in img.items():
-                    d = ad[b][i].get(k)
-                    if d:
-                        t = t + c * d
-            km[a][b] = km[b][a] = t
-    return km
 
 
 def _carter_constants(rs: RootSystem):
@@ -470,11 +468,17 @@ class GradedTriple:
         return he == twice_e and hf == minus2f and ef == self.h_vector
 
 
+_TRIPLE_CACHE: dict[tuple, GradedTriple] = {}
+
+
 def graded_triple(type_label: str, orbit: str) -> GradedTriple:
+    """The triple of an orbit, built once per process: its readers only read it."""
     key = (type_label, orbit)
     if key not in ORBIT_LABELS:
         raise ValueError(f"unknown orbit {type_label}:{orbit}")
-    return GradedTriple(type_label, ORBIT_LABELS[key])
+    if key not in _TRIPLE_CACHE:
+        _TRIPLE_CACHE[key] = GradedTriple(type_label, ORBIT_LABELS[key])
+    return _TRIPLE_CACHE[key]
 
 
 def _small_coefficient_vectors(n: int):

@@ -32,6 +32,9 @@ adds its products one by one.
 Determinants and adjugates use Berkowitz's algorithm (S. J. Berkowitz,
 Inf. Process. Lett. 18, 1984): O(n^4) ring operations and no division,
 which matters because Q[tau, P, Q, R, s, 1/s] has no exact division.
+``det`` pays that per diagonal block of the matrix's support graph: a
+Killing matrix, say, is the Cartan block and one 2x2 block per pair of roots
++-a, up to a simultaneous permutation of rows and columns.
 Polynomials over the same rings use the one kernel ``mfal.poly``.
 """
 
@@ -218,7 +221,28 @@ class Matrix:
         return coeffs
 
     def det(self):
-        return _det(self.charpoly())
+        """The product of the Berkowitz determinants of the diagonal blocks.
+
+        The blocks are the connected components of the graph with an edge
+        i ~ j when a_ij or a_ji is nonzero: permuting rows and columns alike
+        keeps the determinant and takes A to the direct sum of its blocks.
+        The search makes at most n^2 zero tests, and n - 1 on a dense matrix,
+        which is one block and takes Berkowitz's algorithm whole.
+        """
+        a, d = self.rows, None
+        left = set(range(len(a)))
+        while left:
+            block = [left.pop()]
+            for i in block:  # a breadth-first search: block grows as it is read
+                near = [j for j in left if a[i][j] or a[j][i]]
+                left.difference_update(near)
+                block += near
+            if len(block) == len(a):
+                break
+            # the block in the order found: a simultaneous permutation of it
+            b = _det(type(self)([[a[i][j] for j in block] for i in block]).charpoly())
+            d = b if d is None else d * b
+        return _det(self.charpoly()) if d is None else d
 
     def det_adjugate(self):
         """(det A, adj A) from one characteristic polynomial.

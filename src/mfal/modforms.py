@@ -158,17 +158,27 @@ def level_one_monomial(ell: int, n4: int, n6: int, order=DEFAULT_ORDER) -> QSeri
     """Delta^ell E4^n4 E6^n6 from the stored factors, valid below `order`.
 
     The product is kept in the form store under its own name, so each
-    (ell, n4, n6) is built once per deepest depth and cut below it.
+    (ell, n4, n6) is built once per deepest depth and cut below it.  For
+    ell < 0 it is a power of 1/Delta, which the store keeps too: Delta built
+    at depth D has inverse valid below D - 2, so the inverse is asked for
+    there, with the relative precision D - 1 of Delta.
     """
 
     def build(name, order):
         deep = depth(order, (0, n4), (0, n6), (1, ell))
         series = named_form("E4", deep).series ** n4 * named_form("E6", deep).series ** n6
-        if ell:
+        if ell > 0:
             series = series * named_form("Delta", deep).series ** ell
+        elif ell:
+            series = series * _stored("1/Delta", deep - 2, _inverse_delta).series ** -ell
         return NamedForm(name, 12 * ell + 4 * n4 + 6 * n6, "Gamma(1)", series.truncate(order))
 
     return _stored(f"Delta^{ell}*E4^{n4}*E6^{n6}", order, build).series
+
+
+def _inverse_delta(name, order) -> NamedForm:
+    """1/Delta valid below `order`, from Delta valid below order + 2."""
+    return NamedForm(name, -12, "Gamma(1)", named_form("Delta", order + 2).series.inverse())
 
 
 def j_invariant(order=DEFAULT_ORDER) -> NamedForm:

@@ -2,8 +2,8 @@
 
 ``SymRep`` holds the standard triple (h, e, f) on Sym^n as int matrices,
 ``sym_power_matrix`` is Sym^n of a 2x2 matrix over any ring and
-``exp_nilpotent`` the finite exponential of a nilpotent matrix: the pieces
-of Phi_n (``mfal.vvmf``) and of the evaluation representations
+``unipotents`` the exponentials exp(s E) and exp(t F) in closed form: the
+pieces of Phi_n (``mfal.vvmf``) and of the evaluation representations
 (``mfal.loopext``).  The module imports no other mfal module; the root
 systems and Chevalley tables are ``mfal.liealg``.
 """
@@ -11,11 +11,7 @@ systems and Chevalley tables are ``mfal.liealg``.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, factorial
-
-
-class NotNilpotent(ValueError):
-    """Polynomial matrix exponential of a non-nilpotent argument."""
+from math import comb
 
 
 class SymRep:
@@ -74,23 +70,22 @@ def sym_power_matrix(n: int, entries):
     return [[zero if x is None else x for x in row] for row in rows]
 
 
-def exp_nilpotent(matrix, scalar):
-    """Finite exponential sum of scalar*matrix for a nilpotent
-    ``mfal.linalg.Matrix``; the result has matrix's class.
+def unipotents(n: int, s, t):
+    """(exp(s E), exp(t F)) on Sym^n, as lists of rows over the ring of s and t.
 
-    The powers of matrix are taken in its own ring, starting from matrix
-    itself, and each is scaled once by scalar^k / k!: an int matrix (as
-    ``SymRep`` gives) costs int matrix products, and the ring of scalar
-    (any ring of the ``mfal.linalg`` protocol) one scale per power.
+    They are Sym^n of [[1, s], [0, 1]] and [[1, 0], [t, 1]], in closed form:
+    exp(s E) has C(n-i, k) s^k at (i, i+k) and exp(t F) has C(i+k, k) t^k at
+    (i+k, i), so each costs n - 1 products for the powers and one scaling by
+    an int per entry on or above the diagonal, with no matrix power.  exp(t F)
+    is exp(t E) with the basis reversed, i -> n - i.
     """
-    n = matrix.size
-    result = type(matrix).identity(n, scalar * 0 + 1)
-    power, scalar_power = matrix, scalar
-    for k in range(1, n + 1):
-        if power.is_zero():
-            return result
-        result = result + power.scale(scalar_power * Fraction(1, factorial(k)))
-        power, scalar_power = power * matrix, scalar_power * scalar
-    if not power.is_zero():
-        raise NotNilpotent("matrix is not nilpotent of index <= size")
-    return result
+
+    def upper(x):
+        zero = x * 0
+        powers = [zero + 1, x]
+        for _ in range(n - 1):
+            powers.append(powers[-1] * x)
+        return [[powers[j - i] * comb(n - i, j - i) if j >= i else zero for j in range(n + 1)]
+                for i in range(n + 1)]
+
+    return upper(s), [row[::-1] for row in reversed(upper(t))]

@@ -122,8 +122,10 @@ class Sparse(Ring):
         The products are summed into one dict of numerators over the lcm
         of their denominators; a factor that is not of this class is read
         as a constant.  The first nonzero product sets the denominator.
+        When every pair has a zero factor, a zero factor is the sum, with
+        no canonical step.
         """
-        out, den = {}, 0
+        out, den, zero = {}, 0, None
         get = out.get
         for x, y in pairs:
             if type(x) is not cls:
@@ -132,6 +134,7 @@ class Sparse(Ring):
                 y = cls.const(y)
             xs, ys = x.nums, y.nums
             if not (xs and ys):
+                zero = y if xs else x
                 continue
             d = x.den * y.den
             if not den:
@@ -147,7 +150,9 @@ class Sparse(Ring):
                 for kb, cb in ys.items():
                     k = ka + kb
                     out[k] = get(k, 0) + ca * cb
-        return cls._make(_nonzero(out), den or 1)
+        if not den:
+            return cls._make({}, 1) if zero is None else zero
+        return cls._make(_nonzero(out), den)
 
     def scale(self, c):
         """self times the int or Fraction c; a zero polynomial is returned as

@@ -1,7 +1,8 @@
 """The intertwining operator Phi_n and Hilbert series of its module.
 
 Phi_n = exp(tau*E) exp((2*pi*i*E2/12) F) as an exact matrix over the
-quasimodular ring; the d(tau)^{k/2} grading factor never enters the matrix,
+quasimodular ring, its two triangular factors written in closed form by
+``sl2.unipotents``; the d(tau)^{k/2} grading factor never enters the matrix,
 it is carried as a per-column weight and turned into (c*tau+d)^{-k} factors
 in numeric checks.
 """
@@ -26,9 +27,7 @@ class PhiOperator:
         tau = QuasiPoly.var("tau")
         # y = 2*pi*i*E2/12 = P/(12 s)
         y = QuasiPoly.monomial((0, 1, 0, 0, -1), Fraction(1, 12))
-        # the powers of E and F are int matrices; each is scaled once
-        self.factors = tuple(QuasiMatrix(sl2.exp_nilpotent(Matrix(gen), c).rows)
-                             for gen, c in ((rep.e, tau), (rep.f, y)))
+        self.factors = tuple(map(QuasiMatrix, sl2.unipotents(n, tau, y)))
         self.weights = rep.weights()
 
     @cached_property

@@ -151,6 +151,23 @@ def test_eval_refuses_a_tolerance_that_is_not_finite_and_positive(capsys, tol):
     assert "argument --tol" in capsys.readouterr().err
 
 
+def test_eval_reads_a_tau_with_a_leading_minus_after_an_equals_sign(capsys):
+    # argparse takes "-0.5+1i" after a space for an option, and the help
+    # names the --tau=... spelling
+    with pytest.raises(SystemExit) as exc:
+        main(["eval", "E4", "--tau", "-0.5+1i"])
+    assert exc.value.code == 2
+    assert "expected one argument" in capsys.readouterr().err
+    code, out, _ = run(capsys, "eval", "E4", "--tau=-0.5+1i", "--order", "48")
+    assert code == 0
+    assert out.startswith("E4((-0.5+1j)) = ")
+    code, out, _ = run(capsys, "eval", "E4", "--tau=-0.5+1i", "--check", "S", "--order", "48")
+    assert code == 0 and "tau^4" in out
+    with pytest.raises(SystemExit):
+        main(["eval", "--help"])
+    assert "--tau=-0.5+1i" in capsys.readouterr().out
+
+
 def test_eval_tolerance_exceeded_exits_1(capsys):
     code, _, err = run(capsys, "eval", "E4", "--tau", "0.3+1.1i", "--check", "S",
                        "--order", "48", "--tol", "1e-30")

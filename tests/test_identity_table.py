@@ -175,19 +175,20 @@ def test_killing_associativity_fails_on_a_changed_entry(monkeypatch, i, j):
     (lambda n: (0, n), "exp(y F) is lower unitriangular on Sym^{n}"),
 ])
 def test_phi_det_fails_on_an_entry_across_the_diagonal(monkeypatch, corner, name):
-    exp_nilpotent = sl2.exp_nilpotent
+    unipotents = sl2.unipotents
 
-    def with_corner(matrix, scalar):
-        out = exp_nilpotent(matrix, scalar)
-        i, j = corner(matrix.size - 1)
+    def with_corner(n, s, t):
+        factors = unipotents(n, s, t)
+        i, j = corner(n)
         if i != j:  # Sym^0 has no off-diagonal entry
-            out.rows[i][j] = out.rows[i][j] + 1
-        return out
+            for rows in factors:
+                rows[i][j] = rows[i][j] + 1
+        return factors
 
     # Phi_n is built once per process: the broken one is built fresh here
     # and does not outlive this test
     monkeypatch.setattr(vvmf, "_PHI_CACHE", {})
-    monkeypatch.setattr(sl2, "exp_nilpotent", with_corner)
+    monkeypatch.setattr(sl2, "unipotents", with_corner)
     assert _failed("vvmf.phi_det") == [name.format(n=n) for n in range(1, 11)]
 
 

@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -167,30 +168,35 @@ def test_sym_rep_nilpotency_index():
 
 
 def test_exp_nilpotent_tau():
-    rep = sl2.SymRep(1)
-    e_mat = QuasiMatrix([[QuasiPoly.const(c) for c in row] for row in rep.e])
     tau = QuasiPoly.var("tau")
-    result = sl2.exp_nilpotent(e_mat, tau)
-    assert result[0, 0] == QuasiPoly.const(1)
-    assert result[0, 1] == tau
-    assert result[1, 0].is_zero()
+    upper, lower = sl2.unipotents(1, tau, tau)
+    assert upper == [[QuasiPoly.const(1), tau], [QuasiPoly(), QuasiPoly.const(1)]]
+    assert lower == [[QuasiPoly.const(1), QuasiPoly()], [tau, QuasiPoly.const(1)]]
+    assert all(type(x) is QuasiPoly for rows in (upper, lower) for row in rows for x in row)
 
 
-@pytest.mark.parametrize("n", range(7))
+def _exponential_sum(gen, t):
+    """sum_k (t gen)^k / k! for a nilpotent int matrix, by its matrix powers:
+    the reference the closed form replaced."""
+    m = Matrix(gen)
+    total, power, k = Matrix.identity(m.size, t * 0 + 1), m, 1
+    while not power.is_zero():
+        total = total + power.scale(t ** k * Fraction(1, math.factorial(k)))
+        power, k = power * m, k + 1
+    return total.rows
+
+
+@pytest.mark.parametrize("n", range(11))
 def test_exp_nilpotent_over_fractions_is_sym_power(n):
-    """exp(t E) and exp(t F) on Sym^n are Sym^n of the 2x2 unipotents."""
-    t, one, zero = Fraction(3, 2), Fraction(1), Fraction(0)
+    """exp(t E) and exp(t F) on Sym^n in closed form are Sym^n of the 2x2
+    unipotents, and the finite exponential sums of t E and t F."""
     rep = sl2.SymRep(n)
-    for gen, base in ((rep.e, ((one, t), (zero, one))), (rep.f, ((one, zero), (t, one)))):
-        exp = sl2.exp_nilpotent(Matrix(gen), t)
-        assert type(exp) is Matrix
-        assert exp == Matrix(sl2.sym_power_matrix(n, base))
-
-
-def test_exp_nilpotent_rejects_non_nilpotent():
-    m = QuasiMatrix.identity(2)
-    with pytest.raises(sl2.NotNilpotent):
-        sl2.exp_nilpotent(m, QuasiPoly.var("tau"))
+    for t in (Fraction(3, 2), QuasiPoly.var("tau")):
+        one, zero = t * 0 + 1, t * 0
+        upper, lower = sl2.unipotents(n, t, t)
+        assert upper == sl2.sym_power_matrix(n, ((one, t), (zero, one)))
+        assert lower == sl2.sym_power_matrix(n, ((one, zero), (t, one)))
+        assert (upper, lower) == (_exponential_sum(rep.e, t), _exponential_sum(rep.f, t))
 
 
 def test_sym_power_right_column():

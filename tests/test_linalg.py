@@ -15,8 +15,8 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mfal import liealg, vvmf
-from mfal.linalg import Matrix, rank, rref, solve
+from mfal import alia, liealg, vvmf
+from mfal.linalg import Matrix, _det, rank, rref, solve
 from mfal.quasimodular import QuasiMatrix, QuasiPoly
 
 
@@ -64,6 +64,65 @@ def test_adjugate_identity(rows):
     det, adj = m.det_adjugate()
     det_identity = Matrix.identity(m.size, Fraction(1)).scale(det)
     assert m * adj == det_identity and adj * m == det_identity
+
+
+# entries that are zero half the time, so supports fall apart into blocks
+sparse_entries = st.one_of(st.just(Fraction(0)), rationals)
+
+
+@st.composite
+def permuted_blocks(draw):
+    """A direct sum of square blocks with random zero patterns, its rows and
+    columns permuted alike: a matrix whose support graph has components."""
+    sizes = draw(st.lists(st.integers(1, 3), min_size=1, max_size=4))
+    n = sum(sizes)
+    rows = [[Fraction(0)] * n for _ in range(n)]
+    start = 0
+    for k in sizes:
+        for i in range(start, start + k):
+            for j in range(start, start + k):
+                rows[i][j] = draw(sparse_entries)
+        start += k
+    perm = draw(st.permutations(range(n)))
+    return [[rows[pi][pj] for pj in perm] for pi in perm]
+
+
+def dense(entries):
+    return st.integers(1, 6).flatmap(
+        lambda n: st.lists(st.lists(entries, min_size=n, max_size=n), min_size=n, max_size=n))
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.one_of(permuted_blocks(), dense(rationals), dense(sparse_entries)))
+def test_det_by_blocks_is_the_determinant_of_the_whole_matrix(rows):
+    m = Matrix(rows)
+    det = m.det()
+    assert det == _det(m.charpoly())
+    assert det == Fraction(str(to_sympy(rows).det()))
+
+
+def test_det_by_blocks_on_the_killing_matrices_and_phi(monkeypatch):
+    """The six alia Killing matrices over Q[j] fall apart into the Cartan
+    block and one 2x2 block per pair of roots +-a; Phi_n is one block."""
+    blocks = []
+    charpoly = Matrix.charpoly
+
+    def counted(self):
+        blocks.append(self.size)
+        return charpoly(self)
+
+    for key in liealg.ORBIT_LABELS:
+        k = Matrix(alia.alia_table(*key).killing())
+        monkeypatch.setattr(Matrix, "charpoly", counted)
+        det = k.det()
+        monkeypatch.setattr(Matrix, "charpoly", charpoly)
+        assert det == _det(k.charpoly())
+        rank = liealg.chevalley(key[0]).rs.rank
+        assert sorted(blocks) == sorted([rank] + [2] * ((k.size - rank) // 2))
+        blocks.clear()
+    for n in range(7):
+        m = vvmf.phi(n).matrix
+        assert m.det() == _det(m.charpoly()) == 1
 
 
 @settings(max_examples=60, deadline=None)

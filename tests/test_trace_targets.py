@@ -28,7 +28,7 @@ def _tracer_targets():
 RETIRED = {
     "alia.scalar_oracle": "the check is the alia.scalar_oracle row of checks.IDENTITIES, "
                           "timed whole as checks.alia.scalar_oracle.total_s",
-    "liealg.exp_nilpotent": "moved to mfal.sl2 with the other symmetric-power code",
+    "liealg.exp_nilpotent": "deleted: Phi_n's factors are the closed form sl2.unipotents",
     "liealg.sym_power_matrix": "moved to mfal.sl2 with the other symmetric-power code",
 }
 TARGETS = [t for t in _tracer_targets() if t[0] not in RETIRED]

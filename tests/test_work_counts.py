@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import pytest
 
-from mfal import checks, liealg, loopext, modforms, vvmf
+from mfal import alia, checks, liealg, loopext, modforms, vvmf
 from mfal.cyclotomic import CycloField, CycloNumber
 from mfal.qseries import QSeries
 from mfal.quasimodular import QuasiMatrix, QuasiPoly
@@ -67,13 +67,14 @@ def test_phi_operator_products_touch_only_nonzero_entries(monkeypatch):
     calls = count_calls(monkeypatch, QuasiPoly, "__mul__")
     dots = count_dots(monkeypatch, QuasiPoly)
     phi = vvmf.PhiOperator(10)
-    # the powers of E and F on Sym^10 are int matrices: each of their 2 x 55
-    # nonzero entries, and one zero per power, is scaled by its QuasiPoly
-    # tau^k/k! or y^k/k!, whose 2 x 10 powers cost two products each, and
-    # the two identities make their one and zero with four more; taking the
-    # powers over QuasiPoly makes 308, and a kernel that scales zeros 2,598
-    assert len(calls) == 174
-    assert dots == [(1, 1)] * 20
+    # the factors in closed form: each of the 2 x 66 entries on the
+    # triangle of exp(tau E) and exp(y F) on Sym^10 is a power of tau or y
+    # scaled by an int binomial, the 2 x 9 powers from the square up cost
+    # one product each, and each factor makes its zero with one more; the
+    # finite exponential sums of int matrix powers made 174, taking the
+    # powers over QuasiPoly 308, and a kernel that scales zeros 2,598
+    assert len(calls) == 152
+    assert dots == [(1, 1)] * 18
     dots.clear()
     made = count_canonical_steps(monkeypatch, QuasiPoly)
     consts = count_calls(monkeypatch, QuasiPoly, "const")
@@ -83,7 +84,7 @@ def test_phi_operator_products_touch_only_nonzero_entries(monkeypatch):
     # entries sums the pairs of nonzero entries that meet, 506 in all, in
     # one dot and one canonical step, and one x * 0 makes the zero; a
     # product per pair makes 815 products here
-    assert len(calls) == 175
+    assert len(calls) == 153
     assert (len(dots), sum(m for _, m in dots)) == (121, 506)
     assert len(made) == 121 + 1
     # each dot visits the 11 pairs of a row and a column and skips a zero
@@ -139,9 +140,25 @@ def test_scalar_oracle_computes_each_distinct_identity_once(monkeypatch):
     # products build them
     monkeypatch.setattr(modforms, "_STORE", {})
     calls = count_calls(monkeypatch, QSeries, "__mul__")
+    inverses = count_calls(monkeypatch, QSeries, "inverse")
     assert checks.check_identity("alia.scalar_oracle", 24)[0]
     # 36 distinct identities named by 66 rows; 183 when each row computes its own
     assert len(calls) == 115
+    # each F_k with k < 0 is a power of the one stored 1/Delta; 7 when each
+    # monomial Delta^l E4^a E6^b inverts its own Delta
+    assert len(inverses) == 1
+
+
+def test_alia_suite_builds_each_graded_triple_once(monkeypatch):
+    checks.load("alia")
+    # the triples and tables are built fresh, as in a `verify alia` process
+    monkeypatch.setattr(liealg, "_TRIPLE_CACHE", {})
+    monkeypatch.setattr(alia, "_TABLE_CACHE", {})
+    calls = count_calls(monkeypatch, liealg.GradedTriple, "__init__")
+    assert all(passed for _, passed, _, _ in checks.run_suite("alia", 32))
+    # one per orbit; 14 when the tables, the scalar oracle and the Levi
+    # dimensions each build their own
+    assert len(calls) == 6
 
 
 def test_core_suite_builds_each_level_one_monomial_once(monkeypatch):
@@ -151,10 +168,12 @@ def test_core_suite_builds_each_level_one_monomial_once(monkeypatch):
     calls = count_calls(monkeypatch, QSeries, "inverse")
     assert all(passed for _, passed, _, _ in checks.run_suite("core", 32))
     # Delta^l E4^a E6^b comes from the form store, cut from its deepest
-    # build; 41 when each of the 41 requests builds its own (15 of them ask
+    # build, and for l < 0 from the store's 1/Delta, inverted only to go
+    # deeper; 41 when each of the 41 requests builds its own (15 of them ask
     # for E4 E6 / Delta, 11 at one truncation for delta_derivation's
-    # samples), 31 with a memo per (l, a, b, order)
-    assert len(calls) == 29
+    # samples), 31 with a memo per (l, a, b, order), 29 with one inverse per
+    # deepest build of each monomial
+    assert len(calls) == 14
 
 
 @pytest.mark.parametrize("type_label", ["A1", "A2", "B2", "G2"])
