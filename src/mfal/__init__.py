@@ -5,7 +5,8 @@ Two layers.  The algebra half imports nothing from the q-series half:
   sparse        Sparse, the one polynomial ring over Q, and its fused dot
   linalg        exact dense matrices and elimination over any ring
   liealg        root systems, Chevalley bases, graded sl2 triples
-  sl2           Sym^n of sl2, its functor on 2x2 matrices, exp of nilpotents
+  sl2           Sym^n of sl2, its functor on 2x2 matrices, and unipotents,
+                the closed-form exp(s E) and exp(t F)
   alia          weight-zero bracket tables over C[j], two-route certified
   cyclotomic    the fields Q(zeta_n) of the polyhedral pole sets, on Sparse
   loopext       polyhedral loop algebras, residue cocycles, Onsager

@@ -22,10 +22,12 @@ its docstring.
 
 A statement that is not an equation of two exact sides is a lemma against
 True: a float residual below its tolerance (`qseries.eval_product`,
-`modforms.numeric_s_equivariance`, `vvmf.phi_S_numeric`,
-`theta.transformation_laws`, each naming the residual it computed), a
-comparison on a range shorter than a row's, a term that must not vanish or
-an error that must be raised.
+`modforms.numeric_s_equivariance`, `theta.transformation_laws`, each naming
+the residual it computed), a comparison on a range shorter than a row's, a
+term that must not vanish or an error that must be raised.  The
+transformation laws of Phi_n are exact: `vvmf.phi_T_exact` and
+`vvmf.phi_S_numeric` (an id kept from when the S law was a float residual)
+compare polynomials after the substitutions of T and S.
 """
 
 from __future__ import annotations

@@ -229,10 +229,12 @@ def _phi_T(order):
 
 
 def _phi_s(order):
+    """S acts on the ring by the substitution sigma (``QuasiPoly.apply_S``),
+    so the law Phi_n(-1/tau) diag(tau^-k_j) = rho_n(S) Phi_n(tau), times
+    tau^{2n}, is an identity of polynomials (``vvmf.s_law``)."""
     for n in (1, 2, 3):
-        for tau in (1j, 0.3 + 1.1j):
-            err = vvmf.check_gamma_equivariance(n, vvmf.S_GAMMA, tau, order)
-            yield f"Phi_{n}: S-residual {err:.2e} < 1e-8 at tau={tau}", err < 1e-8, True
+        yield (f"tau^({2 * n} - k_j) Phi_{n}(-1/tau) = tau^{2 * n} rho_{n}(S) Phi_{n}(tau)",
+               *vvmf.s_law(n))
 
 
 def _hilbert(order):
@@ -276,6 +278,6 @@ IDENTITIES = {
         "unimodular for n <= 10: exp(tau E) upper, exp(y F) lower unitriangular", _phi_det),
     "vvmf.phi_functoriality": ("Sym^n Phi_1 = Phi_n for n <= 4", _phi_functoriality),
     "vvmf.phi_T_exact": ("exact polynomial identity for n <= 4", _phi_T),
-    "vvmf.phi_S_numeric": ("S-residual < 1e-8 at 2 points for n <= 3", _phi_s),
+    "vvmf.phi_S_numeric": ("exact polynomial identity by substitution for n <= 3", _phi_s),
     "vvmf.hilbert": ("generating function = monomial counts, n <= 4, k <= 40", _hilbert),
 }

@@ -10,9 +10,11 @@ A monomial tau^t P^p Q^q R^r s^m is one int key (``pack``), so the ring
 is a ``sparse.Sparse`` whose products add keys: t, p, q and r stay below
 2**15, and a product that would reach it raises ``OverflowError``.
 
-The ring loads no q-series module when it is imported: ``to_qseries`` and
-``NumericContext`` import ``mfal.modforms`` and ``mfal.qseries`` when they
-are called, so Phi_n (``mfal.vvmf``) compiles no series code.
+SL2(Z) acts on the ring by substitution: T by ``shift_tau`` and S by
+``apply_S``, so the transformation laws of Phi_n (``mfal.vvmf``) are
+polynomial identities.  The ring's one q-series bridge, ``to_qseries``,
+imports ``mfal.modforms`` and ``mfal.qseries`` when it is called, so the
+ring and Phi_n compile no series code.
 """
 
 from __future__ import annotations
@@ -79,6 +81,10 @@ _D_TIMES_12 = tuple(
 )
 
 
+#: E2(-1/tau) = tau^2 E2(tau) + 12 tau s: the coefficient of tau s
+_E2_S_ANOMALY = 12
+
+
 class NotInvertible(ValueError):
     """Matrix inverse requested but the determinant is not a unit."""
 
@@ -142,7 +148,7 @@ class QuasiPoly(Sparse):
 
     def serre_D(self, k: int) -> "QuasiPoly":
         """Weight-raising derivative D - (k/12) P."""
-        return self.d_tau() - (QuasiPoly.var("P") * self).scale(Fraction(k, 12))
+        return self.d_tau() - (P * self).scale(Fraction(k, 12))
 
     def shift_tau(self) -> "QuasiPoly":
         """Substitute tau -> tau + 1; P, Q, R, s are shift-invariant."""
@@ -154,18 +160,21 @@ class QuasiPoly(Sparse):
                 add_term(out, rest + (i << 48), c * comb(t, i))
         return self._make(out, self.den)
 
-    def substitute_numeric(self, ctx: "NumericContext") -> complex:
-        total = 0j
-        for (t, p, q, r, s), c in self.terms.items():
-            total += (
-                complex(c)
-                * ctx.tau**t
-                * ctx.e2**p
-                * ctx.e4**q
-                * ctx.e6**r
-                * ctx.s**s
-            )
-        return total
+    def apply_S(self, m: int) -> "QuasiPoly":
+        """tau^m sigma(self), for sigma the substitution of S: tau -> -1/tau,
+        P -> tau^2 P + 12 tau s (the S law of E2), Q -> tau^4 Q, R -> tau^6 R,
+        s -> s.  Raises ValueError when the result has a negative power of
+        tau."""
+        out = {}
+        for key, c in self.nums.items():
+            t, p, q, r, e = unpack(key)
+            # P^p -> sum_j C(p, j) (tau^2 P)^j (12 tau s)^(p-j); keyed by (power
+            # of tau, the rest), as a term's power of tau may be negative and
+            # cancel in the sum
+            for j in range(p + 1):
+                add_term(out, (m - t + p + j + 4 * q + 6 * r, pack(0, j, q, r, e + p - j)),
+                         (-1) ** t * comb(p, j) * _E2_S_ANOMALY ** (p - j) * c)
+        return self._make({pack(t, 0, 0, 0, 0) + k: c for (t, k), c in out.items()}, self.den)
 
     def to_qseries(self, order) -> QSeries:
         """Exact q-expansion of a tau-free, s-free element: P, Q, R replaced
@@ -226,28 +235,10 @@ class QuasiPoly(Sparse):
         return cls({tuple(k): Fraction(c) for k, c in data})
 
 
-class NumericContext:
-    """Evaluated E2, E4, E6 at a fixed tau, shared across substitutions."""
-
-    def __init__(self, tau: complex, order=64):
-        import cmath
-
-        from . import modforms
-
-        self.tau = tau
-        self.order = order
-        self.e2, self.e4, self.e6 = (
-            modforms.named_form(f"E{k}", order).series.eval_numeric(tau) for k in (2, 4, 6)
-        )
-        self.s = 1 / (2j * cmath.pi)
-
-
 # convenient generators
 TAU = QuasiPoly.var("tau")
 P = QuasiPoly.var("P")
 Q = QuasiPoly.var("Q")
-R = QuasiPoly.var("R")
-S = QuasiPoly.var("s")
 S_INV = QuasiPoly.monomial((0, 0, 0, 0, -1))
 
 
@@ -285,9 +276,6 @@ class QuasiMatrix(Matrix):
 
     def shift_tau(self) -> "QuasiMatrix":
         return self.map(QuasiPoly.shift_tau)
-
-    def substitute_numeric(self, ctx: NumericContext):
-        return [[e.substitute_numeric(ctx) for e in row] for row in self.rows]
 
     def pretty(self) -> str:
         return "[" + "; ".join(

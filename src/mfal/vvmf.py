@@ -3,8 +3,8 @@
 Phi_n = exp(tau*E) exp((2*pi*i*E2/12) F) as an exact matrix over the
 quasimodular ring, its two triangular factors written in closed form by
 ``sl2.unipotents``; the d(tau)^{k/2} grading factor never enters the matrix,
-it is carried as a per-column weight and turned into (c*tau+d)^{-k} factors
-in numeric checks.
+it is carried as a per-column weight and turned into the factors tau^{-k} of
+the S law, proved by exact substitution (``s_law``).
 """
 
 from __future__ import annotations
@@ -13,9 +13,8 @@ from fractions import Fraction
 from functools import cached_property
 
 from . import sl2
-from .linalg import Matrix
 from .poly import monomial_count
-from .quasimodular import NumericContext, QuasiMatrix, QuasiPoly
+from .quasimodular import TAU, QuasiMatrix, QuasiPoly
 
 
 class PhiOperator:
@@ -23,12 +22,10 @@ class PhiOperator:
 
     def __init__(self, n: int):
         self.n = n
-        rep = sl2.SymRep(n)
-        tau = QuasiPoly.var("tau")
         # y = 2*pi*i*E2/12 = P/(12 s)
         y = QuasiPoly.monomial((0, 1, 0, 0, -1), Fraction(1, 12))
-        self.factors = tuple(map(QuasiMatrix, sl2.unipotents(n, tau, y)))
-        self.weights = rep.weights()
+        self.factors = tuple(map(QuasiMatrix, sl2.unipotents(n, TAU, y)))
+        self.weights = sl2.SymRep(n).weights()
 
     @cached_property
     def matrix(self) -> QuasiMatrix:
@@ -61,27 +58,16 @@ T_GAMMA = ((1, 1), (0, 1))
 S_GAMMA = ((0, -1), (1, 0))
 
 
-def check_gamma_equivariance(n: int, gamma, tau: complex, order=64) -> float:
-    """Max entry residual of Phi_n(gamma tau) D - rho_n(gamma) Phi_n(tau).
-
-    D = diag((c*tau+d)^{-k_j}) applies the grading correction; column j
-    carries H-eigenvalue k_j.
-    """
-    (a, b), (c, d) = gamma
-    image_tau = (a * tau + b) / (c * tau + d)
+def s_law(n: int) -> tuple:
+    """Both sides of Phi_n(-1/tau) diag(tau^{-k_j}) = rho_n(S) Phi_n(tau),
+    times tau^{2n} so that every entry is a polynomial: entry (i, j) of the
+    left side is tau^{2n-k_j} sigma(Phi_n)_ij, sigma the S substitution
+    ``QuasiPoly.apply_S``."""
     op = phi(n)
-    ctx_here = NumericContext(tau, order)
-    ctx_image = NumericContext(image_tau, order)
-    m_here = op.matrix.substitute_numeric(ctx_here)
-    m_image = op.matrix.substitute_numeric(ctx_image)
-    target = (Matrix(rho_matrix(n, gamma)) * Matrix(m_here)).rows
-    dim = n + 1
-    residual = 0.0
-    for i in range(dim):
-        for j in range(dim):
-            corrected = m_image[i][j] * (c * tau + d) ** (-op.weights[j])
-            residual = max(residual, abs(corrected - target[i][j]))
-    return residual
+    lhs = QuasiMatrix([[e.apply_S(2 * n - k) for e, k in zip(row, op.weights)]
+                       for row in op.matrix.rows])
+    rhs = QuasiMatrix(rho_matrix(n, S_GAMMA)) * op.matrix
+    return lhs, rhs.scale(TAU ** (2 * n))
 
 
 # ----------------------------------------------------------------------

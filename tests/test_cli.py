@@ -409,11 +409,16 @@ def test_algebra_half_loads_no_qseries_module(module):
 
 
 def test_phi_loads_no_qseries_module():
-    """Phi_n needs Sym^n and the quasimodular ring, no series: the q-series
-    bridges of quasimodular import modforms and qseries when called."""
-    assert mfal_modules_after(module="mfal.vvmf") == [
-        "mfal", "mfal.linalg", "mfal.poly", "mfal.quasimodular", "mfal.sl2", "mfal.sparse",
-        "mfal.vvmf"]
+    """Phi_n and its S law need Sym^n and the quasimodular ring, no series:
+    the q-series bridge of quasimodular imports modforms and qseries when
+    called."""
+    phi_modules = ["mfal", "mfal.linalg", "mfal.poly", "mfal.quasimodular", "mfal.sl2",
+                   "mfal.sparse", "mfal.vvmf"]
+    assert mfal_modules_after(module="mfal.vvmf") == phi_modules
+    s_law = ("import sys, mfal.vvmf; "
+             "assert all(lhs == rhs for lhs, rhs in map(mfal.vvmf.s_law, (1, 2, 3))); "
+             "print(*sorted(m for m in sys.modules if m.split('.')[0] == 'mfal'))")
+    assert last_line_of(s_law).split() == phi_modules
     loaded = mfal_modules_after(module="mfal.quasimodular")
     assert "mfal.quasimodular" in loaded
     assert not {"mfal.qseries", "mfal.modforms"} & set(loaded)

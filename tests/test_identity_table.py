@@ -17,7 +17,7 @@ import random
 
 import pytest
 
-from mfal import alia, checks, checks_loop, liealg, loopext, sl2, vvmf
+from mfal import alia, checks, checks_loop, liealg, loopext, quasimodular, sl2, vvmf
 from mfal.cli import main
 from mfal.linalg import Matrix
 from mfal.poly import add_term
@@ -76,8 +76,8 @@ def test_table_ids_are_the_suite_entries_the_runner_builds():
 
 
 @pytest.mark.parametrize("order, digest", [
-    (32, "5be55c21efcd8307a21e5a22c547750cbb962e9e8a448b549877d76f69d9d395"),
-    (64, "b97714b2072b98403f4919a7195a25c590a1f6683a4095bdddd6ac8ff2bc3822"),
+    (32, "5cca1079ffb30d9194d24f3f69f9109c920ee218375ed7bb4b463a177a3656f5"),
+    (64, "9e26c84d039f8ad3ccd855955c6a7eaa45436de5a872fdd8a2e6667a86f2a555"),
 ], ids=["32", "64"])
 def test_verify_all_json_digest(capsys, order, digest):
     assert main(["verify", "all", "--order", str(order), "--format", "json"]) == 0
@@ -192,6 +192,19 @@ def test_phi_det_fails_on_an_entry_across_the_diagonal(monkeypatch, corner, name
     assert _failed("vvmf.phi_det") == [name.format(n=n) for n in range(1, 11)]
 
 
+@pytest.mark.parametrize("broken", ["11 tau s", "rho_n(T)"])
+def test_phi_s_names_each_n_on_a_broken_s_law(monkeypatch, broken):
+    """E2(-1/tau) = tau^2 E2 + 11 tau s in the substitution, or rho_n(T) in
+    place of rho_n(S): the law fails for every n and the row names each."""
+    if broken == "11 tau s":
+        monkeypatch.setattr(quasimodular, "_E2_S_ANOMALY", 11)
+    else:
+        monkeypatch.setattr(vvmf, "S_GAMMA", vvmf.T_GAMMA)
+    assert _failed("vvmf.phi_S_numeric") == [
+        f"tau^({2 * n} - k_j) Phi_{n}(-1/tau) = tau^{2 * n} rho_{n}(S) Phi_{n}(tau)"
+        for n in (1, 2, 3)]
+
+
 def test_gauge_rows_name_the_entry_and_pair_of_a_raised_w4(monkeypatch):
     """[x_5, x_6] = [a_(0,1), a_(1,0)] of the A2 table, rebuilt with w4 + 1."""
     build, key, pair = alia.alia_table, ("A2", "principal"), ((0, 1), (1, 0))
@@ -293,7 +306,7 @@ def test_proofs_reach_no_sampler_and_no_determinant(monkeypatch):
     monkeypatch.setattr(alia.AliaTable, "bracket", unreachable)
     entries = dict(entry for suite in checks.SUITES.values() for entry in suite)
     for check_id in ("liealg.killing_associativity", "loop.polyhedral_cocycles",
-                     "vvmf.phi_det", "loop.cocycle_properties", "alia.jacobi_tables",
-                     "alia.cocycle_condition", "loop.onsager"):
+                     "vvmf.phi_det", "vvmf.phi_S_numeric", "loop.cocycle_properties",
+                     "alia.jacobi_tables", "alia.cocycle_condition", "loop.onsager"):
         passed, detail = entries[check_id](ORDER)
         assert passed, (check_id, detail)

@@ -3,10 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from mfal import modforms
 from mfal.quasimodular import (
     NotInvertible,
-    NumericContext,
     QuasiMatrix,
     QuasiPoly,
     Sl2Bundle,
@@ -70,14 +68,6 @@ def test_substitute_series_rejects_s():
         S.to_qseries(16)
     with pytest.raises(ValueError):
         TAU.to_qseries(16)
-
-
-def test_substitute_numeric():
-    ctx = NumericContext(1j, order=48)
-    assert QuasiPoly.const(1).substitute_numeric(ctx) == 1
-    val = P.substitute_numeric(ctx)
-    e2_direct = modforms.eisenstein(2, 48).series.eval_numeric(1j)
-    assert abs(val - e2_direct) < 1e-14
 
 
 def test_matrix_inverse_identity():

@@ -1,6 +1,7 @@
 """Property tests of QuasiPoly: ring axioms, the Leibniz rule for d_tau,
-shift_tau as a ring homomorphism, multiplicativity of to_qseries and that
-no operation changes its operands.
+shift_tau and the S substitution as ring homomorphisms, the S substitution
+as an involution, multiplicativity of to_qseries and that no operation
+changes its operands.
 
 hypothesis is a test-only dependency.
 """
@@ -8,10 +9,11 @@ hypothesis is a test-only dependency.
 import json
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mfal.quasimodular import QuasiPoly
+from mfal.quasimodular import TAU, QuasiPoly
 
 examples = settings(max_examples=60, deadline=None)
 
@@ -61,6 +63,46 @@ def test_shift_tau_is_a_ring_homomorphism(a, b):
     assert QuasiPoly.const(1).shift_tau() == 1
 
 
+def tau_degree(a):
+    """The highest power of tau in a, 0 for a constant."""
+    return max((k[0] for k in a.terms), default=0)
+
+
+def test_apply_S_on_the_generators():
+    # tau -> -1/tau, P -> tau^2 P + 12 tau s, Q -> tau^4 Q, R -> tau^6 R, s -> s
+    P, Q, R, S = (QuasiPoly.var(name) for name in "PQRs")
+    assert TAU.apply_S(1) == -1
+    assert P.apply_S(0) == TAU * TAU * P + TAU * S * 12
+    assert Q.apply_S(0) == TAU**4 * Q and R.apply_S(0) == TAU**6 * R
+    assert S.apply_S(2) == TAU * TAU * S
+    with pytest.raises(ValueError):
+        TAU.apply_S(0)
+
+
+@examples
+@given(quasipolys(), quasipolys(), st.integers(0, 2))
+def test_apply_S_is_additive(a, b, extra):
+    m = max(tau_degree(a), tau_degree(b)) + extra
+    assert (a + b).apply_S(m) == a.apply_S(m) + b.apply_S(m)
+
+
+@examples
+@given(quasipolys(), quasipolys(), st.integers(0, 2), st.integers(0, 2))
+def test_apply_S_is_multiplicative(a, b, i, j):
+    m, n = tau_degree(a) + i, tau_degree(b) + j
+    assert (a * b).apply_S(m + n) == a.apply_S(m) * b.apply_S(n)
+
+
+@examples
+@given(quasipolys(), st.integers(0, 2), st.integers(0, 2))
+def test_apply_S_is_an_involution(a, extra, cleared):
+    """sigma(tau^m sigma(a)) = (-1)^m tau^-m a, times tau^(m + cleared); the
+    terms of tau^m sigma(a) with a low power of tau meet negative powers
+    that cancel in the sum."""
+    m = tau_degree(a) + extra
+    assert a.apply_S(m).apply_S(m + cleared) == a * TAU**cleared * (-1) ** m
+
+
 @settings(max_examples=25, deadline=None)
 @given(quasipolys(tau_free=True), quasipolys(tau_free=True))
 def test_to_qseries_multiplicative(a, b):
@@ -77,6 +119,7 @@ def test_operations_leave_operands_unchanged(a, b, n, k):
     results = [
         a + b, a - b, -a, a * b, a + 1, 1 - a, 2 * a, a * Fraction(1, 3),
         a.scale(3), a**n, a.d_tau(), a.serre_D(k), a.shift_tau(), a == b,
+        a.apply_S(tau_degree(a)),
     ]
-    assert len(results) == 14
+    assert len(results) == 15
     assert [json.dumps(p.to_json()) for p in (a, b)] == before
