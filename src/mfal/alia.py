@@ -3,7 +3,8 @@
 The cocycle exponents (w4, w6) that place j and (j-1728) factors in the
 brackets come from the weight-residue table, which makes each table the
 Chevalley table in a diagonal gauge (``gauge_lemmas``, a proof of Jacobi); the
-``alia.scalar_oracle`` row certifies them independently on q-series.
+``alia.scalar_oracle`` row proves the scalar identities behind them,
+F_{-a} F_{-b} = j^w4 (j-1728)^w6 F_{-a-b}, as monomials in E4, E6 and 1/Delta.
 """
 
 from __future__ import annotations
@@ -54,17 +55,6 @@ class JPoly(Sparse):
 
     def __call__(self, value):
         return horner(self.coeffs, Fraction(value), Fraction(0))
-
-    def as_series(self, j):
-        """The polynomial at the series j, in j's own ring."""
-        # the powers start from j itself, so j^i keeps the depth of j * ... * j
-        acc = j.scale(0)
-        for i, c in enumerate(self.coeffs):
-            if i:
-                j_pow = j if i == 1 else j_pow * j
-            if c:
-                acc = acc + (j_pow.scale(c) if i else c)
-        return acc
 
     def pretty(self):
         if not self:

@@ -1,44 +1,50 @@
 """The `alia` suite of `mfal verify`: the weight-zero bracket tables over
-Q[j], proved by a diagonal gauge and certified on q-series.
+Q[j], proved by a diagonal gauge, and their scalar factors as monomials in
+E4, E6 and 1/Delta.
 
-It imports `alia`, `liealg` and, for the scalar oracle, `modforms`; never
-`loopext`, `quasimodular` or `vvmf`.
+It imports `alia`, `liealg` and `linalg`; never `loopext`, `quasimodular`,
+`vvmf` or a q-series module (`qseries`, `modforms`).
 """
 
 from __future__ import annotations
 
-from . import alia, liealg, modforms
+from . import alia, liealg
 from .linalg import Matrix
-from .modforms import series
+
+#: the exponents of (Delta, E4, E6) in j = E4^3/Delta and in j - 1728 = E6^2/Delta
+_J, _J_MINUS_1728 = (-1, 3, 0), (-1, 0, 2)
+
+
+def _f_exponents(k):
+    """(l, n4, n6) of the Duke-Jenkins generator F_k = Delta^l E4^n4 E6^n6 of
+    weight k: (n4, n6) from the residue table and 12 l + 4 n4 + 6 n6 = k."""
+    n4, n6 = alia.residue_exponents(k)
+    return (k - 4 * n4 - 6 * n6) // 12, n4, n6
 
 
 def _scalar_oracle(order):
-    """F_{-k(a)} F_{-k(b)} = j^w4 (j-1728)^w6 F_{-k(a)-k(b)} for each orbit.
+    """F_{-k(a)} F_{-k(b)} = j^w4 (j-1728)^w6 F_{-k(a)-k(b)} for each orbit,
+    as an identity of monomials in Q[E4, E6, 1/Delta].
 
-    This is the modular-forms side of the bracket tables: it reads only the
-    grading and the cocycle exponents, never the residue arithmetic that
-    produced them.  The orbits share most of their identities, so each
-    distinct (k(a), k(b), w4, w6) is computed once and named once per orbit.
+    j = E4^3/Delta, and 1728 Delta = E4^3 - E6^2 makes j - 1728 = E6^2/Delta,
+    so both sides are monomials Delta^l E4^n4 E6^n6.  E4 and E6 are
+    algebraically independent and Delta is prime to both in Q[E4, E6], so two
+    monomials are equal exactly when their exponents of Delta, E4 and E6 are:
+    three int lemmas per identity, which hold at every order.  The row reads
+    the grading and the cocycle exponents of every root pair; each distinct
+    (k(a), k(b), w4, w6) of an orbit is named once.
     """
-    computed = {}
     for key in liealg.ORBIT_LABELS:
         cocycles = alia.alia_table(*key).cocycles
         grading = cocycles.triple.grading
-        exponents = {}
-        for (alpha, beta), w4 in cocycles.w4.items():
-            pair = tuple(sorted((grading[alpha], grading[beta])))
-            exponents.setdefault(pair, (w4, cocycles.w6[(alpha, beta)]))
-        # j^w4 (j-1728)^w6 multiplies w4 + w6 copies of j, of valuation -1
-        degree = max((w4 + w6 for w4, w6 in exponents.values()), default=0)
-        j = series("j", modforms.depth(order, (-1, degree)))
-        for (ka, kb), (w4, w6) in exponents.items():
-            identity = ka, kb, w4, w6
-            if identity not in computed:
-                computed[identity] = (
-                    series(f"F_k:{-ka}", order) * series(f"F_k:{-kb}", order),
-                    alia.JPoly.j_power_form(w4, w6).as_series(j) * series(f"F_k:{-ka - kb}", order))
-            yield (f"{key[0]} {key[1]}: F_{-ka} F_{-kb} = j^{w4} (j-1728)^{w6} F_{-ka - kb}",
-                   *computed[identity])
+        for ka, kb, w4, w6 in dict.fromkeys(
+                (*sorted((grading[a], grading[b])), w4, cocycles.w6[a, b])
+                for (a, b), w4 in cocycles.w4.items()):
+            identity = f"{key[0]} {key[1]}: F_{-ka} F_{-kb} = j^{w4} (j-1728)^{w6} F_{-ka - kb}"
+            for name, ea, eb, es, j, j_1728 in zip(
+                    ("Delta", "E4", "E6"), _f_exponents(-ka), _f_exponents(-kb),
+                    _f_exponents(-ka - kb), _J, _J_MINUS_1728):
+                yield f"{identity}, exponent of {name}", ea + eb, es + w4 * j + w6 * j_1728
 
 
 def _barrel_contraction(order):
@@ -85,7 +91,9 @@ IDENTITIES = {
         "symmetric and {{0,1}}-valued for all six orbits", alia.cocycle_value_lemmas),
     "alia.cocycle_condition": ("proved (w4, w6 are coboundaries)", alia.coboundary_lemmas),
     "alia.jacobi_tables": ("proved (Chevalley bracket in a diagonal gauge)", alia.gauge_lemmas),
-    "alia.scalar_oracle": ("two-route certification for all orbits", _scalar_oracle),
+    "alia.scalar_oracle": (
+        "monomial identities in Q[E4, E6, 1/Delta] for all orbits, Delta = (E4^3-E6^2)/1728; "
+        "Delta = eta^24 by modforms.delta_dual_route", _scalar_oracle),
     "alia.barrel_contraction": (
         "barrel bracket and solvable contractions at j=0, 1728", _barrel_contraction),
     "alia.specialization": (

@@ -2,10 +2,9 @@ from fractions import Fraction
 
 import pytest
 
-from mfal import alia, checks
+from mfal import alia, checks, checks_alia, liealg, modforms
 from mfal.alia import JPoly, OddGrading
 from mfal.linalg import Matrix
-from mfal.qseries import QSeries
 
 checks.load("all")  # the rows of every suite
 
@@ -226,10 +225,116 @@ def test_scalar_oracle_all_orbits():
     assert checks.check_identity("alia.scalar_oracle", 32)[0]
 
 
+@pytest.mark.parametrize("order", [1, 4, 8])
+def test_scalar_oracle_passes_at_low_order(order):
+    # exponents of Delta, E4 and E6 hold at every order: no series is truncated
+    detail, _ = checks.IDENTITIES["alia.scalar_oracle"]
+    assert checks.check_identity("alia.scalar_oracle", order) == (True, detail)
+
+
+def _scalar_oracle_failures():
+    passed, detail = checks.check_identity("alia.scalar_oracle", 24)
+    assert not passed
+    return detail.removeprefix("failed: ").split("; ")
+
+
+def test_scalar_oracle_names_the_pair_of_a_w6_off_by_one(monkeypatch):
+    """w6 of one root pair of A2 principal raised to 2 on the built
+    CocyclePair, past its own {0, 1} assertion: the pair, of grades (2, 2),
+    now reads F_-2 F_-2 = (j-1728)^2 F_-4."""
+    build, key, pair = alia.alia_table, ("A2", "principal"), ((0, 1), (1, 0))
+
+    def raised(*args):
+        table = build(*args)
+        if args == key:
+            table.cocycles.w6[pair] = 2
+        return table
+
+    # the edited tables are built fresh and do not outlive this test
+    monkeypatch.setattr(alia, "_TABLE_CACHE", {})
+    monkeypatch.setattr(alia, "alia_table", raised)
+    assert _scalar_oracle_failures() == [
+        f"A2 principal: F_-2 F_-2 = j^0 (j-1728)^2 F_-4, exponent of {name}"
+        for name in ("Delta", "E6")]
+
+
+def test_scalar_oracle_names_each_identity_of_an_l_off_by_one(monkeypatch):
+    """The row reads F_10 = E4 E6 as Delta E4 E6: every identity with F_10 on
+    one side, all of G2 principal, fails its exponent of Delta, and no other."""
+    _, sides = checks.IDENTITIES["alia.scalar_oracle"]
+    with_f10 = [name for name, _, _ in sides(24)
+                if name.endswith("Delta") and ("F_10 " in name or "F_10," in name)]
+    reading = checks_alia._f_exponents
+    monkeypatch.setattr(checks_alia, "_f_exponents",
+                        lambda k: (reading(k)[0] + (k == 10), *reading(k)[1:]))
+    assert _scalar_oracle_failures() == with_f10
+    assert len(with_f10) == 7 and all(name.startswith("G2 principal: ") for name in with_f10)
+
+
+# ----------------------------------------------------------------------
+# the q-series oracle of alia.scalar_oracle: both sides of each identity
+# F_{-a} F_{-b} = j^w4 (j-1728)^w6 F_{-a-b} as q-expansions at one order
+# ----------------------------------------------------------------------
+
+ORACLE_ORDER = 24
+
+
+def scalar_identities():
+    """The distinct (k(a), k(b), w4, w6) of the six tables, in the row's order."""
+    return list(dict.fromkeys(
+        (*sorted((grading[a], grading[b])), w4, cocycles.w6[a, b])
+        for key in liealg.ORBIT_LABELS
+        for cocycles in [alia.alia_table(*key).cocycles]
+        for grading in [cocycles.triple.grading]
+        for (a, b), w4 in cocycles.w4.items()))
+
+
+def series_oracle(order=ORACLE_ORDER):
+    """identity -> (F_{-a} F_{-b}, j^w4 (j-1728)^w6 F_{-a-b}) valid below
+    about `order`, each distinct identity computed once.  F_k is
+    ``modforms.duke_jenkins``; j is built as deep as its powers need."""
+    identities = scalar_identities()
+    degree = max(w4 + w6 for *_, w4, w6 in identities)
+    j = modforms.j_invariant(modforms.depth(order, (-1, degree))).series
+
+    def f(k):
+        return modforms.duke_jenkins(k, order)[3]
+
+    factors = {(w4, w6): j ** w4 * (j - 1728) ** w6
+               for w4, w6 in {identity[2:] for identity in identities}}
+    return {(ka, kb, w4, w6): (f(-ka) * f(-kb), factors[w4, w6] * f(-ka - kb))
+            for ka, kb, w4, w6 in identities}
+
+
+def test_series_oracle_agrees_on_every_identity_of_the_row():
+    oracle = series_oracle()
+    _, sides = checks.IDENTITIES["alia.scalar_oracle"]
+    row = {name.split(": ", 1)[1].rsplit(", exponent of ", 1)[0]
+           for name, _, _ in sides(ORACLE_ORDER)}
+    assert row == {f"F_{-ka} F_{-kb} = j^{w4} (j-1728)^{w6} F_{-ka - kb}"
+                   for ka, kb, w4, w6 in oracle}
+    assert len(oracle) == 36
+    for identity, (lhs, rhs) in oracle.items():
+        assert lhs.agrees(rhs), identity
+
+
+def test_series_oracle_keeps_the_depth_of_j():
+    """j's powers start from j itself, so j^w keeps the depth of j * ... * j,
+    and every comparison of the oracle reaches q^(order - 2)."""
+    j = modforms.j_invariant(ORACLE_ORDER).series
+    assert (j ** 1).trunc == j.trunc
+    assert (j ** 2).agrees(j * j) and (j ** 2).trunc == (j * j).trunc
+    for identity, (lhs, rhs) in series_oracle().items():
+        assert min(lhs.trunc, rhs.trunc) >= ORACLE_ORDER - 2, identity
+
+
+@pytest.mark.parametrize("k", range(-40, 41, 2))
+def test_row_reads_the_duke_jenkins_exponents(k):
+    assert checks_alia._f_exponents(k) == modforms.duke_jenkins(k, 1)[:3]
+
+
 def test_oracle_f2_fm2_is_j_j_1728():
     # F_2 F_{-2} = Delta^-2 E4^3 E6^2 = j (j - 1728)
-    from mfal import modforms
-
     f2 = modforms.duke_jenkins(2, 40)[3]
     fm2 = modforms.duke_jenkins(-2, 40)[3]
     j = modforms.j_invariant(44).series
@@ -238,8 +343,6 @@ def test_oracle_f2_fm2_is_j_j_1728():
 
 def test_oracle_discriminates_wrong_exponents():
     # the series route must reject cocycle exponents that are off by one
-    from mfal import modforms
-
     f2 = modforms.duke_jenkins(2, 40)[3]
     fm2 = modforms.duke_jenkins(-2, 40)[3]
     j = modforms.j_invariant(44).series
@@ -278,8 +381,6 @@ def test_jpoly_arithmetic():
     assert (p * q) == JPoly((0, -1728, 1))
     assert JPoly.j_power_form(1, 1) == p * q
     assert p(Fraction(3)) == 3
-    series = JPoly.j_power_form(1, 0).as_series(QSeries.from_terms([(-1, 1), (0, 744)], trunc=20))
-    assert series.coefficient(-1) == 1
 
 
 # det K(j) = c j^a (j - 1728)^b for the Killing matrix of each table over Q[j]

@@ -369,7 +369,7 @@ VERIFY_MODULES = {
              "sparse", "vvmf"],
     "theta": ["checks_theta", "modforms", "qseries"],
     "gamma": ["checks_gamma", "modforms", "qseries"],
-    "alia": ["alia", "checks_alia", "liealg", "linalg", "modforms", "qseries", "sparse"],
+    "alia": ["alia", "checks_alia", "liealg", "linalg", "sparse"],
     "loop": ["alia", "checks_loop", "cyclotomic", "liealg", "linalg", "loopext", "sl2", "sparse"],
 }
 #: the modules each suite must not load
@@ -378,7 +378,7 @@ VERIFY_SKIPS = {
     "gamma": {"liealg", "alia", "loopext", "quasimodular", "sparse", "vvmf"},
     "loop": {"qseries", "modforms", "quasimodular", "vvmf"},
     "core": {"alia", "loopext"},
-    "alia": {"loopext", "vvmf", "quasimodular"},
+    "alia": {"loopext", "vvmf", "quasimodular", "modforms", "qseries"},
 }
 
 

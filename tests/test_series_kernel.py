@@ -20,7 +20,6 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from mfal import qseries
-from mfal.alia import JPoly
 from mfal.poly import mul
 from mfal.qseries import QSeries, _monic_inverse, kronecker_mul
 
@@ -291,17 +290,3 @@ def test_monic_inverse_matches_fraction_recurrence(n):
     v = [1] + [rng.randint(-10 ** 6, 10 ** 6) for _ in range(rng.randint(0, n + 2))]
     assert _monic_inverse(v, n) == fraction_inverse(v, n)
     assert _monic_inverse([1, -1], n) == [1] * n
-
-
-# ----------------------------------------------------------------------
-# JPoly.as_series keeps the depth of j's own products
-# ----------------------------------------------------------------------
-
-def test_jpoly_powers_start_from_j():
-    from mfal import modforms
-
-    j = modforms.named_form("j", 20).series
-    assert JPoly((0, 1)).as_series(j).trunc == j.trunc
-    j2 = JPoly((0, 0, 1)).as_series(j)
-    assert identical(j2, j * j)
-    assert JPoly((5, 0, 1)).as_series(j).agrees(j * j + 5, min_span=0)

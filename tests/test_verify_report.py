@@ -43,7 +43,6 @@ LOW_ORDER_NON_PASSES = {
         ("theta.lambda_shift", _short(0, 8)),
         ("gamma.rel3", _short(0, 8)),
         ("gamma.ferapontov_ode", "ValueError: order too small to distinguish the ODE terms"),
-        ("alia.scalar_oracle", _short(-2, 6)),
     ],
     16: [
         ("theta.lambda_j", _short(0, "31/2")),

@@ -1,6 +1,6 @@
 """Exact operation counts of the matrix kernel, the loop cocycle, the
-Onsager lemmas and the scalar oracle, and the int arithmetic of the
-Chevalley tables.
+Onsager lemmas and the q-series oracle of the scalar identities, and the
+int arithmetic of the Chevalley tables.
 
 Wall time on a shared host swings by 2x, so these pin the work itself: a
 return to dense matrix products, to forming f' g for one residue, to
@@ -17,6 +17,7 @@ from mfal import alia, checks, liealg, loopext, modforms, vvmf
 from mfal.cyclotomic import CycloField, CycloNumber
 from mfal.qseries import QSeries
 from mfal.quasimodular import QuasiMatrix, QuasiPoly
+from test_alia import series_oracle
 
 
 def count_calls(monkeypatch, cls, name):
@@ -135,15 +136,15 @@ def test_onsager_brackets_only_the_generic_generators(monkeypatch):
 
 
 def test_scalar_oracle_computes_each_distinct_identity_once(monkeypatch):
-    checks.load("alia")
-    # the forms are built fresh, as in a `verify alia` process; 39 of the
-    # products build them
+    # the row proves its identities on exponents; their q-series oracle is
+    # test_alia.series_oracle, run on forms built fresh
     monkeypatch.setattr(modforms, "_STORE", {})
     calls = count_calls(monkeypatch, QSeries, "__mul__")
     inverses = count_calls(monkeypatch, QSeries, "inverse")
-    assert checks.check_identity("alia.scalar_oracle", 24)[0]
-    # 36 distinct identities named by 66 rows; 183 when each row computes its own
-    assert len(calls) == 115
+    assert len(series_oracle()) == 36
+    # 39 build the forms, the 36 identities take two each and their four
+    # factors j^w4 (j-1728)^w6 eight (four of them j**0 = j * 0 + 1)
+    assert len(calls) == 39 + 2 * 36 + 8
     # each F_k with k < 0 is a power of the one stored 1/Delta; 7 when each
     # monomial Delta^l E4^a E6^b inverts its own Delta
     assert len(inverses) == 1
