@@ -482,9 +482,6 @@ def graded_triple(type_label: str, orbit: str) -> GradedTriple:
 
 
 def _small_coefficient_vectors(n: int):
-    """Deterministic stream of small positive coefficient vectors."""
-    yield (1,) * n
-    for values in itertools.product((1, 2, 3), repeat=n):
-        yield values
-    for values in itertools.product((1, 2, 3, 5, 7), repeat=n):
-        yield values
+    """Deterministic stream of small positive coefficient vectors, each once,
+    from (1, ..., 1)."""
+    return itertools.product((1, 2, 3, 5, 7), repeat=n)

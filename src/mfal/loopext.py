@@ -16,7 +16,7 @@ from math import comb
 from . import sl2
 from .cyclotomic import CycloField, CycloNumber
 from .linalg import Matrix, dot, rank
-from .poly import Ring, add, horner, mul, trim
+from .poly import Ring, add, mul, trim
 from .sparse import Sparse
 
 
@@ -89,25 +89,22 @@ class RatFunc(Ring):
                 self.field, [c * other for c in self.poly],
                 {k: (a, [c * other for c in cs]) for k, (a, cs) in self.parts.items()},
             )
+        # at each pole a, f g = (P_f + T_f)(P_g + T_g) for the principal parts
+        # P and the Taylor series T of the rest: P_f P_g and the principal
+        # parts of P_f T_g and P_g T_f make its principal part at a
         zero = self.field.zero
         poly = mul(self.poly, other.poly, zero)
         parts = {}
+        for key, (a, cs) in self.parts.items():
+            if key in other.parts:
+                _merge(parts, key, a, [zero] + mul(cs, other.parts[key][1], zero))
         for f, g in ((self, other), (other, self)):
             for key, (a, cs) in f.parts.items():
-                quotient, principal = _times_poly(a, cs, g.poly, zero)
-                poly = add(poly, quotient)
-                _merge(parts, key, a, principal)
-        for ka, (a, cs) in self.parts.items():
-            for kb, (b, ds) in other.parts.items():
-                if ka == kb:
-                    # (sum_j c_j u^-j)(sum_k d_k u^-k), u = t - a
-                    _merge(parts, ka, a, [zero] + mul(cs, ds, zero))
-                    continue
-                # 1/e, 1/e^2, ... once per pair of points, e = a - b
-                pows = _inverse_powers(self.field, a - b, len(cs) + len(ds))
-                neg = [p if n % 2 == 0 else -p for n, p in enumerate(pows)]
-                _merge(parts, ka, a, _principal(cs, _taylor(ds, pows, len(cs), zero), zero))
-                _merge(parts, kb, b, _principal(ds, _taylor(cs, neg, len(ds), zero), zero))
+                _merge(parts, key, a, _principal(cs, _taylor_at(g, key, a, len(cs)), zero))
+                # c_k (t - a)^-k times g's polynomial has polynomial part c_k q_k
+                for c, (_, q) in zip(cs, _divisions(a, g.poly, len(cs), zero)):
+                    if c:
+                        poly = add(poly, [c * x for x in q])
         return RatFunc(self.field, poly, parts)
 
     def derivative(self) -> "RatFunc":
@@ -122,14 +119,11 @@ class RatFunc(Ring):
         )
 
     def evaluate(self, point) -> CycloNumber:
+        """f(point): the constant Taylor coefficient of f there."""
         point = _num(self.field, point)
         if point.key in self.parts:
             raise PoleAtEvaluationPoint("f has a pole at the point")
-        zero = self.field.zero
-        acc = horner(self.poly, point, zero)
-        for a, cs in self.parts.values():
-            acc = acc + horner([zero] + cs, (point - a).inverse(), zero)
-        return acc
+        return (_taylor_at(self, point.key, point, 1) or [self.field.zero])[0]
 
 
 def _merge(parts, key, a, cs):
@@ -163,40 +157,6 @@ def _divisions(a, p, count, zero):
         yield r, q
 
 
-def _times_poly(a, cs, p, zero):
-    """(sum_k c_k (t - a)^-k) * p(t) as (polynomial part, principal part at a):
-    c_k (t - a)^-k p contributes c_k q_k to the polynomial part and the
-    remainders of ``_divisions`` to the principal part."""
-    poly, remainders = [], []
-    for c, (r, q) in zip(cs, _divisions(a, p, len(cs), zero)):
-        remainders.append(r)
-        if c:
-            poly = add(poly, [c * x for x in q])
-    return poly, _principal(cs, remainders, zero)
-
-
-def _inverse_powers(field, e, count):
-    """[1, 1/e, ..., 1/e^(count-1)]."""
-    inv = e.inverse()
-    pows = [field.one]
-    for _ in range(count - 1):
-        pows.append(pows[-1] * inv)
-    return pows
-
-
-def _taylor(ds, pows, count, zero):
-    """First count Taylor coefficients in u of sum_k d_k (u + e)^-k, given
-    pows[n] = e^-n: (u + e)^-k = sum_m (-1)^m C(k+m-1, m) e^(-k-m) u^m."""
-    out = []
-    for m in range(count):
-        acc = zero
-        for k, d in enumerate(ds, 1):
-            if d:
-                acc = acc + d * pows[k + m] * ((-1) ** m * comb(k + m - 1, m))
-        out.append(acc)
-    return out
-
-
 # ----------------------------------------------------------------------
 # residues
 # ----------------------------------------------------------------------
@@ -228,13 +188,22 @@ def residue_of_product(f: RatFunc, g: RatFunc, point) -> CycloNumber:
 
 def _taylor_at(f: RatFunc, key, a, count):
     """First Taylor coefficients (at most count) at a of f minus its
-    principal part at a."""
+    principal part at a, the part keyed ``key``.  A pole b contributes, with
+    u = t - a and e = a - b, (u + e)^-k = sum_m (-1)^m C(k+m-1, m) e^(-k-m) u^m."""
     zero = f.field.zero
     out = [r for r, _ in _divisions(a, f.poly, count, zero)]
     for kb, (b, ds) in f.parts.items():
-        if kb != key:
-            pows = _inverse_powers(f.field, a - b, len(ds) + count)
-            out = add(out, _taylor(ds, pows, count, zero))
+        if kb == key:
+            continue
+        inv = (a - b).inverse()
+        pows = [f.field.one]  # pows[n] = e^-n
+        for _ in range(len(ds) + count - 1):
+            pows.append(pows[-1] * inv)
+        out = add(out, [
+            sum((d * pows[k + m] * ((-1) ** m * comb(k + m - 1, m))
+                 for k, d in enumerate(ds, 1) if d), zero)
+            for m in range(count)
+        ])
     return out
 
 

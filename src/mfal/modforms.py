@@ -366,15 +366,13 @@ def theta_transformation_residual(tau: complex, order=DEFAULT_ORDER) -> float:
     return residual
 
 
-def klein_form(r1, scale: int = 1, order=DEFAULT_ORDER, r2=0) -> NamedForm:
+def klein_form(r1, scale: int = 1, order=DEFAULT_ORDER) -> NamedForm:
     """Klein form k_{r1,0}(scale*tau) for rational r1 in (0,1).
 
     q_z^{(r1-1)/2} (q_z; qs)(qs/q_z; qs) / (qs; qs)^2 with qs = q^scale and
     q_z = q^{scale*r1}.  The r2 != 0 case needs cyclotomic coefficients and
     is not provided.
     """
-    if r2 != 0:
-        raise Unsupported("Klein forms with r2 != 0 need cyclotomic coefficients")
     r1 = Fraction(r1)
     if not 0 < r1 < 1:
         raise Unsupported("r1 must lie strictly between 0 and 1")

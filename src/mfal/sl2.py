@@ -10,7 +10,6 @@ systems and Chevalley tables are ``mfal.liealg``.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import comb
 
 
@@ -48,7 +47,9 @@ def sym_power_matrix(n: int, entries):
     """Functorial Sym^n of a 2x2 matrix over any commutative ring.
 
     ``entries`` is ((a, b), (c, d)); returns the (n+1)x(n+1) matrix in the
-    scaled monomial basis.  Works for any ring of the ``mfal.linalg`` protocol.
+    scaled monomial basis.  Works for any ring of the ``mfal.linalg`` protocol;
+    each term's coefficient C(n,j) C(n-j,u) C(j,v) / C(n,i) is the int
+    C(i,u) C(n-i,j-v), so an int matrix has an int Sym^n.
     """
     (a, b), (c, d) = entries
     rows = [[None] * (n + 1) for _ in range(n + 1)]
@@ -58,7 +59,7 @@ def sym_power_matrix(n: int, entries):
         for u in range(n - j + 1):
             for v in range(j + 1):
                 i = u + v
-                coeff = Fraction(comb(n, j) * comb(n - j, u) * comb(j, v), comb(n, i))
+                coeff = comb(i, u) * comb(n - i, j - v)
                 term = a ** (n - j - u) * c ** u * b ** (j - v) * d ** v * coeff
                 if i in contributions:
                     contributions[i] = contributions[i] + term

@@ -47,11 +47,8 @@ def phi(n: int) -> PhiOperator:
 
 
 def rho_matrix(n: int, gamma) -> list:
-    """Sym^n of an integer 2x2 matrix, as Fractions."""
-    (a, b), (c, d) = gamma
-    return sl2.sym_power_matrix(
-        n, ((Fraction(a), Fraction(b)), (Fraction(c), Fraction(d)))
-    )
+    """Sym^n of an integer 2x2 matrix, as ints."""
+    return sl2.sym_power_matrix(n, gamma)
 
 
 T_GAMMA = ((1, 1), (0, 1))

@@ -113,6 +113,14 @@ def test_triples_materialize():
         assert gt.triple_relations_hold()
 
 
+def test_small_coefficient_vectors_repeat_no_candidate():
+    # the six triples they find are pinned by test_linalg's TRIPLES
+    for n in range(1, 5):
+        stream = list(liealg._small_coefficient_vectors(n))
+        assert stream[0] == (1,) * n
+        assert len(set(stream)) == len(stream)
+
+
 def test_trivial_labels():
     gt = liealg.GradedTriple("A2", (0, 0))
     assert gt.h_vector == {}
@@ -234,6 +242,24 @@ def test_sym_power_multiplicativity():
         for i in range(dim)
     ]
     assert prod == sab
+
+
+@pytest.mark.parametrize("n", range(11))
+def test_sym_power_of_an_int_matrix_is_int(n):
+    """Sym^n of an int matrix has int entries, equal to the Fraction formula
+    with coefficients C(n,j) C(n-j,u) C(j,v) / C(n,i)."""
+    comb = math.comb
+    for gamma in (((1, 1), (0, 1)), ((0, -1), (1, 0)), ((2, -3), (5, 7))):
+        (a, b), (c, d) = gamma
+        expected = [[0] * (n + 1) for _ in range(n + 1)]
+        for j in range(n + 1):
+            for u in range(n - j + 1):
+                for v in range(j + 1):
+                    coeff = Fraction(comb(n, j) * comb(n - j, u) * comb(j, v), comb(n, u + v))
+                    expected[u + v][j] += a ** (n - j - u) * c ** u * b ** (j - v) * d ** v * coeff
+        mat = sl2.sym_power_matrix(n, gamma)
+        assert all(type(x) is int for row in mat for x in row)
+        assert mat == expected
 
 
 # sha256 of repr(sorted(chevalley(t).eps.items())), recorded from the

@@ -1,5 +1,8 @@
-"""Property tests of mfal.loopext over every polyhedral pole set, with sympy's
-``residue`` as an independent oracle on Q and Q(i).
+"""Property tests of mfal.loopext over every polyhedral pole set, with sympy
+as an independent oracle on Q and Q(i): ``residue`` for residues, also of
+products, and ``subs`` for values.  ``RatFunc`` reads products, values and
+residues of products off one local expansion, so the property tests among
+them share that code and only sympy's routes are independent of it.
 
 sympy and hypothesis are test-only dependencies; the package itself must
 not import them.
@@ -152,3 +155,28 @@ def test_residue_matches_sympy(preset, data):
     for a in points:
         expected = sympy.residue(expr, T, to_sympy(a))
         assert sympy.simplify(expected - to_sympy(loopext.residue(f, a))) == 0
+
+
+@pytest.mark.parametrize("preset", ["dihedral", "octahedral"])
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_evaluate_matches_sympy(preset, data):
+    field, points = loopext.pole_preset(preset)
+    f, expr = data.draw(paired(field, points))
+    x = data.draw(field_elements(field))
+    assume(all(x != a for a in points))
+    expected = expr.subs(T, to_sympy(x))
+    assert sympy.simplify(expected - to_sympy(f.evaluate(x))) == 0
+
+
+@pytest.mark.parametrize("preset", ["dihedral", "octahedral"])
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_residue_of_product_matches_sympy(preset, data):
+    field, points = loopext.pole_preset(preset)
+    f, expr_f = data.draw(paired(field, points))
+    g, expr_g = data.draw(paired(field, points))
+    for a in points:
+        expected = sympy.residue(expr_f * expr_g, T, to_sympy(a))
+        got = loopext.residue_of_product(f, g, a)
+        assert sympy.simplify(expected - to_sympy(got)) == 0

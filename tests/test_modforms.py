@@ -123,11 +123,6 @@ def test_klein_form_deep_coefficients():
         assert k.coefficient(Fraction(-2, 5) + offset) == c
 
 
-def test_klein_form_r2_unsupported():
-    with pytest.raises(Unsupported):
-        mf.klein_form(Fraction(1, 5), 5, 24, r2=Fraction(1, 5))
-
-
 def test_klein_half_equals_eta_quotient():
     # k_{1/2,0}(2 tau) = eta(tau)^2 eta(2 tau)^-4: independent route through
     # the pentagonal-number product instead of the two-factor Pochhammers
