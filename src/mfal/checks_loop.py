@@ -3,6 +3,12 @@ residue cocycles, the Onsager algebra and evaluation representations.
 
 It imports only the algebra half: `loopext`, `cyclotomic`, `alia`, `liealg`,
 `sl2`, `linalg` and `poly`.
+
+The cocycle rows (`loop.cocycle_properties`, `loop.cocycle_monomials`,
+`loop.polyhedral_cocycles`) and `loop.onsager` are proofs from finite
+lemmas, each argued in its docstring; the sampled sweeps of the cocycle laws
+are the test oracles of `tests/test_loopext.py`.  `loop.evaluation_rep`
+still samples.
 """
 
 from __future__ import annotations
@@ -10,7 +16,6 @@ from __future__ import annotations
 import itertools
 import random
 from fractions import Fraction
-from functools import partial
 
 from . import alia, liealg, loopext
 from .linalg import Matrix
@@ -36,63 +41,87 @@ def _total_residue(order):
            loopext.residue_at_infinity(f, points), field.zero)
 
 
+def _efh(st):
+    """The basis vectors e, f, h of the sl2 of st's first positive root."""
+    alpha = st.rs.positive[0]
+    keys = ("A", alpha), ("A", tuple(-a for a in alpha)), ("H", 0)
+    return {name: {st.index[key]: 1} for name, key in zip("efh", keys)}
+
+
 def _cocycle_properties(order):
-    """omega on all 144 ordered pairs of the loop elements x u_i, x one of e,
-    f, h of A1 and u_i one of four functions, at each dihedral point a_k; then
-    the rank of the puncture cocycles on three pairs."""
+    """omega(x f, y g) = K(x, y) R_a(f, g), R_a(f, g) = res_a(f' g), is
+    bilinear and antisymmetric on the span of the 12 loop elements x u_i, x
+    one of e, f, h of A1 and u_i one of four functions, at each dihedral
+    point a.
+
+    K is bilinear, the sum of x_i y_j K_ij.  R_a is bilinear: ``derivative``
+    is linear, and ``residue_of_product`` sums products of one principal
+    coefficient of one factor and one Taylor coefficient of the other, each
+    linear in its function.  So omega is bilinear, which is additivity and
+    homogeneity in each argument, and bilinearity carries antisymmetry from
+    the 12 elements to their span.  On them, omega(x u_i, y u_j) =
+    K(x, y) R_a(u_i, u_j) = -K(y, x) R_a(u_j, u_i) = -omega(y u_j, x u_i)
+    follows from the lemmas: K = K^T on e, f, h; R_a(u_i, u_j), the shortcut
+    that never forms u_i' u_j, is the residue of that product on the 16
+    ordered pairs; and omega(h u_i, h u_j) + omega(h u_j, h u_i) = 0 on the
+    10 unordered ones, which is R_a's antisymmetry times K(h, h), read
+    through ``loop_cocycle``.  Both routes expand each function at the
+    other's poles with the one ``_taylor_at``, so one value is also checked
+    against its closed form: omega(h u_1, h u_3) = K(h, h) R_1(u_1, u_3) =
+    8 res_1(-1/((t - 1)^2 t^2)) = 8 d/dt(-t^-2) at 1 = 16.  It fixes the
+    sign of e = a - b, as the expansion of t^-2 at 1 reads an odd power of
+    e, and K(h, h) != 0, without which the antisymmetry lemmas would be
+    empty.
+    """
+    yield next(liealg.killing_lemmas(order, ("A1",)))  # K = K^T on the basis h, e, f
     st = liealg.chevalley("A1")
     field, points = loopext.pole_preset("dihedral")
-    vecs = [{st.index[b]: 1} for b in (("A", (1,)), ("A", (-1,)), ("H", 0))]
     funcs = [
         loopext.RatFunc.pole_factor(field, 0, 1),
-        loopext.RatFunc.pole_factor(field, 1, 1) * loopext.RatFunc.polynomial(field, [0, 1]),
+        loopext.RatFunc.pole_factor(field, 1, 1) + 1,  # t/(t - 1)
         loopext.RatFunc.polynomial(field, [2, 1]),
         loopext.RatFunc.pole_factor(field, 0, 2),
     ]
-    cocycle = partial(loopext.loop_cocycle, st)
-    elements = [(name, x, i, f) for name, x in zip("efh", vecs) for i, f in enumerate(funcs)]
-    # f + g adds any two functions
-    for (xn, x, i, f), (yn, y, j, g) in itertools.product(elements, repeat=2):
-        doubled = {k: 2 * v for k, v in x.items()}
-        xf, yg = f"{xn} u_{i}", f"{yn} u_{j}"
-        for k, p in enumerate(points):
-            omega = cocycle(x, f, y, g, p)
-            yield (f"omega({xf}, {yg}) + omega({yg}, {xf}) = 0 at a_{k}",
-                   omega + cocycle(y, g, x, f, p), field.zero)
-            yield (f"omega({xn} (u_{i} + u_{j}), {yg}) = omega({xf}, {yg}) + "
-                   f"omega({xn} u_{j}, {yg}) at a_{k}",
-                   cocycle(x, f + g, y, g, p), omega + cocycle(x, g, y, g, p))
-            yield (f"omega(2 {xf}, {yg}) = 2 omega({xf}, {yg}) at a_{k}",
-                   cocycle(doubled, f, y, g, p), omega * 2)
-    pairs = [
-        ((vecs[0], funcs[0]), (vecs[1], funcs[2])),
-        ((vecs[0], funcs[1]), (vecs[1], funcs[3])),
-        ((vecs[2], funcs[0]), (vecs[2], funcs[2])),
-    ]
-    yield ("the puncture cocycles have rank M - 1",
-           loopext.cocycle_rank(st, pairs, points), len(points))
+    h = _efh(st)["h"]
+    yield ("omega(h u_1, h u_3) = K(h, h) res(-1/((t - 1)^2 t^2)) = 16 at a_1",
+           loopext.loop_cocycle(st, h, funcs[1], h, funcs[3], points[1]), field.rational(16))
+    for (i, u), (j, v) in itertools.product(enumerate(funcs), repeat=2):
+        du = u.derivative()
+        product = du * v
+        for k, a in enumerate(points):
+            yield (f"R(u_{i}, u_{j}) = res(u_{i}' u_{j}) at a_{k}",
+                   loopext.residue_of_product(du, v, a), loopext.residue(product, a))
+            if i <= j:
+                yield (f"omega(h u_{i}, h u_{j}) + omega(h u_{j}, h u_{i}) = 0 at a_{k}",
+                       loopext.loop_cocycle(st, h, u, h, v, a)
+                       + loopext.loop_cocycle(st, h, v, h, u, a), field.zero)
 
 
 def _cocycle_monomials(order):
+    """omega(x z^m, y z^n) = m K(x, y) delta_(m+n,0) at 0 for |m|, |n| <= 6
+    and every x, y of A1 and A2.
+
+    omega(x f, y g) = K(x, y) res_0(f' g), so the row is res_0((z^m)' z^n) =
+    m delta_(m+n,0) on the 169 pairs, one ``residue_of_product`` each, and
+    omega = K res_0(f' g) as ``loop_cocycle`` computes it, at m = +-1,
+    n = -m for e, f; h, h; e, e (K(e, e) = 0) in each type.
+    """
     field = loopext.CycloField(1)
     zero = field.zero
     powers = {m: loopext.RatFunc.t_power(field, m) for m in range(-6, 7)}
+    for m, z_m in powers.items():
+        dz_m = z_m.derivative()
+        for n, z_n in powers.items():
+            yield (f"res_0((z^{m})' z^{n}) = {m} delta",
+                   loopext.residue_of_product(dz_m, z_n, zero),
+                   field.rational(m) if m + n == 0 else zero)
     for t in ("A1", "A2"):
         st = liealg.chevalley(t)
-        alpha = st.rs.positive[0]
-        e = st.index[("A", alpha)]
-        f = st.index[("A", tuple(-a for a in alpha))]
-        h = st.index[("H", 0)]
-        # K(e, f) and K(h, h) are nonzero, K(e, e) = 0
-        for (x_name, i), (y_name, j) in ((("e", e), ("f", f)), (("h", h), ("h", h)),
-                                         (("e", e), ("e", e))):
-            x, y = {i: 1}, {j: 1}
-            k_val = st.killing_form(x, y)
-            for m in range(-6, 7):
-                for n in range(-6, 7):
-                    value = loopext.loop_cocycle(st, x, powers[m], y, powers[n], zero)
-                    expect = field.rational(m * k_val) if m + n == 0 else zero
-                    yield f"omega({x_name} z^{m}, {y_name} z^{n}) in {t}", value, expect
+        basis = _efh(st)
+        for (x, y), m in itertools.product(("ef", "hh", "ee"), (1, -1)):
+            yield (f"omega({x} z^{m}, {y} z^{-m}) = {m} K({x}, {y}) in {t}",
+                   loopext.loop_cocycle(st, basis[x], powers[m], basis[y], powers[-m], zero),
+                   field.rational(m * st.killing_form(basis[x], basis[y])))
 
 
 def _polyhedral_cocycles(order):
@@ -105,10 +134,21 @@ def _polyhedral_cocycles(order):
     res_b(u') = 0 for u = (t - a)^-k, a a preset point and 1 <= k <= 6, and
     u = t^m, m <= 3.  Their span holds every product of three functions with
     poles of order <= 2 at preset points and polynomial part of degree <= 1.
+
+    The M - 1 puncture cocycles omega_b, one per finite point b, are
+    independent: on the pairs (h/(t - a), h (t - a)), one per finite point a,
+    omega_b = K(h, h) res_b(-1/(t - a)) = -8 delta_ab, so their matrix has
+    rank M - 1.
     """
     yield from liealg.killing_lemmas(order, ("A1",))
+    st = liealg.chevalley("A1")
+    h = _efh(st)["h"]
     for preset in ("dihedral", "tetrahedral", "octahedral", "icosahedral"):
         field, points = loopext.pole_preset(preset)
+        pairs = [((h, loopext.RatFunc.pole_factor(field, a, 1)),
+                  (h, loopext.RatFunc.polynomial(field, [-a, 1]))) for a in points]
+        yield (f"{preset}: the puncture cocycles have rank M - 1 = {len(points)}",
+               loopext.cocycle_rank(st, pairs, points), len(points))
         funcs = [(f"t^{m}", loopext.RatFunc.t_power(field, m)) for m in range(4)]
         funcs += [(f"(t - a_{i})^-{k}", loopext.RatFunc.pole_factor(field, a, k))
                   for i, a in enumerate(points) for k in range(1, 7)]
@@ -209,17 +249,19 @@ IDENTITIES = {
     "loop.residue_calculus": ("linearity and res(f') = 0 at an exact pole", _residue_calculus),
     "loop.total_residue": ("finite residues sum to zero for decaying f", _total_residue),
     "loop.cocycle_properties": (
-        "bilinear and antisymmetric on all 144 pairs of 12 loop elements, "
-        "independent (rank M-1)", _cocycle_properties),
+        "proved bilinear and antisymmetric on the span of 12 loop elements: K symmetric, "
+        "res(u_i' u_j) by two routes and antisymmetric at both dihedral points",
+        _cocycle_properties),
     "loop.cocycle_monomials": (
-        "omega(x z^m, y z^n) = m K(x,y) delta for |m|,|n| <= 6, A1 and A2", _cocycle_monomials),
+        "omega(x z^m, y z^n) = m K(x,y) delta proved for |m|,|n| <= 6, A1 and A2: "
+        "res_0((z^m)' z^n) on 169 pairs, omega = K res at m = +-1", _cocycle_monomials),
     "loop.onsager": (
         "relations proved for every index by three lemmas at generic indices, "
         "and the Hauptmodul bracket", _onsager),
     "loop.dolan_grady": ("nested bracket relations over Q[j]", _dolan_grady),
     "loop.polyhedral_cocycles": (
         "2-cocycle proved: K invariant on A1, res(u') = 0 at every point of the four "
-        "pole sets", _polyhedral_cocycles),
+        "pole sets; rank M - 1 on four presets", _polyhedral_cocycles),
     "loop.evaluation_rep": (
         "bracket respected on samples; pole evaluation rejected", _evaluation_rep),
 }

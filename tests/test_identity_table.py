@@ -76,8 +76,8 @@ def test_table_ids_are_the_suite_entries_the_runner_builds():
 
 
 @pytest.mark.parametrize("order, digest", [
-    (32, "28e92e310ff4efa781cbcecda273ad7b42f6cc06be4d228805ee53d22d330398"),
-    (64, "7d04ce3a1abaa51b30a81dc7f966ab81cf7a8bc544bf258d3b5bb6d2fdfd0ab5"),
+    (32, "9189f78dd6e706e20820b61cca6fc8a76e09082ca52156eaf9cbedd02119dddc"),
+    (64, "300f372d74d03bf9ad65d45c8490031d83c59b4e12792aab1978aa3a37f6a5dc"),
 ], ids=["32", "64"])
 def test_verify_all_json_digest(capsys, order, digest):
     assert main(["verify", "all", "--order", str(order), "--format", "json"]) == 0
@@ -120,6 +120,91 @@ def test_polyhedral_cocycles_fails_when_a_derivative_keeps_a_residue(monkeypatch
                              ("icosahedral", 11))
         for i in range(size)
     ]
+
+
+#: the closed-form lemma of ``loop.cocycle_properties``
+CLOSED_FORM = "omega(h u_1, h u_3) = K(h, h) res(-1/((t - 1)^2 t^2)) = 16 at a_1"
+
+
+def test_cocycle_rows_fail_when_the_cocycle_drops_the_derivative(monkeypatch):
+    """omega read as K(x, y) res(f g), not K(x, y) res(f' g): each cocycle
+    row names the lemmas that go through ``loop_cocycle``."""
+
+    def without_derivative(structure, x, f, y, g, point):
+        return loopext.residue_of_product(f, g, point) * structure.killing_form(x, y)
+
+    monkeypatch.setattr(loopext, "loop_cocycle", without_derivative)
+    assert _failed("loop.cocycle_monomials") == [
+        f"omega({x} z^{m}, {y} z^{-m}) = {m} K({x}, {y}) in {t}"
+        for t in ("A1", "A2") for x, y in ("ef", "hh") for m in (1, -1)]
+    # K(h, h) res(u_1 u_3) = 8 at 1 in place of 16, and 2 K(h, h) res(u_i u_j)
+    # in place of 0, for u = 1/t, t/(t - 1), t + 2, 1/t^2: u_0 u_1 = 1/(t - 1),
+    # u_0 u_2 = 1 + 2/t, u_1 u_1 has residue 2 at 1, u_1 u_2 residue 3 at 1,
+    # u_1 u_3 = 1/(t (t - 1)), u_2 u_3 = 1/t + 2/t^2
+    assert _failed("loop.cocycle_properties") == [CLOSED_FORM] + [
+        f"omega(h u_{i}, h u_{j}) + omega(h u_{j}, h u_{i}) = 0 at a_{k}"
+        for i, j, k in ((0, 1, 1), (0, 2, 0), (1, 1, 1), (1, 2, 1), (1, 3, 0), (1, 3, 1),
+                        (2, 3, 0))]
+    # res_b(1/(t - a) (t - a)) = 0: the matrix of the puncture cocycles is zero
+    assert _failed("loop.polyhedral_cocycles") == [
+        f"{preset}: the puncture cocycles have rank M - 1 = {size}"
+        for preset, size in (("dihedral", 2), ("tetrahedral", 3), ("octahedral", 5),
+                             ("icosahedral", 11))]
+
+
+@pytest.mark.parametrize("shared", [False, True], ids=["shortcut", "shared"])
+def test_cocycle_properties_fails_when_e_flips_sign(monkeypatch, shared):
+    """``_taylor_at`` expands each other pole b with (u - e)^-k in place of
+    (u + e)^-k, e = a - b: in ``residue_of_product`` alone (the product f' g
+    keeps the right expansion), or shared by both routes.  (u - e)^-k =
+    (t - (2a - b))^-k, so the flipped expansion is the right one of f with
+    each other pole b moved to 2a - b."""
+    taylor_at, shortcut = loopext._taylor_at, loopext.residue_of_product
+
+    def flipped(f, key, a, count):
+        parts = {}
+        for k, (b, cs) in f.parts.items():
+            if k != key:
+                b = a + a - b
+            parts[b.key] = (b, cs)
+        return taylor_at(loopext.RatFunc(f.field, f.poly, parts), key, a, count)
+
+    def flipped_shortcut(f, g, point):
+        with monkeypatch.context() as m:
+            m.setattr(loopext, "_taylor_at", flipped)
+            return shortcut(f, g, point)
+
+    if shared:
+        monkeypatch.setattr(loopext, "_taylor_at", flipped)
+    else:
+        monkeypatch.setattr(loopext, "residue_of_product", flipped_shortcut)
+    # (u - e)^-k and (u + e)^-k differ in their u^m terms with k + m odd, and
+    # of the row's pairs only u_1 = t/(t - 1) with u_3 = 1/t^2 reads one; the
+    # antisymmetry lemmas hold, since the moved functions are rational too.
+    # Shared, the two routes agree, and only the closed form sees the flip
+    two_routes = [f"R(u_{i}, u_{j}) = res(u_{i}' u_{j}) at a_{k}"
+                  for i, j in ((1, 3), (3, 1)) for k in (0, 1)]
+    assert _failed("loop.cocycle_properties") == [CLOSED_FORM] + ([] if shared else two_routes)
+
+
+def test_cocycle_properties_fails_on_an_asymmetric_killing_form(monkeypatch):
+    st = liealg.chevalley("A1")
+    e, f = st.index[("A", (1,))], st.index[("A", (-1,))]
+    km = [list(row) for row in st.killing()]
+    km[e][f] += 1
+    monkeypatch.setattr(st, "_killing", km)
+    assert _failed("loop.cocycle_properties") == ["K = K^T in A1"]
+
+
+def test_cocycle_properties_fails_when_k_h_h_vanishes(monkeypatch):
+    """With K(h, h) = 0 every omega(h u_i, h u_j) is 0 and the antisymmetry
+    lemmas hold whatever R_a is; the closed form does not."""
+    st = liealg.chevalley("A1")
+    h = st.index[("H", 0)]
+    km = [list(row) for row in st.killing()]
+    km[h][h] = 0
+    monkeypatch.setattr(st, "_killing", km)
+    assert _failed("loop.cocycle_properties") == [CLOSED_FORM]
 
 
 def test_evaluation_rep_fails_when_a_pole_is_evaluated(monkeypatch):
@@ -307,6 +392,7 @@ def test_proofs_reach_no_sampler_and_no_determinant(monkeypatch):
     entries = dict(entry for suite in checks.SUITES.values() for entry in suite)
     for check_id in ("liealg.killing_associativity", "loop.polyhedral_cocycles",
                      "vvmf.phi_det", "vvmf.phi_S_numeric", "loop.cocycle_properties",
+                     "loop.cocycle_monomials",
                      "alia.jacobi_tables", "alia.cocycle_condition", "alia.scalar_oracle",
                      "loop.onsager"):
         passed, detail = entries[check_id](ORDER)

@@ -1,6 +1,8 @@
 import hashlib
+import itertools
 import random
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
@@ -130,23 +132,77 @@ def test_total_residue_theorem_samples():
     assert total.is_zero()
 
 
-def test_loop_cocycle_monomials():
-    field = CycloField(1)
+def cocycle_sweep():
+    """The sampled oracle of ``loop.cocycle_properties``, which proves the
+    same laws from lemmas: omega on all 144 ordered pairs of the 12 loop
+    elements x u_i (x one of e, f, h of A1, u_i one of the row's four
+    functions) at both dihedral points, as (name, lhs, rhs) for antisymmetry,
+    additivity on u_i + u_j and doubling."""
     st = liealg.chevalley("A1")
-    x = {st.index[("A", (1,))]: Fraction(1)}
-    y = {st.index[("A", (-1,))]: Fraction(1)}
-    k_val = st.killing_form(x, y)
-    assert k_val == 4
-    for m in range(-6, 7):
-        for n in range(-6, 7):
-            val = loopext.loop_cocycle(
-                st, x, RatFunc.t_power(field, m), y, RatFunc.t_power(field, n),
-                field.zero,
-            )
-            if m + n == 0:
-                assert val == field.rational(m * k_val)
-            else:
-                assert val.is_zero()
+    field, points = loopext.pole_preset("dihedral")
+    vecs = [{st.index[b]: 1} for b in (("A", (1,)), ("A", (-1,)), ("H", 0))]
+    funcs = [
+        RatFunc.pole_factor(field, 0, 1),
+        RatFunc.pole_factor(field, 1, 1) * RatFunc.polynomial(field, [0, 1]),
+        RatFunc.polynomial(field, [2, 1]),
+        RatFunc.pole_factor(field, 0, 2),
+    ]
+    cocycle = partial(loopext.loop_cocycle, st)
+    elements = [(name, x, i, f) for name, x in zip("efh", vecs) for i, f in enumerate(funcs)]
+    for (xn, x, i, f), (yn, y, j, g) in itertools.product(elements, repeat=2):
+        doubled = {k: 2 * v for k, v in x.items()}
+        xf, yg = f"{xn} u_{i}", f"{yn} u_{j}"
+        for k, p in enumerate(points):
+            omega = cocycle(x, f, y, g, p)
+            yield (f"omega({xf}, {yg}) + omega({yg}, {xf}) = 0 at a_{k}",
+                   omega + cocycle(y, g, x, f, p), field.zero)
+            yield (f"omega({xn} (u_{i} + u_{j}), {yg}) = omega({xf}, {yg}) + "
+                   f"omega({xn} u_{j}, {yg}) at a_{k}",
+                   cocycle(x, f + g, y, g, p), omega + cocycle(x, g, y, g, p))
+            yield (f"omega(2 {xf}, {yg}) = 2 omega({xf}, {yg}) at a_{k}",
+                   cocycle(doubled, f, y, g, p), omega * 2)
+
+
+def monomial_sweep():
+    """The sampled oracle of ``loop.cocycle_monomials``, which proves it from
+    res_0((z^m)' z^n) = m delta: omega(x z^m, y z^n) = m K(x, y) delta_(m+n,0)
+    for |m|, |n| <= 6 and (x, y) = (e, f), (h, h), (e, e) of A1 and A2, as
+    (name, value, expected)."""
+    field = CycloField(1)
+    zero = field.zero
+    powers = {m: RatFunc.t_power(field, m) for m in range(-6, 7)}
+    for t in ("A1", "A2"):
+        st = liealg.chevalley(t)
+        alpha = st.rs.positive[0]
+        e = st.index[("A", alpha)]
+        f = st.index[("A", tuple(-a for a in alpha))]
+        h = st.index[("H", 0)]
+        for (x_name, i), (y_name, j) in ((("e", e), ("f", f)), (("h", h), ("h", h)),
+                                         (("e", e), ("e", e))):
+            x, y = {i: 1}, {j: 1}
+            k_val = st.killing_form(x, y)
+            for m, n in itertools.product(powers, repeat=2):
+                value = loopext.loop_cocycle(st, x, powers[m], y, powers[n], zero)
+                expect = field.rational(m * k_val) if m + n == 0 else zero
+                yield f"omega({x_name} z^{m}, {y_name} z^{n}) in {t}", value, expect
+
+
+@pytest.mark.parametrize("sweep, size", [(cocycle_sweep, 144 * 2 * 3),
+                                         (monomial_sweep, 2 * 3 * 13 * 13)])
+def test_cocycle_sweep_holds_on_every_sample(sweep, size):
+    samples = list(sweep())
+    assert len(samples) == size
+    assert [name for name, lhs, rhs in samples if lhs != rhs] == []
+
+
+def test_monomial_sweep_reads_the_killing_form():
+    """K(e, f) = 4 and K(h, h) = 8 in A1, so the sweep's nonzero values are
+    m K, not the bare delta."""
+    values = {name: value for name, value, _ in monomial_sweep()}
+    one = CycloField(1).one
+    assert values["omega(e z^1, f z^-1) in A1"] == one * 4
+    assert values["omega(h z^-2, h z^2) in A1"] == one * -16
+    assert values["omega(e z^3, e z^-3) in A2"].is_zero()
 
 
 def test_loop_cocycle_antisymmetry():

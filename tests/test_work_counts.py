@@ -110,8 +110,10 @@ def test_phi_determinant_and_inverse_make_one_canonical_step_per_dot(monkeypatch
 
 
 @pytest.mark.parametrize("check_id, products", [
-    ("loop.cocycle_monomials", 0),  # 676 if each cocycle forms f' g
-    ("loop.cocycle_properties", 1),  # 487 likewise; the one left builds the sample u_1
+    ("loop.cocycle_monomials", 0),  # 177 if each residue forms f' g
+    # the two-route lemmas form u_i' u_j once for each of the 16 ordered
+    # pairs, on purpose; 72 more if each shortcut formed f' g as well
+    ("loop.cocycle_properties", 16),
 ])
 def test_cocycles_read_residues_without_products(monkeypatch, check_id, products):
     checks.load("loop")
@@ -192,10 +194,10 @@ def test_cocycle_monomials_multiply_no_cyclotomic_zero(monkeypatch):
     checks.load("loop")
     dots = count_dots(monkeypatch, CycloNumber)
     assert checks.check_identity("loop.cocycle_monomials", 8)[0]
-    # the nonzero products of principal and Taylor coefficients: the dots
-    # visit 896 pairs and multiply these 48, skipping each pair with a zero
-    # factor; a product that multiplies its zero operands makes 2,848
-    assert sum(m for _, m in dots) == 48
+    # the nonzero products of principal and Taylor coefficients, one per
+    # lemma with m + n = 0 and K(x, y) != 0: the dots visit 236 pairs and
+    # multiply these 20, skipping each pair with a zero factor
+    assert (sum(n for n, _ in dots), sum(m for _, m in dots)) == (236, 20)
 
 
 @pytest.mark.parametrize("check_id", [
