@@ -36,6 +36,19 @@ def _mu(order):
 
 
 def _klein(order):
+    """The Klein forms and f_gamma5 are quotients of the sums
+    T = `modforms.triple_product` and `modforms.eta_cube`.  Two lemmas tie
+    these to Euler's product E = T(1, 3), which `modforms.delta_dual_route`
+    certifies through eta^24 = Delta: Jacobi's identity (q; q)^3 = E^3, and
+    T(1, 5) T(2, 5) = (q; q)(q^5; q^5) = E(q) E(q^5) with E(q^5) = T(5, 15).
+    They are built through at least order 16, the span a comparison needs,
+    so low orders keep the row's status."""
+    n = max(order, 16)
+    tp = modforms.triple_product
+    euler = tp(1, 3, n)
+    yield "Jacobi: eta_cube(1) = triple_product(1, 3)^3", modforms.eta_cube(1, n), euler**3
+    yield ("triple_product(1, 5) triple_product(2, 5) = E(q) E(q^5)",
+           tp(1, 5, n) * tp(2, 5, n), euler * tp(5, 15, n))
     k = modforms.klein_form(Fraction(1, 5), 5, order).series
     yield "klein(1/5; 5t) has valuation -2/5", k.valuation, Fraction(-2, 5)
     yield "klein(1/5; 5t)^5 has valuation -2", (k**5).valuation, -2
@@ -67,7 +80,9 @@ IDENTITIES = {
     "gamma.rel3": ("E4, E6 as polynomials in phi1, phi2", _rel3),
     "gamma.ferapontov_ode": ("fourth-order ODE for phi1, all five terms active", _ferapontov),
     "gamma.mu_hauptmodul": ("cusp value 1, quarter-integral lattice", _mu),
-    "gamma.klein_forms": ("Klein form exponents and the Gamma(5) weight-1 form", _klein),
+    "gamma.klein_forms": (
+        "Jacobi's theta sums tied to Euler's product, Klein form exponents and the "
+        "Gamma(5) weight-1 form", _klein),
     "gamma.weight_zero_iso": (
         "nonvanishing forms invertible at the cusp, all four groups", _weight_zero_iso),
 }

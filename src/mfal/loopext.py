@@ -42,13 +42,13 @@ class RatFunc(Ring):
     is a lookup and ``is_zero`` is exact.
     """
 
-    __slots__ = ("field", "poly", "parts")
+    __slots__ = ("field", "poly", "parts", "_derivative")
 
     def __init__(self, field: type[CycloNumber], poly, parts=None):
         # the lists passed in are trimmed in place and never changed afterwards
         self.field = field
         self.poly = trim(poly)
-        self.parts = {}
+        self.parts, self._derivative = {}, None
         for key, (a, cs) in (parts or {}).items():
             if trim(cs):
                 self.parts[key] = (a, cs)
@@ -108,15 +108,18 @@ class RatFunc(Ring):
         return RatFunc(self.field, poly, parts)
 
     def derivative(self) -> "RatFunc":
-        zero = self.field.zero
-        return RatFunc(
-            self.field,
-            [c * i for i, c in enumerate(self.poly)][1:],
-            {
-                key: (a, [zero] + [c * -k for k, c in enumerate(cs, 1)])
-                for key, (a, cs) in self.parts.items()
-            },
-        )
+        # taken once, as f never changes: ``cocycle_rank`` reads the cocycle
+        # of one pair at every point
+        if self._derivative is None:
+            self._derivative = RatFunc(
+                self.field,
+                [c * i for i, c in enumerate(self.poly)][1:],
+                {
+                    key: (a, [self.field.zero] + [c * -k for k, c in enumerate(cs, 1)])
+                    for key, (a, cs) in self.parts.items()
+                },
+            )
+        return self._derivative
 
     def evaluate(self, point) -> CycloNumber:
         """f(point): the constant Taylor coefficient of f there."""
@@ -276,10 +279,8 @@ def cocycle_rank(structure, samples, points) -> int:
     Rows are sampled pairs, columns the puncture cocycles; rank M-1 means
     the produced central extensions are independent.
     """
-    rows = []
-    for (x, f), (y, g) in samples:
-        rows.append([loop_cocycle(structure, x, f, y, g, p) for p in points])
-    return rank(rows)
+    return rank([[loop_cocycle(structure, x, f, y, g, p) for p in points]
+                 for (x, f), (y, g) in samples])
 
 
 # ----------------------------------------------------------------------
@@ -338,9 +339,7 @@ class EvaluationRep:
 
     def __init__(self, field: type[CycloNumber], points, rep_sizes):
         self.field = field
-        self.points = [
-            p if isinstance(p, CycloNumber) else field.rational(p) for p in points
-        ]
+        self.points = [_num(field, p) for p in points]
         self.reps = [sl2.SymRep(n) for n in rep_sizes]
         self.dims = [r.dim for r in self.reps]
 

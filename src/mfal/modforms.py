@@ -3,10 +3,11 @@
 Everything is an exact QSeries in q = exp(2*pi*i*tau).  Forms classically
 written in the nome exp(pi*i*tau) (theta constants, lambda) live here with
 half/quarter/eighth-integral exponents so that a single exponent lattice
-serves the whole package.  The identities between these forms that
-`mfal verify` certifies are declared once each, as rows of the identity
-table `IDENTITIES` of the suite's module `mfal.checks_<suite>`, which
-`mfal.checks.load` gathers into `mfal.checks.IDENTITIES`.
+serves the whole package.  Euler's product and the Klein forms are Jacobi's
+sparse theta sums (`triple_product`, `eta_cube`).  The identities between
+these forms that `mfal verify` certifies are declared once each, as rows of
+the identity table `IDENTITIES` of the suite's module `mfal.checks_<suite>`,
+which `mfal.checks.load` gathers into `mfal.checks.IDENTITIES`.
 """
 
 from __future__ import annotations
@@ -115,21 +116,30 @@ def eisenstein(k: int, order=DEFAULT_ORDER) -> NamedForm:
     return NamedForm(f"E{k}", k, "Gamma(1)", QSeries.from_terms(terms, trunc=order))
 
 
-def euler_product(order=DEFAULT_ORDER) -> QSeries:
-    """prod (1 - q^n) by Euler's pentagonal number theorem."""
-    terms = [(0, 1)]
-    k = 1
-    while k * (3 * k - 1) // 2 < order:
-        sign = -1 if k % 2 else 1
-        for e in (k * (3 * k - 1) // 2, k * (3 * k + 1) // 2):
-            if e < order:
-                terms.append((e, sign))
-        k += 1
+def triple_product(a, s, order=DEFAULT_ORDER) -> QSeries:
+    """(q^a; q^s)(q^(s-a); q^s)(q^s; q^s), 0 < a < s, by Jacobi's triple product
+    (G. E. Andrews, The Theory of Partitions, Thm. 2.8): the sum over n of
+    (-1)^n q^(a n + s n(n-1)/2), read as the pairs n, 1 - n, lower exponent
+    first.  At (1, 3) it is Euler's pentagonal number theorem for (q; q)."""
+    terms, n = [], 1
+    while (low := a * (1 - n) + s * comb(n, 2)) < order:
+        terms += [(low, (-1) ** (n - 1)), (low + a * (2 * n - 1), (-1) ** n)]
+        n += 1
+    return QSeries.from_terms(terms, trunc=order)
+
+
+def eta_cube(s, order=DEFAULT_ORDER) -> QSeries:
+    """(q^s; q^s)^3 by Jacobi's identity: the sum over m >= 0 of
+    (-1)^m (2m + 1) q^(s m(m+1)/2)."""
+    terms, m = [], 0
+    while s * comb(m + 1, 2) < order:
+        terms.append((s * comb(m + 1, 2), (-1) ** m * (2 * m + 1)))
+        m += 1
     return QSeries.from_terms(terms, trunc=order)
 
 
 def dedekind_eta(order=DEFAULT_ORDER) -> NamedForm:
-    series = euler_product(order).shift_exponents(Fraction(1, 24))
+    series = triple_product(1, 3, order).shift_exponents(Fraction(1, 24))
     return NamedForm("eta", Fraction(1, 2), "Gamma(1)", series)
 
 
@@ -370,43 +380,32 @@ def klein_form(r1, scale: int = 1, order=DEFAULT_ORDER) -> NamedForm:
     """Klein form k_{r1,0}(scale*tau) for rational r1 in (0,1).
 
     q_z^{(r1-1)/2} (q_z; qs)(qs/q_z; qs) / (qs; qs)^2 with qs = q^scale and
-    q_z = q^{scale*r1}.  The r2 != 0 case needs cyclotomic coefficients and
-    is not provided.
+    q_z = q^{scale*r1}, which is one sparse sum over another (D. Kubert and
+    S. Lang, Modular Units): q^lead triple_product(scale*r1, scale) /
+    eta_cube(scale).  The r2 != 0 case needs cyclotomic coefficients and is
+    not provided.
     """
     r1 = Fraction(r1)
     if not 0 < r1 < 1:
         raise Unsupported("r1 must lie strictly between 0 and 1")
-    a = r1 * scale          # exponent of q_z
-    b = scale - a           # exponent of qs/q_z
-    lead = scale * r1 * (r1 - 1) / 2
-    deep = Fraction(order) - lead  # the unit part must reach this far
-    unit = QSeries.constant(1, trunc=deep)
-    for start in (a, b):
-        e = start
-        while e < deep:
-            unit = unit * QSeries.from_terms([(0, 1), (e, -1)], trunc=deep)
-            e += scale
-    euler = euler_product(ceil(deep / scale) + 1).rescale_tau(scale).truncate(deep)
-    unit = unit * euler**-2
-    series = unit.shift_exponents(lead).truncate(order)
-    return NamedForm(f"klein({r1};{scale}tau)", -1, f"Gamma({scale})", series)
+    lead = scale * r1 * (r1 - 1) / 2  # the unit part must reach order - lead
+    unit = triple_product(r1 * scale, scale, order - lead) / eta_cube(scale, order - lead)
+    return NamedForm(f"klein({r1};{scale}tau)", -1, f"Gamma({scale})", unit.shift_exponents(lead))
 
 
 def gamma5_form_f(order=DEFAULT_ORDER) -> NamedForm:
-    """eta(5 tau)^15 klein_{1/5,0}(5 tau)^5 / eta(tau)^3 for Gamma(5).
+    """eta(5 tau)^15 klein_{1/5,0}(5 tau)^5 / eta(tau)^3 for Gamma(5), weight 1.
 
-    Direct exponent arithmetic gives leading exponent 25/8 - 1/8 - 2 = 1 and
-    weight 15/2 - 3/2 - 5 = 1; the series is reported as computed.  The
-    factors are individually nonvanishing on the upper half-plane, which is
-    a statement about the product formula, not about this expansion.
+    k^5 = q^-2 triple_product(1, 5)^5 (q^5; q^5)^-15, whose last factor cancels
+    eta(5 tau)^15 = q^(25/8) (q^5; q^5)^15, and eta^3 = q^(1/8) eta_cube(1): it is
+    q triple_product(1, 5)^5 / eta_cube(1), as 25/8 - 2 - 1/8 = 1.  The sums
+    reach depth 1 at least, the relative precision `depth` keeps, so order 1
+    gives the zero series.  Each factor is nonvanishing on the upper
+    half-plane, a statement about the product formula, not this expansion.
     """
-    # valuations: eta 1/24 (eta(5 tau) 5/24), the Klein form -2/5; eta built
-    # at depth D is valid below D + 1/24: it meets depth's rule for D + 1/24
-    deep = depth(order, (Fraction(1, 24), 15, 5), (Fraction(-2, 5), 5), (Fraction(1, 24), -3))
-    eta = named_form("eta", deep - Fraction(1, 24)).series
-    k5 = klein_form(Fraction(1, 5), 5, deep).series
-    series = eta.rescale_tau(5) ** 15 * k5**5 * eta**-3
-    return NamedForm("f_gamma5", 1, "Gamma(5)", series.truncate(order))
+    deep = max(Fraction(order) - 1, 1)
+    series = triple_product(1, 5, deep) ** 5 / eta_cube(1, deep)
+    return NamedForm("f_gamma5", 1, "Gamma(5)", series.shift_exponents(1).truncate(order))
 
 
 # ----------------------------------------------------------------------

@@ -14,10 +14,11 @@ reports are pinned by digest.
 import hashlib
 import json
 import random
+from fractions import Fraction
 
 import pytest
 
-from mfal import alia, checks, checks_loop, liealg, loopext, quasimodular, sl2, vvmf
+from mfal import alia, checks, checks_loop, liealg, loopext, modforms, quasimodular, sl2, vvmf
 from mfal.cli import main
 from mfal.linalg import Matrix
 from mfal.poly import add_term
@@ -76,8 +77,8 @@ def test_table_ids_are_the_suite_entries_the_runner_builds():
 
 
 @pytest.mark.parametrize("order, digest", [
-    (32, "9189f78dd6e706e20820b61cca6fc8a76e09082ca52156eaf9cbedd02119dddc"),
-    (64, "300f372d74d03bf9ad65d45c8490031d83c59b4e12792aab1978aa3a37f6a5dc"),
+    (32, "ab99cb1602a75089bc246a47a892107a8716a90033d1ec859516caec7eef43f3"),
+    (64, "89105d8390d814645010480cedde18ddf45357f71ff33c07cdc171544689f4ca"),
 ], ids=["32", "64"])
 def test_verify_all_json_digest(capsys, order, digest):
     assert main(["verify", "all", "--order", str(order), "--format", "json"]) == 0
@@ -120,6 +121,41 @@ def test_polyhedral_cocycles_fails_when_a_derivative_keeps_a_residue(monkeypatch
                              ("icosahedral", 11))
         for i in range(size)
     ]
+
+
+#: the two lemmas of ``gamma.klein_forms`` that tie its sums to Euler's product
+JACOBI = "Jacobi: eta_cube(1) = triple_product(1, 3)^3"
+PRODUCT = "triple_product(1, 5) triple_product(2, 5) = E(q) E(q^5)"
+
+
+def test_klein_forms_fails_on_a_wrong_eta_cube_term(monkeypatch):
+    """eta_cube with +3 q^s in place of -3 q^s (m = 1): the exponents and
+    leading coefficients of the Klein form and f_gamma5 stay right, and
+    Jacobi's identity names the term."""
+    eta_cube = modforms.eta_cube
+
+    def plus_three(s, order):
+        return eta_cube(s, order) + QSeries.qpow(s, 6, trunc=order)
+
+    monkeypatch.setattr(modforms, "_STORE", {})
+    monkeypatch.setattr(modforms, "eta_cube", plus_three)
+    assert _failed("gamma.klein_forms") == [JACOBI]
+
+
+def test_eta_and_klein_rows_fail_on_an_unsigned_triple_product(monkeypatch):
+    """triple_product with +1 in place of (-1)^n on its terms n < 0: eta^24
+    is no longer Delta, and both lemmas of the Klein row fail."""
+
+    def unsigned_below_zero(a, s, order):
+        bound = int(order) + 2  # a n + s n(n - 1)/2 >= order once |n| > order
+        return QSeries.from_terms(
+            [(a * n + Fraction(s * n * (n - 1), 2), (-1) ** n if n >= 0 else 1)
+             for n in range(-bound, bound)], trunc=order)
+
+    monkeypatch.setattr(modforms, "_STORE", {})
+    monkeypatch.setattr(modforms, "triple_product", unsigned_below_zero)
+    assert _failed("modforms.delta_dual_route") == ["Delta by E4, E6 = eta^24"]
+    assert _failed("gamma.klein_forms") == [JACOBI, PRODUCT]
 
 
 #: the closed-form lemma of ``loop.cocycle_properties``

@@ -138,6 +138,65 @@ def test_gamma5_form():
     assert f.series.terms[min(f.series.terms)] == 1
 
 
+def layout(series):
+    """Everything a series is: equal layouts are equal series, truncation too."""
+    return series.denom, series.val, series.step, series.nums, series.den, series.trunc
+
+
+def pentagonal(order):
+    """prod (1 - q^n) below `order` by the pentagonal loop: the exponents
+    k(3k -+ 1)/2 with sign (-1)^k, k = 1, 2, ..."""
+    terms, k = [(0, 1)], 1
+    while k * (3 * k - 1) // 2 < order:
+        terms += [(k * (3 * k - 1) // 2, (-1) ** k), (k * (3 * k + 1) // 2, (-1) ** k)]
+        k += 1
+    return QSeries.from_terms(terms, trunc=order)
+
+
+def pochhammer(a, s, deep):
+    """(q^a; q^s) below `deep`, one factor (1 - q^e) at a time."""
+    out, e = QSeries.constant(1, trunc=deep), a
+    while e < deep:
+        out = out * QSeries.from_terms([(0, 1), (e, -1)], trunc=deep)
+        e += s
+    return out
+
+
+def klein_by_factors(r1, s, order):
+    """q^lead (q^a; q^s)(q^(s-a); q^s) / (q^s; q^s)^2 with a = r1 s and
+    lead = s r1 (r1 - 1)/2, from the products of factors."""
+    lead = s * r1 * (r1 - 1) / 2
+    deep = order - lead
+    unit = pochhammer(r1 * s, s, deep) * pochhammer(s - r1 * s, s, deep)
+    return (unit * pochhammer(s, s, deep) ** -2).shift_exponents(lead).truncate(order)
+
+
+def gamma5_by_eta(order):
+    """eta(5 tau)^15 k^5 eta^-3 with eta by the pentagonal loop and k by factors."""
+    deep = mf.depth(order, (Fraction(1, 24), 15, 5), (Fraction(-2, 5), 5),
+                    (Fraction(1, 24), -3))
+    eta = pentagonal(deep - Fraction(1, 24)).shift_exponents(Fraction(1, 24))
+    k5 = klein_by_factors(Fraction(1, 5), 5, deep)
+    return (eta.rescale_tau(5) ** 15 * k5**5 * eta**-3).truncate(order)
+
+
+@pytest.mark.parametrize("order", [1, 12, 32, 64])
+@pytest.mark.parametrize("r1, s", [(Fraction(1, 5), 5), (Fraction(2, 5), 5),
+                                   (Fraction(1, 3), 1), (Fraction(1, 2), 2)])
+def test_klein_form_is_the_factor_by_factor_product(r1, s, order):
+    assert layout(mf.klein_form(r1, s, order).series) == layout(klein_by_factors(r1, s, order))
+
+
+@pytest.mark.parametrize("order", [1, 2, 5, Fraction(7, 2), 24, 65])
+def test_triple_product_at_1_3_is_the_pentagonal_loop(order):
+    assert layout(mf.triple_product(1, 3, order)) == layout(pentagonal(order))
+
+
+@pytest.mark.parametrize("order", [*range(1, 9), 32, 64])
+def test_gamma5_form_is_the_eta_and_klein_product(order):
+    assert layout(mf.gamma5_form_f(order).series) == layout(gamma5_by_eta(order))
+
+
 def test_gamma2_generators():
     f2, h2 = mf.gamma2_generators(ORDER)
     assert [f2.series.coefficient(n) for n in range(3)] == [1, 24, 24]

@@ -226,3 +226,37 @@ def test_a_zero_operand_keeps_the_field_check(op):
     for a, b in ((f3.zero, f4.zeta), (f4.zeta, f3.zero), (f3.zero, f4.zero)):
         with pytest.raises(ValueError, match="arithmetic"):
             op(a, b)
+
+
+@pytest.mark.parametrize("build, products", [
+    # q^lead triple_product(1, 5) / eta_cube(5); 207 products, a factor
+    # (1 - q^e) at a time
+    (lambda: modforms.klein_form(Fraction(1, 5), 5, 512), 1),
+    # q triple_product(1, 5)^5 / eta_cube(1): three products make the fifth
+    # power and one the quotient; 220 through the Klein form and eta
+    (lambda: modforms.gamma5_form_f(512), 4),
+], ids=["klein_form", "gamma5_form_f"])
+def test_klein_forms_divide_one_sum_by_another(monkeypatch, build, products):
+    monkeypatch.setattr(modforms, "_STORE", {})
+    calls = count_calls(monkeypatch, QSeries, "__mul__")
+    inverses = count_calls(monkeypatch, QSeries, "inverse")
+    build()
+    assert (len(calls), len(inverses)) == (products, 1)
+
+
+def test_polyhedral_cocycles_derive_each_function_once(monkeypatch):
+    checks.load("loop")
+    derivative = loopext.RatFunc.derivative
+    taken = []
+
+    def counted(f):
+        taken.append(f._derivative is None)
+        return derivative(f)
+
+    monkeypatch.setattr(loopext.RatFunc, "derivative", counted)
+    assert checks.check_identity("loop.polyhedral_cocycles", 8)[0]
+    # 142 functions of the residue lemmas, and the 21 pairs of the rank
+    # lemmas, whose loop_cocycle asks for f' at each of the M - 1 points,
+    # 159 times; each function is derived once: 163 of 301 asks (301 when
+    # every ask derives)
+    assert (len(taken), sum(taken)) == (301, 163)
