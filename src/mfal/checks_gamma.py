@@ -51,7 +51,10 @@ def _klein(order):
            tp(1, 5, n) * tp(2, 5, n), euler * tp(5, 15, n))
     k = modforms.klein_form(Fraction(1, 5), 5, order).series
     yield "klein(1/5; 5t) has valuation -2/5", k.valuation, Fraction(-2, 5)
-    yield "klein(1/5; 5t)^5 has valuation -2", (k**5).valuation, -2
+    # the leading term of a power is the power of the leading term, so k cut
+    # after its leading term gives the valuation of k^5 without building k^5
+    yield ("klein(1/5; 5t)^5 has valuation -2",
+           (k.truncate(k.valuation + Fraction(1, k.denom)) ** 5).valuation, -2)
     f = series("f_gamma5", order)
     yield "Gamma(5) f has valuation 1", f.valuation, 1
     yield "Gamma(5) f has leading coefficient 1", f.coefficient(f.valuation), 1

@@ -5,8 +5,9 @@ order of expand, eval and verify is 64; override with --order or the
 MFAL_ORDER environment variable.
 
 Each subcommand imports the modules it runs, so ``import mfal.cli`` loads no
-other mfal module and ``mfal expand`` loads only modforms, qseries and poly:
-a fresh process pays to compile nothing it does not run.
+other mfal module, ``mfal expand`` loads only modforms, qseries and poly, and
+``mfal alia`` only alia, liealg, poly and sparse (no linalg: a table solves
+nothing): a fresh process pays to compile nothing it does not run.
 """
 
 from __future__ import annotations

@@ -10,6 +10,11 @@ A Chevalley table holds its constants as ints, so its brackets of int
 vectors and its Killing matrix are ints too.  ``Fraction`` appears only
 where a division does: inside Carter's recursion and in the
 ``GradedTriple`` solves.  The symmetric powers of sl2 are ``mfal.sl2``.
+
+``linalg`` is imported only by the code that eliminates or forms matrices:
+the H, E, F solves of ``GradedTriple``, ``BracketTable.killing`` and
+``killing_lemmas``.  A table over Q[j] reads only a triple's grading, so
+``import mfal.liealg`` and ``mfal alia`` compile no elimination.
 """
 
 from __future__ import annotations
@@ -17,7 +22,6 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from .linalg import Matrix, dot, solve
 from .poly import add_term
 
 
@@ -66,10 +70,6 @@ class RootSystem:
         self.positive = sorted(
             (r for r in self.roots if self._is_positive(r)), key=self._order_key
         )
-        # Cartan integers <alpha_i, alpha_j^vee>
-        self.cartan = [
-            [self.pairing(a, b) for b in self.simple] for a in self.simple
-        ]
 
     def _generate_roots(self):
         roots = set(self.simple) | {tuple(-x for x in a) for a in self.simple}
@@ -198,6 +198,8 @@ class BracketTable:
         is zero), so the entries lie in that ring: ints for a Chevalley table.
         """
         if self._killing is None:
+            from .linalg import dot
+
             dim = self.dim
             # ad[a][k] is [x_a, x_k]; its coefficient at i is the (i, k) entry of ad x_a
             ad = [[self.bracket_indices(a, k) for k in range(dim)] for a in range(dim)]
@@ -367,6 +369,8 @@ def killing_lemmas(order, types=("A1", "A2", "B2", "G2")):
     K([x,y],z) + K(y,[x,z]) = 0, for every x by linearity; with the first it
     gives K([x,y],z) = -K([y,x],z) = K(x,[y,z]) on every triple.
     """
+    from .linalg import Matrix
+
     for t in types:
         st = chevalley(t)
         k = Matrix(st.killing())
@@ -380,7 +384,12 @@ def killing_lemmas(order, types=("A1", "A2", "B2", "G2")):
 
 
 class GradedTriple:
-    """Grading from Dynkin labels plus a rational standard triple."""
+    """Grading from Dynkin labels, and a rational standard triple (H, E, F).
+
+    The grading and the ``OddLabel`` check are built at once; h_coeffs,
+    h_vector, e_vector and f_vector are solved together on the first read of
+    any of them, which raises ``NoRationalTriple`` when no triple is found.
+    """
 
     def __init__(self, type_label: str, labels):
         labels = tuple(labels)
@@ -392,80 +401,55 @@ class GradedTriple:
             raise OddLabel(f"labels {labels} are not all even")
         self.labels = labels
         self.grading = {r: sum(n * l for n, l in zip(r, labels)) for r in rs.roots}
-        self.h_coeffs = self._solve_h()
-        self.h_vector = {
-            self.structure.index[("H", i)]: c
-            for i, c in enumerate(self.h_coeffs)
-            if c
-        }
-        self.e_vector = None
-        self.f_vector = None
-        if any(labels):
-            self._materialize()
 
-    def _solve_h(self):
-        """Solve alpha_i(H) = label_i for H in the coroot basis."""
-        rs = self.structure.rs
-        n = rs.rank
-        # alpha_i(H_j) = cartan[i][j]
-        mat = [[Fraction(rs.cartan[i][j]) for j in range(n)] for i in range(n)]
-        rhs = [Fraction(l) for l in self.labels]
-        sol = solve(mat, rhs)
-        if sol is None:
-            raise NoRationalTriple("Cartan system for H is inconsistent")
-        return tuple(sol)
+    def __getattr__(self, name):
+        if name not in ("h_coeffs", "h_vector", "e_vector", "f_vector"):
+            raise AttributeError(name)
+        from .linalg import solve
 
-    def grade_roots(self, k: int):
-        return [r for r, g in self.grading.items() if g == k]
-
-    def _materialize(self):
         st = self.structure
-        up = sorted(self.grade_roots(2))
-        down = sorted(self.grade_roots(-2))
+        simple = st.rs.simple
+        # alpha_i(H) = label_i, where alpha_i(H_j) = <alpha_i, alpha_j^vee>: the
+        # Cartan matrix, which is invertible
+        h = tuple(solve([[Fraction(st.rs.pairing(a, b)) for b in simple] for a in simple],
+                        [Fraction(l) for l in self.labels]))
+        h_vector = {st.index["H", i]: c for i, c in enumerate(h) if c}
+        e_f = self._solve_e_f(h_vector) if any(self.labels) else (None, None)
+        # set only once every solve has succeeded, so a failed one raises on each read
+        self.h_coeffs, self.h_vector = h, h_vector
+        self.e_vector, self.f_vector = e_f
+        return getattr(self, name)
+
+    def _solve_e_f(self, h_vector):
+        """E from the small coefficient vectors on the grade-2 roots, each in
+        turn, and F from [E, F] = H, which is linear in F once E is fixed."""
+        from .linalg import solve
+
+        st = self.structure
+        up, down = ([st.index["A", r] for r in sorted(self.grading) if self.grading[r] == g]
+                    for g in (2, -2))
         if not up:
             raise NoRationalTriple("no grade-2 root vectors available")
         for coeffs in _small_coefficient_vectors(len(up)):
-            e_vec = {
-                st.index[("A", r)]: Fraction(c)
-                for r, c in zip(up, coeffs)
-                if c
-            }
-            f_vec = self._solve_f(e_vec, down)
-            if f_vec is not None:
-                self.e_vector = e_vec
-                self.f_vector = f_vec
-                return
+            e_vec = {i: Fraction(c) for i, c in zip(up, coeffs)}
+            cols = [st.bracket(e_vec, {i: Fraction(1)}) for i in down]
+            rows = sorted({i for img in cols for i in img} | set(h_vector))
+            sol = solve([[img.get(i, Fraction(0)) for img in cols] for i in rows],
+                        [h_vector.get(i, Fraction(0)) for i in rows])
+            if sol is not None:
+                f_vec = {i: c for i, c in zip(down, sol) if c}
+                if st.bracket(e_vec, f_vec) == h_vector:
+                    return e_vec, f_vec
         raise NoRationalTriple(f"no rational triple for labels {self.labels}")
 
-    def _solve_f(self, e_vec, down):
-        """[E, F] = H is linear in F once E is fixed."""
-        st = self.structure
-        cols = []
-        for r in down:
-            img = st.bracket(e_vec, {st.index[("A", r)]: Fraction(1)})
-            cols.append(img)
-        rows = sorted({i for img in cols for i in img} | set(self.h_vector))
-        mat = [[cols[j].get(i, Fraction(0)) for j in range(len(down))] for i in rows]
-        rhs = [self.h_vector.get(i, Fraction(0)) for i in rows]
-        sol = solve(mat, rhs)
-        if sol is None:
-            return None
-        f_vec = {
-            st.index[("A", r)]: c for r, c in zip(down, sol) if c
-        }
-        check = st.bracket(e_vec, f_vec)
-        return f_vec if check == self.h_vector else None
-
     def triple_relations_hold(self) -> bool:
-        st = self.structure
-        if self.e_vector is None:
-            return self.h_vector == {} or not any(self.labels)
-        he = st.bracket(self.h_vector, self.e_vector)
-        hf = st.bracket(self.h_vector, self.f_vector)
-        ef = st.bracket(self.e_vector, self.f_vector)
-        twice_e = {k: 2 * c for k, c in self.e_vector.items()}
-        minus2f = {k: -2 * c for k, c in self.f_vector.items()}
-        return he == twice_e and hf == minus2f and ef == self.h_vector
+        """[H, E] = 2E, [H, F] = -2F and [E, F] = H; H = 0 for zero labels."""
+        h, e, f = self.h_vector, self.e_vector, self.f_vector
+        if e is None:
+            return not h
+        bracket = self.structure.bracket
+        return (bracket(h, e) == {k: 2 * c for k, c in e.items()}
+                and bracket(h, f) == {k: -2 * c for k, c in f.items()} and bracket(e, f) == h)
 
 
 _TRIPLE_CACHE: dict[tuple, GradedTriple] = {}

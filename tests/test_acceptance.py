@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import pytest
 
-from mfal import alia, checks, liealg, loopext, modforms, vvmf
+from mfal import alia, checks, checks_alia, liealg, loopext, modforms, vvmf
 from mfal.alia import JPoly
 from mfal.loopext import CycloField, RatFunc
 from test_loopext import cocycle_bilinear_identity
@@ -109,7 +109,7 @@ def test_criterion_07_barrel_and_contraction():
     barrel = t.bracket({idx_e: one}, {idx_f: one}) == {idx_h: JPoly((0, -1728, 1))}
     contraction = True
     for j_val in (0, 1728):
-        spec = t.specialize(j_val)
+        spec = checks_alia.SpecializedAlgebra(t, j_val)
         ef = spec.bracket({idx_e: Fraction(1)}, {idx_f: Fraction(1)})
         contraction = contraction and ef == {} and spec.is_solvable(within_steps=3)
     report(7, "[e,f] = j(j-1728) h and solvable contraction", barrel and contraction,

@@ -351,9 +351,9 @@ def test_each_subcommand_imports_only_its_own_modules():
     expand = mfal_modules_after(["expand", "j", "--order", "8"])
     assert expand == ["mfal", "mfal.cli", "mfal.modforms", "mfal.poly", "mfal.qseries"]
     alia = mfal_modules_after(["alia", "A1", "principal"])
-    # no mfal.sl2: a bracket table needs no symmetric power
-    assert alia == ["mfal", "mfal.alia", "mfal.cli", "mfal.liealg", "mfal.linalg", "mfal.poly",
-                    "mfal.sparse"]
+    # no mfal.sl2: a bracket table needs no symmetric power; no mfal.linalg: it
+    # reads the grading of its triple and solves nothing
+    assert alia == ["mfal", "mfal.alia", "mfal.cli", "mfal.liealg", "mfal.poly", "mfal.sparse"]
 
 
 @pytest.mark.parametrize("argv", [["expand", "j", "--order", "8"], ["expand", "F_k:-20"]])
@@ -429,6 +429,23 @@ def test_loopext_loads_no_root_system():
     assert mfal_modules_after(module="mfal.loopext") == [
         "mfal", "mfal.cyclotomic", "mfal.linalg", "mfal.loopext", "mfal.poly", "mfal.sl2",
         "mfal.sparse"]
+
+
+def test_tables_load_no_elimination():
+    """liealg imports linalg only where it eliminates or forms a matrix."""
+    assert mfal_modules_after(module="mfal.liealg") == ["mfal", "mfal.liealg", "mfal.poly"]
+    assert mfal_modules_after(module="mfal.alia") == [
+        "mfal", "mfal.alia", "mfal.liealg", "mfal.poly", "mfal.sparse"]
+
+
+def test_building_the_six_tables_solves_no_triple():
+    """A table reads only the grading of its triple: the H, E, F solves, which
+    import linalg, do not run."""
+    code = ("import sys, mfal.alia, mfal.liealg; "
+            "[mfal.alia.alia_table(*key).bracket_records() for key in mfal.liealg.ORBIT_LABELS]; "
+            "print(*sorted(m for m in sys.modules if m.split('.')[0] == 'mfal'))")
+    assert last_line_of(code).split() == [
+        "mfal", "mfal.alia", "mfal.liealg", "mfal.poly", "mfal.sparse"]
 
 
 def test_the_series_kernel_lives_in_qseries():

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from mfal import liealg, sl2
-from mfal.liealg import OddLabel
+from mfal.liealg import NoRationalTriple, OddLabel
 from mfal.linalg import Matrix
 from mfal.quasimodular import QuasiMatrix, QuasiPoly
 
@@ -125,6 +125,17 @@ def test_trivial_labels():
     gt = liealg.GradedTriple("A2", (0, 0))
     assert gt.h_vector == {}
     assert gt.triple_relations_hold()
+
+
+@pytest.mark.parametrize("name", ["h_coeffs", "h_vector", "e_vector", "f_vector"])
+def test_no_rational_triple_raises_on_each_read(name):
+    """The grading is built at once and the triple on the first read of h, e
+    or f: with no grade-2 root, that read raises, and so does the next."""
+    gt = liealg.GradedTriple("A1", (4,))
+    assert gt.grading == {(-1,): -4, (1,): 4}
+    for _ in range(2):
+        with pytest.raises(NoRationalTriple, match="no grade-2 root vectors"):
+            getattr(gt, name)
 
 
 def test_odd_label_rejected():
