@@ -78,8 +78,12 @@ def _j_head(order):
 
 
 def _delta_routes(order):
-    yield ("Delta by E4, E6 = eta^24",
-           series("Delta", order), modforms.discriminant(order, "eta").series)
+    """Delta by three routes, so that no lemma compares the store's entry
+    with itself: (E4^3 - E6^2)/1728, built here, against the store's
+    q eta_cube(1)^8 and against eta^24, Euler's product to the 24th."""
+    eisenstein = modforms.discriminant(order, "eisenstein").series
+    yield "Delta by E4, E6 = q eta_cube(1)^8", eisenstein, series("Delta", order)
+    yield "Delta by E4, E6 = eta^24", eisenstein, modforms.discriminant(order, "eta").series
 
 
 def _ramanujan(order):

@@ -11,8 +11,6 @@ are the test oracles of `tests/test_loopext.py`.  `loop.evaluation_rep`
 still samples.
 """
 
-from __future__ import annotations
-
 import itertools
 import random
 from fractions import Fraction
@@ -139,12 +137,20 @@ def _polyhedral_cocycles(order):
     independent: on the pairs (h/(t - a), h (t - a)), one per finite point a,
     omega_b = K(h, h) res_b(-1/(t - a)) = -8 delta_ab, so their matrix has
     rank M - 1.
+
+    The expansion of (t - a)^-k at a point b != a divides by b - a, so the
+    row also proves x / x = x x^-1 = 1 for every difference x = a_i - a_j of
+    two points of a set: field inverses in Q, Q(zeta3), Q(i) and Q(zeta5),
+    which none of the residue lemmas above can tell from wrong ones, as the
+    residue of a derivative is 0 whatever its coefficients.
     """
     yield from liealg.killing_lemmas(order, ("A1",))
     st = liealg.chevalley("A1")
     h = _efh(st)["h"]
     for preset in ("dihedral", "tetrahedral", "octahedral", "icosahedral"):
         field, points = loopext.pole_preset(preset)
+        for (i, a), (j, b) in itertools.combinations(enumerate(points), 2):
+            yield f"{preset}: (a_{i} - a_{j}) / (a_{i} - a_{j}) = 1", (a - b) / (a - b), field.one
         pairs = [((h, loopext.RatFunc.pole_factor(field, a, 1)),
                   (h, loopext.RatFunc.polynomial(field, [-a, 1]))) for a in points]
         yield (f"{preset}: the puncture cocycles have rank M - 1 = {len(points)}",
@@ -224,24 +230,22 @@ def _evaluation_rep(order):
     i = field.zeta
     ev = loopext.EvaluationRep(field, [field.rational(2), i + 1], [1, 2])
     rng = random.Random(111)
-    names = ("h", "e", "f")
     funcs = [
         loopext.RatFunc.pole_factor(field, i, 1),
         loopext.RatFunc.polynomial(field, [1, 0, 1]),
         loopext.RatFunc.pole_factor(field, field.zero, 2),
     ]
     for k in range(5):
-        x = {rng.choice(names): rng.randint(1, 3)}
-        y = {rng.choice(names): rng.randint(-3, -1)}
+        x = {rng.choice("hef"): rng.randint(1, 3)}
+        y = {rng.choice("hef"): rng.randint(-3, -1)}
         f, g = rng.choice(funcs), rng.choice(funcs)
         yield (f"sample {k}: ev[x f, y g] = [ev(x f), ev(y g)]",
                ev.homomorphism_residual(x, f, y, g).is_zero(), True)
+    refused = False
     try:
         ev.evaluate({"h": 1}, loopext.RatFunc.pole_factor(field, field.rational(2), 1))
     except loopext.PoleAtEvaluationPoint:
         refused = True
-    else:
-        refused = False
     yield "evaluation at a pole raises PoleAtEvaluationPoint", refused, True
 
 

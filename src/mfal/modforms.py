@@ -151,9 +151,15 @@ def eta_quotient(spec, order=DEFAULT_ORDER) -> QSeries:
     return reduce(mul, [eta.rescale_tau(m) ** r for m, r in spec]).truncate(order)
 
 
-def discriminant(order=DEFAULT_ORDER, route: str = "eisenstein") -> NamedForm:
-    """Delta via (E4^3 - E6^2)/1728 or via the eta product; both agree."""
-    if route == "eisenstein":
+def discriminant(order=DEFAULT_ORDER, route: str = "jacobi") -> NamedForm:
+    """Delta by one of three routes, which agree.  "jacobi", the store's, is
+    q eta_cube(1)^8 = q (q; q)^24: three squarings of Jacobi's sparse sum, built
+    to depth order - 1 (and 1 at least, as `gamma5_form_f`).  "eisenstein" is
+    (E4^3 - E6^2)/1728 and "eta" is eta^24, Euler's product to the 24th."""
+    if route == "jacobi":
+        deep = max(Fraction(order) - 1, 1)
+        series = (eta_cube(1, deep) ** 8).shift_exponents(1).truncate(order)
+    elif route == "eisenstein":
         e4 = named_form("E4", order).series
         e6 = named_form("E6", order).series
         series = ((e4**3) - (e6**2)).scale(Fraction(1, 1728)).truncate(order)

@@ -152,8 +152,8 @@ def test_eval_refuses_a_tolerance_that_is_not_finite_and_positive(capsys, tol):
 
 
 def test_eval_reads_a_tau_with_a_leading_minus_after_an_equals_sign(capsys):
-    # argparse takes "-0.5+1i" after a space for an option, and the help
-    # names the --tau=... spelling
+    # the parser takes "-0.5+1i" after a space for an option (only "-" and
+    # numbers such as -3 are values), and the help names the --tau=... spelling
     with pytest.raises(SystemExit) as exc:
         main(["eval", "E4", "--tau", "-0.5+1i"])
     assert exc.value.code == 2
@@ -453,3 +453,57 @@ def test_the_series_kernel_lives_in_qseries():
 
     assert callable(qseries.kronecker_mul)
     assert not hasattr(poly, "kronecker_mul")
+
+
+def test_the_command_line_loads_no_argparse():
+    """One table and its parser read argv: neither the import nor a command
+    pays for argparse."""
+    probe = "print('argparse' in sys.modules)"
+    assert last_line_of(f"import sys, mfal.cli; {probe}") == "False"
+    expand = "mfal.cli.main(['expand', 'j', '--order', '8'])"
+    assert last_line_of(f"import sys, mfal.cli; {expand}; {probe}") == "False"
+
+
+def test_help_comes_from_the_command_table(capsys):
+    from mfal.cli import COMMANDS
+
+    assert list(COMMANDS) == ["expand", "alia", "hilbert", "eval", "verify"]
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert all(command in out for command in COMMANDS)
+    for command, (_, _, options) in COMMANDS.items():
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        assert out.startswith(f"usage: mfal {command} [-h] ")
+        assert options and all(flag in out for flag, *_ in options)
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["eval", "E4", "--tau"], "mfal eval: error: argument --tau: expected one argument"),
+    (["eval", "E4"], "mfal eval: error: the following arguments are required: --tau"),
+    (["expand"], "mfal expand: error: the following arguments are required: form"),
+    (["expand", "j", "--format", "xml"], "argument --format: invalid choice: 'xml'"),
+    (["hilbert", "2", "Gamma1", "x"], "mfal hilbert: error: argument kmax: invalid value: 'x'"),
+    (["alia", "E8", "principal"], "argument type: invalid choice: 'E8'"),
+    # options are spelled in full: a prefix of --order is an unknown flag
+    (["expand", "j", "--ord", "5"], "mfal expand: error: unrecognized arguments: --ord 5"),
+    (["nosuch"], "mfal: error: argument command: invalid choice: 'nosuch'"),
+    ([], "mfal: error: the following arguments are required: command"),
+])
+def test_usage_errors_exit_2_under_the_usage_line(capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    usage, error = capsys.readouterr().err.splitlines()
+    assert usage.startswith("usage: mfal") and message in error
+
+
+def test_a_value_after_an_equals_sign_or_a_space(capsys):
+    assert run(capsys, "expand", "Delta", "--order=4") == run(capsys, "expand", "Delta",
+                                                               "--order", "4")
+    code, out, _ = run(capsys, "expand", "--format=json", "E4", "--order", "3")
+    assert code == 0 and json.loads(out)["trunc"] == "3/1"

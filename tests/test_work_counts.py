@@ -144,9 +144,11 @@ def test_scalar_oracle_computes_each_distinct_identity_once(monkeypatch):
     calls = count_calls(monkeypatch, QSeries, "__mul__")
     inverses = count_calls(monkeypatch, QSeries, "inverse")
     assert len(series_oracle()) == 36
-    # 39 build the forms, the 36 identities take two each and their four
-    # factors j^w4 (j-1728)^w6 eight (four of them j**0 = j * 0 + 1)
-    assert len(calls) == 39 + 2 * 36 + 8
+    # 38 build the forms, the 36 identities take two each and their four
+    # factors j^w4 (j-1728)^w6 eight (four of them j**0 = j * 0 + 1); Delta
+    # is three squarings of eta_cube(1), where E4^3 - E6^2 took three
+    # products and the scalar -1 of the difference (39)
+    assert len(calls) == 38 + 2 * 36 + 8
     # each F_k with k < 0 is a power of the one stored 1/Delta; 7 when each
     # monomial Delta^l E4^a E6^b inverts its own Delta
     assert len(inverses) == 1
