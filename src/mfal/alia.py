@@ -190,3 +190,23 @@ def alia_table(type_label: str, orbit: str) -> AliaTable:
     if key not in _TABLE_CACHE:
         _TABLE_CACHE[key] = AliaTable(type_label, orbit)
     return _TABLE_CACHE[key]
+
+
+def render(type_label: str, orbit: str, fmt: str) -> str:
+    """What `mfal alia` prints: the table of the orbit as text or as JSON
+    ("json"), each bracket [x, y] = eps j^w4 (j-1728)^w6 target.  Raises
+    ValueError for an orbit the type lacks."""
+    table = alia_table(type_label, orbit)
+    basis, records = [table.basis_name(i) for i in range(table.dim)], table.bracket_records()
+    if fmt == "json":
+        import json
+
+        return json.dumps({"type": type_label, "orbit": orbit, "basis": basis, "brackets": [
+            {"x": x, "y": y, "target": target,
+             "coeff": {"eps": int(eps) if eps.denominator == 1 else str(eps), "w4": w4, "w6": w6}}
+            for x, y, target, eps, w4, w6 in records]}) + "\n"
+    lines = [f"{type_label} {orbit}: basis {', '.join(basis)}"]
+    for x, y, target, eps, w4, w6 in records:
+        factor = ("j" if w4 else "") + ("(j-1728)" if w6 else "")
+        lines.append(f"  [{x}, {y}] = {f'{eps} {factor}'.rstrip()} {target}")
+    return "".join(line + "\n" for line in lines)

@@ -158,3 +158,25 @@ def run_suite(name: str, order: int = 64):
         elapsed_ms = (time.perf_counter() - start) * 1e3
         report.append((check_id, bool(passed), detail, elapsed_ms))
     return report
+
+
+def report(suite: str, order: int, fmt: str):
+    """What `mfal verify` prints for `suite` at `order`, as text or as JSON
+    ("json"), and the number of checks that failed.  Raises ValueError for
+    an unknown suite."""
+    try:
+        results = run_suite(suite, order)
+    except KeyError:
+        raise ValueError(f"unknown suite {suite!r}; choose from {', '.join(SUITES)}, all") from None
+    n_fail = sum(not ok for _, ok, *_ in results)
+    if fmt == "json":
+        import json
+
+        return json.dumps({"suite": suite, "order": order, "checks": [
+            {"id": cid, "status": "pass" if ok else "fail", "detail": detail,
+             "elapsed_ms": round(ms, 1)} for cid, ok, detail, ms in results]}) + "\n", n_fail
+    lines = [f"[{'PASS' if ok else 'FAIL'}] {cid:<36} {ms:7.1f} ms  {detail}"
+             for cid, ok, detail, ms in results]
+    lines.append(f"-- {len(results)} checks, {n_fail} failures, order {order}, "
+                 f"{sum(ms for *_, ms in results) / 1e3:.1f} s total")
+    return "".join(line + "\n" for line in lines), n_fail

@@ -1,9 +1,10 @@
 """The `core` suite of `mfal verify`: the series substrate, the quasimodular
 ring, the Lie substrate and the intertwiner Phi_n.
 
-It imports `qseries`, `modforms`, `quasimodular`, `liealg`, `sl2` and `vvmf`,
-never `alia` or `loopext`.  The checks that sample draw random series and
-quasimodular polynomials from fixed seeds.
+It imports `qseries`, `modforms`, `derivations`, `numeric`, `quasimodular`,
+`liealg`, `sl2` and `vvmf`, never `alia`, `congruence` or `loopext`.  The
+checks that sample draw random series and quasimodular polynomials from
+fixed seeds.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ import operator
 import random
 from fractions import Fraction
 
-from . import liealg, modforms, sl2, vvmf
+from . import derivations, liealg, modforms, numeric, sl2, vvmf
 from .linalg import Matrix
 from .modforms import series
 from .poly import power
@@ -67,7 +68,8 @@ def _shift_homomorphism(order):
 
 def _eval_product(order):
     e4, e6 = series("E4", order), series("E6", order)
-    err = abs((e4 * e6).eval_numeric(1j) - e4.eval_numeric(1j) * e6.eval_numeric(1j))
+    value = numeric.eval_numeric
+    err = abs(value(e4 * e6, 1j) - value(e4, 1j) * value(e6, 1j))
     yield f"|eval(E4*E6) - eval(E4)eval(E6)| = {err:.2e} < 1e-10 at tau=i", err < 1e-10, True
 
 
@@ -88,9 +90,9 @@ def _delta_routes(order):
 
 def _ramanujan(order):
     e2, e4, e6 = (series(f"E{k}", order) for k in (2, 4, 6))
-    yield "D1 E2 = -E4/12", modforms.serre_derivative(1, e2), e4.scale(Fraction(-1, 12))
-    yield "D4 E4 = -E6/3", modforms.serre_derivative(4, e4), e6.scale(Fraction(-1, 3))
-    yield "D6 E6 = -E4^2/2", modforms.serre_derivative(6, e6), (e4**2).scale(Fraction(-1, 2))
+    yield "D1 E2 = -E4/12", derivations.serre_derivative(1, e2), e4.scale(Fraction(-1, 12))
+    yield "D4 E4 = -E6/3", derivations.serre_derivative(4, e4), e6.scale(Fraction(-1, 3))
+    yield "D6 E6 = -E4^2/2", derivations.serre_derivative(6, e6), (e4**2).scale(Fraction(-1, 2))
 
 
 def _eisenstein_powers(order):
@@ -115,10 +117,10 @@ def _duke_jenkins_table(order):
 def _delta_derivation(order):
     """delta(j) multiplies two series of valuation -1: j' and q^-1 E4 E6 / Delta.
     The Leibniz samples are compared on a shared range of 8, below a row's."""
-    pref = modforms.delta_derivation_prefactor(order)
+    pref = derivations.delta_derivation_prefactor(order)
     for n, c in enumerate((1, -240, -141444, -8529280, -238758390)):
         yield f"prefactor coefficient at q^{n} = {c}", pref.coefficient(n), c
-    delta = modforms.delta_derivation
+    delta = derivations.delta_derivation
     j = series("j", modforms.depth(order, (-1, 2)))
     yield "delta(j) = -j(j-1728)", delta(j), -(j * (j - 1728))
     rng = random.Random(505)
@@ -132,7 +134,7 @@ def _numeric_s_equivariance(order):
     for name in ("E4", "E6", "E2"):
         form = modforms.named_form(name, order)
         for tau in (1j, 0.3 + 1.1j):
-            err = modforms.s_law_residual(form, tau)
+            err = numeric.s_law_residual(form, tau)
             yield f"{name}: S-residual {err:.2e} < 1e-8 at tau={tau}", err < 1e-8, True
 
 

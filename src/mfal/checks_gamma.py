@@ -1,14 +1,14 @@
 """The `gamma` suite of `mfal verify`: forms on Gamma(3), Gamma(4) and
 Gamma(5), and the weight-zero isomorphisms of Gamma(2) to Gamma(5).
 
-It imports only the q-series half: `modforms` and `qseries`.
+It imports only the q-series half: `modforms`, `congruence` and `qseries`.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from . import modforms
+from . import congruence, modforms
 from .modforms import series
 
 
@@ -23,7 +23,7 @@ def _ferapontov(order):
     each of its five terms nonzero, so the check is not degenerate."""
     if order < 20:
         raise ValueError("order too small to distinguish the ODE terms")
-    first, *rest = terms = modforms.ferapontov_ode_terms(order)
+    first, *rest = terms = congruence.ferapontov_ode_terms(order)
     yield "the five ODE terms sum to 0", sum(rest, first), first.scale(0)
     for i, term in enumerate(terms):
         yield f"ODE term {i} is nonzero", bool(term), True
@@ -49,7 +49,7 @@ def _klein(order):
     yield "Jacobi: eta_cube(1) = triple_product(1, 3)^3", modforms.eta_cube(1, n), euler**3
     yield ("triple_product(1, 5) triple_product(2, 5) = E(q) E(q^5)",
            tp(1, 5, n) * tp(2, 5, n), euler * tp(5, 15, n))
-    k = modforms.klein_form(Fraction(1, 5), 5, order).series
+    k = congruence.klein_form(Fraction(1, 5), 5, order).series
     yield "klein(1/5; 5t) has valuation -2/5", k.valuation, Fraction(-2, 5)
     # the leading term of a power is the power of the leading term, so k cut
     # after its leading term gives the valuation of k^5 without building k^5

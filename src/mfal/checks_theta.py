@@ -1,14 +1,15 @@
 """The `theta` suite of `mfal verify`: the theta constants, Gamma(2) and the
 Hauptmodul lambda.
 
-It imports only the q-series half: `modforms` and `qseries`.
+It imports only the q-series half: `modforms`, `congruence`, `numeric` and
+`qseries`.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from . import modforms
+from . import congruence, numeric
 from .modforms import series
 
 
@@ -29,7 +30,7 @@ def _theta_delta(order):
 
 def _gamma2_combinations(order):
     """The theta fourth powers, which vanish at single cusps, from F2 and H2."""
-    f2, h2 = (form.series for form in modforms.gamma2_generators(order))
+    f2, h2 = (form.series for form in congruence.gamma2_generators(order))
     for i, a, b, name in ((2, Fraction(-2, 3), Fraction(2, 3), "(2 H2 - 2 F2)/3"),
                           (3, Fraction(2, 3), Fraction(1, 3), "(2 F2 + H2)/3"),
                           (4, Fraction(4, 3), Fraction(-1, 3), "(4 F2 - H2)/3")):
@@ -51,7 +52,7 @@ def _lambda_shift(order):
 
 def _transformation_laws(order):
     for tau in (1j, 0.3 + 1.1j):
-        err = modforms.theta_transformation_residual(tau, order)
+        err = numeric.theta_transformation_residual(tau, order)
         yield f"T and S laws: residual {err:.1e} < 1e-8 at tau={tau}", err < 1e-8, True
 
 

@@ -4,10 +4,16 @@ Exit codes: 0 success, 1 failed verification, 2 usage error.  The working
 order of expand, eval and verify is 64; override with --order or the
 MFAL_ORDER environment variable.
 
-Each subcommand imports the modules it runs, so ``import mfal.cli`` loads no
-other mfal module, ``mfal expand`` loads only modforms, qseries and poly, and
-``mfal alia`` only alia, liealg, poly and sparse (no linalg: a table solves
-nothing): a fresh process pays to compile nothing it does not run.
+Each subcommand imports the modules it runs, and the output of alia, hilbert,
+eval and verify is rendered by the module behind the command, so a fresh
+process pays to compile nothing it does not run.  ``import mfal.cli`` loads
+no other mfal module (and no json), and:
+  expand  modforms, qseries and poly, with congruence for F2, H2, phi1, phi2,
+          mu and f_gamma5;
+  alia    alia, liealg, poly and sparse (no linalg: a table solves nothing);
+  hilbert vvmf and the quasimodular ring it imports;
+  eval    what expand loads, and numeric, the float laws;
+  verify  checks and the modules of the suite (see ``mfal.checks``).
 
 The command line is read from one table, ``COMMANDS``, by ``_parse``: it
 drives parsing, usage errors and ``--help``, so ``import mfal.cli`` loads no
@@ -18,7 +24,6 @@ point like -0.5+1i as ``--tau=-0.5+1i``.  Options are spelled in full: a
 prefix such as ``--ord`` is not read as ``--order``.
 """
 
-import json
 import math
 import os
 import re
@@ -83,6 +88,8 @@ def cmd_expand(args):
         return 2
     series = form.series
     if args.format == "json":
+        import json
+
         print(json.dumps({**series.to_json(), "name": form.name,
                           "weight": f"{form.weight.numerator}/{form.weight.denominator}",
                           "group": form.group}))
@@ -97,86 +104,45 @@ def cmd_alia(args):
     from . import alia
 
     try:
-        table = alia.alia_table(args.type, args.orbit)
+        sys.stdout.write(alia.render(args.type, args.orbit, args.format))
     except ValueError as exc:  # an orbit the type lacks, such as A1 subregular
         return _fail(f"error: {exc}")
-    basis, records = [table.basis_name(i) for i in range(table.dim)], table.bracket_records()
-    if args.format == "json":
-        print(json.dumps({"type": args.type, "orbit": args.orbit, "basis": basis, "brackets": [
-            {"x": x, "y": y, "target": target,
-             "coeff": {"eps": int(eps) if eps.denominator == 1 else str(eps), "w4": w4, "w6": w6}}
-            for x, y, target, eps, w4, w6 in records]}))
-        return 0
-    print(f"{args.type} {args.orbit}: basis {', '.join(basis)}")
-    for x, y, target, eps, w4, w6 in records:
-        factor = ("j" if w4 else "") + ("(j-1728)" if w6 else "")
-        print(f"  [{x}, {y}] = {f'{eps} {factor}'.rstrip()} {target}")
     return 0
 
 
 def cmd_hilbert(args):
     from . import vvmf
 
-    group = {"Gamma1": "Gamma(1)", "Gamma(1)": "Gamma(1)",
-             "Gamma2": "Gamma(2)", "Gamma(2)": "Gamma(2)"}.get(args.group)
-    if group is None:
-        return _fail(f"unsupported group {args.group!r} (Gamma1 or Gamma2)")
-    weights = vvmf.hilbert_coeffs(vvmf.hilbert_vvmf(args.n, group), args.kmax)
-    if args.format == "json":
-        print(json.dumps({"n": args.n, "group": group, "weights": weights}))
-    else:
-        for k, d in weights:
-            print(f"  weight {k:>3}: dim {d}")
+    try:
+        sys.stdout.write(vvmf.hilbert_report(args.n, args.group, args.kmax, args.format))
+    except ValueError as exc:
+        return _fail(exc)
     return 0
 
 
 def cmd_eval(args):
-    from . import modforms
-    from .qseries import NeedsCyclotomic, NotConvergent
+    from . import numeric
 
     form = _named_form(args)
     if form is None:
         return 2
-    tau, series = args.tau, form.series
     try:
-        value = series.eval_numeric(tau)
-        if args.check == "S":
-            residual = modforms.s_law_residual(form, tau)
-        elif args.check == "T":
-            residual = abs(series.eval_numeric(tau + 1) - series.shift_tau().eval_numeric(tau))
-    except (NotConvergent, modforms.Unsupported) as exc:
+        line, passed = numeric.evaluate(form, args.tau, args.check, args.tol)
+    except ValueError as exc:  # tau below the real line, no such law, or an overflow
         return _fail(f"error: {exc}")
-    except NeedsCyclotomic as exc:
-        return _fail(f"error: exact T-check unavailable for {form.name}: {exc}")
-    except OverflowError:
-        return _fail(f"error: {form.name} at tau = {tau} overflows a float")
-    if args.check == "none":
-        print(f"{form.name}({tau}) = {value}")
-        return 0
-    law = (f"|f(-1/tau) - tau^{form.weight} f(tau)|" if args.check == "S"
-           else "|f(tau+1) - (T f)(tau)|")
-    print(f"{form.name}: {law} = {residual:.3e}")
-    return _fail(f"residual exceeds tolerance {args.tol}", 1) if residual > args.tol else 0
+    print(line)
+    return 0 if passed else _fail(f"residual exceeds tolerance {args.tol}", 1)
 
 
 def cmd_verify(args):
     from . import checks
 
     try:
-        report = checks.run_suite(args.suite, args.order)
-    except KeyError:
-        return _fail(f"unknown suite {args.suite!r}; choose from {', '.join(checks.SUITES)}, all")
-    n_fail = sum(not ok for _, ok, *_ in report)
-    if args.format == "json":
-        print(json.dumps({"suite": args.suite, "order": args.order, "checks": [
-            {"id": cid, "status": "pass" if ok else "fail", "detail": detail,
-             "elapsed_ms": round(ms, 1)} for cid, ok, detail, ms in report]}))
-    else:
-        for cid, ok, detail, ms in report:
-            print(f"[{'PASS' if ok else 'FAIL'}] {cid:<36} {ms:7.1f} ms  {detail}")
-        print(f"-- {len(report)} checks, {n_fail} failures, order {args.order}, "
-              f"{sum(ms for *_, ms in report) / 1e3:.1f} s total")
-    return 1 if n_fail else 0
+        text, failures = checks.report(args.suite, args.order, args.format)
+    except ValueError as exc:  # an unknown suite
+        return _fail(exc)
+    sys.stdout.write(text)
+    return 1 if failures else 0
 
 
 FORMAT = ("--format", ("text", "json"), "text", "text or json")

@@ -173,9 +173,6 @@ class Matrix:
     def commutator(self, other) -> "Matrix":
         return self * other - other * self
 
-    def trace(self):
-        return sum((self.rows[i][i] for i in range(1, self.size)), self.rows[0][0])
-
     def kron(self, other) -> "Matrix":
         """Kronecker product; every product of entries is formed, so a zero
         factor costs what the ring's ``*`` makes it cost (a ``sparse.Sparse``

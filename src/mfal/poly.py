@@ -22,8 +22,6 @@ product of dense integer lists behind every q-series product,
 ``kronecker_mul``, lives with its only caller in ``mfal.qseries``.
 """
 
-from __future__ import annotations
-
 from fractions import Fraction
 from math import gcd, lcm
 

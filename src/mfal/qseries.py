@@ -21,14 +21,10 @@ libmpdec's number-theoretic transform.  It lives here, with its only
 caller, so that the algebra half never compiles it.
 """
 
-from __future__ import annotations
-
-import cmath
 import decimal
 import sys
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable
 
 from .poly import Ring, _to_frac, add, lowest_terms, numerators
 
@@ -39,10 +35,6 @@ class DivisionByZeroSeries(ZeroDivisionError):
 
 class NeedsCyclotomic(ValueError):
     """Exact tau -> tau+1 shift needs roots of unity beyond {+1,-1}."""
-
-
-class NotConvergent(ValueError):
-    """Numeric evaluation requested outside the upper half-plane."""
 
 
 class TruncationError(ValueError):
@@ -212,7 +204,7 @@ class QSeries(Ring):
     # ------------------------------------------------------------------
 
     @classmethod
-    def from_terms(cls, pairs: Iterable, trunc=DEFAULT_ORDER) -> "QSeries":
+    def from_terms(cls, pairs, trunc=DEFAULT_ORDER) -> "QSeries":
         """Build from (exponent, coefficient) pairs of exact rationals."""
         trunc, pairs = _to_frac(trunc), list(pairs)
         exps, denom = numerators([e for e, _ in pairs])
@@ -240,11 +232,6 @@ class QSeries(Ring):
     @classmethod
     def zero(cls, trunc=DEFAULT_ORDER) -> "QSeries":
         return _series(1, 0, 1, [], 1, trunc)
-
-    @classmethod
-    def qpow(cls, e, c=1, trunc=DEFAULT_ORDER) -> "QSeries":
-        """The monomial c * q^e."""
-        return cls.from_terms([(e, c)], trunc)
 
     def _slots(self, denom: int, val: int, step: int, n: int) -> list:
         """The numerators at (val + step*i)/denom for i < n, a lattice that
@@ -422,16 +409,6 @@ class QSeries(Ring):
         nums = [c * (self.val + self.step * i) for i, c in enumerate(self.nums)]
         return _series(self.denom, self.val, self.step, nums, self.den * self.denom, self.trunc)
 
-    def eval_numeric(self, tau: complex) -> complex:
-        """Sum the stored terms at q = exp(2*pi*i*tau), Im(tau) > 0."""
-        if tau.imag <= 0:
-            raise NotConvergent(f"Im(tau) = {tau.imag} is not positive")
-        total = 0j
-        two_pi_i = 2j * cmath.pi
-        for e, c in self.items():
-            total += complex(c) * cmath.exp(two_pi_i * float(e) * tau)
-        return total
-
     # ------------------------------------------------------------------
     # comparison
     # ------------------------------------------------------------------
@@ -463,11 +440,16 @@ class QSeries(Ring):
     # ------------------------------------------------------------------
 
     def to_json(self) -> dict:
-        def frac_str(x: Fraction) -> str:
-            return f"{x.numerator}/{x.denominator}"
-
-        terms = [[frac_str(e), frac_str(c)] for e, c in self.items()]
-        return {"denom": self.denom, "trunc": frac_str(self.trunc), "terms": terms}
+        """Each term as the strings "a/b" of its exponent and coefficient in
+        lowest terms, read from the numerators with no Fraction made."""
+        d, den, terms = self.denom, self.den, []
+        for i, c in enumerate(self.nums):
+            if c:
+                k = self.val + self.step * i
+                g, h = gcd(k, d), gcd(c, den)
+                terms.append([f"{k // g}/{d // g}", f"{c // h}/{den // h}"])
+        trunc = self.trunc
+        return {"denom": d, "trunc": f"{trunc.numerator}/{trunc.denominator}", "terms": terms}
 
     @classmethod
     def from_json(cls, data: dict) -> "QSeries":

@@ -125,6 +125,26 @@ def hilbert_coeffs(h: HilbertSeries, k_max: int) -> list:
     return [(k, coeffs.get(k, 0)) for k in range(low, k_max + 1)]
 
 
+#: the spellings of the groups `mfal hilbert` reads
+GROUP_NAMES = {"Gamma1": "Gamma(1)", "Gamma(1)": "Gamma(1)",
+               "Gamma2": "Gamma(2)", "Gamma(2)": "Gamma(2)"}
+
+
+def hilbert_report(n: int, group: str, k_max: int, fmt: str) -> str:
+    """What `mfal hilbert` prints: the weight dimensions up to `k_max` of the
+    Sym^n module over `group`, as text or as JSON ("json").  Raises
+    ValueError for a group whose Hilbert series is not encoded."""
+    name = GROUP_NAMES.get(group)
+    if name is None:
+        raise ValueError(f"unsupported group {group!r} (Gamma1 or Gamma2)")
+    weights = hilbert_coeffs(hilbert_vvmf(n, name), k_max)
+    if fmt == "json":
+        import json
+
+        return json.dumps({"n": n, "group": name, "weights": weights}) + "\n"
+    return "".join(f"  weight {k:>3}: dim {d}\n" for k, d in weights)
+
+
 def brute_force_vvmf_dim(n: int, k: int, degrees=(4, 6)) -> int:
     """dim of weight-k piece by summing shifted monomial counts."""
     return sum(monomial_count(k + n - 2 * i, degrees) for i in range(n + 1))

@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import pytest
 
-from mfal import alia, checks, checks_alia, liealg, loopext, modforms, vvmf
+from mfal import alia, checks, checks_alia, derivations, liealg, loopext, modforms, vvmf
 from mfal.alia import JPoly
 from mfal.loopext import CycloField, RatFunc
 from test_loopext import cocycle_bilinear_identity
@@ -51,9 +51,9 @@ def test_criterion_03_ramanujan_system():
     e4 = modforms.eisenstein(4, ORDER).series
     e6 = modforms.eisenstein(6, ORDER).series
     ok = (
-        modforms.serre_derivative(1, e2).agrees(e4.scale(Fraction(-1, 12)))
-        and modforms.serre_derivative(4, e4).agrees(e6.scale(Fraction(-1, 3)))
-        and modforms.serre_derivative(6, e6).agrees((e4**2).scale(Fraction(-1, 2)))
+        derivations.serre_derivative(1, e2).agrees(e4.scale(Fraction(-1, 12)))
+        and derivations.serre_derivative(4, e4).agrees(e6.scale(Fraction(-1, 3)))
+        and derivations.serre_derivative(6, e6).agrees((e4**2).scale(Fraction(-1, 2)))
     )
     report(3, "Ramanujan differential system", ok, f"(exact to order {ORDER})")
 
@@ -208,12 +208,12 @@ def test_criterion_12_loop_cocycles():
 
 
 def test_criterion_13_delta_derivation():
-    pref = modforms.delta_derivation_prefactor(ORDER)
+    pref = derivations.delta_derivation_prefactor(ORDER)
     head_ok = [pref.coefficient(n) for n in range(5)] == [
         1, -240, -141444, -8529280, -238758390,
     ]
     j = modforms.j_invariant(ORDER + 2).series
-    reld_ok = modforms.delta_derivation(j).agrees(-(j * (j - 1728)))
+    reld_ok = derivations.delta_derivation(j).agrees(-(j * (j - 1728)))
     report(13, "cusp-normalized derivation", head_ok and reld_ok,
            "(prefactor head and action on j)")
 

@@ -356,6 +356,39 @@ def test_each_subcommand_imports_only_its_own_modules():
     assert alia == ["mfal", "mfal.alia", "mfal.cli", "mfal.liealg", "mfal.poly", "mfal.sparse"]
 
 
+#: the parser tokens (``test_verify_report.parser_tokens``) of the modules
+#: `mfal expand j` loads; every process compiles them with no bytecode
+#: cache, so the congruence forms, the derivations, the float laws and the
+#: rendering of the other commands stay out of them
+EXPAND_TOKEN_BOUND = 8500
+
+
+def test_expand_compiles_few_parser_tokens():
+    from test_verify_report import parser_tokens
+
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    paths = [os.path.join(src, *name.split(".")) for name in mfal_modules_after(
+        ["expand", "j", "--order", "8"])]
+    tokens = sum(parser_tokens(os.path.join(path, "__init__.py") if os.path.isdir(path)
+                               else path + ".py") for path in paths)
+    assert tokens <= EXPAND_TOKEN_BOUND
+
+
+@pytest.mark.parametrize("form", ["phi1", "mu", "f_gamma5"])
+def test_expand_of_a_congruence_form_imports_its_builders(capsys, form):
+    loaded = mfal_modules_after(["expand", form, "--order", "8"])
+    assert loaded == ["mfal", "mfal.cli", "mfal.congruence", "mfal.modforms", "mfal.poly",
+                      "mfal.qseries"]
+    code, out, _ = run(capsys, "expand", form, "--order", "8")
+    assert code == 0 and out.startswith(f"{form} (weight ")
+
+
+def test_eval_imports_the_float_laws():
+    loaded = mfal_modules_after(["eval", "E4", "--tau", "1i", "--order", "8"])
+    assert loaded == ["mfal", "mfal.cli", "mfal.modforms", "mfal.numeric", "mfal.poly",
+                      "mfal.qseries"]
+
+
 @pytest.mark.parametrize("argv", [["expand", "j", "--order", "8"], ["expand", "F_k:-20"]])
 def test_expand_compiles_no_sparse_ring(argv):
     """A q-expansion builds no polynomial ring: only series code is compiled."""
@@ -365,20 +398,23 @@ def test_expand_compiles_no_sparse_ring(argv):
 #: the mfal modules beyond mfal, mfal.cli, mfal.checks and mfal.poly that
 #: `mfal verify <suite>` loads
 VERIFY_MODULES = {
-    "core": ["checks_core", "liealg", "linalg", "modforms", "qseries", "quasimodular", "sl2",
-             "sparse", "vvmf"],
-    "theta": ["checks_theta", "modforms", "qseries"],
-    "gamma": ["checks_gamma", "modforms", "qseries"],
+    "core": ["checks_core", "derivations", "liealg", "linalg", "modforms", "numeric", "qseries",
+             "quasimodular", "sl2", "sparse", "vvmf"],
+    "theta": ["checks_theta", "congruence", "modforms", "numeric", "qseries"],
+    "gamma": ["checks_gamma", "congruence", "modforms", "qseries"],
     "alia": ["alia", "checks_alia", "liealg", "linalg", "sparse"],
     "loop": ["alia", "checks_loop", "cyclotomic", "liealg", "linalg", "loopext", "sl2", "sparse"],
 }
 #: the modules each suite must not load
 VERIFY_SKIPS = {
-    "theta": {"liealg", "alia", "loopext", "quasimodular", "sparse", "vvmf"},
-    "gamma": {"liealg", "alia", "loopext", "quasimodular", "sparse", "vvmf"},
-    "loop": {"qseries", "modforms", "quasimodular", "vvmf"},
-    "core": {"alia", "loopext"},
-    "alia": {"loopext", "vvmf", "quasimodular", "modforms", "qseries"},
+    "theta": {"liealg", "alia", "loopext", "quasimodular", "sparse", "vvmf", "derivations"},
+    "gamma": {"liealg", "alia", "loopext", "quasimodular", "sparse", "vvmf", "derivations",
+              "numeric"},
+    "loop": {"qseries", "modforms", "quasimodular", "vvmf", "congruence", "derivations",
+             "numeric"},
+    "core": {"alia", "loopext", "congruence"},
+    "alia": {"loopext", "vvmf", "quasimodular", "modforms", "qseries", "congruence",
+             "derivations", "numeric"},
 }
 
 

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import pytest
 
-from mfal import checks, modforms as mf
+from mfal import checks, congruence, derivations, modforms as mf
 from mfal.qseries import QSeries
 
 checks.load("all")  # the rows of every suite
@@ -80,6 +80,16 @@ def empty_store(monkeypatch):
     monkeypatch.setattr(mf, "_STORE", {})
 
 
+@pytest.mark.parametrize("name, unbuilt", [
+    ("j", "E6"), ("j-1728", "E4"), ("F_k:-18", "E4"), ("F_k:-20", "E6"),
+])
+def test_a_monomial_builds_no_factor_of_exponent_zero(empty_store, name, unbuilt):
+    # Delta^-1 E4^3, Delta^-1 E6^2, Delta^-2 E6 and Delta^-2 E4 ask the store
+    # only for the factors they multiply, not for E**0
+    mf.named_form(name, 64)
+    assert unbuilt not in mf._STORE
+
+
 def test_golden_names_cover_the_registry():
     assert sorted(GOLDEN_64) == sorted(NAMES)
 
@@ -121,7 +131,7 @@ def test_level_one_quotients_are_monomials():
     assert (j - 1728).agrees(jm)
     assert mf.level_one_monomial(-1, 3, 0, 32).agrees(j)
     assert mf.duke_jenkins(0, 32)[3].agrees(QSeries.constant(1, trunc=32))
-    pref = mf.delta_derivation_prefactor(32)
+    pref = derivations.delta_derivation_prefactor(32)
     assert pref.trunc == 32
     assert pref.agrees(mf.level_one_monomial(-1, 1, 1, 31).shift_exponents(1))
 
@@ -163,9 +173,9 @@ def test_eta_quotient_depth_is_exact(empty_store, spec):
 def test_gamma5_form_depth_is_exact(empty_store):
     # q T(1, 5)^5 / eta_cube(1) has valuation 1: the sums are built to depth
     # order - 1, and to depth 1 at order 1, where the form vanishes below q
-    f = mf.gamma5_form_f(32)
+    f = congruence.gamma5_form_f(32)
     assert f.series.trunc == 32
-    zero = mf.gamma5_form_f(1).series
+    zero = congruence.gamma5_form_f(1).series
     assert (zero.nums, zero.trunc) == ([], 1)
 
 
@@ -203,7 +213,7 @@ def test_two_routes_do_not_share_store_entries(empty_store):
         mf._STORE.clear()
         assert checks.check_identity(check_id, 24)[0]
         form = mf.named_form(name, 40)
-        wrong = form.series + QSeries.qpow(3, 1, trunc=40)
+        wrong = form.series + QSeries.from_terms([(3, 1)], trunc=40)
         bad = mf.NamedForm(name, form.weight, form.group, wrong)
         mf._STORE[name] = (Fraction(40), {Fraction(40): bad})
         assert not checks.check_identity(check_id, 24)[0], name
@@ -253,8 +263,8 @@ def test_f_k_spellings_are_one_store_entry(empty_store):
 def test_one_build_stores_both_forms_of_a_pair(monkeypatch, first, second, generators):
     # a fresh store, which does not outlive this test
     monkeypatch.setattr(mf, "_STORE", {})
-    calls, build = [], getattr(mf, generators)
-    monkeypatch.setattr(mf, generators, lambda order: calls.append(order) or build(order))
+    calls, build = [], getattr(congruence, generators)
+    monkeypatch.setattr(congruence, generators, lambda order: calls.append(order) or build(order))
     pair = {name: mf.named_form(name, 32) for name in (first, second)}
     assert calls == [32]
     assert {name: form.series.to_json() for name, form in pair.items()} == {
@@ -265,7 +275,7 @@ def test_one_build_stores_both_forms_of_a_pair(monkeypatch, first, second, gener
 
 def test_verify_gamma_builds_the_gamma3_pair_once(monkeypatch):
     monkeypatch.setattr(mf, "_STORE", {})
-    calls, build = [], mf.gamma3_generators
-    monkeypatch.setattr(mf, "gamma3_generators", lambda order: calls.append(order) or build(order))
+    calls, build = [], congruence.gamma3_generators
+    monkeypatch.setattr(congruence, "gamma3_generators", lambda order: calls.append(order) or build(order))
     assert all(passed for _, passed, _, _ in checks.run_suite("gamma", 32))
     assert calls == [32]

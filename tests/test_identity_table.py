@@ -33,7 +33,7 @@ def _plus_one(side, other):
     """side plus a nonzero element of its own ring, inside the truncation."""
     if isinstance(side, QSeries):
         trunc = min(side.trunc, other.trunc)
-        return side + QSeries.qpow(trunc - 1, 1, trunc=side.trunc)
+        return side + QSeries.from_terms([(trunc - 1, 1)], trunc=side.trunc)
     if isinstance(side, Matrix):
         return side + Matrix.identity(side.size, side[0, 0] * 0 + 1)
     if isinstance(side, dict):  # a bracket vector: add the first basis vector
@@ -135,7 +135,7 @@ def test_klein_forms_fails_on_a_wrong_eta_cube_term(monkeypatch):
     eta_cube = modforms.eta_cube
 
     def plus_three(s, order):
-        return eta_cube(s, order) + QSeries.qpow(s, 6, trunc=order)
+        return eta_cube(s, order) + QSeries.from_terms([(s, 6)], trunc=order)
 
     monkeypatch.setattr(modforms, "_STORE", {})
     monkeypatch.setattr(modforms, "eta_cube", plus_three)

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from mfal import checks, modforms as mf
+from mfal import checks, congruence, derivations, modforms as mf, numeric
 from mfal.modforms import OddWeight, UnknownForm, Unsupported
 from mfal.qseries import QSeries
 
@@ -108,7 +108,7 @@ def test_eta_and_quotients():
 
 
 def test_klein_form_exponents():
-    k = mf.klein_form(Fraction(1, 5), 5, 24).series
+    k = congruence.klein_form(Fraction(1, 5), 5, 24).series
     assert k.valuation == Fraction(-2, 5)
     assert k.terms[min(k.terms)] == 1
     assert (k**5).valuation == -2
@@ -116,7 +116,7 @@ def test_klein_form_exponents():
 
 def test_klein_form_deep_coefficients():
     # frozen from a raw dict-product oracle of the defining Pochhammers
-    k = mf.klein_form(Fraction(1, 5), 5, 12).series
+    k = congruence.klein_form(Fraction(1, 5), 5, 12).series
     expected = [(0, 1), (1, -1), (4, -1), (5, 3), (6, -3), (7, 1),
                 (9, -3), (10, 9), (11, -9), (12, 3)]
     for offset, c in expected:
@@ -126,13 +126,13 @@ def test_klein_form_deep_coefficients():
 def test_klein_half_equals_eta_quotient():
     # k_{1/2,0}(2 tau) = eta(tau)^2 eta(2 tau)^-4: independent route through
     # the pentagonal-number product instead of the two-factor Pochhammers
-    k = mf.klein_form(Fraction(1, 2), 2, 20).series
+    k = congruence.klein_form(Fraction(1, 2), 2, 20).series
     quotient = mf.eta_quotient([(1, 2), (2, -4)], 20)
     assert k.agrees(quotient)
 
 
 def test_gamma5_form():
-    f = mf.gamma5_form_f(24)
+    f = congruence.gamma5_form_f(24)
     assert f.weight == 1  # 15/2 - 3/2 - 5
     assert f.series.valuation == 1
     assert f.series.terms[min(f.series.terms)] == 1
@@ -184,7 +184,7 @@ def gamma5_by_eta(order):
 @pytest.mark.parametrize("r1, s", [(Fraction(1, 5), 5), (Fraction(2, 5), 5),
                                    (Fraction(1, 3), 1), (Fraction(1, 2), 2)])
 def test_klein_form_is_the_factor_by_factor_product(r1, s, order):
-    assert layout(mf.klein_form(r1, s, order).series) == layout(klein_by_factors(r1, s, order))
+    assert layout(congruence.klein_form(r1, s, order).series) == layout(klein_by_factors(r1, s, order))
 
 
 @pytest.mark.parametrize("order", [1, 2, 5, Fraction(7, 2), 24, 65])
@@ -194,11 +194,11 @@ def test_triple_product_at_1_3_is_the_pentagonal_loop(order):
 
 @pytest.mark.parametrize("order", [*range(1, 9), 32, 64])
 def test_gamma5_form_is_the_eta_and_klein_product(order):
-    assert layout(mf.gamma5_form_f(order).series) == layout(gamma5_by_eta(order))
+    assert layout(congruence.gamma5_form_f(order).series) == layout(gamma5_by_eta(order))
 
 
 def test_gamma2_generators():
-    f2, h2 = mf.gamma2_generators(ORDER)
+    f2, h2 = congruence.gamma2_generators(ORDER)
     assert [f2.series.coefficient(n) for n in range(3)] == [1, 24, 24]
     assert [h2.series.coefficient(Fraction(n, 2)) for n in range(5)] == [1, 24, 24, 96, 24]
     # the table row's F2/H2 combinations for theta2^4, theta3^4, theta4^4
@@ -220,14 +220,14 @@ def test_lambda_invariant():
 
 
 def test_mu_hauptmodul():
-    mu = mf.mu_gamma4(24).series
+    mu = congruence.mu_gamma4(24).series
     assert mu.coefficient(0) == 1
     assert mu.denom in (1, 2, 4)
     assert checks.check_identity("theta.delta_product", 24)[0]
 
 
 def test_gamma3_generators():
-    phi1, phi2 = mf.gamma3_generators(24)
+    phi1, phi2 = congruence.gamma3_generators(24)
     # phi1 against the divisor-count oracle 6(d_1(n) - d_2(n)) mod 3 classes
     def hex_count(n):
         if n == 0:
@@ -245,15 +245,15 @@ def test_gamma3_generators():
 def test_ferapontov():
     assert checks.check_identity("gamma.ferapontov_ode", 32) == (
         True, "fourth-order ODE for phi1, all five terms active")
-    first, *rest = terms = mf.ferapontov_ode_terms(24)
+    first, *rest = terms = congruence.ferapontov_ode_terms(24)
     assert all(terms) and sum(rest, first).is_zero()
     with pytest.raises(ValueError, match="^order too small to distinguish the ODE terms$"):
         checks.check_identity("gamma.ferapontov_ode", 19)
 
 
 def test_ferapontov_row_builds_its_terms_once(monkeypatch):
-    calls, terms = [], mf.ferapontov_ode_terms
-    monkeypatch.setattr(mf, "ferapontov_ode_terms",
+    calls, terms = [], congruence.ferapontov_ode_terms
+    monkeypatch.setattr(congruence, "ferapontov_ode_terms",
                         lambda order: calls.append(order) or terms(order))
     assert checks.check_identity("gamma.ferapontov_ode", 32)[0]
     assert calls == [32]
@@ -261,14 +261,14 @@ def test_ferapontov_row_builds_its_terms_once(monkeypatch):
 
 @pytest.mark.parametrize("zeroed", range(5))
 def test_ferapontov_row_names_a_vanishing_term(monkeypatch, zeroed):
-    terms = mf.ferapontov_ode_terms
+    terms = congruence.ferapontov_ode_terms
 
     def one_zero(order):
         out = terms(order)
         out[zeroed] = out[zeroed].scale(0)
         return out
 
-    monkeypatch.setattr(mf, "ferapontov_ode_terms", one_zero)
+    monkeypatch.setattr(congruence, "ferapontov_ode_terms", one_zero)
     assert checks.check_identity("gamma.ferapontov_ode", 32) == (
         False, f"failed: the five ODE terms sum to 0; ODE term {zeroed} is nonzero")
 
@@ -305,11 +305,11 @@ def test_duke_jenkins():
 
 def test_serre_derivative_and_ramanujan():
     zero = QSeries.zero(trunc=ORDER)
-    assert mf.serre_derivative(7, zero).is_zero()
+    assert derivations.serre_derivative(7, zero).is_zero()
     assert checks.check_identity("modforms.ramanujan", ORDER)[0]
     # D_12 Delta = 0: the logarithmic derivative of the product is E2
     delta = mf.discriminant(ORDER).series
-    assert mf.serre_derivative(12, delta).is_zero()
+    assert derivations.serre_derivative(12, delta).is_zero()
 
 
 def test_eisenstein_power_identities():
@@ -317,13 +317,13 @@ def test_eisenstein_power_identities():
 
 
 def test_delta_derivation():
-    pref = mf.delta_derivation_prefactor(24)
+    pref = derivations.delta_derivation_prefactor(24)
     assert [pref.coefficient(n) for n in range(5)] == [
         1, -240, -141444, -8529280, -238758390,
     ]
     j = mf.j_invariant(26).series
-    assert mf.delta_derivation(j).agrees(-(j * (j - 1728)))
-    assert mf.delta_derivation(QSeries.constant(3, trunc=24)).is_zero()
+    assert derivations.delta_derivation(j).agrees(-(j * (j - 1728)))
+    assert derivations.delta_derivation(QSeries.constant(3, trunc=24)).is_zero()
 
 
 def test_delta_derivation_leibniz_sampled():
@@ -335,51 +335,53 @@ def test_delta_derivation_leibniz_sampled():
         b = QSeries.from_terms(
             [(rng.randint(0, 8), rng.randint(-5, 5) or 2) for _ in range(4)], trunc=24
         )
-        lhs = mf.delta_derivation(a * b)
-        rhs = mf.delta_derivation(a) * b + a * mf.delta_derivation(b)
+        lhs = derivations.delta_derivation(a * b)
+        rhs = derivations.delta_derivation(a) * b + a * derivations.delta_derivation(b)
         assert lhs.agrees(rhs, min_span=8)
 
 
 def test_numeric_modularity():
+    value = numeric.eval_numeric
     for tau in (1j, 0.3 + 1.1j):
         for k in (4, 6):
             f = mf.eisenstein(k, 64).series
-            assert abs(f.eval_numeric(-1 / tau) - tau**k * f.eval_numeric(tau)) < 1e-8
+            assert abs(value(f, -1 / tau) - tau**k * value(f, tau)) < 1e-8
         e2 = mf.eisenstein(2, 64).series
         anomaly = 12 * tau / (2j * cmath.pi)
-        assert abs(e2.eval_numeric(-1 / tau) - (tau**2 * e2.eval_numeric(tau) + anomaly)) < 1e-8
+        assert abs(value(e2, -1 / tau) - (tau**2 * value(e2, tau) + anomaly)) < 1e-8
 
 
 def test_s_law_residual():
     for tau in (1j, 0.3 + 1.1j):
         for name in ("E2", "E4", "E6", "Delta", "j"):
-            assert mf.s_law_residual(mf.named_form(name, 64), tau) < 1e-6, name
+            assert numeric.s_law_residual(mf.named_form(name, 64), tau) < 1e-6, name
     # without E2's anomaly the law misses by |12 tau / (2 pi i)|
     e2 = mf.named_form("E2", 64)
     plain = mf.NamedForm("E2 without its name", 2, "Gamma(1)", e2.series)
-    assert abs(mf.s_law_residual(plain, 1j) - 6 / cmath.pi) < 1e-8
+    assert abs(numeric.s_law_residual(plain, 1j) - 6 / cmath.pi) < 1e-8
     for name in ("theta2", "eta", "lambda"):
         with pytest.raises(Unsupported, match="no S law"):
-            mf.s_law_residual(mf.named_form(name, 24), 1j)
+            numeric.s_law_residual(mf.named_form(name, 24), 1j)
 
 
 def test_theta_transformation_laws_numeric():
     for tau in (1j, 0.3 + 1.1j):
-        assert mf.theta_transformation_residual(tau, 48) < 1e-8
+        assert numeric.theta_transformation_residual(tau, 48) < 1e-8
 
 
 def test_hauptmodul_moebius_actions_numeric():
     lam = mf.lambda_invariant(48).series
     j = mf.j_invariant(48).series
+    value = numeric.eval_numeric
     for tau in (1j, 0.3 + 1.1j):
         # S acts on lambda by 1 - lambda and fixes j
-        assert abs(lam.eval_numeric(-1 / tau) - (1 - lam.eval_numeric(tau))) < 1e-8
-        assert abs(j.eval_numeric(-1 / tau) - j.eval_numeric(tau)) < 1e-6
+        assert abs(value(lam, -1 / tau) - (1 - value(lam, tau))) < 1e-8
+        assert abs(value(j, -1 / tau) - value(j, tau)) < 1e-6
 
 
 def test_delta_at_i_is_positive_real():
     delta = mf.discriminant(64).series
-    val = delta.eval_numeric(1j)
+    val = numeric.eval_numeric(delta, 1j)
     assert abs(val.imag) < 1e-12
     assert abs(val.real - 0.001785369850642) < 1e-12
 

@@ -108,7 +108,7 @@ def test_canonical_layout_by_hand():
     s = QSeries.from_terms([(Fraction(1, 2), 3), (Fraction(5, 2), Fraction(-9, 2))], trunc=6)
     assert (s.denom, s.val, s.step, s.nums, s.den) == (2, 1, 4, [6, -9], 2)
     # a singleton has step 0 and the least denominator of its one exponent
-    assert layout(QSeries.qpow(Fraction(6, 4), 5, trunc=3)) == (2, 3, 0, 1, [5], Fraction(3))
+    assert layout(QSeries.from_terms([(Fraction(6, 4), 5)], trunc=3)) == (2, 3, 0, 1, [5], Fraction(3))
     # the zero series keeps only its truncation
     assert layout(s.scale(0)) == (1, 0, 0, 1, [], Fraction(6))
     # a sum that cancels both ends and every odd slot

@@ -106,7 +106,7 @@ def series(draw, denoms=(1, 2, 3, 8, 24, 120), top=3, max_terms=7, nonzero=False
 
 
 one_term = st.builds(
-    lambda e, c, t: QSeries.qpow(e, c, trunc=e + t),
+    lambda e, c, t: QSeries.from_terms([(e, c)], trunc=e + t),
     st.builds(Fraction, st.integers(-6, 6), st.sampled_from((1, 2, 3, 120))),
     coeffs.filter(bool),
     st.integers(1, 4),

@@ -95,13 +95,18 @@ def test_load_keeps_an_entry_already_there(monkeypatch):
 GUARDED = sorted((ROOT / "src" / "mfal").glob("*.py"))
 
 
+def parser_tokens(path) -> int:
+    """The tokens of a source file that CPython's parser holds: comments and
+    blank lines not counted."""
+    with open(path, "rb") as fh:
+        skipped = (tokenize.COMMENT, tokenize.NL, tokenize.ENCODING)
+        return sum(tok.type not in skipped for tok in tokenize.tokenize(fh.readline))
+
+
 @pytest.mark.parametrize("path", GUARDED, ids=lambda path: path.name)
 def test_check_module_stays_below_the_parser_step(path):
     # CPython's parser keeps a module's tokens in an array that doubles when
     # full; a checks module past 4,096 tokens (comments and blank lines not
     # counted) raised the measured peak RSS of every `mfal verify` process
     # by 0.2-0.3 MB.  Every module of the package is held to the same step
-    with path.open("rb") as fh:
-        skipped = (tokenize.COMMENT, tokenize.NL, tokenize.ENCODING)
-        tokens = sum(tok.type not in skipped for tok in tokenize.tokenize(fh.readline))
-    assert tokens < 4096
+    assert parser_tokens(path) < 4096

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from mfal import checks, modforms, sl2, vvmf
+from mfal import checks, modforms, numeric, sl2, vvmf
 from mfal.linalg import Matrix
 from mfal.quasimodular import QuasiPoly
 
@@ -76,7 +76,7 @@ def phi_numeric(n, tau, order=64):
     """Phi_n(tau) over the complex numbers: the closed-form factors exp(tau E)
     and exp(y F) of ``sl2.unipotents`` at y = 2 pi i E2(tau) / 12, times each
     other.  A numeric oracle independent of the S substitution."""
-    y = 2j * cmath.pi * modforms.eisenstein(2, order).series.eval_numeric(tau) / 12
+    y = 2j * cmath.pi * numeric.eval_numeric(modforms.eisenstein(2, order).series, tau) / 12
     upper, lower = sl2.unipotents(n, tau, y)
     return Matrix(upper) * Matrix(lower)
 

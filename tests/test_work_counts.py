@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import pytest
 
-from mfal import alia, checks, liealg, loopext, modforms, vvmf
+from mfal import alia, checks, congruence, liealg, loopext, modforms, vvmf
 from mfal.cyclotomic import CycloField, CycloNumber
 from mfal.qseries import QSeries
 from mfal.quasimodular import QuasiMatrix, QuasiPoly
@@ -144,11 +144,13 @@ def test_scalar_oracle_computes_each_distinct_identity_once(monkeypatch):
     calls = count_calls(monkeypatch, QSeries, "__mul__")
     inverses = count_calls(monkeypatch, QSeries, "inverse")
     assert len(series_oracle()) == 36
-    # 38 build the forms, the 36 identities take two each and their four
+    # 21 build the forms, the 36 identities take two each and their four
     # factors j^w4 (j-1728)^w6 eight (four of them j**0 = j * 0 + 1); Delta
     # is three squarings of eta_cube(1), where E4^3 - E6^2 took three
-    # products and the scalar -1 of the difference (39)
-    assert len(calls) == 38 + 2 * 36 + 8
+    # products and the scalar -1 of the difference (39); the builds took 38
+    # when each of the 8 monomials Delta^l E4^a E6^b with a zero exponent
+    # also formed E**0 = E * 0 + 1 and multiplied by it (17 calls)
+    assert len(calls) == 21 + 2 * 36 + 8
     # each F_k with k < 0 is a power of the one stored 1/Delta; 7 when each
     # monomial Delta^l E4^a E6^b inverts its own Delta
     assert len(inverses) == 1
@@ -233,10 +235,10 @@ def test_a_zero_operand_keeps_the_field_check(op):
 @pytest.mark.parametrize("build, products", [
     # q^lead triple_product(1, 5) / eta_cube(5); 207 products, a factor
     # (1 - q^e) at a time
-    (lambda: modforms.klein_form(Fraction(1, 5), 5, 512), 1),
+    (lambda: congruence.klein_form(Fraction(1, 5), 5, 512), 1),
     # q triple_product(1, 5)^5 / eta_cube(1): three products make the fifth
     # power and one the quotient; 220 through the Klein form and eta
-    (lambda: modforms.gamma5_form_f(512), 4),
+    (lambda: congruence.gamma5_form_f(512), 4),
 ], ids=["klein_form", "gamma5_form_f"])
 def test_klein_forms_divide_one_sum_by_another(monkeypatch, build, products):
     monkeypatch.setattr(modforms, "_STORE", {})
