@@ -12,7 +12,11 @@ Two layers.  The algebra half imports nothing from the q-series half:
   loopext       polyhedral loop algebras, residue cocycles, Onsager
 The q-series half realises it by forms:
   qseries       truncated q-expansions over Q with rational exponents
-  modforms      named forms (Eisenstein, theta, eta, Klein, Hauptmoduls)
+  modforms      the level-one forms, theta constants, lambda, and the one
+                store of named forms
+  congruence    the forms of Gamma(2) to Gamma(5), built on the first request
+  derivations   the Serre derivative and the derivation delta
+  numeric       the float surface: series at a point, S and T laws, `mfal eval`
   quasimodular  the polynomial ring Q[tau, E2, E4, E6, 1/(2 pi i)]
   vvmf          the intertwiner Phi_n and Hilbert series
 Above both:

@@ -145,16 +145,14 @@ def _dense(vectors, dim):
 def _barrel_contraction(order):
     """[e, f] = j(j-1728) h in the A1 table, and its fibers at j = 0, 1728."""
     table = alia.alia_table("A1", "principal")
-    idx_e = table.index[("A", (1,))]
-    idx_f = table.index[("A", (-1,))]
-    idx_h = table.index[("H", 0)]
+    # A1's e, f and h are basis vectors: their indices
+    e, f, h = (i for (i,) in table.structure.sl2_triple((1,)))
     yield ("[e, f] = j(j-1728) h",
-           table.bracket({idx_e: alia.JPoly.const(1)}, {idx_f: alia.JPoly.const(1)}),
-           {idx_h: alia.JPoly((0, -1728, 1))})
+           table.bracket({e: alia.JPoly.const(1)}, {f: alia.JPoly.const(1)}),
+           {h: alia.JPoly((0, -1728, 1))})
     for j_val in (0, 1728):
         spec = SpecializedAlgebra(table, j_val)
-        yield (f"[e, f] = 0 at j={j_val}",
-               spec.bracket({idx_e: 1}, {idx_f: 1}), {})
+        yield f"[e, f] = 0 at j={j_val}", spec.bracket({e: 1}, {f: 1}), {}
         yield f"solvable at j={j_val}", spec.is_solvable(within_steps=3), True
 
 

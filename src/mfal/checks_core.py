@@ -81,11 +81,13 @@ def _j_head(order):
 
 def _delta_routes(order):
     """Delta by three routes, so that no lemma compares the store's entry
-    with itself: (E4^3 - E6^2)/1728, built here, against the store's
-    q eta_cube(1)^8 and against eta^24, Euler's product to the 24th."""
-    eisenstein = modforms.discriminant(order, "eisenstein").series
+    with itself: (E4^3 - E6^2)/1728, built here from the stored E4 and E6,
+    against the store's q eta_cube(1)^8 and against eta^24, Euler's product
+    to the 24th, raised here from the stored eta."""
+    e4, e6 = series("E4", order), series("E6", order)
+    eisenstein = ((e4**3) - (e6**2)).scale(Fraction(1, 1728)).truncate(order)
     yield "Delta by E4, E6 = q eta_cube(1)^8", eisenstein, series("Delta", order)
-    yield "Delta by E4, E6 = eta^24", eisenstein, modforms.discriminant(order, "eta").series
+    yield "Delta by E4, E6 = eta^24", eisenstein, (series("eta", order) ** 24).truncate(order)
 
 
 def _ramanujan(order):
@@ -169,8 +171,8 @@ def _sl2_bundle(order):
     yield "[e, f] = h", e.commutator(f), h
     m = vvmf.phi(1).matrix
     m_inv = m.inverse()
-    for name, const, image in (("h", [[1, 0], [0, -1]], h), ("e", [[0, 1], [0, 0]], e),
-                               ("f", [[0, 0], [1, 0]], f)):
+    rep = sl2.SymRep(1)
+    for name, const, image in (("h", rep.h, h), ("e", rep.e, e), ("f", rep.f, f)):
         yield f"Phi_1 {name}0 Phi_1^-1 = {name}", m * QuasiMatrix(const) * m_inv, image
     s, q = QuasiPoly.var("s"), QuasiPoly.var("Q")
     yield ("[a_0, a_-2] = -2s a_-2",

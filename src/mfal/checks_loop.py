@@ -39,13 +39,6 @@ def _total_residue(order):
            loopext.residue_at_infinity(f, points), field.zero)
 
 
-def _efh(st):
-    """The basis vectors e, f, h of the sl2 of st's first positive root."""
-    alpha = st.rs.positive[0]
-    keys = ("A", alpha), ("A", tuple(-a for a in alpha)), ("H", 0)
-    return {name: {st.index[key]: 1} for name, key in zip("efh", keys)}
-
-
 def _cocycle_properties(order):
     """omega(x f, y g) = K(x, y) R_a(f, g), R_a(f, g) = res_a(f' g), is
     bilinear and antisymmetric on the span of the 12 loop elements x u_i, x
@@ -80,7 +73,7 @@ def _cocycle_properties(order):
         loopext.RatFunc.polynomial(field, [2, 1]),
         loopext.RatFunc.pole_factor(field, 0, 2),
     ]
-    h = _efh(st)["h"]
+    h = st.sl2_triple((1,))[2]
     yield ("omega(h u_1, h u_3) = K(h, h) res(-1/((t - 1)^2 t^2)) = 16 at a_1",
            loopext.loop_cocycle(st, h, funcs[1], h, funcs[3], points[1]), field.rational(16))
     for (i, u), (j, v) in itertools.product(enumerate(funcs), repeat=2):
@@ -115,7 +108,7 @@ def _cocycle_monomials(order):
                    field.rational(m) if m + n == 0 else zero)
     for t in ("A1", "A2"):
         st = liealg.chevalley(t)
-        basis = _efh(st)
+        basis = dict(zip("efh", st.sl2_triple(st.rs.positive[0])))
         for (x, y), m in itertools.product(("ef", "hh", "ee"), (1, -1)):
             yield (f"omega({x} z^{m}, {y} z^{-m}) = {m} K({x}, {y}) in {t}",
                    loopext.loop_cocycle(st, basis[x], powers[m], basis[y], powers[-m], zero),
@@ -146,7 +139,7 @@ def _polyhedral_cocycles(order):
     """
     yield from liealg.killing_lemmas(order, ("A1",))
     st = liealg.chevalley("A1")
-    h = _efh(st)["h"]
+    h = st.sl2_triple((1,))[2]
     for preset in ("dihedral", "tetrahedral", "octahedral", "icosahedral"):
         field, points = loopext.pole_preset(preset)
         for (i, a), (j, b) in itertools.combinations(enumerate(points), 2):
@@ -212,12 +205,13 @@ def _dolan_grady(order):
     """B0 = h and B1 = ((2j - 1728) h - 2 e + 2 f)/1728 in the A1 table,
     exactly over Q[j]."""
     table = alia.alia_table("A1", "principal")
-    idx_h = table.index[("H", 0)]
-    b0 = {idx_h: alia.JPoly.const(1)}
+    # A1's e, f and h are basis vectors: their indices
+    e, f, h = (i for (i,) in table.structure.sl2_triple((1,)))
+    b0 = {h: alia.JPoly.const(1)}
     b1 = {
-        idx_h: alia.JPoly((Fraction(-1728, 1728), Fraction(2, 1728))),
-        table.index[("A", (1,))]: alia.JPoly.const(Fraction(-2, 1728)),
-        table.index[("A", (-1,))]: alia.JPoly.const(Fraction(2, 1728)),
+        h: alia.JPoly((Fraction(-1728, 1728), Fraction(2, 1728))),
+        e: alia.JPoly.const(Fraction(-2, 1728)),
+        f: alia.JPoly.const(Fraction(2, 1728)),
     }
     for (x, y), name in (((b1, b0), "[B1, [B1, [B1, B0]]] = 4 [B1, B0]"),
                          ((b0, b1), "[B0, [B0, [B0, B1]]] = 4 [B0, B1]")):
@@ -229,6 +223,7 @@ def _evaluation_rep(order):
     field, _ = loopext.pole_preset("octahedral")
     i = field.zeta
     ev = loopext.EvaluationRep(field, [field.rational(2), i + 1], [1, 2])
+    index = {name: idx for name, (idx,) in zip("efh", ev.a1.sl2_triple((1,)))}
     rng = random.Random(111)
     funcs = [
         loopext.RatFunc.pole_factor(field, i, 1),
@@ -236,14 +231,14 @@ def _evaluation_rep(order):
         loopext.RatFunc.pole_factor(field, field.zero, 2),
     ]
     for k in range(5):
-        x = {rng.choice("hef"): rng.randint(1, 3)}
-        y = {rng.choice("hef"): rng.randint(-3, -1)}
+        x = {index[rng.choice("hef")]: rng.randint(1, 3)}
+        y = {index[rng.choice("hef")]: rng.randint(-3, -1)}
         f, g = rng.choice(funcs), rng.choice(funcs)
         yield (f"sample {k}: ev[x f, y g] = [ev(x f), ev(y g)]",
                ev.homomorphism_residual(x, f, y, g).is_zero(), True)
     refused = False
     try:
-        ev.evaluate({"h": 1}, loopext.RatFunc.pole_factor(field, field.rational(2), 1))
+        ev.evaluate({index["h"]: 1}, loopext.RatFunc.pole_factor(field, field.rational(2), 1))
     except loopext.PoleAtEvaluationPoint:
         refused = True
     yield "evaluation at a pole raises PoleAtEvaluationPoint", refused, True

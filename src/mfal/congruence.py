@@ -5,7 +5,8 @@ their fourth-order ODE, the Gamma(4) Hauptmodul mu, and the Klein forms with
 the Gamma(5) form they make.  They are built from the level-one forms and
 the sparse theta sums of `mfal.modforms`, whose store imports this module on
 the first request for F2, H2, phi1, phi2, mu or f_gamma5: `mfal expand` of a
-level-one form compiles none of it.
+level-one form compiles none of it.  A pair's builder returns both forms and
+the store files both, so this module never reads the store's layout.
 """
 
 from fractions import Fraction
@@ -134,22 +135,13 @@ def gamma5_form_f(order=DEFAULT_ORDER) -> NamedForm:
 # the store's builders
 # ----------------------------------------------------------------------
 
-def _one_of_pair(pair, index, order) -> NamedForm:
-    """Form `index` of a pair built together below `order`; the store keeps
-    the other form too, so asking for it next builds nothing."""
-    other = pair[1 - index]
-    built, _ = modforms._STORE.get(other.name, (None, None))
-    if built is None or built < order:
-        modforms._STORE[other.name] = (order, {order: other})
-    return pair[index]
-
-
-#: name -> builder of the forms of `modforms.REGISTERED_NAMES` made here
+#: name -> builder of the forms of `modforms.REGISTERED_NAMES` made here; a
+#: pair's builder returns both forms, and the store keeps both
 BUILDERS = {
     "mu": lambda order: mu_gamma4(order),
-    "phi1": lambda order: _one_of_pair(gamma3_generators(order), 0, order),
-    "phi2": lambda order: _one_of_pair(gamma3_generators(order), 1, order),
-    "F2": lambda order: _one_of_pair(gamma2_generators(order), 0, order),
-    "H2": lambda order: _one_of_pair(gamma2_generators(order), 1, order),
+    "phi1": lambda order: gamma3_generators(order),
+    "phi2": lambda order: gamma3_generators(order),
+    "F2": lambda order: gamma2_generators(order),
+    "H2": lambda order: gamma2_generators(order),
     "f_gamma5": lambda order: gamma5_form_f(order),
 }

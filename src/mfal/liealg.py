@@ -248,6 +248,12 @@ class ChevalleyStructure(BracketTable):
         self.index = {b: i for i, b in enumerate(self.basis)}
         super().__init__(len(self.basis), self._build_table())
 
+    def sl2_triple(self, root):
+        """The vectors e, f, h of the sl2 of `root`: e = A_root, f = A_-root
+        and h = [e, f], its coroot (Carter 4.1), so [h, e] = 2e, [h, f] = -2f."""
+        e, f = {self.index["A", root]: 1}, {self.index["A", _neg(root)]: 1}
+        return e, f, self.bracket(e, f)
+
     def _build_table(self):
         table = {}
         rs = self.rs

@@ -231,9 +231,6 @@ def residue_at_infinity(f: RatFunc, finite_points) -> CycloNumber:
 
 def pole_preset(name: str):
     """(field, finite pole points) for the named puncture configuration."""
-    if name == "loop":
-        field = CycloField(1)
-        return field, (field.zero,)
     if name == "dihedral":
         field = CycloField(1)
         return field, (field.zero, field.one)
@@ -313,40 +310,31 @@ def onsager_G(m: int) -> Matrix:
 # evaluation representations
 # ----------------------------------------------------------------------
 
-def sl2_bracket(x: dict, y: dict) -> dict:
-    """[x, y] for vectors over the names h, e, f of the standard sl2 triple.
-
-    sl2 is A1: its Chevalley basis H, A_(1), A_(-1) is h, e, f.  The table
-    comes from ``mfal.liealg``, imported when this is called, so importing
-    this module compiles no root system.
-    """
-    from . import liealg
-
-    a1 = liealg.chevalley("A1")
-    index = {"h": a1.index[("H", 0)], "e": a1.index[("A", (1,))],
-             "f": a1.index[("A", (-1,))]}
-    name = {i: n for n, i in index.items()}
-    out = a1.bracket({index[n]: c for n, c in x.items()},
-                     {index[n]: c for n, c in y.items()})
-    return {name[k]: c for k, c in out.items()}
-
-
 class EvaluationRep:
     """Tensor-product evaluation of sl2-valued rational functions.
 
     ev(x (x) f) = sum_i Id (x) ... (x) psi_i(x) f(a_i) (x) ... (x) Id.
+    sl2 is A1: x is a vector over the Chevalley basis of
+    ``liealg.chevalley("A1")``, as in ``loop_cocycle``, and psi_i sends its
+    e, f, h (``sl2_triple``, each one basis vector) to those of Sym^n.  The
+    table is built with the representation, so importing this module
+    compiles no root system.
     """
 
     def __init__(self, field: type[CycloNumber], points, rep_sizes):
+        from . import liealg
+
         self.field = field
         self.points = [_num(field, p) for p in points]
         self.reps = [sl2.SymRep(n) for n in rep_sizes]
         self.dims = [r.dim for r in self.reps]
+        self.a1 = liealg.chevalley("A1")
+        self._indices = [i for (i,) in self.a1.sl2_triple((1,))]  # of e, f, h
 
     def _psi(self, i: int, x: dict) -> Matrix:
         rep = self.reps[i]
-        mats = {"h": rep.h, "e": rep.e, "f": rep.f}
-        psi = sum((Matrix(mats[name]).scale(c) for name, c in x.items()),
+        mats = dict(zip(self._indices, (rep.e, rep.f, rep.h)))
+        psi = sum((Matrix(mats[k]).scale(c) for k, c in x.items()),
                   Matrix([[0] * rep.dim] * rep.dim))
         return psi.map(self.field.rational)
 
@@ -366,6 +354,6 @@ class EvaluationRep:
         return total
 
     def homomorphism_residual(self, x: dict, f: RatFunc, y: dict, g: RatFunc):
-        lhs = self.evaluate(sl2_bracket(x, y), f * g)
+        lhs = self.evaluate(self.a1.bracket(x, y), f * g)
         rhs = self.evaluate(x, f).commutator(self.evaluate(y, g))
         return lhs - rhs

@@ -146,22 +146,11 @@ def eta_quotient(spec, order=DEFAULT_ORDER) -> QSeries:
     return reduce(mul, [eta.rescale_tau(m) ** r for m, r in spec]).truncate(order)
 
 
-def discriminant(order=DEFAULT_ORDER, route: str = "jacobi") -> NamedForm:
-    """Delta by one of three routes, which agree.  "jacobi", the store's, is
-    q eta_cube(1)^8 = q (q; q)^24: three squarings of Jacobi's sparse sum, built
-    to depth order - 1 (and 1 at least, as `gamma5_form_f`).  "eisenstein" is
-    (E4^3 - E6^2)/1728 and "eta" is eta^24, Euler's product to the 24th."""
-    if route == "jacobi":
-        deep = max(Fraction(order) - 1, 1)
-        series = (eta_cube(1, deep) ** 8).shift_exponents(1).truncate(order)
-    elif route == "eisenstein":
-        e4 = named_form("E4", order).series
-        e6 = named_form("E6", order).series
-        series = ((e4**3) - (e6**2)).scale(Fraction(1, 1728)).truncate(order)
-    elif route == "eta":
-        series = (named_form("eta", order).series ** 24).truncate(order)
-    else:
-        raise ValueError(f"unknown route {route!r}")
+def discriminant(order=DEFAULT_ORDER) -> NamedForm:
+    """Delta = q eta_cube(1)^8 = q (q; q)^24: three squarings of Jacobi's
+    sparse sum, built to depth order - 1 (and 1 at least, as `gamma5_form_f`)."""
+    deep = max(Fraction(order) - 1, 1)
+    series = (eta_cube(1, deep) ** 8).shift_exponents(1).truncate(order)
     return NamedForm("Delta", 12, "Gamma(1)", series)
 
 
@@ -262,7 +251,7 @@ _STORE_LOCK = threading.RLock()
 _STORE: dict = {}
 
 
-def _build(name: str, order) -> NamedForm:
+def _build(name: str, order):
     if name.startswith("F_k:"):
         k = int(name[4:])
         return NamedForm(name, k, "Gamma(1)", duke_jenkins(k, order)[3])
@@ -293,7 +282,9 @@ def named_form(name: str, order=DEFAULT_ORDER) -> NamedForm:
 
 def _stored(name: str, order, build) -> NamedForm:
     """The store's form `name` valid below `order`; ``build(name, order)``
-    makes it when the store holds none deep enough."""
+    makes it when the store holds none deep enough.  A builder may return a
+    tuple of forms built together, as a pair of generators: the store files
+    each one that goes deeper than what it holds under that form's name."""
     order = Fraction(order)
     entry = _STORE.get(name)
     if entry is not None and order in entry[1]:
@@ -301,9 +292,11 @@ def _stored(name: str, order, build) -> NamedForm:
     with _STORE_LOCK:
         built, cuts = _STORE.get(name, (None, None))
         if built is None or built < order:
-            form = build(name, order)
-            _STORE[name] = (order, {order: form})
-            return form
+            forms = build(name, order)
+            for form in forms if isinstance(forms, tuple) else (forms,):
+                if form.name not in _STORE or _STORE[form.name][0] < order:
+                    _STORE[form.name] = (order, {order: form})
+            return _STORE[name][1][order]
         if order not in cuts:
             deepest = cuts[built]
             # keep the builder's own margin past the order (eta's is 1/24)

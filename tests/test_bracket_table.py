@@ -3,7 +3,7 @@
 Chevalley tables over Q, the weight-zero tables over Q[j] and their fibers
 at a value of j share one bracket; these check that it is antisymmetric and
 bilinear on each of them, that specialising at j commutes with the bracket,
-and that the sl2 of the evaluation representations is the A1 table.
+and that ``sl2_triple`` gives each positive root a standard triple.
 hypothesis is a test-only dependency.
 """
 
@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 
 from mfal import alia, checks_alia, liealg
 from mfal.alia import JPoly
-from mfal.loopext import sl2_bracket
 
 examples = settings(max_examples=40, deadline=None)
 
@@ -104,14 +103,24 @@ def test_specialize_commutes_with_bracket(orbit, data, j_value):
     assert fiber.bracket(at_j(x), at_j(y)) == at_j(tab.bracket(x, y))
 
 
-def test_sl2_bracket_is_the_standard_triple():
-    one = Fraction(1)
-    h, e, f = {"h": one}, {"e": one}, {"f": one}
-    assert sl2_bracket(h, e) == {"e": 2}
-    assert sl2_bracket(e, h) == {"e": -2}
-    assert sl2_bracket(h, f) == {"f": -2}
-    assert sl2_bracket(f, h) == {"f": 2}
-    assert sl2_bracket(e, f) == {"h": 1}
-    assert sl2_bracket(f, e) == {"h": -1}
-    for v in (h, e, f):
-        assert sl2_bracket(v, v) == {}
+def times(v, c):
+    return {k: c * x for k, x in v.items()}
+
+
+@pytest.mark.parametrize("type_label", TYPES)
+def test_sl2_triple_is_standard_on_every_positive_root(type_label):
+    """[h, e] = 2e, [h, f] = -2f and [e, f] = h, each with its antisymmetric
+    pair; in A1, the triple of the evaluation representations, h is H_0."""
+    chev = liealg.chevalley(type_label)
+    for root in chev.rs.positive:
+        e, f, h = chev.sl2_triple(root)
+        assert chev.bracket(h, e) == times(e, 2), root
+        assert chev.bracket(e, h) == times(e, -2), root
+        assert chev.bracket(h, f) == times(f, -2), root
+        assert chev.bracket(f, h) == times(f, 2), root
+        assert chev.bracket(e, f) == h, root
+        assert chev.bracket(f, e) == times(h, -1), root
+        for v in (h, e, f):
+            assert chev.bracket(v, v) == {}, root
+    if type_label == "A1":
+        assert h == {chev.index["H", 0]: 1}

@@ -461,7 +461,7 @@ def test_phi_loads_no_qseries_module():
 
 
 def test_loopext_loads_no_root_system():
-    """sl2_bracket imports liealg when it is called, not loopext's import."""
+    """EvaluationRep imports liealg when it is built, not loopext's import."""
     assert mfal_modules_after(module="mfal.loopext") == [
         "mfal", "mfal.cyclotomic", "mfal.linalg", "mfal.loopext", "mfal.poly", "mfal.sl2",
         "mfal.sparse"]

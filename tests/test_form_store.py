@@ -10,8 +10,10 @@ from a deeper build.
 import hashlib
 import json
 import sys
+import tokenize
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -279,3 +281,16 @@ def test_verify_gamma_builds_the_gamma3_pair_once(monkeypatch):
     monkeypatch.setattr(congruence, "gamma3_generators", lambda order: calls.append(order) or build(order))
     assert all(passed for _, passed, _, _ in checks.run_suite("gamma", 32))
     assert calls == [32]
+
+
+def test_only_modforms_names_the_store():
+    """The store's layout is modforms' own: scanning the package's sources
+    as ``parser_tokens`` does, no other module names ``_STORE``."""
+
+    def names(path):
+        with open(path, "rb") as fh:
+            return {tok.string for tok in tokenize.tokenize(fh.readline)
+                    if tok.type == tokenize.NAME}
+
+    sources = sorted(Path(mf.__file__).parent.glob("*.py"))
+    assert [path.name for path in sources if "_STORE" in names(path)] == ["modforms.py"]

@@ -16,6 +16,9 @@ from mfal.loopext import (
 
 checks.load("all")  # the rows of every suite
 
+#: sl2, whose Chevalley vectors the evaluation representations read
+A1 = liealg.chevalley("A1")
+
 
 def cocycle_bilinear_identity(structure, samples, point) -> bool:
     """omega([a,b],c) + omega([b,c],a) + omega([c,a],b) = 0 on samples: the
@@ -389,11 +392,25 @@ def test_dolan_grady_degree_bound():
 def test_evaluation_rep_single_point():
     field = CycloField(1)
     ev = EvaluationRep(field, [field.rational(3)], [1])
-    x = {"e": Fraction(1)}
+    x = {k: Fraction(c) for k, c in A1.sl2_triple((1,))[0].items()}
     val = ev.evaluate(x, RatFunc.t_power(field, 2))
     # psi(e) * 3^2 in the defining rep
     assert val.rows[0][1] == field.rational(9)
     assert val.rows[1][0].is_zero()
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_evaluation_rep_psi_is_a_lie_homomorphism(n):
+    """psi([x_a, x_b]) = [psi(x_a), psi(x_b)] on the 9 ordered pairs of A1
+    basis vectors: by bilinearity psi is then a Lie map on all of sl2.
+    psi(x) is ev(x (x) 1) at one point on Sym^n."""
+    field = CycloField(1)
+    ev = EvaluationRep(field, [field.zero], [n])
+    one = RatFunc.polynomial(field, [1])
+    psi = [ev.evaluate({a: 1}, one) for a in range(A1.dim)]
+    for a, b in itertools.product(range(A1.dim), repeat=2):
+        image = ev.evaluate(A1.bracket({a: 1}, {b: 1}), one)
+        assert image == psi[a].commutator(psi[b]), (a, b)
 
 
 def test_evaluation_rep_homomorphism():
@@ -406,10 +423,12 @@ def test_evaluation_rep_homomorphism():
         RatFunc.polynomial(field, [1, 0, 1]),
         RatFunc.pole_factor(field, field.zero, 2),
     ]
+    basis = dict(zip("efh", A1.sl2_triple((1,))))
     names = ("h", "e", "f")
     for _ in range(6):
-        x = {rng.choice(names): Fraction(rng.randint(1, 3))}
-        y = {rng.choice(names): Fraction(rng.randint(-3, -1))}
+        x, a = basis[rng.choice(names)], Fraction(rng.randint(1, 3))
+        y, b = basis[rng.choice(names)], Fraction(rng.randint(-3, -1))
+        x, y = {k: a * c for k, c in x.items()}, {k: b * c for k, c in y.items()}
         f, g = rng.choice(funcs), rng.choice(funcs)
         assert ev.homomorphism_residual(x, f, y, g).is_zero()
 
@@ -419,7 +438,7 @@ def test_evaluation_at_pole_rejected():
     i = field.zeta
     ev = EvaluationRep(field, [i], [1])
     with pytest.raises(PoleAtEvaluationPoint):
-        ev.evaluate({"h": Fraction(1)}, RatFunc.pole_factor(field, i, 1))
+        ev.evaluate(A1.sl2_triple((1,))[2], RatFunc.pole_factor(field, i, 1))
 
 
 def test_removable_singularity_evaluates():
