@@ -25,7 +25,9 @@ Above both:
   cli           the `mfal` command
 
 RESIDUE_TABLE lives here, where both halves read it: the bracket cocycles of
-`mfal.alia` and the generators F_k of `mfal.modforms`.
+`mfal.alia` and the generators F_k of `mfal.modforms`.  So do the exponents
+of F_k (`f_exponents`), j and j - 1728, from which `modforms` builds them and
+which the row `alia.scalar_oracle` compares with no series loaded.
 """
 
 __version__ = "0.1.0"
@@ -33,3 +35,13 @@ __version__ = "0.1.0"
 #: (n4, n6) of the weight-k generator Delta^l E4^n4 E6^n6, keyed by k mod 12:
 #: the residue map 2Z/12Z -> Z/3Z x Z/2Z.
 RESIDUE_TABLE = {0: (0, 0), 4: (1, 0), 6: (0, 1), 8: (2, 0), 10: (1, 1), 2: (2, 1)}
+
+#: (l, n4, n6) of j = E4^3/Delta and of j - 1728 = E6^2/Delta
+J_EXPONENTS, J_MINUS_1728_EXPONENTS = (-1, 3, 0), (-1, 0, 2)
+
+
+def f_exponents(k: int):
+    """(l, n4, n6) of the Duke-Jenkins generator F_k = Delta^l E4^n4 E6^n6 of
+    even weight k: (n4, n6) from RESIDUE_TABLE and 12 l + 4 n4 + 6 n6 = k."""
+    n4, n6 = RESIDUE_TABLE[k % 12]
+    return (k - 4 * n4 - 6 * n6) // 12, n4, n6

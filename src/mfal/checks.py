@@ -21,13 +21,14 @@ sampled row names the sample.  A row of finite lemmas gives its proof in
 its docstring.
 
 A statement that is not an equation of two exact sides is a lemma against
-True: a float residual below its tolerance (`qseries.eval_product`,
-`modforms.numeric_s_equivariance`, `theta.transformation_laws`, each naming
-the residual it computed), a comparison on a range shorter than a row's, a
-term that must not vanish or an error that must be raised.  The
-transformation laws of Phi_n are exact: `vvmf.phi_T_exact` and
-`vvmf.phi_S_numeric` (an id kept from when the S law was a float residual)
-compare polynomials after the substitutions of T and S.
+True: a float residual below its tolerance, named with the residual it
+computed, a comparison on a range shorter than a row's, a term that must not
+vanish or an error that must be raised; `tests/test_identity_table.py` pins
+the seven rows that yield one.  An equation yields its two sides, never a
+predicate of them.  The transformation laws of Phi_n are exact:
+`vvmf.phi_T_exact` and `vvmf.phi_S_numeric` (an id kept from when the S law
+was a float residual) compare polynomials after the substitutions of T and
+S.
 """
 
 from __future__ import annotations

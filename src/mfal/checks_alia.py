@@ -13,12 +13,9 @@ from __future__ import annotations
 
 import itertools
 
-from . import alia, liealg
+from . import J_EXPONENTS, J_MINUS_1728_EXPONENTS, alia, f_exponents, liealg
 from .linalg import Matrix, rank, rref
 from .poly import monomial_count
-
-#: the exponents of (Delta, E4, E6) in j = E4^3/Delta and in j - 1728 = E6^2/Delta
-_J, _J_MINUS_1728 = (-1, 3, 0), (-1, 0, 2)
 
 
 def _gauges():
@@ -71,13 +68,6 @@ def _gauge(order):
                    * table.structure.bracket_indices(a, b).get(k, 0))
 
 
-def _f_exponents(k):
-    """(l, n4, n6) of the Duke-Jenkins generator F_k = Delta^l E4^n4 E6^n6 of
-    weight k: (n4, n6) from the residue table and 12 l + 4 n4 + 6 n6 = k."""
-    n4, n6 = alia.residue_exponents(k)
-    return (k - 4 * n4 - 6 * n6) // 12, n4, n6
-
-
 def _scalar_oracle(order):
     """F_{-k(a)} F_{-k(b)} = j^w4 (j-1728)^w6 F_{-k(a)-k(b)} for each orbit,
     as an identity of monomials in Q[E4, E6, 1/Delta].
@@ -98,8 +88,8 @@ def _scalar_oracle(order):
                 for (a, b), w4 in cocycles.w4.items()):
             identity = f"{key[0]} {key[1]}: F_{-ka} F_{-kb} = j^{w4} (j-1728)^{w6} F_{-ka - kb}"
             for name, ea, eb, es, j, j_1728 in zip(
-                    ("Delta", "E4", "E6"), _f_exponents(-ka), _f_exponents(-kb),
-                    _f_exponents(-ka - kb), _J, _J_MINUS_1728):
+                    ("Delta", "E4", "E6"), f_exponents(-ka), f_exponents(-kb),
+                    f_exponents(-ka - kb), J_EXPONENTS, J_MINUS_1728_EXPONENTS):
                 yield f"{identity}, exponent of {name}", ea + eb, es + w4 * j + w6 * j_1728
 
 
@@ -114,11 +104,12 @@ class SpecializedAlgebra(liealg.BracketTable):
                 consts[key] = vals
         super().__init__(table.dim, consts)
 
-    def derived_series_lengths(self, max_steps=6):
-        """Dimensions of the derived series D^0 >= D^1 >= ..."""
+    def derived_series_lengths(self):
+        """Dimensions of the derived series D^0 >= D^1 >= ..., up to its first
+        0 or its first repeat, from which on every D^i is that last one."""
         current = [{i: 1} for i in range(self.dim)]
         dims = [self.dim]
-        for _ in range(max_steps):
+        while True:
             brackets = []
             for a, b in itertools.combinations(range(len(current)), 2):
                 v = self.bracket(current[a], current[b])
@@ -128,13 +119,8 @@ class SpecializedAlgebra(liealg.BracketTable):
             basis = [{i: c for i, c in enumerate(row) if c} for row in reduced]
             dims.append(len(basis))
             if not basis or len(basis) == dims[-2]:
-                break
+                return dims
             current = basis
-        return dims
-
-    def is_solvable(self, within_steps=3) -> bool:
-        dims = self.derived_series_lengths(max_steps=within_steps + 1)
-        return 0 in dims[: within_steps + 1]
 
 
 def _dense(vectors, dim):
@@ -143,7 +129,9 @@ def _dense(vectors, dim):
 
 
 def _barrel_contraction(order):
-    """[e, f] = j(j-1728) h in the A1 table, and its fibers at j = 0, 1728."""
+    """[e, f] = j(j-1728) h in the A1 table, and its fibers at j = 0, 1728:
+    there [e, f] = 0, so their derived series span(h, e, f) > span(e, f) > 0
+    has dimensions 3, 2, 0, and each is solvable."""
     table = alia.alia_table("A1", "principal")
     # A1's e, f and h are basis vectors: their indices
     e, f, h = (i for (i,) in table.structure.sl2_triple((1,)))
@@ -153,7 +141,9 @@ def _barrel_contraction(order):
     for j_val in (0, 1728):
         spec = SpecializedAlgebra(table, j_val)
         yield f"[e, f] = 0 at j={j_val}", spec.bracket({e: 1}, {f: 1}), {}
-        yield f"solvable at j={j_val}", spec.is_solvable(within_steps=3), True
+        dims = spec.derived_series_lengths()
+        for i, dim in enumerate((3, 2, 0)):
+            yield f"dim D^{i} = {dim} at j={j_val}", dims[min(i, len(dims) - 1)], dim
 
 
 def _specialization(order):

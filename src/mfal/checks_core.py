@@ -194,7 +194,11 @@ def _grading_additivity(order):
                 if s in rs.root_set:
                     yield (f"{key} k({a}) + k({b}) = k({s})",
                            triple.grading[a] + triple.grading[b], triple.grading[s])
-        yield f"{key} (H, E, F) is a standard triple", triple.triple_relations_hold(), True
+        h, e, f = triple.standard_triple()
+        bracket = triple.structure.bracket
+        yield f"{key} [H, E] = 2E", bracket(h, e), {k: 2 * c for k, c in e.items()}
+        yield f"{key} [H, F] = -2F", bracket(h, f), {k: -2 * c for k, c in f.items()}
+        yield f"{key} [E, F] = H", bracket(e, f), h
 
 
 def _symrep(order):

@@ -8,11 +8,12 @@ constant follows from those in closed form.
 
 A Chevalley table holds its constants as ints, so its brackets of int
 vectors and its Killing matrix are ints too.  ``Fraction`` appears only
-where a division does: inside Carter's recursion and in the
-``GradedTriple`` solves.  The symmetric powers of sl2 are ``mfal.sl2``.
+where a division does: inside Carter's recursion and in
+``GradedTriple.standard_triple``.  The symmetric powers of sl2 are
+``mfal.sl2``.
 
 ``linalg`` is imported only by the code that eliminates or forms matrices:
-the H, E, F solves of ``GradedTriple``, ``BracketTable.killing`` and
+``GradedTriple.standard_triple``, ``BracketTable.killing`` and
 ``killing_lemmas``.  A table over Q[j] reads only a triple's grading, so
 ``import mfal.liealg`` and ``mfal alia`` compile no elimination.
 """
@@ -392,9 +393,8 @@ def killing_lemmas(order, types=("A1", "A2", "B2", "G2")):
 class GradedTriple:
     """Grading from Dynkin labels, and a rational standard triple (H, E, F).
 
-    The grading and the ``OddLabel`` check are built at once; h_coeffs,
-    h_vector, e_vector and f_vector are solved together on the first read of
-    any of them, which raises ``NoRationalTriple`` when no triple is found.
+    The grading and the ``OddLabel`` check are built at once; the triple is
+    solved on each call of ``standard_triple``.
     """
 
     def __init__(self, type_label: str, labels):
@@ -408,23 +408,20 @@ class GradedTriple:
         self.labels = labels
         self.grading = {r: sum(n * l for n, l in zip(r, labels)) for r in rs.roots}
 
-    def __getattr__(self, name):
-        if name not in ("h_coeffs", "h_vector", "e_vector", "f_vector"):
-            raise AttributeError(name)
+    def standard_triple(self):
+        """The vectors (H, E, F) with [H, E] = 2E, [H, F] = -2F, [E, F] = H,
+        or (H, None, None) for zero labels; raises ``NoRationalTriple`` when
+        no triple is found."""
         from .linalg import solve
 
         st = self.structure
         simple = st.rs.simple
         # alpha_i(H) = label_i, where alpha_i(H_j) = <alpha_i, alpha_j^vee>: the
         # Cartan matrix, which is invertible
-        h = tuple(solve([[Fraction(st.rs.pairing(a, b)) for b in simple] for a in simple],
-                        [Fraction(l) for l in self.labels]))
+        h = solve([[Fraction(st.rs.pairing(a, b)) for b in simple] for a in simple],
+                  [Fraction(l) for l in self.labels])
         h_vector = {st.index["H", i]: c for i, c in enumerate(h) if c}
-        e_f = self._solve_e_f(h_vector) if any(self.labels) else (None, None)
-        # set only once every solve has succeeded, so a failed one raises on each read
-        self.h_coeffs, self.h_vector = h, h_vector
-        self.e_vector, self.f_vector = e_f
-        return getattr(self, name)
+        return h_vector, *(self._solve_e_f(h_vector) if any(self.labels) else (None, None))
 
     def _solve_e_f(self, h_vector):
         """E from the small coefficient vectors on the grade-2 roots, each in
@@ -447,15 +444,6 @@ class GradedTriple:
                 if st.bracket(e_vec, f_vec) == h_vector:
                     return e_vec, f_vec
         raise NoRationalTriple(f"no rational triple for labels {self.labels}")
-
-    def triple_relations_hold(self) -> bool:
-        """[H, E] = 2E, [H, F] = -2F and [E, F] = H; H = 0 for zero labels."""
-        h, e, f = self.h_vector, self.e_vector, self.f_vector
-        if e is None:
-            return not h
-        bracket = self.structure.bracket
-        return (bracket(h, e) == {k: 2 * c for k, c in e.items()}
-                and bracket(h, f) == {k: -2 * c for k, c in f.items()} and bracket(e, f) == h)
 
 
 _TRIPLE_CACHE: dict[tuple, GradedTriple] = {}

@@ -352,8 +352,3 @@ class EvaluationRep:
             term = self._slot(i, self._psi(i, x).scale(value))
             total = term if total is None else total + term
         return total
-
-    def homomorphism_residual(self, x: dict, f: RatFunc, y: dict, g: RatFunc):
-        lhs = self.evaluate(self.a1.bracket(x, y), f * g)
-        rhs = self.evaluate(x, f).commutator(self.evaluate(y, g))
-        return lhs - rhs

@@ -24,7 +24,7 @@ from functools import reduce
 from math import ceil, comb
 from operator import mul
 
-from . import RESIDUE_TABLE
+from . import J_EXPONENTS, J_MINUS_1728_EXPONENTS, f_exponents
 from .qseries import DEFAULT_ORDER, QSeries, _series
 
 
@@ -184,11 +184,12 @@ def _inverse_delta(name, order) -> NamedForm:
 
 
 def j_invariant(order=DEFAULT_ORDER) -> NamedForm:
-    return NamedForm("j", 0, "Gamma(1)", level_one_monomial(-1, 3, 0, order))
+    return NamedForm("j", 0, "Gamma(1)", level_one_monomial(*J_EXPONENTS, order))
 
 
 def j_minus_1728(order=DEFAULT_ORDER) -> NamedForm:
-    return NamedForm("j-1728", 0, "Gamma(1)", level_one_monomial(-1, 0, 2, order))
+    return NamedForm("j-1728", 0, "Gamma(1)",
+                     level_one_monomial(*J_MINUS_1728_EXPONENTS, order))
 
 
 def duke_jenkins(k: int, order=DEFAULT_ORDER):
@@ -199,9 +200,8 @@ def duke_jenkins(k: int, order=DEFAULT_ORDER):
     """
     if k % 2:
         raise OddWeight("weakly holomorphic forms of odd level-one weight vanish")
-    n4, n6 = RESIDUE_TABLE[k % 12]
-    ell = (k - 4 * n4 - 6 * n6) // 12
-    return ell, n4, n6, level_one_monomial(ell, n4, n6, order)
+    exponents = f_exponents(k)
+    return *exponents, level_one_monomial(*exponents, order)
 
 
 # ----------------------------------------------------------------------

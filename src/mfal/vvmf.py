@@ -125,9 +125,9 @@ def hilbert_coeffs(h: HilbertSeries, k_max: int) -> list:
     return [(k, coeffs.get(k, 0)) for k in range(low, k_max + 1)]
 
 
-#: the spellings of the groups `mfal hilbert` reads
-GROUP_NAMES = {"Gamma1": "Gamma(1)", "Gamma(1)": "Gamma(1)",
-               "Gamma2": "Gamma(2)", "Gamma(2)": "Gamma(2)"}
+#: the spellings of the groups `mfal hilbert` reads, Gamma(N) and GammaN
+GROUP_NAMES = {name: group for group in GROUP_RING_DEGREES
+               for name in (group, group.replace("(", "").replace(")", ""))}
 
 
 def hilbert_report(n: int, group: str, k_max: int, fmt: str) -> str:
@@ -136,7 +136,8 @@ def hilbert_report(n: int, group: str, k_max: int, fmt: str) -> str:
     ValueError for a group whose Hilbert series is not encoded."""
     name = GROUP_NAMES.get(group)
     if name is None:
-        raise ValueError(f"unsupported group {group!r} (Gamma1 or Gamma2)")
+        short = " or ".join(spelling for spelling in GROUP_NAMES if "(" not in spelling)
+        raise ValueError(f"unsupported group {group!r} ({short})")
     weights = hilbert_coeffs(hilbert_vvmf(n, name), k_max)
     if fmt == "json":
         import json

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from mfal import alia, checks, checks_alia, liealg, modforms
+from mfal import RESIDUE_TABLE, alia, checks, checks_alia, liealg, modforms
 from mfal.alia import JPoly, OddGrading
 from mfal.linalg import Matrix
 
@@ -212,7 +212,7 @@ def test_contraction_at_orbifold_points():
             {t.index[("A", (1,))]: Fraction(1)}, {t.index[("A", (-1,))]: Fraction(1)}
         )
         assert ef == {}
-        assert spec.is_solvable(within_steps=3)
+        assert spec.derived_series_lengths() == [3, 2, 0]
         assert Matrix(spec.killing()).det() == 0
 
 
@@ -264,8 +264,8 @@ def test_scalar_oracle_names_each_identity_of_an_l_off_by_one(monkeypatch):
     _, sides = checks.IDENTITIES["alia.scalar_oracle"]
     with_f10 = [name for name, _, _ in sides(24)
                 if name.endswith("Delta") and ("F_10 " in name or "F_10," in name)]
-    reading = checks_alia._f_exponents
-    monkeypatch.setattr(checks_alia, "_f_exponents",
+    reading = checks_alia.f_exponents
+    monkeypatch.setattr(checks_alia, "f_exponents",
                         lambda k: (reading(k)[0] + (k == 10), *reading(k)[1:]))
     assert _scalar_oracle_failures() == with_f10
     assert len(with_f10) == 7 and all(name.startswith("G2 principal: ") for name in with_f10)
@@ -328,9 +328,15 @@ def test_series_oracle_keeps_the_depth_of_j():
         assert min(lhs.trunc, rhs.trunc) >= ORACLE_ORDER - 2, identity
 
 
-@pytest.mark.parametrize("k", range(-40, 41, 2))
+@pytest.mark.parametrize("k", range(-48, 49, 2))
 def test_row_reads_the_duke_jenkins_exponents(k):
-    assert checks_alia._f_exponents(k) == modforms.duke_jenkins(k, 1)[:3]
+    """``alia.scalar_oracle`` and ``modforms.duke_jenkins`` read the one copy
+    of the exponents of F_k = Delta^l E4^n4 E6^n6, ``mfal.f_exponents``: F_k
+    has weight k, and (n4, n6) is the residue table's entry of k mod 12."""
+    ell, n4, n6 = checks_alia.f_exponents(k)
+    assert 12 * ell + 4 * n4 + 6 * n6 == k
+    assert (n4, n6) == RESIDUE_TABLE[k % 12]
+    assert modforms.duke_jenkins(k, 1)[:3] == (ell, n4, n6)
 
 
 def test_oracle_f2_fm2_is_j_j_1728():

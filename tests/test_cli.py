@@ -97,8 +97,22 @@ def test_hilbert_json(capsys):
 
 
 def test_hilbert_bad_group(capsys):
-    code, _, err = run(capsys, "hilbert", "2", "Gamma7", "12")
-    assert code == 2
+    assert run(capsys, "hilbert", "2", "Gamma7", "12") == (
+        2, "", "unsupported group 'Gamma7' (Gamma1 or Gamma2)\n")
+
+
+#: the dimensions of weights -2..12 that `hilbert 2 <group> 12` prints
+HILBERT_DIMS = {"Gamma(1)": [1, 0, 1, 0, 2, 0, 2, 0, 3, 0, 3, 0, 4, 0, 4],
+                "Gamma(2)": [1, 0, 3, 0, 6, 0, 9, 0, 12, 0, 15, 0, 18, 0, 21]}
+
+
+@pytest.mark.parametrize("group, spellings", [("Gamma(1)", ("Gamma1", "Gamma(1)")),
+                                              ("Gamma(2)", ("Gamma2", "Gamma(2)"))])
+def test_hilbert_reads_both_spellings_of_each_group(capsys, group, spellings):
+    expected = "".join(f"  weight {k:>3}: dim {d}\n"
+                       for k, d in zip(range(-2, 13), HILBERT_DIMS[group]))
+    for spelling in spellings:
+        assert run(capsys, "hilbert", "2", spelling, "12") == (0, expected, "")
 
 
 def test_eval_s_check(capsys):

@@ -88,6 +88,30 @@ def test_verify_all_json_digest(capsys, order, digest):
     assert hashlib.sha256(json.dumps(report).encode()).hexdigest() == digest
 
 
+#: the rows that may yield a lemma whose right side is True, a statement
+#: with no two exact sides, at order 32: row -> (how many, why)
+AGAINST_TRUE = {
+    "qseries.eval_product": (1, "a float residual below its tolerance"),
+    "modforms.numeric_s_equivariance": (6, "a float residual below its tolerance"),
+    "theta.transformation_laws": (2, "a float residual below its tolerance"),
+    "modforms.delta_derivation": (4, "Leibniz samples compared on a span of 8"),
+    "gamma.ferapontov_ode": (5, "an ODE term is nonzero"),
+    "alia.specialization": (6, "det K(j) is nonzero"),
+    "loop.evaluation_rep": (1, "the refusal at a pole, an exception"),
+}
+
+
+def test_only_the_listed_rows_yield_lemmas_against_true():
+    """Every other lemma of the table compares two exact sides; a new
+    lemma against True needs a row and a reason here."""
+    counts = {}
+    for check_id, (_, sides) in checks.IDENTITIES.items():
+        for _, _, rhs in sides(32):
+            if rhs is True:
+                counts[check_id] = counts.get(check_id, 0) + 1
+    assert counts == {row: count for row, (count, _) in AGAINST_TRUE.items()}
+
+
 def test_weight_zero_iso_row_names():
     _, sides = checks.IDENTITIES["gamma.weight_zero_iso"]
     assert [name for name, _, _ in sides(ORDER)] == [
@@ -256,6 +280,25 @@ def test_evaluation_rep_fails_when_a_pole_is_evaluated(monkeypatch):
     assert _failed("loop.evaluation_rep") == ["evaluation at a pole raises PoleAtEvaluationPoint"]
 
 
+def test_evaluation_rep_names_each_sample_of_a_psi_with_e_and_f_swapped(monkeypatch):
+    """psi_i sends e to F and f to E.  Each sample compares ev([x, y] f g)
+    with [ev(x f), ev(y g)], two matrices, and the row names the samples that
+    bracket two different basis vectors: 1 and 3 bracket f with f and e with
+    e, where both sides are 0 whatever psi is."""
+    psi = loopext.EvaluationRep._psi
+
+    def swapped(ev, i, x):
+        e, f, _ = ev._indices
+        return psi(ev, i, {{e: f, f: e}.get(k, k): c for k, c in x.items()})
+
+    monkeypatch.setattr(loopext.EvaluationRep, "_psi", swapped)
+    _, sides = checks.IDENTITIES["loop.evaluation_rep"]
+    assert all(isinstance(side, Matrix) for name, *pair in sides(ORDER)
+               if name.startswith("sample ") for side in pair)
+    assert _failed("loop.evaluation_rep") == [
+        f"sample {k}: ev[x f, y g] = [ev(x f), ev(y g)]" for k in (0, 2, 4)]
+
+
 def test_leibniz_names_each_sample_when_q_derive_drops_its_last_term(monkeypatch):
     q_derive = QSeries.q_derive
 
@@ -324,6 +367,30 @@ def test_phi_s_names_each_n_on_a_broken_s_law(monkeypatch, broken):
     assert _failed("vvmf.phi_S_numeric") == [
         f"tau^({2 * n} - k_j) Phi_{n}(-1/tau) = tau^{2 * n} rho_{n}(S) Phi_{n}(tau)"
         for n in (1, 2, 3)]
+
+
+def test_grading_additivity_names_each_e_f_lemma_when_f_doubles(monkeypatch):
+    """A solve that returns 2F in place of F: [H, 2F] = -2 (2F) still holds,
+    and [E, 2F] = 2H fails on every orbit."""
+    solve_e_f = liealg.GradedTriple._solve_e_f
+
+    def doubled(triple, h_vector):
+        e, f = solve_e_f(triple, h_vector)
+        return e, {k: 2 * c for k, c in f.items()}
+
+    monkeypatch.setattr(liealg.GradedTriple, "_solve_e_f", doubled)
+    assert _failed("liealg.grading_additivity") == [
+        f"{key} [E, F] = H" for key in liealg.ORBIT_LABELS]
+
+
+def test_barrel_contraction_names_the_dimensions_of_a_fiber_that_stays_sl2(monkeypatch):
+    """Every JPoly evaluated at j = 1: the fibers at 0 and 1728 keep
+    [e, f] = -1727 h, so D^1 = D^0 = sl2 and the series never reaches 0."""
+    value_at = alia.JPoly.__call__
+    monkeypatch.setattr(alia.JPoly, "__call__", lambda poly, j: value_at(poly, 1))
+    assert _failed("alia.barrel_contraction") == [
+        name for j in (0, 1728)
+        for name in (f"[e, f] = 0 at j={j}", f"dim D^1 = 2 at j={j}", f"dim D^2 = 0 at j={j}")]
 
 
 def test_gauge_rows_name_the_entry_and_pair_of_a_raised_w4(monkeypatch):

@@ -110,7 +110,11 @@ def test_grading_additive():
 def test_triples_materialize():
     for key in liealg.ORBIT_LABELS:
         gt = liealg.graded_triple(*key)
-        assert gt.triple_relations_hold()
+        h, e, f = gt.standard_triple()
+        bracket = gt.structure.bracket
+        assert bracket(h, e) == {k: 2 * c for k, c in e.items()}
+        assert bracket(h, f) == {k: -2 * c for k, c in f.items()}
+        assert bracket(e, f) == h
 
 
 def test_small_coefficient_vectors_repeat_no_candidate():
@@ -123,19 +127,27 @@ def test_small_coefficient_vectors_repeat_no_candidate():
 
 def test_trivial_labels():
     gt = liealg.GradedTriple("A2", (0, 0))
-    assert gt.h_vector == {}
-    assert gt.triple_relations_hold()
+    assert gt.standard_triple() == ({}, None, None)
 
 
-@pytest.mark.parametrize("name", ["h_coeffs", "h_vector", "e_vector", "f_vector"])
+_TRIPLE_PARTS = {
+    "h_coeffs": lambda gt: list(gt.standard_triple()[0].values()),
+    "h_vector": lambda gt: gt.standard_triple()[0],
+    "e_vector": lambda gt: gt.standard_triple()[1],
+    "f_vector": lambda gt: gt.standard_triple()[2],
+}
+
+
+@pytest.mark.parametrize("name", list(_TRIPLE_PARTS))
 def test_no_rational_triple_raises_on_each_read(name):
-    """The grading is built at once and the triple on the first read of h, e
-    or f: with no grade-2 root, that read raises, and so does the next."""
+    """The grading is built at once and the triple on each call of
+    standard_triple: with no grade-2 root, reading any part of the triple
+    raises, and so does the next read."""
     gt = liealg.GradedTriple("A1", (4,))
     assert gt.grading == {(-1,): -4, (1,): 4}
     for _ in range(2):
         with pytest.raises(NoRationalTriple, match="no grade-2 root vectors"):
-            getattr(gt, name)
+            _TRIPLE_PARTS[name](gt)
 
 
 def test_odd_label_rejected():

@@ -208,8 +208,9 @@ def test_phi6_inverse():
     assert m.inverse() * m == QuasiMatrix.identity(m.size)
 
 
-# h_coeffs, e_vector and f_vector of the six orbits, pinned: solve sets free
-# variables to 0 in the unique reduced echelon form, so these must not move
+# H (its coefficient on each H_i), E and F of the six orbits, pinned: solve
+# sets free variables to 0 in the unique reduced echelon form, so these must
+# not move
 TRIPLES = {
     ("A1", "principal"): (("1",), {2: "1"}, {1: "1"}),
     ("A2", "principal"): (("2", "2"), {5: "1", 6: "1"}, {3: "2", 4: "2"}),
@@ -223,10 +224,11 @@ TRIPLES = {
 @pytest.mark.parametrize("key", sorted(TRIPLES))
 def test_graded_triples_unchanged(key):
     h, e, f = TRIPLES[key]
-    triple = liealg.graded_triple(*key)
-    assert triple.h_coeffs == tuple(Fraction(c) for c in h)
-    assert triple.e_vector == {k: Fraction(c) for k, c in e.items()}
-    assert triple.f_vector == {k: Fraction(c) for k, c in f.items()}
+    h_vector, e_vector, f_vector = liealg.graded_triple(*key).standard_triple()
+    # H_i is basis vector i
+    assert h_vector == {i: Fraction(c) for i, c in enumerate(h)}
+    assert e_vector == {k: Fraction(c) for k, c in e.items()}
+    assert f_vector == {k: Fraction(c) for k, c in f.items()}
 
 
 def test_cli_import_loads_no_test_dependencies():
