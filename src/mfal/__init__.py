@@ -7,6 +7,7 @@ Two layers.  The algebra half imports nothing from the q-series half:
   liealg        root systems, Chevalley bases, graded sl2 triples
   sl2           Sym^n of sl2, its functor on 2x2 matrices, and unipotents,
                 the closed-form exp(s E) and exp(t F)
+  jpoly         JPoly, the ring Q[j] of the bracket tables, on Sparse
   alia          weight-zero bracket tables over C[j], two-route certified
   cyclotomic    the fields Q(zeta_n) of the polyhedral pole sets, on Sparse
   loopext       polyhedral loop algebras, residue cocycles, Onsager

@@ -2,75 +2,20 @@
 
 The cocycle exponents (w4, w6) that place j and (j-1728) factors in the
 brackets come from the weight-residue table, which makes each table the
-Chevalley table in a diagonal gauge.  The rows that prove it, and the fibers
-at a numeric j, are `mfal.checks_alia`: this module holds only what a table
-needs, so `mfal alia` compiles `alia`, `liealg`, `poly` and `sparse` and no
-elimination (`linalg`).
+Chevalley table in a diagonal gauge.  `mfal alia` prints each bracket
+eps j^w4 (j-1728)^w6 straight from the Chevalley constant eps and the
+cocycles, so it compiles `alia`, `liealg` and `poly`: no ring Q[j]
+(`jpoly`, `sparse`) and no elimination (`linalg`).  ``AliaTable``, the table
+as a ``BracketTable`` over Q[j], imports `jpoly` when it is built.  The rows
+that prove it, and the fibers at a numeric j, are `mfal.checks_alia`.
 """
-
-from __future__ import annotations
-
-from fractions import Fraction
-from math import comb
 
 from . import RESIDUE_TABLE, liealg
 from .liealg import BracketTable, ChevalleyStructure, GradedTriple
-from .poly import horner
-from .sparse import Sparse
 
 
 class OddGrading(ValueError):
     """Cocycles need an even grading (rho(-Id) = id)."""
-
-
-# ----------------------------------------------------------------------
-# univariate polynomials in j over Q
-# ----------------------------------------------------------------------
-
-class JPoly(Sparse):
-    """A polynomial in j over Q: a ``sparse.Sparse`` whose exponent is the
-    power of j.
-
-    ``JPoly(coeffs)`` reads dense coefficients, lowest degree first, and
-    ``coeffs`` reads them back as Fractions up to the degree.
-    """
-
-    __slots__ = ()
-
-    def __init__(self, coeffs=()):
-        super().__init__(dict(enumerate(coeffs)))
-
-    @property
-    def coeffs(self) -> tuple:
-        return tuple(Fraction(self.nums.get(i, 0), self.den) for i in range(self.degree() + 1))
-
-    @classmethod
-    def j_power_form(cls, w4: int, w6: int):
-        """j^w4 (j - 1728)^w6, by the binomial theorem."""
-        return cls._make({w4 + k: comb(w6, k) * (-1728) ** (w6 - k) for k in range(w6 + 1)}, 1)
-
-    def degree(self):
-        return max(self.nums, default=-1)
-
-    def __call__(self, value):
-        return horner(self.coeffs, Fraction(value), Fraction(0))
-
-    def pretty(self):
-        if not self:
-            return "0"
-        parts = []
-        for i, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            if i == 0:
-                parts.append(str(c))
-            else:
-                mono = "j" if i == 1 else f"j^{i}"
-                parts.append(mono if c == 1 else f"{c}*{mono}")
-        return " + ".join(reversed(parts)).replace("+ -", "- ")
-
-    def __repr__(self):
-        return f"JPoly({self.pretty()})"
 
 
 # ----------------------------------------------------------------------
@@ -112,6 +57,22 @@ class CocyclePair:
                 self.w4[(alpha, beta)] = w4
                 self.w6[(alpha, beta)] = w6
 
+    def entries(self):
+        """Each entry (i, j, {k: eps}), i < j, of the Chevalley table with the
+        exponents (w4, w6) of its factor j^w4 (j-1728)^w6: the cocycle values
+        of the root pair for [A_a, A_b], and (0, 0) when an H is bracketed.
+
+        The cocycle pairs are exactly the root pairs whose sum is a root or
+        zero, so every root-root entry has its values.
+        """
+        st = self.triple.structure
+        for (i, j), acc in st._table.items():
+            (kx, vx), (ky, vy) = st.basis[i], st.basis[j]
+            if kx == ky == "A":
+                yield i, j, acc, self.w4[vx, vy], self.w6[vx, vy]
+            else:
+                yield i, j, acc, 0, 0
+
 
 # ----------------------------------------------------------------------
 # the bracket table over Q[j]
@@ -130,55 +91,18 @@ class AliaTable(BracketTable):
         self.index = self.structure.index
         super().__init__(self.structure.dim, self._build())
 
-    def basis_name(self, i: int) -> str:
-        kind, val = self.basis[i]
-        if kind == "H":
-            return f"h{val + 1}"
-        return "a_" + ",".join(str(x) for x in val)
-
     def _build(self):
-        """The Chevalley table, each root-root entry times j^w4 (j-1728)^w6.
+        """The Chevalley table, each entry times j^w4 (j-1728)^w6."""
+        from .jpoly import JPoly
 
-        The cocycle pairs are exactly the root pairs whose sum is a root or
-        zero, so the supports of the two tables agree.
-        """
-        one = JPoly.const(1)
         table = {}
-        for (i, j), acc in self.structure._table.items():
-            (kx, vx), (ky, vy) = self.basis[i], self.basis[j]
-            factor = one
-            if kx == ky == "A":
-                factor = JPoly.j_power_form(
-                    self.cocycles.w4[(vx, vy)], self.cocycles.w6[(vx, vy)]
-                )
-            table[(i, j)] = {k: factor * c for k, c in acc.items()}
+        for i, j, acc, w4, w6 in self.cocycles.entries():
+            factor = JPoly.j_power_form(w4, w6)
+            table[i, j] = {k: factor * c for k, c in acc.items()}
         return table
 
     # bound in AliaTable's own namespace, where perfbench's tracer looks
     jacobi_ok = BracketTable.jacobi_ok
-
-    def bracket_records(self):
-        """Flat listing for the CLI: one record per nonzero bracket.
-
-        Each record is (x, y, target, eps, w4, w6) for the bracket
-        [x, y] = eps j^w4 (j-1728)^w6 target.  Root-root pairs are oriented
-        higher root first, so the A1 record reads [a_1, a_-1] = +j(j-1728) h1.
-        """
-        records = []
-        for (i, j), acc in sorted(self._table.items()):
-            (kx, vx), (ky, vy) = self.basis[i], self.basis[j]
-            flip = kx == "A" and ky == "A"
-            x, y = (j, i) if flip else (i, j)
-            sign = -1 if flip else 1
-            w4 = self.cocycles.w4[(vx, vy)] if flip else 0
-            w6 = self.cocycles.w6[(vx, vy)] if flip else 0
-            for k, poly in sorted(acc.items()):
-                # j^w4 (j-1728)^w6 is monic, so eps is the leading coefficient
-                records.append(
-                    (self.basis_name(x), self.basis_name(y), self.basis_name(k),
-                     poly.coeffs[-1] * sign, w4, w6)
-                )
-        return records
 
 
 _TABLE_CACHE: dict[tuple, AliaTable] = {}
@@ -194,16 +118,24 @@ def alia_table(type_label: str, orbit: str) -> AliaTable:
 
 def render(type_label: str, orbit: str, fmt: str) -> str:
     """What `mfal alia` prints: the table of the orbit as text or as JSON
-    ("json"), each bracket [x, y] = eps j^w4 (j-1728)^w6 target.  Raises
+    ("json"), each bracket [x, y] = eps j^w4 (j-1728)^w6 target, read off the
+    Chevalley table and the cocycles.  Root-root pairs are oriented higher
+    root first, so the A1 record reads [a_1, a_-1] = +j(j-1728) h1.  Raises
     ValueError for an orbit the type lacks."""
-    table = alia_table(type_label, orbit)
-    basis, records = [table.basis_name(i) for i in range(table.dim)], table.bracket_records()
+    triple = liealg.graded_triple(type_label, orbit)
+    st = triple.structure
+    basis = [f"h{v + 1}" if kind == "H" else "a_" + ",".join(map(str, v)) for kind, v in st.basis]
+    records = []
+    for i, j, acc, w4, w6 in sorted(CocyclePair(triple).entries()):
+        flip = st.basis[i][0] == st.basis[j][0] == "A"
+        x, y = (j, i) if flip else (i, j)
+        for k, eps in sorted(acc.items()):
+            records.append((basis[x], basis[y], basis[k], -eps if flip else eps, w4, w6))
     if fmt == "json":
         import json
 
         return json.dumps({"type": type_label, "orbit": orbit, "basis": basis, "brackets": [
-            {"x": x, "y": y, "target": target,
-             "coeff": {"eps": int(eps) if eps.denominator == 1 else str(eps), "w4": w4, "w6": w6}}
+            {"x": x, "y": y, "target": target, "coeff": {"eps": eps, "w4": w4, "w6": w6}}
             for x, y, target, eps, w4, w6 in records]}) + "\n"
     lines = [f"{type_label} {orbit}: basis {', '.join(basis)}"]
     for x, y, target, eps, w4, w6 in records:

@@ -31,8 +31,6 @@ was a float residual) compare polynomials after the substitutions of T and
 S.
 """
 
-from __future__ import annotations
-
 import importlib
 import time
 from functools import partial

@@ -4,16 +4,15 @@ and 1/Delta, and their fibers at a numeric j.
 
 The code only these rows run lives here, not in `alia`, so `mfal alia`
 compiles none of it: the gauge and cocycle lemmas, `SpecializedAlgebra` (a
-table at a value of j) and `levi_dimensions`.  It imports `alia`, `liealg`
-and `linalg`; never `loopext`, `quasimodular`, `vvmf` or a q-series module
+table at a value of j) and `levi_dimensions`.  It imports `alia`, `jpoly`,
+`liealg` and `linalg`; never `loopext`, `quasimodular`, `vvmf` or a q-series module
 (`qseries`, `modforms`).
 """
-
-from __future__ import annotations
 
 import itertools
 
 from . import J_EXPONENTS, J_MINUS_1728_EXPONENTS, alia, f_exponents, liealg
+from .jpoly import JPoly
 from .linalg import Matrix, rank, rref
 from .poly import monomial_count
 
@@ -64,7 +63,7 @@ def _gauge(order):
             w4, w6 = max(d4 // 3, 0), max(d6 // 2, 0)
             yield f"{entry}: 3 | delta4 >= 0", d4, 3 * w4
             yield f"{entry}: 2 | delta6 >= 0", d6, 2 * w6
-            yield (entry, table.bracket_indices(a, b).get(k, 0), alia.JPoly.j_power_form(w4, w6)
+            yield (entry, table.bracket_indices(a, b).get(k, 0), JPoly.j_power_form(w4, w6)
                    * table.structure.bracket_indices(a, b).get(k, 0))
 
 
@@ -136,8 +135,8 @@ def _barrel_contraction(order):
     # A1's e, f and h are basis vectors: their indices
     e, f, h = (i for (i,) in table.structure.sl2_triple((1,)))
     yield ("[e, f] = j(j-1728) h",
-           table.bracket({e: alia.JPoly.const(1)}, {f: alia.JPoly.const(1)}),
-           {h: alia.JPoly((0, -1728, 1))})
+           table.bracket({e: JPoly.const(1)}, {f: JPoly.const(1)}),
+           {h: JPoly((0, -1728, 1))})
     for j_val in (0, 1728):
         spec = SpecializedAlgebra(table, j_val)
         yield f"[e, f] = 0 at j={j_val}", spec.bracket({e: 1}, {f: 1}), {}
@@ -158,7 +157,7 @@ def _specialization(order):
         det = Matrix(table.killing()).det()
         yield f"{key[0]} {key[1]}: det K(j) != 0", bool(det), True
         yield (f"{key[0]} {key[1]}: det K(j) = c j^a (j-1728)^b, (a, b) = ({a}, {b})",
-               det, alia.JPoly.j_power_form(a, b) * (det.coeffs[-1] if det else 0))
+               det, JPoly.j_power_form(a, b) * (det.coeffs[-1] if det else 0))
 
 
 def levi_dimensions(type_label: str, orbit: str):

@@ -7,8 +7,6 @@ checks that sample draw random series and quasimodular polynomials from
 fixed seeds.
 """
 
-from __future__ import annotations
-
 import operator
 import random
 from fractions import Fraction

@@ -4,8 +4,6 @@ Gamma(5), and the weight-zero isomorphisms of Gamma(2) to Gamma(5).
 It imports only the q-series half: `modforms`, `congruence` and `qseries`.
 """
 
-from __future__ import annotations
-
 from fractions import Fraction
 
 from . import congruence, modforms

@@ -1,8 +1,8 @@
 """The `loop` suite of `mfal verify`: the polyhedral loop algebras, their
 residue cocycles, the Onsager algebra and evaluation representations.
 
-It imports only the algebra half: `loopext`, `cyclotomic`, `alia`, `liealg`,
-`sl2`, `linalg` and `poly`.
+It imports only the algebra half: `loopext`, `cyclotomic`, `alia`, `jpoly`,
+`liealg`, `sl2`, `linalg` and `poly`.
 
 The cocycle rows (`loop.cocycle_properties`, `loop.cocycle_monomials`,
 `loop.polyhedral_cocycles`) and `loop.onsager` are proofs from finite
@@ -15,7 +15,8 @@ import itertools
 import random
 from fractions import Fraction
 
-from . import alia, liealg, loopext
+from . import alia, liealg, loopext, sl2  # sl2 for EvaluationRep, before the timers
+from .jpoly import JPoly
 from .linalg import Matrix
 
 
@@ -207,11 +208,11 @@ def _dolan_grady(order):
     table = alia.alia_table("A1", "principal")
     # A1's e, f and h are basis vectors: their indices
     e, f, h = (i for (i,) in table.structure.sl2_triple((1,)))
-    b0 = {h: alia.JPoly.const(1)}
+    b0 = {h: JPoly.const(1)}
     b1 = {
-        h: alia.JPoly((Fraction(-1728, 1728), Fraction(2, 1728))),
-        e: alia.JPoly.const(Fraction(-2, 1728)),
-        f: alia.JPoly.const(Fraction(2, 1728)),
+        h: JPoly((-1, Fraction(2, 1728))),
+        e: JPoly.const(Fraction(-2, 1728)),
+        f: JPoly.const(Fraction(2, 1728)),
     }
     for (x, y), name in (((b1, b0), "[B1, [B1, [B1, B0]]] = 4 [B1, B0]"),
                          ((b0, b1), "[B0, [B0, [B0, B1]]] = 4 [B0, B1]")):
@@ -231,8 +232,9 @@ def _evaluation_rep(order):
         loopext.RatFunc.pole_factor(field, field.zero, 2),
     ]
     for k in range(5):
-        x = {index[rng.choice("hef")]: rng.randint(1, 3)}
-        y = {index[rng.choice("hef")]: rng.randint(-3, -1)}
+        a, b = rng.sample("hef", 2)  # two basis vectors: [x, x] = 0 checks nothing
+        x = {index[a]: rng.randint(1, 3)}
+        y = {index[b]: rng.randint(-3, -1)}
         f, g = rng.choice(funcs), rng.choice(funcs)
         yield (f"sample {k}: ev[x f, y g] = [ev(x f), ev(y g)]",
                ev.evaluate(ev.a1.bracket(x, y), f * g),

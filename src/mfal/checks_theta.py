@@ -5,8 +5,6 @@ It imports only the q-series half: `modforms`, `congruence`, `numeric` and
 `qseries`.
 """
 
-from __future__ import annotations
-
 from fractions import Fraction
 
 from . import congruence, numeric

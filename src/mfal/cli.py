@@ -7,10 +7,11 @@ MFAL_ORDER environment variable.
 Each subcommand imports the modules it runs, and the output of alia, hilbert,
 eval and verify is rendered by the module behind the command, so a fresh
 process pays to compile nothing it does not run.  ``import mfal.cli`` loads
-no other mfal module (and no json), and:
+no other mfal module (and no json or re), and:
   expand  modforms, qseries and poly, with congruence for F2, H2, phi1, phi2,
           mu and f_gamma5;
-  alia    alia, liealg, poly and sparse (no linalg: a table solves nothing);
+  alia    alia, liealg and poly: it prints the Chevalley table and the
+          cocycles, with no ring Q[j] (jpoly, sparse) and no linalg;
   hilbert vvmf and the quasimodular ring it imports;
   eval    what expand loads, and numeric, the float laws;
   verify  checks and the modules of the suite (see ``mfal.checks``).
@@ -26,7 +27,6 @@ prefix such as ``--ord`` is not read as ``--order``.
 
 import math
 import os
-import re
 import sys
 from types import SimpleNamespace
 
@@ -172,9 +172,14 @@ TOP = ("Exact modular forms, quasimodular matrices and their Lie algebras\n\ncom
        [("command", tuple(COMMANDS), ...)], [])
 
 
-#: matches an argument that is a value rather than a flag: one that does not start
-#: with "-", and "-", "-3" and "-.5"; "-0.5+1i" is a flag, so --tau needs "=" for it
-_is_value = re.compile(r"[^-]|$|-(\d+|\d*\.\d+)?$").match
+def _is_value(arg):
+    """Whether an argument is a value rather than a flag: one that does not start
+    with "-", and "-", "-3", "-.5" and "-3.5"; "-0.5+1i" is a flag, so --tau
+    needs "=" for it."""
+    if not arg.startswith("-") or arg == "-":
+        return True
+    whole, point, frac = arg[1:].partition(".")
+    return (whole + frac).isdecimal() and (frac != "" or not point)
 
 
 def _read(name, kind, text):

@@ -2,7 +2,7 @@
 sets in ``mfal.loopext``.
 
 A number is a ``sparse.Sparse`` whose int key is the power of zeta, below
-the field's degree, as ``loopext.Laurent`` is one in z and ``alia.JPoly``
+the field's degree, as ``loopext.Laurent`` is one in z and ``jpoly.JPoly``
 one in j.  A product is ``Sparse.dot`` reduced once modulo the monic n-th
 cyclotomic polynomial, so every coordinate stays an int.
 
@@ -11,8 +11,6 @@ Each field is its own subclass of ``CycloNumber``, made once per n by
 of two fields raise ``ValueError`` when added or multiplied, even when one
 of them is zero.
 """
-
-from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache

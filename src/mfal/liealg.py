@@ -18,8 +18,6 @@ where a division does: inside Carter's recursion and in
 ``import mfal.liealg`` and ``mfal alia`` compile no elimination.
 """
 
-from __future__ import annotations
-
 import itertools
 from fractions import Fraction
 

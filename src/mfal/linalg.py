@@ -1,7 +1,7 @@
 """Exact linear algebra over the package's coefficient rings.
 
 Entries may be ``Fraction`` or any ``mfal.poly.Ring`` (the ``sparse.Sparse``
-rings ``QuasiPoly``, ``loopext.Laurent``, ``alia.JPoly`` and
+rings ``QuasiPoly``, ``loopext.Laurent``, ``jpoly.JPoly`` and
 ``cyclotomic.CycloNumber``, and ``RatFunc``), or any other type with the
 same minimal protocol:
 
@@ -37,8 +37,6 @@ Killing matrix, say, is the Cartan block and one 2x2 block per pair of roots
 +-a, up to a simultaneous permutation of rows and columns.
 Polynomials over the same rings use the one kernel ``mfal.poly``.
 """
-
-from __future__ import annotations
 
 from fractions import Fraction
 

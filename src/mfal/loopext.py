@@ -6,16 +6,17 @@ Pole sets live in the cyclotomic fields Q(zeta_n), n in {1, 3, 4, 5}, of
 fractions over that field, so a residue is read off exactly as one
 coefficient.  The cocycle res_a(f' g) never forms f' g: only the principal
 part of each factor at a meets the other's Taylor expansion there, so
-``residue_of_product`` sums a few products of coefficients.
-"""
+``residue_of_product`` sums a few products of coefficients, each sum one
+call of the field's fused ``dot``.
 
-from __future__ import annotations
+Importing this module compiles the residue calculus alone: ``linalg`` (the
+Onsager matrices, ``cocycle_rank``, ``EvaluationRep``), ``sl2`` and
+``liealg`` (``EvaluationRep``) are imported by the code that uses them.
+"""
 
 from math import comb
 
-from . import sl2
 from .cyclotomic import CycloField, CycloNumber
-from .linalg import Matrix, dot, rank
 from .poly import Ring, add, mul, trim
 from .sparse import Sparse
 
@@ -100,7 +101,7 @@ class RatFunc(Ring):
                 _merge(parts, key, a, [zero] + mul(cs, other.parts[key][1], zero))
         for f, g in ((self, other), (other, self)):
             for key, (a, cs) in f.parts.items():
-                _merge(parts, key, a, _principal(cs, _taylor_at(g, key, a, len(cs)), zero))
+                _merge(parts, key, a, _principal(cs, _taylor_at(g, key, a, len(cs)), self.field))
                 # c_k (t - a)^-k times g's polynomial has polynomial part c_k q_k
                 for c, (_, q) in zip(cs, _divisions(a, g.poly, len(cs), zero)):
                     if c:
@@ -136,10 +137,10 @@ def _merge(parts, key, a, cs):
     parts[key] = (a, cs)
 
 
-def _principal(cs, taylor, zero):
+def _principal(cs, taylor, field):
     """Principal part at a of (sum_k c_k u^-k) * (sum_m taylor_m u^m), u = t - a:
     the coefficient of u^-j is sum_(k >= j) c_k taylor_(k-j)."""
-    return [dot(cs[j:], taylor, zero) for j in range(len(cs))]
+    return [field.dot(zip(cs[j:], taylor)) for j in range(len(cs))]
 
 
 def _divisions(a, p, count, zero):
@@ -180,12 +181,11 @@ def residue_of_product(f: RatFunc, g: RatFunc, point) -> CycloNumber:
     principal coefficients c_k of f and d_k of g.
     """
     key = _num(f.field, point).key
-    zero = f.field.zero
-    total = zero
+    total = f.field.zero
     for h, other in ((f, g), (g, f)):
         if key in h.parts:
             a, cs = h.parts[key]
-            total = total + dot(cs, _taylor_at(other, key, a, len(cs)), zero)
+            total = total + f.field.dot(zip(cs, _taylor_at(other, key, a, len(cs))))
     return total
 
 
@@ -276,6 +276,8 @@ def cocycle_rank(structure, samples, points) -> int:
     Rows are sampled pairs, columns the puncture cocycles; rank M-1 means
     the produced central extensions are independent.
     """
+    from .linalg import rank
+
     return rank([[loop_cocycle(structure, x, f, y, g, p) for p in points]
                  for (x, f), (y, g) in samples])
 
@@ -291,16 +293,18 @@ class Laurent(Sparse):
     __slots__ = ()
 
 
-def _laurent_matrix(rows) -> Matrix:
+def _laurent_matrix(rows):
     """A 2x2 Matrix over Laurent from rows of {exponent: coefficient}."""
+    from .linalg import Matrix
+
     return Matrix([[Laurent(e) for e in row] for row in rows])
 
 
-def onsager_A(k: int) -> Matrix:
+def onsager_A(k: int):
     return _laurent_matrix([[{}, {k: 1}], [{-k: 1}, {}]])
 
 
-def onsager_G(m: int) -> Matrix:
+def onsager_G(m: int):
     if m == 0:
         return _laurent_matrix([[{}, {}], [{}, {}]])
     return _laurent_matrix([[{m: 1, -m: -1}, {}], [{}, {m: -1, -m: 1}]])
@@ -317,12 +321,12 @@ class EvaluationRep:
     sl2 is A1: x is a vector over the Chevalley basis of
     ``liealg.chevalley("A1")``, as in ``loop_cocycle``, and psi_i sends its
     e, f, h (``sl2_triple``, each one basis vector) to those of Sym^n.  The
-    table is built with the representation, so importing this module
-    compiles no root system.
+    table and Sym^n are built with the representation, so importing this
+    module compiles no root system and no ``sl2``.
     """
 
     def __init__(self, field: type[CycloNumber], points, rep_sizes):
-        from . import liealg
+        from . import liealg, sl2
 
         self.field = field
         self.points = [_num(field, p) for p in points]
@@ -331,21 +335,25 @@ class EvaluationRep:
         self.a1 = liealg.chevalley("A1")
         self._indices = [i for (i,) in self.a1.sl2_triple((1,))]  # of e, f, h
 
-    def _psi(self, i: int, x: dict) -> Matrix:
+    def _psi(self, i: int, x: dict):
+        from .linalg import Matrix
+
         rep = self.reps[i]
         mats = dict(zip(self._indices, (rep.e, rep.f, rep.h)))
         psi = sum((Matrix(mats[k]).scale(c) for k, c in x.items()),
                   Matrix([[0] * rep.dim] * rep.dim))
         return psi.map(self.field.rational)
 
-    def _slot(self, i: int, mat: Matrix) -> Matrix:
+    def _slot(self, i: int, mat):
+        from .linalg import Matrix
+
         out = None
         for k, d in enumerate(self.dims):
             factor = mat if k == i else Matrix.identity(d, self.field.one)
             out = factor if out is None else out.kron(factor)
         return out
 
-    def evaluate(self, x: dict, f: RatFunc) -> Matrix:
+    def evaluate(self, x: dict, f: RatFunc):
         total = None
         for i, a in enumerate(self.points):
             value = f.evaluate(a)  # raises PoleAtEvaluationPoint at a pole

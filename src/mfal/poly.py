@@ -7,7 +7,7 @@ Two shapes share it:
   drops trailing zeros;
 * sparse: a dict exponent -> nonzero coefficient, used by bracket vectors
   and by ``mfal.sparse.Sparse``, the one polynomial ring over Q behind
-  ``QuasiPoly``, ``loopext.Laurent``, ``alia.JPoly`` and
+  ``QuasiPoly``, ``loopext.Laurent``, ``jpoly.JPoly`` and
   ``cyclotomic.CycloNumber``; ``add_term`` drops every entry that cancels.
 
 Every exact ring over Q keeps int numerators over one denominator:

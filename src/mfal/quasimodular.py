@@ -17,8 +17,6 @@ imports ``mfal.modforms`` and ``mfal.qseries`` when it is called, so the
 ring and Phi_n compile no series code.
 """
 
-from __future__ import annotations
-
 from fractions import Fraction
 from functools import reduce
 from math import comb
@@ -176,7 +174,7 @@ class QuasiPoly(Sparse):
                          (-1) ** t * comb(p, j) * _E2_S_ANOMALY ** (p - j) * c)
         return self._make({pack(t, 0, 0, 0, 0) + k: c for (t, k), c in out.items()}, self.den)
 
-    def to_qseries(self, order) -> QSeries:
+    def to_qseries(self, order) -> "QSeries":
         """Exact q-expansion of a tau-free, s-free element: P, Q, R replaced
         by the expansions of E2, E4, E6.  A power of tau or of s = 1/(2*pi*i)
         has no exact q-expansion and raises."""

@@ -8,8 +8,6 @@ pieces of Phi_n (``mfal.vvmf``) and of the evaluation representations
 systems and Chevalley tables are ``mfal.liealg``.
 """
 
-from __future__ import annotations
-
 from math import comb
 
 

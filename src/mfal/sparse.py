@@ -1,18 +1,16 @@
 """``Sparse``, the one polynomial ring over Q, and its fused ``dot``.
 
 A polynomial maps int exponents to int numerators over one denominator.
-``loopext.Laurent`` reads the exponent as the power of z, ``alia.JPoly`` as
+``loopext.Laurent`` reads the exponent as the power of z, ``jpoly.JPoly`` as
 the power of j and ``cyclotomic.CycloNumber`` as the power of zeta, which
 its ``dot`` reduces below the field's degree; ``QuasiPoly``
 (``mfal.quasimodular``) packs its five exponents into one int, so in every
 ring the exponent of a product of monomials is one int addition.
 
-Only ``quasimodular``, ``cyclotomic``, ``loopext`` and ``alia`` import this
-module: a process that builds no polynomial (``mfal expand``) does not
-compile it.
+Only ``quasimodular``, ``cyclotomic``, ``loopext`` and ``jpoly`` import this
+module: a process that builds no polynomial (``mfal expand``, ``mfal
+alia``) does not compile it.
 """
-
-from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm

@@ -7,8 +7,6 @@ it is carried as a per-column weight and turned into the factors tau^{-k} of
 the S law, proved by exact substitution (``s_law``).
 """
 
-from __future__ import annotations
-
 from fractions import Fraction
 from functools import cached_property
 

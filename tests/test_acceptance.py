@@ -10,7 +10,7 @@ from fractions import Fraction
 import pytest
 
 from mfal import alia, checks, checks_alia, derivations, liealg, loopext, modforms, vvmf
-from mfal.alia import JPoly
+from mfal.jpoly import JPoly
 from mfal.loopext import CycloField, RatFunc
 from test_loopext import cocycle_bilinear_identity
 from test_vvmf import gamma_residual

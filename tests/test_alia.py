@@ -1,10 +1,14 @@
+import itertools
+import json
 from fractions import Fraction
 
 import pytest
 
 from mfal import RESIDUE_TABLE, alia, checks, checks_alia, liealg, modforms
-from mfal.alia import JPoly, OddGrading
+from mfal.alia import OddGrading
+from mfal.jpoly import JPoly
 from mfal.linalg import Matrix
+from mfal.poly import add_term
 
 checks.load("all")  # the rows of every suite
 
@@ -410,3 +414,58 @@ def test_killing_determinant_over_qj(key):
     assert det == JPoly.j_power_form(a, b) * c
     for j in (0, 5, 1728):
         assert det(j) == Matrix(checks_alia.SpecializedAlgebra(table, j).killing()).det()
+
+
+# ----------------------------------------------------------------------
+# the printed table is the certified table: `mfal alia` prints from the
+# Chevalley constants and the cocycles, and the table over Q[j] that the
+# alia rows certify must bracket as the records say
+# ----------------------------------------------------------------------
+
+def printed_mismatches(key, printed):
+    """The ordered basis pairs (x, y) at which the records of ``printed``, the
+    JSON of `mfal alia`, read as [x, y] = eps j^w4 (j-1728)^w6 target over Q[j]
+    and [y, x] = -[x, y], differ from ``alia_table(*key).bracket``; a pair
+    with no record must bracket to 0."""
+    doc = json.loads(printed)
+    index = {name: i for i, name in enumerate(doc["basis"])}
+    read = {}
+    for rec in doc["brackets"]:
+        c = rec["coeff"]
+        value = JPoly.j_power_form(c["w4"], c["w6"]) * c["eps"]
+        x, y, target = index[rec["x"]], index[rec["y"]], index[rec["target"]]
+        add_term(read.setdefault((x, y), {}), target, value)
+        add_term(read.setdefault((y, x), {}), target, -value)
+    table = alia.alia_table(*key)
+    return [(x, y) for x, y in itertools.product(range(table.dim), repeat=2)
+            if read.get((x, y), {}) != table.bracket({x: 1}, {y: 1})]
+
+
+def _brackets_edited(printed, edit):
+    doc = json.loads(printed)
+    for rec in doc["brackets"]:
+        edit(rec)
+    return json.dumps(doc)
+
+
+def _drop_root_root_sign(rec):
+    if rec["x"].startswith("a_") and rec["y"].startswith("a_"):
+        rec["coeff"]["eps"] *= -1
+
+
+def _swap_w4_w6(rec):
+    c = rec["coeff"]
+    c["w4"], c["w6"] = c["w6"], c["w4"]
+
+
+@pytest.mark.parametrize("key", list(liealg.ORBIT_LABELS), ids="-".join)
+def test_the_printed_table_is_the_certified_table(key):
+    """The records of `mfal alia` are the table's brackets, and a render that
+    drops the sign of the root-root pairs, or swaps w4 and w6, is caught;
+    the swap changes nothing in the A1 and B2 subregular tables, where w4 = w6
+    on every record."""
+    printed = alia.render(*key, "json")
+    assert printed_mismatches(key, printed) == []
+    assert printed_mismatches(key, _brackets_edited(printed, _drop_root_root_sign))
+    swapped = _brackets_edited(printed, _swap_w4_w6)
+    assert printed_mismatches(key, swapped) or key in (("A1", "principal"), ("B2", "subregular"))

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mfal import alia, checks_alia, liealg
-from mfal.alia import JPoly
+from mfal.jpoly import JPoly
 
 examples = settings(max_examples=40, deadline=None)
 

@@ -341,11 +341,12 @@ def test_expand_j_1024_json_digest(capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == EXPAND_J_1024_JSON
 
 
-def last_line_of(code: str) -> str:
-    """The last line a fresh interpreter running ``code`` prints."""
+def last_line_of(code: str, *flags) -> str:
+    """The last line a fresh interpreter, given ``flags``, running ``code`` prints."""
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    out = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
+    out = subprocess.run([sys.executable, *flags, "-c", code],
+                         env=dict(os.environ, PYTHONPATH=path),
                          capture_output=True, text=True, check=True)
     return out.stdout.splitlines()[-1]
 
@@ -366,8 +367,20 @@ def test_each_subcommand_imports_only_its_own_modules():
     assert expand == ["mfal", "mfal.cli", "mfal.modforms", "mfal.poly", "mfal.qseries"]
     alia = mfal_modules_after(["alia", "A1", "principal"])
     # no mfal.sl2: a bracket table needs no symmetric power; no mfal.linalg: it
-    # reads the grading of its triple and solves nothing
-    assert alia == ["mfal", "mfal.alia", "mfal.cli", "mfal.liealg", "mfal.poly", "mfal.sparse"]
+    # reads the grading of its triple and solves nothing; no mfal.jpoly or
+    # mfal.sparse: it prints the Chevalley constants and the cocycles
+    assert alia == ["mfal", "mfal.alia", "mfal.cli", "mfal.liealg", "mfal.poly"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["expand", "j", "--order", "8"], ["alia", "A1", "principal"], ["hilbert", "2", "Gamma1", "6"],
+    ["eval", "E4", "--tau", "1i", "--order", "8"],
+    *(["verify", suite, "--order", "8"] for suite in checks.SUITES)], ids=" ".join)
+def test_no_command_imports_future(argv):
+    """No module imports ``__future__``: each process would pay to import it."""
+    code = (f"import sys, mfal.cli; mfal.cli.main({argv!r}); "
+            "print('__future__' in sys.modules)")
+    assert last_line_of(code) == "False"
 
 
 #: the parser tokens (``test_verify_report.parser_tokens``) of the modules
@@ -375,17 +388,40 @@ def test_each_subcommand_imports_only_its_own_modules():
 #: cache, so the congruence forms, the derivations, the float laws and the
 #: rendering of the other commands stay out of them
 EXPAND_TOKEN_BOUND = 8500
+#: the same for `mfal alia`, which compiles no ring Q[j] and no elimination
+ALIA_TOKEN_BOUND = 7400
 
 
-def test_expand_compiles_few_parser_tokens():
+def loaded_parser_tokens(argv) -> int:
+    """The parser tokens of the mfal modules that ``mfal argv`` loads."""
     from test_verify_report import parser_tokens
 
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-    paths = [os.path.join(src, *name.split(".")) for name in mfal_modules_after(
-        ["expand", "j", "--order", "8"])]
-    tokens = sum(parser_tokens(os.path.join(path, "__init__.py") if os.path.isdir(path)
-                               else path + ".py") for path in paths)
-    assert tokens <= EXPAND_TOKEN_BOUND
+    paths = [os.path.join(src, *name.split(".")) for name in mfal_modules_after(argv)]
+    return sum(parser_tokens(os.path.join(path, "__init__.py") if os.path.isdir(path)
+                             else path + ".py") for path in paths)
+
+
+def test_expand_compiles_few_parser_tokens():
+    assert loaded_parser_tokens(["expand", "j", "--order", "8"]) <= EXPAND_TOKEN_BOUND
+
+
+def test_alia_compiles_few_parser_tokens():
+    assert loaded_parser_tokens(["alia", "G2", "principal"]) <= ALIA_TOKEN_BOUND
+
+
+#: modules held below the parser step they sit under (see
+#: ``test_verify_report.test_check_module_stays_below_the_parser_step``):
+#: every process compiles ``poly``, and ``checks_loop`` sits just below 2,048
+PARSER_STEPS = {"poly.py": 1024, "checks_loop.py": 2048}
+
+
+@pytest.mark.parametrize("name", PARSER_STEPS)
+def test_module_stays_below_its_parser_step(name):
+    from test_verify_report import parser_tokens
+
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "src", "mfal", name)
+    assert parser_tokens(path) < PARSER_STEPS[name]
 
 
 @pytest.mark.parametrize("form", ["phi1", "mu", "f_gamma5"])
@@ -416,8 +452,9 @@ VERIFY_MODULES = {
              "quasimodular", "sl2", "sparse", "vvmf"],
     "theta": ["checks_theta", "congruence", "modforms", "numeric", "qseries"],
     "gamma": ["checks_gamma", "congruence", "modforms", "qseries"],
-    "alia": ["alia", "checks_alia", "liealg", "linalg", "sparse"],
-    "loop": ["alia", "checks_loop", "cyclotomic", "liealg", "linalg", "loopext", "sl2", "sparse"],
+    "alia": ["alia", "checks_alia", "jpoly", "liealg", "linalg", "sparse"],
+    "loop": ["alia", "checks_loop", "cyclotomic", "jpoly", "liealg", "linalg", "loopext", "sl2",
+             "sparse"],
 }
 #: the modules each suite must not load
 VERIFY_SKIPS = {
@@ -475,27 +512,32 @@ def test_phi_loads_no_qseries_module():
 
 
 def test_loopext_loads_no_root_system():
-    """EvaluationRep imports liealg when it is built, not loopext's import."""
+    """The residue calculus alone: EvaluationRep imports liealg and sl2 when it
+    is built, and the matrix code imports linalg when it runs."""
     assert mfal_modules_after(module="mfal.loopext") == [
-        "mfal", "mfal.cyclotomic", "mfal.linalg", "mfal.loopext", "mfal.poly", "mfal.sl2",
-        "mfal.sparse"]
+        "mfal", "mfal.cyclotomic", "mfal.loopext", "mfal.poly", "mfal.sparse"]
 
 
 def test_tables_load_no_elimination():
     """liealg imports linalg only where it eliminates or forms a matrix."""
     assert mfal_modules_after(module="mfal.liealg") == ["mfal", "mfal.liealg", "mfal.poly"]
     assert mfal_modules_after(module="mfal.alia") == [
-        "mfal", "mfal.alia", "mfal.liealg", "mfal.poly", "mfal.sparse"]
+        "mfal", "mfal.alia", "mfal.liealg", "mfal.poly"]
 
 
 def test_building_the_six_tables_solves_no_triple():
     """A table reads only the grading of its triple: the H, E, F solves, which
-    import linalg, do not run."""
-    code = ("import sys, mfal.alia, mfal.liealg; "
-            "[mfal.alia.alia_table(*key).bracket_records() for key in mfal.liealg.ORBIT_LABELS]; "
+    import linalg, do not run.  Rendering reads the Chevalley table and the
+    cocycles; the tables over Q[j] import jpoly when they are built."""
+    code = ("import sys, mfal.alia, mfal.liealg; keys = mfal.liealg.ORBIT_LABELS; "
+            "[mfal.alia.render(*key, fmt) for key in keys for fmt in ('text', 'json')]; "
+            "print(*sorted(m for m in sys.modules if m.split('.')[0] == 'mfal'), end=' | '); "
+            "[mfal.alia.alia_table(*key) for key in keys]; "
             "print(*sorted(m for m in sys.modules if m.split('.')[0] == 'mfal'))")
-    assert last_line_of(code).split() == [
-        "mfal", "mfal.alia", "mfal.liealg", "mfal.poly", "mfal.sparse"]
+    rendered, built = last_line_of(code).split(" | ")
+    assert rendered.split() == ["mfal", "mfal.alia", "mfal.liealg", "mfal.poly"]
+    assert built.split() == [
+        "mfal", "mfal.alia", "mfal.jpoly", "mfal.liealg", "mfal.poly", "mfal.sparse"]
 
 
 def test_the_series_kernel_lives_in_qseries():
@@ -557,3 +599,19 @@ def test_a_value_after_an_equals_sign_or_a_space(capsys):
                                                                "--order", "4")
     code, out, _ = run(capsys, "expand", "--format=json", "E4", "--order", "3")
     assert code == 0 and json.loads(out)["trunc"] == "3/1"
+
+
+@pytest.mark.parametrize("arg, is_value", [
+    ("-", True), ("-3", True), ("-.5", True), ("-3.5", True), ("E4", True), ("", True),
+    ("-3.", False), ("-1e5", False), ("-0.5+1i", False), ("--tau", False)])
+def test_an_argument_starting_with_a_minus_is_a_value_only_as_a_number(arg, is_value):
+    """After a space, "-" and the numbers -3, -.5 and -3.5 are values; any other
+    word starting with "-" is a flag."""
+    from mfal.cli import _is_value
+
+    assert bool(_is_value(arg)) is is_value
+
+
+def test_the_command_line_compiles_no_regex():
+    """With no site hook (-S) importing ``re`` first, ``import mfal.cli`` loads none."""
+    assert last_line_of("import sys, mfal.cli; print('re' in sys.modules)", "-S") == "False"

@@ -19,7 +19,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from mfal.alia import JPoly
+from mfal.jpoly import JPoly
 from mfal.loopext import CycloField
 
 examples = settings(max_examples=120, deadline=None)

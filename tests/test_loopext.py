@@ -371,7 +371,8 @@ def test_dolan_grady():
 
 
 def test_dolan_grady_degree_bound():
-    from mfal.alia import AliaTable, JPoly
+    from mfal.alia import AliaTable
+    from mfal.jpoly import JPoly
 
     table = AliaTable("A1", "principal")
     idx_h = table.index[("H", 0)]

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mfal.alia import JPoly
+from mfal.jpoly import JPoly
 from mfal.linalg import Matrix
 from mfal.loopext import CycloField, Laurent
 from mfal.quasimodular import QuasiPoly

@@ -16,7 +16,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mfal.alia import JPoly
+from mfal.jpoly import JPoly
 from mfal.loopext import CycloField
 from mfal.poly import add, add_term, horner, mul, numerators, power, trim
 from mfal.sparse import Sparse

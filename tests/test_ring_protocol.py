@@ -19,7 +19,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import mfal
-from mfal.alia import JPoly
+from mfal.jpoly import JPoly
 from mfal.loopext import CycloField, CycloNumber, Laurent, RatFunc, pole_preset
 from mfal.poly import Ring
 from mfal.sparse import Sparse
